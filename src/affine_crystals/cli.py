@@ -38,10 +38,27 @@ def _seed(args) -> int:
     return int(env) if env is not None else args.seed
 
 
+def _usage_error(msg: str):
+    print(f"error: {msg}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _n(args) -> int:
+    if args.n < 1:
+        _usage_error(f"--n must be at least 1, got {args.n}")
+    return args.n
+
+
 def _lam(args):
-    w = weight(int(c) for c in args.lam.split(","))
-    if w.n != args.n:
-        raise SystemExit(f"--lambda has {w.n + 1} coefficients but --n is {args.n}")
+    """The --lambda weight, checked against --n: dominant of level >= 1, n >= 1."""
+    try:
+        w = weight(int(c) for c in args.lam.split(","))
+    except ValueError:
+        _usage_error(f"--lambda must be comma-separated integers, got {args.lam!r}")
+    if w.n != _n(args):
+        _usage_error(f"--lambda has {w.n + 1} coefficients but --n is {args.n}")
+    if not w.is_dominant() or w.level < 1:
+        _usage_error(f"--lambda must be dominant of level >= 1, got {args.lam}")
     return w
 
 
@@ -60,18 +77,11 @@ def cmd_path(args) -> int:
 
 
 def cmd_quiver(args) -> int:
-    import random
-
-    from .quiver import commutant_basis, sample_in_commutant, wall_graded_map
-
     lam = _lam(args)
     p = None if args.field == "qq" else PRIME
     report = run_pipeline(lam, parse_word(args.word), seed=_seed(args), p=p)
     data = report_to_json(report)
-    x, _ = wall_graded_map(lam.n, report.walls_p1)
-    xbar = sample_in_commutant(commutant_basis(x, p), x.dims, -1,
-                               random.Random(_seed(args)), p)
-    data["sampled_xbar_blocks"] = [[list(r) for r in blk] for blk in xbar.blocks]
+    data["sampled_xbar_blocks"] = [[list(r) for r in blk] for blk in report.xbar.blocks]
     data["seed"] = _seed(args)
     data["field"] = args.field
     _dump(data, args.out)
@@ -81,7 +91,7 @@ def cmd_quiver(args) -> int:
 def _graph_seed_elem(args):
     if args.crystal == "path":
         return ground_path(_lam(args), KIND_BY_FLAG[args.kind])
-    n, lvl = args.n, args.level
+    n, lvl = _n(args), args.level
     if args.crystal == "b1":
         return B1Elem((lvl,) + (0,) * n)
     if args.crystal == "bn":

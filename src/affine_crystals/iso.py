@@ -154,6 +154,7 @@ class IsoReport:
     units_x: list[MatrixUnit] = field(default_factory=list)
     units_xbar: list[MatrixUnit] = field(default_factory=list)
     commutant_dim: int = 0
+    xbar: GradedMap | None = None  # the seed's first commutant sample
     table: KernelTable | None = None
     stable: bool = False
 
@@ -189,8 +190,9 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME,
     x, report.units_x = wall_graded_map(n, report.walls_p1)
     _, report.units_xbar = wall_graded_map(n, report.walls_pn)
 
-    basis = commutant_basis(x, p)
+    basis = commutant_basis(x)
     report.commutant_dim = len(basis)
+    report.xbar = sample_in_commutant(basis, x.dims, -x.shift, random.Random(seed), p)
     report.table = generic_kernel_table(x, basis, seed=seed, p=p)
 
     report.geometric["B1"] = b1_path_from_kernels(report.table, lam)

@@ -1,10 +1,13 @@
 """Exact linear algebra over Q and over a large prime field.
 
-No floating point anywhere.  Matrices are plain lists of integer rows.  The
-prime route reduces mod p = 2^31 - 1; the rational route uses fraction-free
-Bareiss elimination for ranks and Fraction-based reduced echelon form for
-nullspace bases (cleared to integer vectors).  Pivots are always the first
-nonzero entry in column order.
+No floating point anywhere.  Matrices are plain lists of integer rows.  One
+fraction-free forward elimination serves both fields: over F_p (p = 2^31 - 1)
+a row update is ``(piv * x - f * y) mod p``, over Q (``p=None``) it is
+Bareiss's exact division by the previous pivot, so entries stay integers.
+Pivots are the first nonzero entry in column order.  ``rank`` counts the
+pivots; ``nullspace`` back-substitutes each free column on the echelon form,
+giving the reduced-echelon basis (1 at its own free column, 0 at the others;
+over Q cleared to integer vectors).
 """
 
 from __future__ import annotations
@@ -18,147 +21,57 @@ from .cartan import RootVec
 PRIME = 2**31 - 1
 
 
-def mat_shape(a) -> tuple[int, int]:
-    return len(a), len(a[0]) if a else 0
-
-
-def mat_mul(a, b, p: int | None = None):
-    rows, inner = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for r in range(rows):
-        ar, outr = a[r], out[r]
-        for t in range(inner):
-            x = ar[t]
-            if x:
-                bt = b[t]
-                for c in range(cols):
-                    outr[c] += x * bt[c]
-        if p is not None:
-            out[r] = [v % p for v in outr]
-    return out
-
-
-def mat_is_zero(a) -> bool:
-    return all(not v for row in a for v in row)
-
-
-def rank_modp(a, p: int = PRIME) -> int:
-    rows = [[v % p for v in row] for row in a]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def nullspace_modp(a, ncols: int, p: int = PRIME):
-    """Basis of the right nullspace over F_p (vectors of length ncols)."""
-    rows = [[v % p for v in row] for row in a if any(v % p for v in row)]
+def _echelon(a, ncols: int, p: int | None) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free forward elimination: (pivot rows, pivot columns)."""
+    rows = [[v % p for v in row] if p is not None else list(row) for row in a]
     nrows = len(rows)
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        rows[r] = [(v * inv) % p for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    basis = []
-    for c in free:
-        v = [0] * ncols
-        v[c] = 1
-        for rr, pc in enumerate(pivots):
-            v[pc] = (-rows[rr][c]) % p
-        basis.append(v)
-    return basis
-
-
-def rank_bareiss(a) -> int:
-    """Exact rank of an integer matrix over Q, fraction-free elimination."""
-    m = [[int(v) for v in row] for row in a]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
     prev = 1
-    r = 0
     for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
+        r = len(pivots)
         if r == nrows:
             break
-    return r
-
-
-def nullspace_exact(a, ncols: int):
-    """Integer basis of the right nullspace over Q (denominators cleared)."""
-    rows = [[Fraction(v) for v in row] for row in a if any(row)]
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
         piv = next((i for i in range(r, nrows) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r][c:]
+        pv = top[0]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if p is not None:
+                if f:
+                    row[c:] = [(pv * x - f * y) % p for x, y in zip(row[c:], top)]
+            else:
+                row[c:] = [(pv * x - f * y) // prev for x, y in zip(row[c:], top)]
+        prev = pv
         pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    basis = []
-    for c in free:
-        v = [Fraction(0)] * ncols
-        v[c] = Fraction(1)
-        for rr, pc in enumerate(pivots):
-            v[pc] = -rows[rr][c]
-        den = lcm(*(x.denominator for x in v)) if v else 1
-        basis.append([int(x * den) for x in v])
-    return basis
+    return rows[:len(pivots)], pivots
 
 
 def rank(a, p: int | None = PRIME) -> int:
-    return rank_modp(a, p) if p is not None else rank_bareiss(a)
+    return len(_echelon(a, len(a[0]) if a else 0, p)[1])
 
 
 def nullspace(a, ncols: int, p: int | None = PRIME):
-    return nullspace_modp(a, ncols, p) if p is not None else nullspace_exact(a, ncols)
+    """Reduced-echelon basis of the right nullspace (vectors of length ncols)."""
+    rows, pivots = _echelon(a, ncols, p)
+    inv = [pow(row[c], -1, p) if p is not None else Fraction(1, row[c])
+           for row, c in zip(rows, pivots)]
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[free] = 1
+        for row, c, s in reversed(list(zip(rows, pivots, inv))):
+            v[c] = -s * sum(row[j] * v[j] for j in range(c + 1, free + 1))
+            if p is not None:
+                v[c] %= p
+        if p is None:
+            den = lcm(*(Fraction(x).denominator for x in v))
+            v = [int(x * den) for x in v]
+        basis.append(v)
+    return basis
 
 
 # --------------------------------------------------------------- graded maps
@@ -221,7 +134,8 @@ def gm_compose(a: GradedMap, b: GradedMap, p: int | None = None) -> GradedMap:
     Shapes come from dims, not from the block tuples: a 0-row block cannot
     carry its column count.
     """
-    assert a.dims == b.dims
+    if a.dims != b.dims:
+        raise ValueError(f"cannot compose maps on dims {a.dims} and {b.dims}")
     m = a.m
     shift = a.shift + b.shift
     blocks = []
@@ -254,7 +168,7 @@ def gm_power(a: GradedMap, k: int, p: int | None = None) -> GradedMap:
 
 
 def gm_is_zero(a: GradedMap) -> bool:
-    return all(mat_is_zero([list(r) for r in blk]) for blk in a.blocks)
+    return not any(v for blk in a.blocks for row in blk for v in row)
 
 
 def gm_kernel_dims(a: GradedMap, p: int | None = PRIME) -> RootVec:
@@ -270,5 +184,4 @@ def kernel_dim(a, p: int | None = PRIME):
     """Nullity of a plain matrix, or graded nullity of a GradedMap."""
     if isinstance(a, GradedMap):
         return gm_kernel_dims(a, p)
-    nrows, ncols = mat_shape(a)
-    return ncols - rank(a, p)
+    return (len(a[0]) if a else 0) - rank(a, p)

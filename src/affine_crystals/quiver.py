@@ -8,6 +8,11 @@ generically inside its commutant, which is exactly the conormal fiber since
 the moment map vanishes iff the commutator does.  Group quotients are never
 formed.
 
+The commutant needs no linear solve.  Each wall row is one Jordan string of
+the nilpotent partial permutation x, and the commutant is spanned by the
+truncated shifts between pairs of strings whose colour degree fits; see
+``commutant_basis`` for the construction and the order of its basis.
+
 Generic values are taken as the componentwise minimum over >= 3 independent
 prime-field samples that must agree; disagreement triggers resampling and,
 past a bound, a GenericityError.
@@ -28,7 +33,6 @@ from .linalg import (
     gm_kernel_dims,
     gm_power,
     gm_zero,
-    nullspace,
     rank,
 )
 from .walls import WallTuple, block_color, total_content
@@ -91,7 +95,8 @@ def units_to_graded_map(dims, units) -> GradedMap:
         [[0] * dims[(i - shift) % m] for _ in range(dims[i])] for i in range(m)
     ]
     for u in units:
-        assert u.direction == direction
+        if u.direction != direction:
+            raise ValueError("matrix units of both directions in one map")
         # x unit: v^{s-1}_src -> v^s_dst ; xbar unit: v^s_src -> v^{s-1}_dst
         i = u.s if direction == "x" else (u.s - 1) % m
         blocks[i][u.dst][u.src] = 1
@@ -109,66 +114,66 @@ def wall_graded_map(n: int, walls: WallTuple) -> tuple[GradedMap, list[MatrixUni
 
 # ------------------------------------------------------------- commutant
 
-def commutant_basis(a: GradedMap, p: int | None = PRIME) -> list[GradedMap]:
-    """Basis of the opposite-degree maps commuting with a.
+def _jordan_strings(a: GradedMap) -> list[list[tuple[int, int]]]:
+    """Strings [(component, index), ...] of a nilpotent 0/1 partial permutation."""
+    nxt: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, blk in enumerate(a.blocks):
+        for r, row in enumerate(blk):
+            for c, v in enumerate(row):
+                if v:
+                    src = ((i - a.shift) % a.m, c)
+                    if v != 1 or src in nxt:
+                        raise ValueError("wall map is not a 0/1 partial permutation")
+                    nxt[src] = (i, r)
+    hit = set(nxt.values())
+    if len(hit) < len(nxt):
+        raise ValueError("wall map is not a 0/1 partial permutation")
+    strings = [[(i, k)] for i in range(a.m) for k in range(a.dims[i]) if (i, k) not in hit]
+    for string in strings:
+        while string[-1] in nxt:
+            string.append(nxt[string[-1]])
+    if sum(map(len, strings)) != sum(a.dims):
+        raise ValueError("wall map is not nilpotent")
+    return strings
 
-    Solved as one exact linear system: the moment map vanishes iff the
-    commutator does, so these are precisely the conormal-fiber directions.
+
+def commutant_basis(a: GradedMap) -> list[GradedMap]:
+    """Basis of the opposite-degree maps commuting with the wall map a.
+
+    The moment map vanishes iff the commutator does, so these are precisely
+    the conormal-fiber directions.  a is a nilpotent partial permutation, so
+    its basis vectors split into Jordan strings A_0 -> A_1 -> ... -> 0, and
+    the commutant is spanned by the truncated shifts B_k -> A_{k+d} between
+    ordered pairs of strings (A of length la, B of length lb), one for each
+    offset d in max(0, la - lb) .. la - 1 (Gantmacher, ch. VIII).  The degree
+    filter keeps the shifts taking B_0 into the component of A_d.
+
+    The maps have 0/1 entries and disjoint supports, so the basis holds over
+    every field.  Sorting them by the last entry of their support, in the
+    block-major, row-major order of the unknown entries, gives exactly the
+    reduced-echelon nullspace basis of the commutator equations in that
+    order.  A sample draws one coefficient per basis map in this order, so
+    the order fixes every sampled xbar and with it the output bytes.
     """
-    assert a.shift in (1, -1)
-    m = a.m
-    dims = a.dims
-    shift = -a.shift
-    # unknown blocks u[b]: component (b - shift) -> b, shape dims[b] x dims[b - shift]
-    offsets = []
-    total = 0
-    for b in range(m):
-        offsets.append(total)
-        total += dims[b] * dims[(b - shift) % m]
-
-    def uidx(b, r, c):
-        return offsets[b] + r * dims[(b - shift) % m] + c
-
-    rows = []
-    for i in range(m):
-        # [a, u] on component i: a.block_out(i-shift') ... written directly:
-        # (a o u)|V_i = a.block_out((i + shift) % m ... keep it concrete:
-        au_left = a.blocks[i % m]  # maps V_{i - a.shift} -> V_i
-        # u-block landing in V_{i - a.shift}: index (i - a.shift) % m
-        b1 = (i - a.shift) % m
-        # (u o a)|: u-block landing in V_i has index i; a-block landing in
-        # V_{(i - shift) % m} = V_{i + a.shift}
-        ua_right = a.blocks[(i + a.shift) % m]  # maps V_i -> V_{i + a.shift}
-        ki = dims[i]
-        kin = dims[b1]  # = dims[(i - a.shift) % m]
-        for r in range(ki):
-            for c in range(ki):
-                coeffs: dict[int, int] = {}
-                for t in range(kin):
-                    v = au_left[r][t]
-                    if v:
-                        coeffs[uidx(b1, t, c)] = coeffs.get(uidx(b1, t, c), 0) + v
-                for t in range(dims[(i + a.shift) % m]):
-                    v = ua_right[t][c]
-                    if v:
-                        coeffs[uidx(i, r, t)] = coeffs.get(uidx(i, r, t), 0) - v
-                if coeffs:
-                    row = [0] * total
-                    for pos, v in coeffs.items():
-                        row[pos] = v
-                    rows.append(row)
-    basis_vecs = nullspace(rows, total, p)
-    out = []
-    for vec in basis_vecs:
-        blocks = []
-        for b in range(m):
-            cols = dims[(b - shift) % m]
-            blk = [
-                [vec[uidx(b, r, c)] for c in range(cols)] for r in range(dims[b])
-            ]
-            blocks.append(blk)
-        out.append(gm_from_blocks(dims, shift, blocks))
-    return out
+    if a.shift not in (1, -1):
+        raise ValueError(f"wall map has degree {a.shift}, expected +1 or -1")
+    m, dims = a.m, a.dims
+    offsets = [sum(dims[b] * dims[(b + a.shift) % m] for b in range(t)) for t in range(m)]
+    strings = _jordan_strings(a)
+    keyed = []
+    for sa in strings:
+        for sb in strings:
+            for d in range(max(0, len(sa) - len(sb)), len(sa)):
+                if sa[d][0] != (sb[0][0] - a.shift) % m:
+                    continue
+                blocks = [[[0] * dims[(b + a.shift) % m] for _ in range(dims[b])]
+                          for b in range(m)]
+                last = 0
+                for (t, r), (s, c) in zip(sa[d:], sb):
+                    blocks[t][r][c] = 1
+                    last = max(last, offsets[t] + r * dims[s] + c)
+                keyed.append((last, gm_from_blocks(dims, -a.shift, blocks)))
+    return [g for _, g in sorted(keyed, key=lambda item: item[0])]
 
 
 def sample_in_commutant(basis, dims, shift: int, rng: random.Random,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from math import comb
 
 from . import golden
 from .cartan import RootVec, Weight, root, rotate, weight, zero_root
@@ -22,7 +23,7 @@ from .iso import (
     peel_p1,
     run_pipeline,
 )
-from .linalg import PRIME, gm_kernel_dims
+from .linalg import PRIME
 from .paths import from_word, ground_path
 from .perfect import (
     all_adj,
@@ -37,6 +38,7 @@ from .perfect import (
 )
 from .quiver import (
     KernelTable,
+    _kernel_sequence,
     check_moment,
     commutant_basis,
     generic_kernel_table,
@@ -139,16 +141,14 @@ def suite_example(seed: int = 0) -> list[Check]:
     _check(out, "A2 wall tuples and matrix units reconstructed", ok2,
            f"elapsed {elapsed:.2f}s")
 
-    basis_fp = commutant_basis(x, PRIME)
-    basis_qq = commutant_basis(x, None)
+    basis = commutant_basis(x)
     _check(out, "A3 commutant fiber dimension is 29",
-           len(basis_fp) == golden.COMMUTANT_DIM == len(basis_qq),
-           f"fp={len(basis_fp)} exact={len(basis_qq)}")
+           len(basis) == golden.COMMUTANT_DIM, f"dim={len(basis)}")
 
     ref = reference_table()
     tables_ok = True
     for s in (seed, seed + 1, seed + 2):
-        kt = generic_kernel_table(x, basis_fp, seed=s)
+        kt = generic_kernel_table(x, basis, seed=s)
         if (kt.x_pow, kt.xbar_pow, kt.xy_pow, kt.yxy_pow) != (
             ref.x_pow, ref.xbar_pow, ref.xy_pow, ref.yxy_pow
         ):
@@ -176,7 +176,7 @@ def suite_example(seed: int = 0) -> list[Check]:
 
     rest, fac = peel_adj(n, wp1, ref, lam)
     x_rest, _ = wall_graded_map(n, rest)
-    kt_rest = generic_kernel_table(x_rest, commutant_basis(x_rest, PRIME), seed=seed)
+    kt_rest = generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed)
     _, fac2 = peel_adj(n, rest, kt_rest, lam)
     _check(out, "extra: adjoint peeling emits positions 0 and 1",
            fac == pad.factor(0) and fac2 == pad.factor(1))
@@ -186,12 +186,6 @@ def suite_example(seed: int = 0) -> list[Check]:
 # ---------------------------------------------------------------- pair merge
 
 XI_GRID = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2))
-
-
-def _binom(a: int, b: int) -> int:
-    from math import comb
-
-    return comb(a, b)
 
 
 def suite_xi() -> list[Check]:
@@ -205,7 +199,7 @@ def suite_xi() -> list[Check]:
         for b in rows:
             for bb in cols:
                 images[(b, bb)] = merge_pair(b, bb)
-        target = _binom(lvl + n, n) ** 2
+        target = comb(lvl + n, n) ** 2
         if len(set(images.values())) != target or len(images) != target:
             all_ok, detail = False, f"cardinality off at (n,l)=({n},{lvl})"
             break
@@ -352,14 +346,12 @@ def suite_bridge(seed: int = 0) -> list[Check]:
             ok11, det11 = False, f"stripped tuple invalid: {msg}"
             break
         x, _ = wall_graded_map(n, walls)
-        ker = _kernel_power_rows(x)
+        ker = (zero_root(n),) + _kernel_sequence(x, x, RootVec(x.dims), PRIME)
         if rest.block_count():
             x2, _ = wall_graded_map(n, rest)
-            ker2 = _kernel_power_rows(x2)
-            shifted = [
-                _clamp(ker, k + 1) - _clamp(ker, 1) for k in range(len(ker2))
-            ]
-            if [tuple(r.k) for r in ker2] != [tuple(r.k) for r in shifted]:
+            ker2 = (zero_root(n),) + _kernel_sequence(x2, x2, RootVec(x2.dims), PRIME)
+            shifted = [ker[min(k + 1, len(ker) - 1)] - ker[1] for k in range(len(ker2))]
+            if ker2 != tuple(shifted):
                 ok11, det11 = False, f"kernel shift law fails for {lam}"
                 break
         if not (
@@ -371,24 +363,6 @@ def suite_bridge(seed: int = 0) -> list[Check]:
     _check(out, "A11 peeling step and kernel shift law on 50 components", ok11, det11)
     _check(out, "A12 generic framings are stable (3 seeds per component)", ok12)
     return out
-
-
-def _clamp(rows, k: int) -> RootVec:
-    return rows[k] if k < len(rows) else rows[-1]
-
-
-def _kernel_power_rows(x) -> list[RootVec]:
-    """[ker x^0, ker x^1, ...] until stabilization (exact for wall maps)."""
-    from .linalg import gm_compose
-
-    n = len(x.dims) - 1
-    alpha = RootVec(x.dims)
-    rows = [zero_root(n)]
-    cur = x
-    while rows[-1] != alpha:
-        rows.append(gm_kernel_dims(cur, PRIME))
-        cur = gm_compose(cur, x, PRIME)
-    return rows
 
 
 SUITES = {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -117,3 +118,32 @@ def test_verify_detects_corrupted_reference(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "A3 commutant fiber dimension is 29: FAIL" in out
+
+
+WORKED = ["--n", "2", "--lambda", "2,1,0", "--word", "1^4 2^5 1^2 0^4 2 1", "--seed", "0"]
+
+
+@pytest.mark.parametrize("field, digest", [
+    ("fp", "a75763ccd80087e6b8d7b7006fbb7adc5f1e1cf7df91e70eade31a80e6dff50d"),
+    ("qq", "22ebc5c59ed075e1921922d136ecfce6422eeba401ad6eb899f8104fcc571860"),
+])
+def test_quiver_output_bytes_pinned(field, digest):
+    # covers sampled_xbar_blocks, so a reordered commutant basis shows here
+    proc = run_cli(["quiver"] + WORKED + ["--field", field])
+    assert proc.returncode == 0
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args", [
+    ["quiver", "--n", "2", "--lambda", "0,0,0"],
+    ["quiver", "--n", "2", "--lambda", "a,b,c"],
+    ["path", "--n", "2", "--lambda=-1,2,0"],
+    ["quiver", "--n", "0", "--lambda", "2", "--word", "0^3"],
+    ["graph", "--crystal", "ad", "--n", "0"],
+], ids=["level-zero", "not-integers", "not-dominant", "n-zero", "graph-n-zero"])
+def test_bad_lambda_or_n_is_a_usage_error(args):
+    proc = run_cli(args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from affine_crystals.cartan import RootVec
 from affine_crystals.linalg import (
     PRIME,
@@ -11,25 +13,30 @@ from affine_crystals.linalg import (
     gm_power,
     gm_zero,
     kernel_dim,
-    nullspace_exact,
-    nullspace_modp,
-    rank_bareiss,
-    rank_modp,
+    nullspace,
+    rank,
 )
+
+FIELDS = (PRIME, None)
+
+
+def _random_matrix(rng, max_rows=7, max_cols=7, bound=9):
+    rows, cols = rng.randint(0, max_rows), rng.randint(1, max_cols)
+    return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)], cols
 
 
 def test_rank_basics():
-    assert rank_modp([[1, 2], [2, 4]]) == 1
-    assert rank_bareiss([[1, 2], [2, 4]]) == 1
-    assert rank_modp([]) == 0
-    assert rank_bareiss([[0, 0], [0, 0]]) == 0
+    assert rank([[1, 2], [2, 4]], PRIME) == 1
+    assert rank([[1, 2], [2, 4]], None) == 1
+    assert rank([], PRIME) == 0
+    assert rank([[0, 0], [0, 0]], None) == 0
 
 
 def test_nullspace_zero_and_invertible():
-    assert len(nullspace_modp([[0, 0, 0]] * 3, 3)) == 3
-    assert nullspace_modp([[2, 1], [1, 1]], 2) == []
-    assert len(nullspace_exact([[0] * 4] * 2, 4)) == 4
-    assert nullspace_exact([[1, 0], [0, 3]], 2) == []
+    assert len(nullspace([[0, 0, 0]] * 3, 3, PRIME)) == 3
+    assert nullspace([[2, 1], [1, 1]], 2, PRIME) == []
+    assert len(nullspace([[0] * 4] * 2, 4, None)) == 4
+    assert nullspace([[1, 0], [0, 3]], 2, None) == []
 
 
 def test_nullspace_vectors_annihilate():
@@ -38,9 +45,9 @@ def test_nullspace_vectors_annihilate():
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        for v in nullspace_exact(a, cols):
+        for v in nullspace(a, cols, None):
             assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
-        for v in nullspace_modp(a, cols):
+        for v in nullspace(a, cols, PRIME):
             assert all(sum(x * y for x, y in zip(row, v)) % PRIME == 0 for row in a)
 
 
@@ -50,8 +57,39 @@ def test_modp_agrees_with_exact_on_random_small_integers():
         rows = rng.randint(1, 7)
         cols = rng.randint(1, 7)
         a = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
-        assert rank_modp(a) == rank_bareiss(a)
-        assert len(nullspace_modp(a, cols)) == len(nullspace_exact(a, cols))
+        assert rank(a, PRIME) == rank(a, None)
+        assert len(nullspace(a, cols, PRIME)) == len(nullspace(a, cols, None))
+
+
+def test_rank_plus_nullity_is_ncols():
+    rng = random.Random(11)
+    for _ in range(60):
+        a, cols = _random_matrix(rng)
+        for p in FIELDS:
+            assert rank(a, p) + len(nullspace(a, cols, p)) == cols
+
+
+def test_nullspace_is_reduced_at_free_columns():
+    # the commutant basis order relies on this normalisation: each vector is
+    # 1 at its own free column (over Q: the common denominator it was cleared
+    # by) and 0 at every other free column
+    rng = random.Random(12)
+    for _ in range(60):
+        a, cols = _random_matrix(rng)
+        if rng.random() < 0.5 and len(a) > 1:
+            a.append([x - y for x, y in zip(a[0], a[1])])
+        for p in FIELDS:
+            basis = nullspace(a, cols, p)
+            free = [max(c for c in range(cols) if v[c]) for v in basis]
+            assert free == sorted(set(free))
+            for v, c in zip(basis, free):
+                assert [v[f] for f in free] == [v[c] * (f == c) for f in free]
+                assert v[c] == 1 if p is not None else v[c] > 0
+
+
+def test_compose_rejects_mismatched_dims():
+    with pytest.raises(ValueError):
+        gm_compose(gm_zero((1, 1), 1), gm_zero((1, 2), 1))
 
 
 def _unit_map(dims, shift, entries):

@@ -1,10 +1,12 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
 from affine_crystals import golden
 from affine_crystals.cartan import root, zero_root
-from affine_crystals.linalg import PRIME, gm_is_zero, gm_power, nullspace_exact
+from affine_crystals.linalg import PRIME, gm_from_blocks, gm_is_zero, gm_power, gm_zero, nullspace
 from affine_crystals.paths import from_word
 from affine_crystals.quiver import (
     check_moment,
@@ -82,32 +84,126 @@ def _big_commutator_dim(x, dims):
                     coeff[t] -= big[pc][cc]
             if any(coeff):
                 rows.append(coeff)
-    return len(nullspace_exact(rows, len(positions)))
+    return len(nullspace(rows, len(positions), None))
+
+
+def _solver_commutant_basis(a, p):
+    """Reference oracle: the commutant as the nullspace of [a, u] = 0.
+
+    Unknowns are the entries of the opposite-degree blocks u[b], block-major
+    then row-major; the basis is the reduced-echelon one in that order.
+    """
+    m = a.m
+    dims = a.dims
+    shift = -a.shift
+    offsets = []
+    total = 0
+    for b in range(m):
+        offsets.append(total)
+        total += dims[b] * dims[(b - shift) % m]
+
+    def uidx(b, r, c):
+        return offsets[b] + r * dims[(b - shift) % m] + c
+
+    rows = []
+    for i in range(m):
+        au_left = a.blocks[i]  # V_{i - a.shift} -> V_i
+        b1 = (i - a.shift) % m  # u-block landing in V_{i - a.shift}
+        ua_right = a.blocks[(i + a.shift) % m]  # V_i -> V_{i + a.shift}
+        for r in range(dims[i]):
+            for c in range(dims[i]):
+                coeffs: dict[int, int] = {}
+                for t in range(dims[b1]):
+                    if au_left[r][t]:
+                        coeffs[uidx(b1, t, c)] = coeffs.get(uidx(b1, t, c), 0) + au_left[r][t]
+                for t in range(dims[(i + a.shift) % m]):
+                    if ua_right[t][c]:
+                        coeffs[uidx(i, r, t)] = coeffs.get(uidx(i, r, t), 0) - ua_right[t][c]
+                if coeffs:
+                    row = [0] * total
+                    for pos, v in coeffs.items():
+                        row[pos] = v
+                    rows.append(row)
+    out = []
+    for vec in nullspace(rows, total, p):
+        blocks = [
+            [[vec[uidx(b, r, c)] for c in range(dims[(b - shift) % m])] for r in range(dims[b])]
+            for b in range(m)
+        ]
+        out.append(gm_from_blocks(dims, shift, blocks))
+    return out
+
+
+def _assert_matches_solver(x):
+    basis = commutant_basis(x)
+    for p in (PRIME, None):
+        assert basis == _solver_commutant_basis(x, p)
+    return basis
 
 
 def test_commutant_dimension_reference():
     x, _ = wall_graded_map(N, WP1)
-    assert len(commutant_basis(x, PRIME)) == golden.COMMUTANT_DIM
-    assert len(commutant_basis(x, None)) == golden.COMMUTANT_DIM
+    assert len(_assert_matches_solver(x)) == golden.COMMUTANT_DIM
     assert _big_commutator_dim(x, x.dims) == golden.COMMUTANT_DIM
 
 
 def test_commutant_tiny_cases_against_oracle():
     # single unit on alpha = a0 + a2 with n = 2
     x = units_to_graded_map((1, 0, 1), [type("U", (), {"direction": "x", "s": 0, "src": 0, "dst": 0})()])
-    assert len(commutant_basis(x, None)) == _big_commutator_dim(x, (1, 0, 1))
+    assert len(_assert_matches_solver(x)) == _big_commutator_dim(x, (1, 0, 1))
     # zero map: everything commutes
-    from affine_crystals.linalg import gm_zero
-
-    z = gm_zero((2, 1, 1), 1)
     dims = (2, 1, 1)
     expect = sum(dims[i] * dims[i - 1] for i in range(3))
-    assert len(commutant_basis(z, None)) == expect
+    assert len(_assert_matches_solver(gm_zero(dims, 1))) == expect
+    assert len(_assert_matches_solver(gm_zero(dims, -1))) == expect
+
+
+def test_commutant_matches_solver_on_random_wall_maps():
+    rng = random.Random(5)
+    kinds = {"P1": "B1", "Pn": "Bn"}
+    checked = 0
+    while checked < 64:
+        n = rng.randint(1, 3)
+        lam = random_dominant(n, rng.randint(1, 3), rng)
+        if lam.level == 0:
+            continue
+        word = random_word(lam, rng.randint(0, 12), rng)
+        alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
+        for kind, path_kind in kinds.items():
+            walls = path_to_walls(n, lam, from_word(lam, path_kind, word), alpha, kind)
+            _assert_matches_solver(wall_graded_map(n, walls)[0])
+            checked += 1
+
+
+def test_commutant_rejects_maps_that_are_not_wall_maps():
+    two = gm_from_blocks((1, 1), 1, [[[2]], [[0]]])
+    with pytest.raises(ValueError):
+        commutant_basis(two)
+    with pytest.raises(ValueError):
+        commutant_basis(gm_zero((1, 1), 2))
+    merge = gm_from_blocks((2, 1), 1, [[[0], [0]], [[1, 1]]])  # two columns hit one row
+    with pytest.raises(ValueError):
+        commutant_basis(merge)
+
+
+def test_commutant_rejects_cycle_under_optimize():
+    # a 2-cycle V_0 -> V_1 -> V_0 is not nilpotent; the guard must survive -O
+    code = (
+        "from affine_crystals.linalg import gm_from_blocks\n"
+        "from affine_crystals.quiver import commutant_basis\n"
+        "try:\n"
+        "    commutant_basis(gm_from_blocks((1, 1), 1, [[[1]], [[1]]]))\n"
+        "except ValueError as err:\n"
+        "    print('ValueError', err)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError")
 
 
 def test_commutant_elements_commute():
     x, _ = wall_graded_map(N, WP1)
-    basis = commutant_basis(x, PRIME)
+    basis = commutant_basis(x)
     rng = random.Random(0)
     xbar = sample_in_commutant(basis, x.dims, -1, rng, PRIME)
     assert check_moment(x, xbar, PRIME)
@@ -116,7 +212,7 @@ def test_commutant_elements_commute():
 
 def test_sampling_is_deterministic():
     x, _ = wall_graded_map(N, WP1)
-    basis = commutant_basis(x, PRIME)
+    basis = commutant_basis(x)
     a = sample_in_commutant(basis, x.dims, -1, random.Random(42), PRIME)
     b = sample_in_commutant(basis, x.dims, -1, random.Random(42), PRIME)
     assert a == b
@@ -132,7 +228,7 @@ def test_nilpotency():
 
 def test_kernel_table_reference_multi_seed():
     x, _ = wall_graded_map(N, WP1)
-    basis = commutant_basis(x, PRIME)
+    basis = commutant_basis(x)
     ref = reference_table()
     for seed in (0, 1, 2, 77):
         kt = generic_kernel_table(x, basis, seed=seed)
@@ -144,7 +240,7 @@ def test_kernel_table_reference_multi_seed():
 
 def test_kernel_table_exact_field_flag():
     x, _ = wall_graded_map(N, WP1)
-    basis = commutant_basis(x, None)
+    basis = commutant_basis(x)
     kt = generic_kernel_table(x, basis, seed=0, p=None)
     ref = reference_table()
     assert kt.x_pow == ref.x_pow and kt.xbar_pow == ref.xbar_pow
@@ -159,8 +255,6 @@ def test_kernel_table_requires_commuting_point():
 
 def test_kernel_table_zero_xbar():
     x, _ = wall_graded_map(N, WP1)
-    from affine_crystals.linalg import gm_zero
-
     kt = kernel_table_at(x, gm_zero(x.dims, -1), PRIME)
     assert kt.xbar_pow == (zero_root(N), golden.ALPHA)
     assert kt.xy_pow == (zero_root(N), golden.ALPHA)
@@ -193,7 +287,7 @@ def test_kernel_spans_equal_column_contents():
 
 def test_xy_and_yx_kernels_agree_at_commuting_points():
     x, _ = wall_graded_map(N, WP1)
-    basis = commutant_basis(x, PRIME)
+    basis = commutant_basis(x)
     from affine_crystals.linalg import gm_compose, gm_kernel_dims
 
     for seed in (0, 1):
@@ -209,7 +303,7 @@ def test_xy_and_yx_kernels_agree_at_commuting_points():
 
 def test_stability():
     x, _ = wall_graded_map(N, WP1)
-    basis = commutant_basis(x, PRIME)
+    basis = commutant_basis(x)
     for seed in (0, 1, 2):
         rng = random.Random(seed)
         xbar = sample_in_commutant(basis, x.dims, -1, rng, PRIME)
@@ -218,8 +312,6 @@ def test_stability():
 
 
 def test_stability_fails_without_framing():
-    from affine_crystals.linalg import gm_zero
-
     dims = (1, 0, 0)
     z = gm_zero(dims, 1)
     zbar = gm_zero(dims, -1)
