@@ -62,14 +62,26 @@ def _lam(args):
     return w
 
 
+def _word(args, lam):
+    """The --word, with every index in 0..n."""
+    try:
+        return parse_word(args.word, lam.n)
+    except ValueError as err:
+        _usage_error(f"--word: {err}")
+
+
+def _dead_word(err: DeadWordError) -> int:
+    print(f"error: {err}", file=sys.stderr)
+    return 1
+
+
 def cmd_path(args) -> int:
     lam = _lam(args)
     kind = KIND_BY_FLAG[args.kind]
     try:
-        p = from_word(lam, kind, parse_word(args.word))
+        p = from_word(lam, kind, _word(args, lam))
     except DeadWordError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        return _dead_word(err)
     data = path_to_json(p)
     data["rendered"] = [render(p.factor(k)) for k in range(p.tail_start + 1)]
     _dump(data, args.out)
@@ -79,7 +91,10 @@ def cmd_path(args) -> int:
 def cmd_quiver(args) -> int:
     lam = _lam(args)
     p = None if args.field == "qq" else PRIME
-    report = run_pipeline(lam, parse_word(args.word), seed=_seed(args), p=p)
+    try:
+        report = run_pipeline(lam, _word(args, lam), seed=_seed(args), p=p)
+    except DeadWordError as err:
+        return _dead_word(err)
     data = report_to_json(report)
     data["sampled_xbar_blocks"] = [[list(r) for r in blk] for blk in report.xbar.blocks]
     data["seed"] = _seed(args)

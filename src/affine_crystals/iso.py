@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .cartan import RootVec, Weight, cl_root, root, rotate
 from .linalg import PRIME, GradedMap
-from .paths import Path, from_word, ground_path, make_path, word_alpha
+from .paths import Path, from_word, make_path, raising_steps, word_alpha
 from .perfect import (
     AdjElem,
     B1Elem,
@@ -95,20 +95,7 @@ def peel_pn(n: int, walls: WallTuple) -> tuple[WallTuple, BnElem]:
 
 def raising_word(path: Path) -> list[int]:
     """Greedy e-word from the element up to the highest weight element."""
-    word: list[int] = []
-    cur = path
-    progress = True
-    while progress:
-        progress = False
-        for i in range(path.n + 1):
-            nxt = cur.e(i)
-            if nxt is not None:
-                word.append(i)
-                cur = nxt
-                progress = True
-                break
-    assert cur == ground_path(path.lam, path.kind), "raising did not reach the top"
-    return word
+    return [i for i, _ in raising_steps(path)]
 
 
 def peel_adj(n: int, walls: WallTuple, kt: KernelTable, lam: Weight,
@@ -183,7 +170,8 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME,
 
     for kind in ("B1", "Bn", "Ad"):
         report.direct[kind] = from_word(lam, kind, word)
-    assert cl_root(alpha) == lam - report.direct["B1"].wt()
+    if cl_root(alpha) != lam - report.direct["B1"].wt():
+        raise ValueError(f"word content {alpha} does not match the weight of its B1 path")
 
     report.walls_p1 = path_to_walls(n, lam, report.direct["B1"], alpha, "P1")
     report.walls_pn = path_to_walls(n, lam, report.direct["Bn"], alpha, "Pn")

@@ -34,6 +34,15 @@ class DeadWordError(ValueError):
     """A lowering word annihilated the highest weight element."""
 
 
+class InversionError(RuntimeError):
+    """A path could not be carried back to its wall tuple.
+
+    Raised when greedy raising stops short of the ground path, when a
+    replayed lowering step fits no wall or more than one, or when the
+    replayed tuple misses the given content or the given path.
+    """
+
+
 def ground_elem(lam: Weight, kind: str, k: int):
     if kind == "B1":
         return ground_b1(lam, k)
@@ -159,17 +168,52 @@ def from_word(lam: Weight, kind: str, word) -> Path:
     return p
 
 
+def _changed_position(a: Path, b: Path) -> int:
+    """The position of the one factor an operator step changed."""
+    top = max(a.tail_start, b.tail_start)
+    return next(k for k in range(top) if a.factor(k) != b.factor(k))
+
+
+def raising_steps(path: Path) -> list[tuple[int, int]]:
+    """Greedy raising to the ground path, lowest index first at every step.
+
+    Each step is ``(i, pos)``: e_i acted and changed the factor at ``pos``.
+    """
+    steps: list[tuple[int, int]] = []
+    cur = path
+    while True:
+        for i in range(path.n + 1):
+            nxt = cur.e(i)
+            if nxt is not None:
+                steps.append((i, _changed_position(cur, nxt)))
+                cur = nxt
+                break
+        else:
+            break
+    if cur != ground_path(path.lam, path.kind):
+        raise InversionError(f"raising stopped at {cur} after {len(steps)} steps, "
+                             "below the ground path")
+    return steps
+
+
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-def parse_word(text: str) -> tuple[tuple[int, int], ...]:
-    """Parse a word string: whitespace-separated tokens ``i`` or ``i^m``."""
+def parse_word(text: str, n: int | None = None) -> tuple[tuple[int, int], ...]:
+    """Parse a word string: whitespace-separated tokens ``i`` or ``i^m``.
+
+    With ``n`` given, an index outside 0..n is rejected instead of being
+    read modulo n+1.
+    """
     out = []
     for tok in text.split():
         m = _TOKEN.match(tok)
         if not m:
             raise ValueError(f"bad word token {tok!r}")
-        out.append((int(m.group(1)), int(m.group(2) or 1)))
+        i = int(m.group(1))
+        if n is not None and i > n:
+            raise ValueError(f"word index {i} in {tok!r} is outside 0..{n}")
+        out.append((i, int(m.group(2) or 1)))
     return tuple(out)
 
 

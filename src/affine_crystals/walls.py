@@ -14,6 +14,11 @@ An l-tuple additionally satisfies a cyclic interlacing order between
 consecutive walls and a reducedness condition (the left-end colors of the
 rows of any fixed length never exhaust all residues; this is what kills the
 delta-direction redundancy).
+
+Column j of a tuple is read as path factor j (``walls_to_path``).  The
+inverse ``path_to_walls`` replays the path's greedy raising word backwards
+from the empty tuple: each lowering step f_i adds one i-block, in the column
+of the factor it changes, to the one wall where the block fits.
 """
 
 from __future__ import annotations
@@ -21,14 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import RootVec, Weight, cl_root, decompose, fundamental_weight, zero_root, zero_weight
-from .paths import Path, ground_elem, make_path
+from .paths import InversionError, Path, ground_elem, make_path, raising_steps
 from .perfect import b1_from_weight, bn_from_weight
 
 WALL_KINDS = ("P1", "Pn")
-
-
-class InversionError(RuntimeError):
-    """The wall-tuple search found no solution or more than one."""
 
 
 @dataclass(frozen=True)
@@ -165,102 +166,41 @@ def walls_to_path(n: int, walls: WallTuple) -> Path:
 
 
 def path_to_walls(n: int, lam: Weight, path: Path, alpha: RootVec, kind: str) -> WallTuple:
-    """Invert walls_to_path by a bounded exact search over column heights.
+    """Invert walls_to_path by replaying the raising word, one block per step.
 
-    Each column's color content is pinned by the path factor only up to
-    multiples of (1,..,1); the exact total alpha, the stacking and
-    interlacing bands and final reducedness cut the candidates down, and the
-    unique survivor is returned.  Zero or multiple survivors falsify the
-    pattern rules or the input and raise.
+    Every f_i on the path side adds one i-block to one wall, in the column of
+    the factor it changes, and lowers that column's classical weight by
+    exactly alpha_i.  So the greedy raising steps (i, pos), replayed in
+    reverse from the empty tuple, build the wall tuple block by block: at
+    each step exactly one wall must take an i-block at column pos and stay
+    valid.  The result must have content alpha and map back to the path.
     """
     if path.lam != lam:
         raise ValueError("path does not belong to the given weight")
-    m = n + 1
     charges = decompose(lam)
-    ell = len(charges)
-    pkind = _path_kind(kind)
-    top = path.tail_start + n + 1
-    targets = [
-        ground_elem(lam, pkind, j).wt() - path.factor(j).wt() for j in range(top + 1)
-    ]
-
-    solutions: list[tuple[tuple[int, ...], ...]] = []
-    chosen: list[tuple[int, ...]] = []  # heights for columns top, top-1, ...
-
-    def column_candidates(j: int, prev, remaining: RootVec):
-        """All (heights, content) choices for column j consistent locally."""
-        found: list[tuple[tuple[int, ...], RootVec]] = []
-        picks: list[int] = []
-
-        def per_wall(w: int, counts: list[int]):
-            if w == ell:
-                if walls_cyclic_ok(picks):
-                    content = RootVec(tuple(counts))
-                    if cl_root(content) == targets[j]:
-                        found.append((tuple(picks), content))
-                return
-            lo = prev[w]
-            if w > 0:
-                d = charges[w] - charges[w - 1]
-                if kind == "P1":
-                    lo = max(lo, picks[w - 1] - d)
-            cur = list(counts)
-            feasible = True
-            for row in range(1, lo + 1):
-                c = block_color(n, kind, charges[w], row, j)
-                cur[c] += 1
-                if cur[c] > remaining.k[c]:
-                    feasible = False
-                    break
-            h = lo
-            while feasible:
-                if kind == "Pn" and w > 0 and h > picks[w - 1] + charges[w] - charges[w - 1]:
-                    break
-                picks.append(h)
-                per_wall(w + 1, cur)
-                picks.pop()
-                c = block_color(n, kind, charges[w], h + 1, j)
-                if cur[c] >= remaining.k[c]:
-                    break
-                cur = list(cur)
-                cur[c] += 1
-                h += 1
-
-        def walls_cyclic_ok(hs) -> bool:
-            if kind == "P1":
-                return hs[-1] <= hs[0] + charges[0] - charges[-1] + n + 1
-            return hs[-1] >= hs[0] + charges[-1] - charges[0] - n - 1
-
-        per_wall(0, [0] * m)
-        return found
-
-    def over_columns(j: int, prev, remaining: RootVec):
-        if j < 0:
-            if remaining.is_zero():
-                heights = tuple(
-                    tuple(chosen[top - jj][w] for jj in range(top + 1))
-                    for w in range(ell)
-                )
-                solutions.append(heights)
-            return
-        for picks, content in column_candidates(j, prev, remaining):
-            chosen.append(picks)
-            over_columns(j - 1, picks, remaining - content)
-            chosen.pop()
-
-    over_columns(top, (0,) * ell, alpha)
-
-    survivors = []
-    for heights in solutions:
-        cand = make_walls(kind, charges, heights)
-        ok, _ = validate(n, cand)
-        if ok and walls_to_path(n, cand) == path:
-            survivors.append(cand)
-    if len(survivors) != 1:
-        raise InversionError(
-            f"expected a unique wall tuple, found {len(survivors)} for {path}"
-        )
-    return survivors[0]
+    heights = tuple(() for _ in charges)
+    for t, (i, pos) in enumerate(reversed(raising_steps(path))):
+        fits = []
+        for w, h in enumerate(heights):
+            h = h + (0,) * (pos + 1 - len(h))
+            if block_color(n, kind, charges[w], h[pos] + 1, pos) != i:
+                continue
+            h = h[:pos] + (h[pos] + 1,) + h[pos + 1:]
+            cand = make_walls(kind, charges, heights[:w] + (h,) + heights[w + 1:])
+            if validate(n, cand)[0]:
+                fits.append((w, cand))
+        if len(fits) != 1:
+            raise InversionError(
+                f"step {t} (f_{i} at column {pos}) fits walls {[w for w, _ in fits]} "
+                f"of {kind} heights {[list(h) for h in heights]}"
+            )
+        heights = fits[0][1].heights
+    out = make_walls(kind, charges, heights)
+    if total_content(n, out) != alpha:
+        raise InversionError(f"replayed content {total_content(n, out)} is not alpha = {alpha}")
+    if walls_to_path(n, out) != path:
+        raise InversionError(f"replayed tuple {out} does not map back to {path}")
+    return out
 
 
 def strip_column0(n: int, walls: WallTuple) -> tuple[WallTuple, RootVec]:
@@ -279,7 +219,7 @@ def strip_column0(n: int, walls: WallTuple) -> tuple[WallTuple, RootVec]:
     out = make_walls(walls.kind, tuple(c for c, _ in items), tuple(h for _, h in items))
     ok, msg = validate(n, out)
     if not ok:
-        raise AssertionError(f"stripping column 0 broke validity: {msg}")
+        raise InversionError(f"stripping column 0 broke validity: {msg}")
     return out, beta
 
 

@@ -147,3 +147,25 @@ def test_bad_lambda_or_n_is_a_usage_error(args):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["path", "--word", "x"],
+    ["quiver", "--word", "x"],
+    ["path", "--word", "3^2 1"],
+    ["quiver", "--word", "3^2 1"],
+], ids=["path-bad-token", "quiver-bad-token", "path-index-above-n", "quiver-index-above-n"])
+def test_bad_word_is_a_usage_error(args):
+    proc = run_cli(args[:1] + ["--n", "2", "--lambda", "2,1,0"] + args[1:])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --word")
+
+
+def test_quiver_command_dead_word():
+    proc = run_cli(["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "0^9"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "annihilates" in lines[0]

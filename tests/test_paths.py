@@ -10,6 +10,7 @@ from affine_crystals.paths import (
     parse_word,
     path_from_json,
     path_to_json,
+    raising_steps,
     word_alpha,
 )
 from affine_crystals.perfect import AdjElem, B1Elem, ground_adj
@@ -23,6 +24,27 @@ def test_parse_word():
     assert parse_word("") == ()
     with pytest.raises(ValueError):
         parse_word("x^2")
+    assert parse_word("3^2 1") == ((3, 2), (1, 1))
+    assert parse_word("2^2 1", 2) == ((2, 2), (1, 1))
+    with pytest.raises(ValueError, match="outside 0..2"):
+        parse_word("3^2 1", 2)
+
+
+@pytest.mark.parametrize("kind", ["B1", "Bn", "Ad"])
+def test_raising_steps_replay_to_the_path(kind):
+    # lowering the ground path along the reversed steps rebuilds the path,
+    # and each f_i changes exactly the factor at the recorded position
+    p = from_word(LAM, kind, WORD)
+    steps = raising_steps(p)
+    assert len(steps) == sum(m for _, m in WORD)
+    cur = ground_path(LAM, kind)
+    for i, pos in reversed(steps):
+        nxt = cur.f(i)
+        top = max(cur.tail_start, nxt.tail_start) + 1
+        assert [k for k in range(top) if cur.factor(k) != nxt.factor(k)] == [pos]
+        cur = nxt
+    assert cur == p
+    assert raising_steps(ground_path(LAM, kind)) == []
 
 
 def test_ground_paths():

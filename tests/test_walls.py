@@ -3,8 +3,8 @@ import random
 import pytest
 
 from affine_crystals import golden
-from affine_crystals.cartan import root, rotate, weight, zero_root
-from affine_crystals.paths import from_word, ground_path
+from affine_crystals.cartan import RootVec, cl_root, decompose, root, rotate, weight, zero_root
+from affine_crystals.paths import from_word, ground_elem, ground_path
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import (
     InversionError,
@@ -24,6 +24,98 @@ from affine_crystals.walls import (
 N, LAM = golden.N, golden.LAM
 WP1 = make_walls("P1", **golden.WALLS_P1)
 WPN = make_walls("Pn", **golden.WALLS_PN)
+
+
+def _search_path_to_walls(n, lam, path, alpha, kind):
+    """Oracle: every column-height vector that fits the path and alpha.
+
+    Each column's color content is pinned by the path factor only up to
+    multiples of (1,..,1); the exact total alpha, the stacking and
+    interlacing bands and final reducedness cut the candidates down, and the
+    unique survivor is returned.  Exponential; small cases only.
+    """
+    m = n + 1
+    charges = decompose(lam)
+    ell = len(charges)
+    pkind = "B1" if kind == "P1" else "Bn"
+    top = path.tail_start + n + 1
+    targets = [
+        ground_elem(lam, pkind, j).wt() - path.factor(j).wt() for j in range(top + 1)
+    ]
+
+    solutions = []
+    chosen = []  # heights for columns top, top-1, ...
+
+    def column_candidates(j, prev, remaining):
+        found = []
+        picks = []
+
+        def per_wall(w, counts):
+            if w == ell:
+                if walls_cyclic_ok(picks):
+                    content = RootVec(tuple(counts))
+                    if cl_root(content) == targets[j]:
+                        found.append((tuple(picks), content))
+                return
+            lo = prev[w]
+            if w > 0:
+                d = charges[w] - charges[w - 1]
+                if kind == "P1":
+                    lo = max(lo, picks[w - 1] - d)
+            cur = list(counts)
+            feasible = True
+            for row in range(1, lo + 1):
+                c = block_color(n, kind, charges[w], row, j)
+                cur[c] += 1
+                if cur[c] > remaining.k[c]:
+                    feasible = False
+                    break
+            h = lo
+            while feasible:
+                if kind == "Pn" and w > 0 and h > picks[w - 1] + charges[w] - charges[w - 1]:
+                    break
+                picks.append(h)
+                per_wall(w + 1, cur)
+                picks.pop()
+                c = block_color(n, kind, charges[w], h + 1, j)
+                if cur[c] >= remaining.k[c]:
+                    break
+                cur = list(cur)
+                cur[c] += 1
+                h += 1
+
+        def walls_cyclic_ok(hs):
+            if kind == "P1":
+                return hs[-1] <= hs[0] + charges[0] - charges[-1] + n + 1
+            return hs[-1] >= hs[0] + charges[-1] - charges[0] - n - 1
+
+        per_wall(0, [0] * m)
+        return found
+
+    def over_columns(j, prev, remaining):
+        if j < 0:
+            if remaining.is_zero():
+                solutions.append(tuple(
+                    tuple(chosen[top - jj][w] for jj in range(top + 1)) for w in range(ell)
+                ))
+            return
+        for picks, content in column_candidates(j, prev, remaining):
+            chosen.append(picks)
+            over_columns(j - 1, picks, remaining - content)
+            chosen.pop()
+
+    over_columns(top, (0,) * ell, alpha)
+    survivors = []
+    for heights in solutions:
+        cand = make_walls(kind, charges, heights)
+        if validate(n, cand)[0] and walls_to_path(n, cand) == path:
+            survivors.append(cand)
+    assert len(survivors) == 1, f"search found {len(survivors)} tuples for {path}"
+    return survivors[0]
+
+
+def _alpha(n, word):
+    return root([sum(m for i, m in word if i == c) for c in range(n + 1)])
 
 
 def test_block_colors():
@@ -98,18 +190,36 @@ def test_inversion_rejects_wrong_alpha():
 def test_inversion_roundtrip_random(kind):
     rng = random.Random(11 if kind == "P1" else 12)
     pkind = "B1" if kind == "P1" else "Bn"
-    for _ in range(40):
+    for _ in range(64):
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
-        if lam.level == 0:
-            lam = weight([1] + [0] * n)
-        word = random_word(lam, rng.randint(0, 10), rng, kind=pkind)
+        word = random_word(lam, rng.randint(0, 12), rng, kind=pkind)
         p = from_word(lam, pkind, word)
-        alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
+        alpha = _alpha(n, word)
         walls = path_to_walls(n, lam, p, alpha, kind)
         assert validate(n, walls) == (True, "ok")
         assert total_content(n, walls) == alpha
         assert walls_to_path(n, walls) == p
+        assert walls == _search_path_to_walls(n, lam, p, alpha, kind)
+
+
+@pytest.mark.parametrize("kind", ["P1", "Pn"])
+def test_long_words_roundtrip(kind):
+    # beyond the oracle's reach: words of length 40-60 on level-6 weights
+    rng = random.Random(41 if kind == "P1" else 42)
+    pkind = "B1" if kind == "P1" else "Bn"
+    weights = [weight(c) for c in ((3, 2, 1), (2, 2, 2), (2, 1, 1, 1))]
+    for t in range(20):
+        lam = weights[t % 3]
+        n = lam.n
+        word = random_word(lam, rng.randint(40, 60), rng, kind=pkind)
+        p = from_word(lam, pkind, word)
+        alpha = _alpha(n, word)
+        walls = path_to_walls(n, lam, p, alpha, kind)
+        assert validate(n, walls) == (True, "ok")
+        assert total_content(n, walls) == alpha
+        assert walls_to_path(n, walls) == p
+        assert walls.block_count() == len(word)
 
 
 def test_wall_operator_transport():
@@ -207,3 +317,33 @@ def test_every_ball_element_has_walls(kind, lam_coeffs, n):
         walls = path_to_walls(n, lam, p, alpha, kind)
         assert walls.block_count() == len(word)
         assert walls_to_path(n, walls) == p
+        assert walls == _search_path_to_walls(n, lam, p, alpha, kind)
+
+
+def test_inversion_guards_hold_under_optimize():
+    import subprocess
+    import sys
+
+    code = (
+        "from affine_crystals import golden\n"
+        "from affine_crystals.cartan import root, rotate\n"
+        "from affine_crystals.paths import from_word\n"
+        "from affine_crystals.walls import InversionError, make_walls, path_to_walls, "
+        "strip_column0\n"
+        "lam, n = golden.LAM, golden.N\n"
+        "p1 = from_word(lam, 'B1', golden.WORD)\n"
+        "cases = [\n"
+        "    lambda: path_to_walls(n, lam, p1, root((4, 7, 3)), 'P1'),\n"
+        "    lambda: path_to_walls(n, rotate(lam, 1), p1, golden.ALPHA, 'P1'),\n"
+        "    lambda: strip_column0(n, make_walls('P1', (0,), ((2, 1, 2),))),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "        print('accepted')\n"
+        "    except (InversionError, ValueError) as err:\n"
+        "        print(type(err).__name__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["InversionError", "ValueError", "InversionError"]
