@@ -17,7 +17,7 @@ from .cartan import weight
 from .crystal_core import generate_graph
 from .iso import report_to_json, run_pipeline
 from .linalg import PRIME
-from .paths import DeadWordError, from_word, ground_path, parse_word, path_to_json
+from .paths import DeadWordError, WordIndexError, from_word, ground_path, parse_word, path_to_json
 from .perfect import B1Elem, BnElem, ground_adj, render
 from .suites import run_suite
 
@@ -62,10 +62,9 @@ def _lam(args):
     return w
 
 
-def _word(args, lam):
-    """The --word, with every index in 0..n."""
+def _word(args):
     try:
-        return parse_word(args.word, lam.n)
+        return parse_word(args.word)
     except ValueError as err:
         _usage_error(f"--word: {err}")
 
@@ -79,9 +78,11 @@ def cmd_path(args) -> int:
     lam = _lam(args)
     kind = KIND_BY_FLAG[args.kind]
     try:
-        p = from_word(lam, kind, _word(args, lam))
+        p = from_word(lam, kind, _word(args))
     except DeadWordError as err:
         return _dead_word(err)
+    except WordIndexError as err:
+        _usage_error(f"--word: {err}")
     data = path_to_json(p)
     data["rendered"] = [render(p.factor(k)) for k in range(p.tail_start + 1)]
     _dump(data, args.out)
@@ -92,9 +93,11 @@ def cmd_quiver(args) -> int:
     lam = _lam(args)
     p = None if args.field == "qq" else PRIME
     try:
-        report = run_pipeline(lam, _word(args, lam), seed=_seed(args), p=p)
+        report = run_pipeline(lam, _word(args), seed=_seed(args), p=p)
     except DeadWordError as err:
         return _dead_word(err)
+    except WordIndexError as err:
+        _usage_error(f"--word: {err}")
     data = report_to_json(report)
     data["sampled_xbar_blocks"] = [[list(r) for r in blk] for blk in report.xbar.blocks]
     data["seed"] = _seed(args)

@@ -34,6 +34,10 @@ class DeadWordError(ValueError):
     """A lowering word annihilated the highest weight element."""
 
 
+class WordIndexError(ValueError):
+    """A lowering word names an index outside 0..n."""
+
+
 class InversionError(RuntimeError):
     """A path could not be carried back to its wall tuple.
 
@@ -130,11 +134,12 @@ def _apply_window(op: str, i: int, p: Path, w: int):
     while len(devs) <= pos:
         devs.append(ground_elem(p.lam, p.kind, len(devs)))
     devs[pos] = elem
-    return make_path(p.lam, p.kind, devs)
+    return make_path(p.lam, p.kind, devs), pos
 
 
-def path_apply(op: str, i: int, p: Path):
-    """Apply e_i/f_i; None when the operator annihilates the path."""
+def _path_apply_at(op: str, i: int, p: Path):
+    """(path, position of the changed factor), or None when the operator
+    annihilates the path."""
     w = p.tail_start + p.n + 2
     for _ in range(5):
         r1 = _apply_window(op, i, p, w)
@@ -143,6 +148,12 @@ def path_apply(op: str, i: int, p: Path):
             return r1
         w *= 2  # stability self-check failed; should be unreachable
     raise AssertionError("window stability self-check keeps failing")
+
+
+def path_apply(op: str, i: int, p: Path):
+    """Apply e_i/f_i; None when the operator annihilates the path."""
+    res = _path_apply_at(op, i, p)
+    return None if res is None else res[0]
 
 
 def _eps_phi(p: Path, i: int) -> tuple[int, int]:
@@ -156,22 +167,21 @@ def _eps_phi(p: Path, i: int) -> tuple[int, int]:
 def from_word(lam: Weight, kind: str, word) -> Path:
     """Fold f-operators over the ground path; the rightmost token acts first.
 
-    word is a sequence of (index, multiplicity) pairs in written order.
+    word is a sequence of (index, multiplicity) pairs in written order; an
+    index outside 0..n raises WordIndexError.
     """
+    word = list(word)
+    for i, _ in word:
+        if not 0 <= i <= lam.n:
+            raise WordIndexError(f"word index {i} is outside 0..{lam.n}")
     p = ground_path(lam, kind)
-    for i, mult in reversed(list(word)):
+    for i, mult in reversed(word):
         for _ in range(mult):
             nxt = path_apply("f", i, p)
             if nxt is None:
                 raise DeadWordError(f"f_{i} annihilates the path at {p}")
             p = nxt
     return p
-
-
-def _changed_position(a: Path, b: Path) -> int:
-    """The position of the one factor an operator step changed."""
-    top = max(a.tail_start, b.tail_start)
-    return next(k for k in range(top) if a.factor(k) != b.factor(k))
 
 
 def raising_steps(path: Path) -> list[tuple[int, int]]:
@@ -183,10 +193,10 @@ def raising_steps(path: Path) -> list[tuple[int, int]]:
     cur = path
     while True:
         for i in range(path.n + 1):
-            nxt = cur.e(i)
-            if nxt is not None:
-                steps.append((i, _changed_position(cur, nxt)))
-                cur = nxt
+            res = _path_apply_at("e", i, cur)
+            if res is not None:
+                cur, pos = res
+                steps.append((i, pos))
                 break
         else:
             break
@@ -199,21 +209,14 @@ def raising_steps(path: Path) -> list[tuple[int, int]]:
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
-def parse_word(text: str, n: int | None = None) -> tuple[tuple[int, int], ...]:
-    """Parse a word string: whitespace-separated tokens ``i`` or ``i^m``.
-
-    With ``n`` given, an index outside 0..n is rejected instead of being
-    read modulo n+1.
-    """
+def parse_word(text: str) -> tuple[tuple[int, int], ...]:
+    """Parse a word string: whitespace-separated tokens ``i`` or ``i^m``."""
     out = []
     for tok in text.split():
         m = _TOKEN.match(tok)
         if not m:
             raise ValueError(f"bad word token {tok!r}")
-        i = int(m.group(1))
-        if n is not None and i > n:
-            raise ValueError(f"word index {i} in {tok!r} is outside 0..{n}")
-        out.append((i, int(m.group(2) or 1)))
+        out.append((int(m.group(1)), int(m.group(2) or 1)))
     return tuple(out)
 
 

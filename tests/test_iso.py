@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from affine_crystals import golden
 from affine_crystals.cartan import cl_root, rotate, weight
 from affine_crystals.iso import (
@@ -131,3 +133,10 @@ def test_report_json():
     assert blob["ok"] is True
     assert blob["schema"] == "v1"
     assert blob["commutant_dim"] == rep.commutant_dim
+
+
+def test_pipeline_rejects_index_above_n():
+    from affine_crystals.paths import WordIndexError
+
+    with pytest.raises(WordIndexError):
+        run_pipeline(LAM, ((3, 2), (1, 1)), seed=0)

@@ -4,6 +4,7 @@ from affine_crystals.cartan import cl_root, root, weight
 from affine_crystals.crystal_core import check_axioms, generate_graph
 from affine_crystals.paths import (
     DeadWordError,
+    WordIndexError,
     from_word,
     ground_path,
     make_path,
@@ -24,10 +25,14 @@ def test_parse_word():
     assert parse_word("") == ()
     with pytest.raises(ValueError):
         parse_word("x^2")
-    assert parse_word("3^2 1") == ((3, 2), (1, 1))
-    assert parse_word("2^2 1", 2) == ((2, 2), (1, 1))
-    with pytest.raises(ValueError, match="outside 0..2"):
-        parse_word("3^2 1", 2)
+
+
+@pytest.mark.parametrize("word", [[(3, 2), (1, 1)], [(-1, 1)]], ids=["above-n", "negative"])
+def test_word_index_out_of_range(word):
+    # an index outside 0..n is rejected, not read modulo n+1
+    for kind in ("B1", "Bn", "Ad"):
+        with pytest.raises(WordIndexError, match="outside 0..2"):
+            from_word(LAM, kind, word)
 
 
 @pytest.mark.parametrize("kind", ["B1", "Bn", "Ad"])
