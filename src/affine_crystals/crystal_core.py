@@ -57,7 +57,8 @@ def tensor_apply(op: str, i: int, factors):
         out = factors[idx].e(i)
     else:
         raise ValueError(f"op must be 'e' or 'f', got {op!r}")
-    assert out is not None, "surviving symbol with inapplicable operator"
+    if out is None:
+        raise ValueError(f"{op}_{i} does not act on {factors[idx]}, which owns a surviving symbol")
     return idx, out
 
 

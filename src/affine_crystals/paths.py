@@ -2,12 +2,13 @@
 
 A path is the ground-state sequence of a dominant weight with finitely many
 deviations at the low positions; position 0 is the rightmost tensor factor.
-Operators are computed with the signature rule over a finite window: adjacent
-ground factors satisfy phi_i(factor_{k+1}) = eps_i(factor_k), so their
-junction symbols cancel completely and enlarging the window cannot change the
-outcome.  An e_i whose rightmost surviving "-" sits in the leftmost window
-factor would keep escaping leftward for every window, i.e. it annihilates the
-path.
+Operators use the signature rule on one window, the deviations and n + 2
+ground factors.  The window lemma proves this exact: adjacent ground factors
+satisfy phi_i(factor_{k+1}) = eps_i(factor_k) (KKMMNN, Duke 1992), so their
+junction symbols cancel and a larger window changes nothing.  Only the "-"
+symbols of the leftmost window factor survive from the tail: an e_i landing
+there annihilates the path, and no f_i lands there.  A property test, not the
+run time, compares each operator with its value on larger windows.
 """
 
 from __future__ import annotations
@@ -113,13 +114,13 @@ def ground_path(lam: Weight, kind: str) -> Path:
     return Path(lam, kind, ())
 
 
-def _window_factors(p: Path, w: int):
-    """Window factors ordered left (highest position) to right (position 0)."""
-    return [p.factor(k) for k in range(w - 1, -1, -1)]
+def _window(p: Path) -> list:
+    """The deviations and n + 2 ground factors, highest position first."""
+    return [p.factor(k) for k in range(p.tail_start + p.n + 1, -1, -1)]
 
 
-def _apply_window(op: str, i: int, p: Path, w: int):
-    facs = _window_factors(p, w)
+def _apply_window(op: str, i: int, p: Path, facs):
+    """(path, changed position) of e_i/f_i on the window facs of p, or None."""
     res = tensor_apply(op, i, facs)
     if res is None:
         return None
@@ -129,7 +130,7 @@ def _apply_window(op: str, i: int, p: Path, w: int):
         if op == "e":
             return None
         raise AssertionError("f acted on the window boundary; window too small")
-    pos = w - 1 - idx
+    pos = len(facs) - 1 - idx
     devs = list(p.devs)
     while len(devs) <= pos:
         devs.append(ground_elem(p.lam, p.kind, len(devs)))
@@ -137,28 +138,15 @@ def _apply_window(op: str, i: int, p: Path, w: int):
     return make_path(p.lam, p.kind, devs), pos
 
 
-def _path_apply_at(op: str, i: int, p: Path):
-    """(path, position of the changed factor), or None when the operator
-    annihilates the path."""
-    w = p.tail_start + p.n + 2
-    for _ in range(5):
-        r1 = _apply_window(op, i, p, w)
-        r2 = _apply_window(op, i, p, w + 3)
-        if r1 == r2:
-            return r1
-        w *= 2  # stability self-check failed; should be unreachable
-    raise AssertionError("window stability self-check keeps failing")
-
-
 def path_apply(op: str, i: int, p: Path):
-    """Apply e_i/f_i; None when the operator annihilates the path."""
-    res = _path_apply_at(op, i, p)
+    """Apply e_i/f_i on the window (exact by the window lemma); None when the
+    operator annihilates the path."""
+    res = _apply_window(op, i, p, _window(p))
     return None if res is None else res[0]
 
 
 def _eps_phi(p: Path, i: int) -> tuple[int, int]:
-    w = p.tail_start + p.n + 2
-    minus, plus = signature(i, _window_factors(p, w))
+    minus, plus = signature(i, _window(p))
     # minus symbols owned by the leftmost window factor belong to the
     # inaccessible tail and do not count
     return sum(1 for idx in minus if idx != 0), len(plus)
@@ -171,9 +159,7 @@ def from_word(lam: Weight, kind: str, word) -> Path:
     index outside 0..n raises WordIndexError.
     """
     word = list(word)
-    for i, _ in word:
-        if not 0 <= i <= lam.n:
-            raise WordIndexError(f"word index {i} is outside 0..{lam.n}")
+    word_alpha(lam.n, word)  # raises WordIndexError for an index outside 0..n
     p = ground_path(lam, kind)
     for i, mult in reversed(word):
         for _ in range(mult):
@@ -188,12 +174,15 @@ def raising_steps(path: Path) -> list[tuple[int, int]]:
     """Greedy raising to the ground path, lowest index first at every step.
 
     Each step is ``(i, pos)``: e_i acted and changed the factor at ``pos``.
+    A step builds one window and takes the first i whose rightmost surviving
+    "-" is not owned by the leftmost factor, i.e. the first i with eps_i > 0.
     """
     steps: list[tuple[int, int]] = []
     cur = path
     while True:
+        facs = _window(cur)
         for i in range(path.n + 1):
-            res = _path_apply_at("e", i, cur)
+            res = _apply_window("e", i, cur, facs)
             if res is not None:
                 cur, pos = res
                 steps.append((i, pos))
@@ -221,9 +210,12 @@ def parse_word(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def word_alpha(n: int, word) -> tuple[int, ...]:
+    """Letter counts per index; an index outside 0..n raises WordIndexError."""
     counts = [0] * (n + 1)
     for i, mult in word:
-        counts[i % (n + 1)] += mult
+        if not 0 <= i <= n:
+            raise WordIndexError(f"word index {i} is outside 0..{n}")
+        counts[i] += mult
     return tuple(counts)
 
 

@@ -132,8 +132,9 @@ class AdjElem:
     cap: int
 
     def __post_init__(self):
-        assert sum(self.mbar) == sum(self.m) <= self.cap
-        assert self.mbar[0] * self.m[0] == 0, "pair breaks semistandardness"
+        if not sum(self.mbar) == sum(self.m) <= self.cap or self.mbar[0] * self.m[0]:
+            raise ValueError(f"no adjoint element {self.mbar}, {self.m}, cap {self.cap}: "
+                             "needs equal sums <= cap and mbar_1 * m_1 = 0")
 
     @property
     def n(self) -> int:
@@ -261,7 +262,8 @@ def bn_from_weight(w: Weight, lvl: int) -> BnElem:
 
 def merge_pair(b: B1Elem, bb: BnElem) -> AdjElem:
     """Pair (b, bb) -> adjoint element, cancelling min(nu_1, nubar_1) 1/1~ pairs."""
-    assert b.level == bb.level
+    if b.level != bb.level:
+        raise ValueError(f"merge_pair needs equal levels, got {b.level} and {bb.level}")
     c = min(b.nu[0], bb.nubar[0])
     mbar = (bb.nubar[0] - c,) + bb.nubar[1:]
     m = (b.nu[0] - c,) + b.nu[1:]

@@ -263,7 +263,8 @@ def _kernel_sequence(base: GradedMap, step: GradedMap, alpha: RootVec,
                 f"kernel filtration stabilized at {nxt} below alpha = {alpha}"
             )
         rows.append(nxt)
-    raise GenericityError("kernel filtration failed to stabilize")
+    raise GenericityError(f"kernel filtration failed to stabilize at alpha = {alpha}; "
+                          f"rows reached: {', '.join(map(str, rows))}")
 
 
 def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> KernelTable:
@@ -314,16 +315,17 @@ def generic_kernel_table(x: GradedMap, basis, seed: int = 0,
     """Componentwise-minimum table over agreeing independent samples."""
     rng = random.Random(seed)
     tables: list[KernelTable] = []
+    lower, agree = None, 0
     for _ in range(max_samples):
         xbar = sample_in_commutant(basis, x.dims, -x.shift, rng, p)
         tables.append(kernel_table_at(x, xbar, p))
-        if len(tables) < min_samples:
-            continue
         lower = _table_min(tables)
         agree = sum(1 for t in tables if _table_rows_eq(t, lower))
-        if agree >= 2:
+        if len(tables) >= min_samples and agree >= 2:
             return lower
-    raise GenericityError(f"no agreeing generic kernel table after {max_samples} samples")
+    raise GenericityError(f"no agreeing generic kernel table: {len(tables)} samples drawn "
+                          f"(min_samples {min_samples}), {agree} agreeing with the "
+                          f"minimum table {lower.to_json() if lower else {}}")
 
 
 # ---------------------------------------------------------------- stability

@@ -24,7 +24,7 @@ from .iso import (
     run_pipeline,
 )
 from .linalg import PRIME
-from .paths import from_word, ground_path
+from .paths import from_word, ground_path, word_alpha
 from .perfect import (
     all_adj,
     all_b1,
@@ -333,7 +333,7 @@ def suite_bridge(seed: int = 0) -> list[Check]:
     det11 = ""
     for n, lam, word in cases:
         p1 = from_word(lam, "B1", word)
-        alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
+        alpha = root(word_alpha(n, word))
         walls = path_to_walls(n, lam, p1, alpha, "P1")
         if walls.block_count() == 0:
             continue

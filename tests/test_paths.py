@@ -1,20 +1,26 @@
+import random
+
 import pytest
+from hypothesis import given, strategies as st
 
 from affine_crystals.cartan import cl_root, root, weight
-from affine_crystals.crystal_core import check_axioms, generate_graph
+from affine_crystals.crystal_core import check_axioms, generate_graph, signature, tensor_apply
 from affine_crystals.paths import (
     DeadWordError,
+    KINDS,
     WordIndexError,
     from_word,
     ground_path,
     make_path,
     parse_word,
+    path_apply,
     path_from_json,
     path_to_json,
     raising_steps,
     word_alpha,
 )
 from affine_crystals.perfect import AdjElem, B1Elem, ground_adj
+from affine_crystals.suites import random_dominant, random_word
 
 LAM = weight((2, 1, 0))
 WORD = parse_word("1^4 2^5 1^2 0^4 2 1")
@@ -35,6 +41,27 @@ def test_word_index_out_of_range(word):
             from_word(LAM, kind, word)
 
 
+def _changed_positions(p, q):
+    top = max(p.tail_start, q.tail_start) + 1
+    return [k for k in range(top) if p.factor(k) != q.factor(k)]
+
+
+def _oracle_raising_steps(p):
+    """Greedy raising through path_apply: the first i whose e_i acts, and the
+    one factor position where the raised path differs."""
+    steps = []
+    while True:
+        for i in range(p.n + 1):
+            nxt = path_apply("e", i, p)
+            if nxt is not None:
+                (pos,) = _changed_positions(p, nxt)
+                steps.append((i, pos))
+                p = nxt
+                break
+        else:
+            return steps
+
+
 @pytest.mark.parametrize("kind", ["B1", "Bn", "Ad"])
 def test_raising_steps_replay_to_the_path(kind):
     # lowering the ground path along the reversed steps rebuilds the path,
@@ -45,11 +72,16 @@ def test_raising_steps_replay_to_the_path(kind):
     cur = ground_path(LAM, kind)
     for i, pos in reversed(steps):
         nxt = cur.f(i)
-        top = max(cur.tail_start, nxt.tail_start) + 1
-        assert [k for k in range(top) if cur.factor(k) != nxt.factor(k)] == [pos]
+        assert _changed_positions(cur, nxt) == [pos]
         cur = nxt
     assert cur == p
     assert raising_steps(ground_path(LAM, kind)) == []
+    # one window per step agrees with raising through path_apply
+    rng = random.Random(KINDS.index(kind))
+    for _ in range(24):
+        lam = random_dominant(rng.randint(1, 3), rng.randint(1, 3), rng)
+        q = from_word(lam, kind, random_word(lam, rng.randint(0, 20), rng, kind=kind))
+        assert raising_steps(q) == _oracle_raising_steps(q)
 
 
 def test_ground_paths():
@@ -87,6 +119,8 @@ def test_path_weight():
 
 def test_word_alpha():
     assert word_alpha(2, WORD) == (4, 7, 6)
+    with pytest.raises(WordIndexError, match="outside 0..2"):
+        word_alpha(2, [(3, 1)])
 
 
 def test_normalization_trims_ground_factors():
@@ -95,14 +129,47 @@ def test_normalization_trims_ground_factors():
     assert p.tail_start == 1
 
 
-def test_truncation_independence():
-    from affine_crystals.paths import _apply_window
+def _apply_on_window(op, i, p, w):
+    """e_i/f_i of p computed by the signature rule on its w rightmost factors."""
+    res = tensor_apply(op, i, [p.factor(k) for k in range(w - 1, -1, -1)])
+    if res is None:
+        return None
+    idx, elem = res
+    if idx == 0:
+        assert op == "e", "f reached the window boundary"
+        return None
+    pos = w - 1 - idx
+    devs = [p.factor(k) for k in range(max(p.tail_start, pos + 1))]
+    devs[pos] = elem
+    return make_path(p.lam, p.kind, devs)
 
-    p = from_word(LAM, "Bn", WORD)
-    for i in range(3):
+
+@st.composite
+def lowered_paths(draw):
+    """A path of some kind over a dominant weight with n <= 3 and level <= 3,
+    reached by a lowering walk of up to 15 letters."""
+    n, lvl = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.integers(0, lvl), min_size=n, max_size=n)))
+    lam = weight([b - a for a, b in zip([0] + cuts, cuts + [lvl])])
+    p = ground_path(lam, draw(st.sampled_from(KINDS)))
+    for i in draw(st.lists(st.integers(0, n), max_size=15)):
+        p = p.f(i) or p
+    return p
+
+
+@given(lowered_paths())
+def test_truncation_independence(p):
+    # the window lemma: e_i, f_i, eps_i and phi_i on the production window
+    # equal their values on the windows w + 3 and 2w
+    w = p.tail_start + p.n + 2
+    for i in range(p.n + 1):
         for op in ("e", "f"):
-            w = p.tail_start + p.n + 2
-            assert _apply_window(op, i, p, w) == _apply_window(op, i, p, w + 3)
+            got = path_apply(op, i, p)
+            for wide in (w + 3, 2 * w):
+                assert got == _apply_on_window(op, i, p, wide)
+        for wide in (w + 3, 2 * w):
+            minus, plus = signature(i, [p.factor(k) for k in range(wide - 1, -1, -1)])
+            assert (p.eps(i), p.phi(i)) == (sum(1 for idx in minus if idx != 0), len(plus))
 
 
 def test_path_axioms_small_balls():

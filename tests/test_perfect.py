@@ -132,6 +132,37 @@ def test_merge_pair_examples():
     assert render(full) == "rows:"
 
 
+def test_guards_hold_under_optimize():
+    # invalid adjoint pairs, a level mismatch in merge_pair and a factor whose
+    # f_i refuses a surviving "+" raise ValueError even under python -O
+    import subprocess
+    import sys
+
+    code = (
+        "from affine_crystals.crystal_core import tensor_apply\n"
+        "from affine_crystals.perfect import AdjElem, B1Elem, BnElem, merge_pair\n"
+        "class Stuck:\n"
+        "    def eps(self, i): return 0\n"
+        "    def phi(self, i): return 1\n"
+        "    def f(self, i): return None\n"
+        "cases = [\n"
+        "    lambda: merge_pair(B1Elem((1, 0, 0)), BnElem((2, 0, 0))),\n"
+        "    lambda: AdjElem((1, 0, 0), (1, 0, 0), 2),\n"
+        "    lambda: AdjElem((1, 0, 0), (0, 1, 1), 2),\n"
+        "    lambda: tensor_apply('f', 0, [Stuck()]),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "        print('accepted')\n"
+        "    except ValueError as err:\n"
+        "        print(type(err).__name__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 4
+
+
 def test_merge_split_roundtrip():
     for n, lvl in ((1, 2), (2, 2), (2, 3)):
         for b, bb in itertools.product(all_b1(n, lvl), all_bn(n, lvl)):

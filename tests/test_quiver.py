@@ -9,6 +9,7 @@ from affine_crystals.cartan import root, zero_root
 from affine_crystals.linalg import PRIME, gm_from_blocks, gm_is_zero, gm_power, gm_zero, nullspace
 from affine_crystals.paths import from_word
 from affine_crystals.quiver import (
+    GenericityError,
     check_moment,
     commutant_basis,
     generic_kernel_table,
@@ -236,6 +237,15 @@ def test_kernel_table_reference_multi_seed():
         assert kt.xbar_pow == ref.xbar_pow
         assert kt.xy_pow == ref.xy_pow
         assert kt.yxy_pow == ref.yxy_pow
+
+
+def test_genericity_error_carries_its_witness():
+    # two samples never reach min_samples = 3; the error names the samples
+    # drawn, the agreeing count and the minimum table's rows
+    x, _ = wall_graded_map(N, WP1)
+    with pytest.raises(GenericityError, match=r"2 samples drawn \(min_samples 3\), "
+                       r"2 agreeing with the minimum table \{'alpha': .*'ker_x': "):
+        generic_kernel_table(x, commutant_basis(x), max_samples=2)
 
 
 def test_kernel_table_exact_field_flag():
