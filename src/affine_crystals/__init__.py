@@ -14,7 +14,7 @@ from .iso import (
     peel_pn,
     run_pipeline,
 )
-from .linalg import PRIME, GradedMap, kernel_dim
+from .linalg import PRIME, GradedMap
 from .paths import Path, from_word, ground_path, parse_word
 from .perfect import (
     AdjElem,

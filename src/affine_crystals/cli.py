@@ -35,7 +35,12 @@ def _dump(data, path: str | None):
 
 def _seed(args) -> int:
     env = os.environ.get("CRYSTAL_SEED")
-    return int(env) if env is not None else args.seed
+    if env is None:
+        return args.seed
+    try:
+        return int(env)
+    except ValueError:
+        _usage_error(f"CRYSTAL_SEED must be an integer, got {env!r}")
 
 
 def _usage_error(msg: str):
@@ -43,10 +48,14 @@ def _usage_error(msg: str):
     raise SystemExit(2)
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        _usage_error(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _n(args) -> int:
-    if args.n < 1:
-        _usage_error(f"--n must be at least 1, got {args.n}")
-    return args.n
+    return _at_least("--n", args.n, 1)
 
 
 def _lam(args):
@@ -109,7 +118,7 @@ def cmd_quiver(args) -> int:
 def _graph_seed_elem(args):
     if args.crystal == "path":
         return ground_path(_lam(args), KIND_BY_FLAG[args.kind])
-    n, lvl = _n(args), args.level
+    n, lvl = _n(args), _at_least("--level", args.level, 1)
     if args.crystal == "b1":
         return B1Elem((lvl,) + (0,) * n)
     if args.crystal == "bn":
@@ -118,8 +127,9 @@ def _graph_seed_elem(args):
 
 
 def cmd_graph(args) -> int:
-    seed_elem = _graph_seed_elem(args)
-    g = generate_graph(seed_elem, max_nodes=args.max_nodes, max_depth=args.depth)
+    max_nodes = _at_least("--max-nodes", args.max_nodes, 1)
+    depth = None if args.depth is None else _at_least("--depth", args.depth, 0)
+    g = generate_graph(_graph_seed_elem(args), max_nodes=max_nodes, max_depth=depth)
     lines = ["digraph crystal {"]
     for t, node in enumerate(g.nodes):
         label = str(node) if args.crystal == "path" else render(node)

@@ -93,10 +93,6 @@ class GradedMap:
     def m(self) -> int:
         return len(self.dims)
 
-    def block_in(self, i: int):
-        """The block landing in component i."""
-        return self.blocks[i % self.m]
-
     def block_out(self, i: int):
         """The block leaving component i."""
         return self.blocks[(i + self.shift) % self.m]
@@ -178,10 +174,3 @@ def gm_kernel_dims(a: GradedMap, p: int | None = PRIME) -> RootVec:
         blk = [list(r) for r in a.block_out(i)]
         dims.append(a.dims[i] - rank(blk, p))
     return RootVec(tuple(dims))
-
-
-def kernel_dim(a, p: int | None = PRIME):
-    """Nullity of a plain matrix, or graded nullity of a GradedMap."""
-    if isinstance(a, GradedMap):
-        return gm_kernel_dims(a, p)
-    return (len(a[0]) if a else 0) - rank(a, p)

@@ -10,8 +10,11 @@ formed.
 
 The commutant needs no linear solve.  Each wall row is one Jordan string of
 the nilpotent partial permutation x, and the commutant is spanned by the
-truncated shifts between pairs of strings whose colour degree fits; see
-``commutant_basis`` for the construction and the order of its basis.
+truncated shifts between pairs of strings whose colour degree fits.  These
+are 0/1 maps with disjoint supports, so the basis is kept as a list of
+supports (cells) and a sample writes one coefficient into each support's
+cells; see ``commutant_basis`` for the construction and the order of its
+basis.
 
 Generic values are taken as the componentwise minimum over >= 3 independent
 prime-field samples that must agree; disagreement triggers resampling and,
@@ -137,7 +140,7 @@ def _jordan_strings(a: GradedMap) -> list[list[tuple[int, int]]]:
     return strings
 
 
-def commutant_basis(a: GradedMap) -> list[GradedMap]:
+def commutant_basis(a: GradedMap) -> list[tuple[tuple[int, int, int], ...]]:
     """Basis of the opposite-degree maps commuting with the wall map a.
 
     The moment map vanishes iff the commutator does, so these are precisely
@@ -148,57 +151,42 @@ def commutant_basis(a: GradedMap) -> list[GradedMap]:
     offset d in max(0, la - lb) .. la - 1 (Gantmacher, ch. VIII).  The degree
     filter keeps the shifts taking B_0 into the component of A_d.
 
-    The maps have 0/1 entries and disjoint supports, so the basis holds over
-    every field.  Sorting them by the last entry of their support, in the
-    block-major, row-major order of the unknown entries, gives exactly the
+    Each basis map has 0/1 entries, so it is returned as its support: the
+    (block, row, col) cells holding a 1, in the block-major, row-major order
+    of the unknown entries.  The supports are disjoint, so the basis holds
+    over every field.  Sorting them by their last cell gives exactly the
     reduced-echelon nullspace basis of the commutator equations in that
     order.  A sample draws one coefficient per basis map in this order, so
     the order fixes every sampled xbar and with it the output bytes.
     """
     if a.shift not in (1, -1):
         raise ValueError(f"wall map has degree {a.shift}, expected +1 or -1")
-    m, dims = a.m, a.dims
-    offsets = [sum(dims[b] * dims[(b + a.shift) % m] for b in range(t)) for t in range(m)]
     strings = _jordan_strings(a)
-    keyed = []
+    supports = []
     for sa in strings:
         for sb in strings:
             for d in range(max(0, len(sa) - len(sb)), len(sa)):
-                if sa[d][0] != (sb[0][0] - a.shift) % m:
-                    continue
-                blocks = [[[0] * dims[(b + a.shift) % m] for _ in range(dims[b])]
-                          for b in range(m)]
-                last = 0
-                for (t, r), (s, c) in zip(sa[d:], sb):
-                    blocks[t][r][c] = 1
-                    last = max(last, offsets[t] + r * dims[s] + c)
-                keyed.append((last, gm_from_blocks(dims, -a.shift, blocks)))
-    return [g for _, g in sorted(keyed, key=lambda item: item[0])]
+                if sa[d][0] == (sb[0][0] - a.shift) % a.m:
+                    supports.append(tuple(sorted(
+                        (t, r, c) for (t, r), (_, c) in zip(sa[d:], sb))))
+    return sorted(supports, key=lambda cells: cells[-1])
 
 
 def sample_in_commutant(basis, dims, shift: int, rng: random.Random,
                         p: int | None = PRIME) -> GradedMap:
-    """Deterministic random combination of the basis (zero map if empty)."""
-    if not basis:
-        return gm_zero(dims, shift)
+    """Deterministic random combination of the basis supports.
+
+    One coefficient is drawn per support, in basis order, and written into
+    the support's cells.  The supports are disjoint and every coefficient is
+    below p, so this is the sum of coefficient times basis map, reduced mod p.
+    """
     m = len(dims)
+    blocks = [[[0] * dims[(i - shift) % m] for _ in range(dims[i])] for i in range(m)]
     hi = p if p is not None else 10**6
-    coeffs = [rng.randrange(hi) for _ in basis]
-    blocks = []
-    for i in range(m):
-        rows = len(basis[0].blocks[i])
-        cols = len(basis[0].blocks[i][0]) if rows else 0
-        blk = [[0] * cols for _ in range(rows)]
-        for co, gmap in zip(coeffs, basis):
-            if not co:
-                continue
-            src = gmap.blocks[i]
-            for r in range(rows):
-                for c in range(cols):
-                    blk[r][c] += co * src[r][c]
-        if p is not None:
-            blk = [[v % p for v in row] for row in blk]
-        blocks.append(blk)
+    for cells in basis:
+        co = rng.randrange(hi)
+        for t, r, c in cells:
+            blocks[t][r][c] = co
     return gm_from_blocks(dims, shift, blocks)
 
 

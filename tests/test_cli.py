@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_crystals.cli import main
 
@@ -140,13 +144,27 @@ def test_quiver_output_bytes_pinned(field, digest):
     ["path", "--n", "2", "--lambda=-1,2,0"],
     ["quiver", "--n", "0", "--lambda", "2", "--word", "0^3"],
     ["graph", "--crystal", "ad", "--n", "0"],
-], ids=["level-zero", "not-integers", "not-dominant", "n-zero", "graph-n-zero"])
+    ["graph", "--crystal", "b1", "--n", "2", "--level", "-1"],
+    ["graph", "--crystal", "ad", "--n", "2", "--level", "-2"],
+    ["graph", "--crystal", "bn", "--n", "2", "--max-nodes", "0"],
+    ["graph", "--crystal", "b1", "--n", "2", "--depth", "-1"],
+], ids=["level-zero", "not-integers", "not-dominant", "n-zero", "graph-n-zero",
+        "graph-b1-level-negative", "graph-ad-level-negative", "graph-max-nodes-zero",
+        "graph-depth-negative"])
 def test_bad_lambda_or_n_is_a_usage_error(args):
     proc = run_cli(args)
     assert proc.returncode == 2
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_bad_env_seed_is_a_usage_error():
+    proc = run_cli(["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "1"], env_seed="abc")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: CRYSTAL_SEED")
 
 
 @pytest.mark.parametrize("args", [
@@ -169,3 +187,48 @@ def test_quiver_command_dead_word():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "annihilates" in lines[0]
+
+
+small = st.integers(-1, 3)
+
+
+words = st.lists(st.tuples(st.integers(-1, 4), st.integers(0, 2)), max_size=4).filter(
+    lambda w: sum(max(m, 1) for _, m in w) <= 4
+).map(lambda w: " ".join(f"{i}^{m}" if m != 1 else str(i) for i, m in w))
+
+
+@st.composite
+def cli_args(draw):
+    """argparse-well-typed arguments for path, graph and quiver, small and often invalid."""
+    n = draw(st.one_of(st.integers(1, 3), small))
+    fits = st.lists(st.integers(0, 2), min_size=max(n + 1, 0), max_size=max(n + 1, 0))
+    lam = ",".join(map(str, draw(st.one_of(fits, st.lists(small, max_size=4)))))
+    common = [f"--n={n}", f"--lambda={lam}"]
+    command = draw(st.sampled_from(["path", "graph", "quiver"]))
+    if command == "path":
+        kind = draw(st.sampled_from(["b1", "bn", "ad"]))
+        return ["path", *common, f"--kind={kind}", f"--word={draw(words)}"]
+    if command == "quiver":
+        field = draw(st.sampled_from(["fp", "qq"]))
+        return ["quiver", *common, f"--word={draw(words)}", f"--seed={draw(small)}",
+                f"--field={field}"]
+    crystal = draw(st.sampled_from(["b1", "bn", "ad", "path"]))
+    kind = draw(st.sampled_from(["b1", "bn", "ad"]))
+    return ["graph", *common, f"--crystal={crystal}", f"--kind={kind}",
+            f"--level={draw(small)}", f"--depth={draw(small)}",
+            f"--max-nodes={draw(st.integers(-1, 30))}"]
+
+
+@settings(max_examples=500)
+@given(cli_args())
+def test_cli_ends_in_a_result_or_one_usage_error(args):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = main(args)
+        except SystemExit as exc:
+            assert exc.code == 2, args
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (args, lines)
+            return
+    assert rc in (0, 1), args

@@ -12,7 +12,6 @@ from affine_crystals.linalg import (
     gm_kernel_dims,
     gm_power,
     gm_zero,
-    kernel_dim,
     nullspace,
     rank,
 )
@@ -115,8 +114,6 @@ def test_graded_kernel_dims():
     dims = (2, 1, 0)
     z = gm_zero(dims, 1)
     assert gm_kernel_dims(z) == RootVec(dims)
-    assert kernel_dim([[1, 0], [0, 1]]) == 0
-    assert kernel_dim([[0, 0], [0, 0]]) == 2
     inj = _unit_map((1, 1, 1), 1, [(0, 0, 0), (1, 0, 0), (2, 0, 0)])
     assert gm_kernel_dims(inj) == RootVec((0, 0, 0))
 

@@ -88,11 +88,12 @@ def _big_commutator_dim(x, dims):
     return len(nullspace(rows, len(positions), None))
 
 
-def _solver_commutant_basis(a, p):
+def _solver_commutant_maps(a, p):
     """Reference oracle: the commutant as the nullspace of [a, u] = 0.
 
     Unknowns are the entries of the opposite-degree blocks u[b], block-major
-    then row-major; the basis is the reduced-echelon one in that order.
+    then row-major; the basis is the reduced-echelon one in that order, each
+    vector returned as a dense map.
     """
     m = a.m
     dims = a.dims
@@ -135,6 +136,51 @@ def _solver_commutant_basis(a, p):
     return out
 
 
+def _solver_commutant_basis(a, p):
+    """The oracle's basis as supports: the cells of each vector, every entry 1."""
+    out = []
+    for g in _solver_commutant_maps(a, p):
+        cells = [(b, r, c) for b, blk in enumerate(g.blocks)
+                 for r, row in enumerate(blk) for c, v in enumerate(row) if v]
+        assert all(g.blocks[b][r][c] == 1 for b, r, c in cells)
+        out.append(tuple(cells))
+    return out
+
+
+def _dense_sample(maps, dims, shift, rng, p):
+    """Sum of c_k * B_k (mod p) over dense maps, c_k drawn in basis order."""
+    hi = p if p is not None else 10**6
+    m = len(dims)
+    blocks = [[[0] * dims[(b - shift) % m] for _ in range(dims[b])] for b in range(m)]
+    for g in maps:
+        co = rng.randrange(hi)
+        for b, blk in enumerate(g.blocks):
+            for r, row in enumerate(blk):
+                for c, v in enumerate(row):
+                    blocks[b][r][c] += co * v
+    if p is not None:
+        blocks = [[[v % p for v in row] for row in blk] for blk in blocks]
+    return gm_from_blocks(dims, shift, blocks)
+
+
+def _random_wall_maps(count):
+    """Wall maps of P1 and Pn tuples of random words: n <= 3, level <= 3, length <= 12."""
+    rng = random.Random(5)
+    kinds = {"P1": "B1", "Pn": "Bn"}
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 3)
+        lam = random_dominant(n, rng.randint(1, 3), rng)
+        if lam.level == 0:
+            continue
+        word = random_word(lam, rng.randint(0, 12), rng)
+        alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
+        for kind, path_kind in kinds.items():
+            walls = path_to_walls(n, lam, from_word(lam, path_kind, word), alpha, kind)
+            out.append(wall_graded_map(n, walls)[0])
+    return out[:count]
+
+
 def _assert_matches_solver(x):
     basis = commutant_basis(x)
     for p in (PRIME, None):
@@ -160,20 +206,19 @@ def test_commutant_tiny_cases_against_oracle():
 
 
 def test_commutant_matches_solver_on_random_wall_maps():
-    rng = random.Random(5)
-    kinds = {"P1": "B1", "Pn": "Bn"}
-    checked = 0
-    while checked < 64:
-        n = rng.randint(1, 3)
-        lam = random_dominant(n, rng.randint(1, 3), rng)
-        if lam.level == 0:
-            continue
-        word = random_word(lam, rng.randint(0, 12), rng)
-        alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
-        for kind, path_kind in kinds.items():
-            walls = path_to_walls(n, lam, from_word(lam, path_kind, word), alpha, kind)
-            _assert_matches_solver(wall_graded_map(n, walls)[0])
-            checked += 1
+    for x in _random_wall_maps(64):
+        _assert_matches_solver(x)
+
+
+@pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
+def test_sample_equals_dense_sum_of_oracle_maps(p):
+    # placing one coefficient per support is the dense combination, mod p
+    x, _ = wall_graded_map(N, WP1)
+    for a in [x] + _random_wall_maps(16):
+        basis, maps = commutant_basis(a), _solver_commutant_maps(a, p)
+        for s in (0, 1, 7):
+            got = sample_in_commutant(basis, a.dims, -a.shift, random.Random(s), p)
+            assert got == _dense_sample(maps, a.dims, -a.shift, random.Random(s), p)
 
 
 def test_commutant_rejects_maps_that_are_not_wall_maps():
