@@ -5,7 +5,8 @@ fraction-free forward elimination serves both fields: over F_p (p = 2^31 - 1)
 a row update is ``(piv * x - f * y) mod p``, over Q (``p=None``) it is
 Bareiss's exact division by the previous pivot, so entries stay integers.
 Pivots are the first nonzero entry in column order.  ``rank`` counts the
-pivots; ``nullspace`` back-substitutes each free column on the echelon form,
+pivots; ``independent_rows`` keeps the original rows that became pivot rows;
+``nullspace`` back-substitutes each free column on the echelon form,
 giving the reduced-echelon basis (1 at its own free column, 0 at the others;
 over Q cleared to integer vectors).
 """
@@ -16,15 +17,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cartan import RootVec
-
 PRIME = 2**31 - 1
 
 
-def _echelon(a, ncols: int, p: int | None) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination: (pivot rows, pivot columns)."""
+def _echelon(a, ncols: int, p: int | None) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free forward elimination.
+
+    Returns (pivot rows, pivot columns, original indices of the pivot rows);
+    those original rows of ``a`` are a maximal independent subset.
+    """
     rows = [[v % p for v in row] if p is not None else list(row) for row in a]
     nrows = len(rows)
+    order = list(range(nrows))
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
@@ -35,6 +39,7 @@ def _echelon(a, ncols: int, p: int | None) -> tuple[list[list[int]], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
+        order[r], order[piv] = order[piv], order[r]
         top = rows[r][c:]
         pv = top[0]
         for i in range(r + 1, nrows):
@@ -47,16 +52,21 @@ def _echelon(a, ncols: int, p: int | None) -> tuple[list[list[int]], list[int]]:
                 row[c:] = [(pv * x - f * y) // prev for x, y in zip(row[c:], top)]
         prev = pv
         pivots.append(c)
-    return rows[:len(pivots)], pivots
+    return rows[:len(pivots)], pivots, order[:len(pivots)]
 
 
 def rank(a, p: int | None = PRIME) -> int:
     return len(_echelon(a, len(a[0]) if a else 0, p)[1])
 
 
+def independent_rows(a, ncols: int, p: int | None = PRIME) -> list:
+    """A maximal independent subset of the rows of a, as given (not reduced)."""
+    return [a[i] for i in _echelon(a, ncols, p)[2]]
+
+
 def nullspace(a, ncols: int, p: int | None = PRIME):
     """Reduced-echelon basis of the right nullspace (vectors of length ncols)."""
-    rows, pivots = _echelon(a, ncols, p)
+    rows, pivots, _ = _echelon(a, ncols, p)
     inv = [pow(row[c], -1, p) if p is not None else Fraction(1, row[c])
            for row, c in zip(rows, pivots)]
     basis = []
@@ -98,22 +108,14 @@ class GradedMap:
         return self.blocks[(i + self.shift) % self.m]
 
 
-def gm_zero(dims, shift: int) -> GradedMap:
-    dims = tuple(dims)
+def zero_blocks(dims, shift: int) -> list[list[list[int]]]:
+    """Mutable zero blocks of a degree-``shift`` map on dims."""
     m = len(dims)
-    blocks = tuple(
-        tuple(tuple(0 for _ in range(dims[(i - shift) % m])) for _ in range(dims[i]))
-        for i in range(m)
-    )
-    return GradedMap(shift, dims, blocks)
+    return [[[0] * dims[(i - shift) % m] for _ in range(dims[i])] for i in range(m)]
 
 
-def gm_identity(dims) -> GradedMap:
-    dims = tuple(dims)
-    blocks = tuple(
-        tuple(tuple(int(r == c) for c in range(d)) for r in range(d)) for d in dims
-    )
-    return GradedMap(0, dims, blocks)
+def gm_zero(dims, shift: int) -> GradedMap:
+    return gm_from_blocks(dims, shift, zero_blocks(dims, shift))
 
 
 def _freeze(mat) -> tuple:
@@ -122,6 +124,24 @@ def _freeze(mat) -> tuple:
 
 def gm_from_blocks(dims, shift: int, blocks) -> GradedMap:
     return GradedMap(shift, tuple(dims), tuple(_freeze(b) for b in blocks))
+
+
+def sparse_rows(mat) -> list[list[tuple[int, int]]]:
+    """Each row of mat as its (column, value) pairs with nonzero value."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in mat]
+
+
+def mat_mul(rows, right, ncols: int, p: int | None = None) -> list[list[int]]:
+    """rows times the matrix whose ``sparse_rows`` are right, reduced mod p."""
+    out = []
+    for row in rows:
+        acc = [0] * ncols
+        for v, cells in zip(row, right):
+            if v:
+                for c, w in cells:
+                    acc[c] += v * w
+        out.append([u % p for u in acc] if p is not None else acc)
+    return out
 
 
 def gm_compose(a: GradedMap, b: GradedMap, p: int | None = None) -> GradedMap:
@@ -134,43 +154,9 @@ def gm_compose(a: GradedMap, b: GradedMap, p: int | None = None) -> GradedMap:
         raise ValueError(f"cannot compose maps on dims {a.dims} and {b.dims}")
     m = a.m
     shift = a.shift + b.shift
-    blocks = []
-    for i in range(m):
-        left = a.blocks[i]
-        right = b.blocks[(i - a.shift) % m]
-        rows = a.dims[i]
-        mid = a.dims[(i - a.shift) % m]
-        cols = a.dims[(i - shift) % m]
-        out = [[0] * cols for _ in range(rows)]
-        for r in range(rows):
-            lrow, orow = left[r], out[r]
-            for t in range(mid):
-                v = lrow[t]
-                if v:
-                    rrow = right[t]
-                    for c in range(cols):
-                        orow[c] += v * rrow[c]
-            if p is not None:
-                out[r] = [u % p for u in orow]
-        blocks.append(_freeze(out))
-    return GradedMap(shift, a.dims, tuple(blocks))
-
-
-def gm_power(a: GradedMap, k: int, p: int | None = None) -> GradedMap:
-    out = gm_identity(a.dims)
-    for _ in range(k):
-        out = gm_compose(a, out, p)
-    return out
-
-
-def gm_is_zero(a: GradedMap) -> bool:
-    return not any(v for blk in a.blocks for row in blk for v in row)
-
-
-def gm_kernel_dims(a: GradedMap, p: int | None = PRIME) -> RootVec:
-    """Graded nullity: per component i, dim ker of the block leaving V_i."""
-    dims = []
-    for i in range(a.m):
-        blk = [list(r) for r in a.block_out(i)]
-        dims.append(a.dims[i] - rank(blk, p))
-    return RootVec(tuple(dims))
+    blocks = tuple(
+        _freeze(mat_mul(a.blocks[i], sparse_rows(b.blocks[(i - a.shift) % m]),
+                        a.dims[(i - shift) % m], p))
+        for i in range(m)
+    )
+    return GradedMap(shift, a.dims, blocks)

@@ -16,6 +16,12 @@ supports (cells) and a sample writes one coefficient into each support's
 cells; see ``commutant_basis`` for the construction and the order of its
 basis.
 
+Kernel tables take no dense powers.  ker x^k is counted on the Jordan
+strings; the other rows come from chains that extend a product one factor at
+a time, keeping a maximal independent set of its actual rows (eliminated
+rows would compound Bareiss growth over Q).  One chain gives both adjoint
+rows, since xbar x = x xbar at a commuting point; see ``kernel_table_at``.
+
 Generic values are taken as the componentwise minimum over >= 3 independent
 prime-field samples that must agree; disagreement triggers resampling and,
 past a bound, a GenericityError.
@@ -25,19 +31,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import cycle
 
 from .cartan import RootVec, Weight, zero_root
-from .linalg import (
-    PRIME,
-    GradedMap,
-    gm_compose,
-    gm_from_blocks,
-    gm_is_zero,
-    gm_kernel_dims,
-    gm_power,
-    gm_zero,
-    rank,
-)
+from .linalg import (PRIME, GradedMap, gm_compose, gm_from_blocks, gm_zero, independent_rows,
+                     mat_mul, rank, sparse_rows, zero_blocks)
 from .walls import WallTuple, block_color, total_content
 
 
@@ -94,9 +92,7 @@ def units_to_graded_map(dims, units) -> GradedMap:
     m = len(dims)
     direction = units[0].direction if units else "x"
     shift = 1 if direction == "x" else -1
-    blocks = [
-        [[0] * dims[(i - shift) % m] for _ in range(dims[i])] for i in range(m)
-    ]
+    blocks = zero_blocks(dims, shift)
     for u in units:
         if u.direction != direction:
             raise ValueError("matrix units of both directions in one map")
@@ -117,8 +113,8 @@ def wall_graded_map(n: int, walls: WallTuple) -> tuple[GradedMap, list[MatrixUni
 
 # ------------------------------------------------------------- commutant
 
-def _jordan_strings(a: GradedMap) -> list[list[tuple[int, int]]]:
-    """Strings [(component, index), ...] of a nilpotent 0/1 partial permutation."""
+def _open_strings(a: GradedMap) -> list[list[tuple[int, int]]]:
+    """Strings [(component, index), ...] of a 0/1 partial permutation, off its cycles."""
     nxt: dict[tuple[int, int], tuple[int, int]] = {}
     for i, blk in enumerate(a.blocks):
         for r, row in enumerate(blk):
@@ -135,6 +131,17 @@ def _jordan_strings(a: GradedMap) -> list[list[tuple[int, int]]]:
     for string in strings:
         while string[-1] in nxt:
             string.append(nxt[string[-1]])
+    return strings
+
+
+def is_nilpotent(a: GradedMap) -> bool:
+    """True iff the 0/1 partial permutation a has no cycle; ValueError for other maps."""
+    return sum(map(len, _open_strings(a))) == sum(a.dims)
+
+
+def _jordan_strings(a: GradedMap) -> list[list[tuple[int, int]]]:
+    """Strings [(component, index), ...] of a nilpotent 0/1 partial permutation."""
+    strings = _open_strings(a)
     if sum(map(len, strings)) != sum(a.dims):
         raise ValueError("wall map is not nilpotent")
     return strings
@@ -180,8 +187,7 @@ def sample_in_commutant(basis, dims, shift: int, rng: random.Random,
     the support's cells.  The supports are disjoint and every coefficient is
     below p, so this is the sum of coefficient times basis map, reduced mod p.
     """
-    m = len(dims)
-    blocks = [[[0] * dims[(i - shift) % m] for _ in range(dims[i])] for i in range(m)]
+    blocks = zero_blocks(dims, shift)
     hi = p if p is not None else 10**6
     for cells in basis:
         co = rng.randrange(hi)
@@ -194,19 +200,7 @@ def sample_in_commutant(basis, dims, shift: int, rng: random.Random,
 
 def check_moment(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> bool:
     """True iff [x, xbar] = 0 (equivalently, the moment map vanishes)."""
-    ab = gm_compose(x, xbar, p)
-    ba = gm_compose(xbar, x, p)
-    for i in range(x.m):
-        for r1, r2 in zip(ab.blocks[i], ba.blocks[i]):
-            for v1, v2 in zip(r1, r2):
-                d = (v1 - v2) % p if p is not None else v1 - v2
-                if d:
-                    return False
-    return True
-
-
-def is_nilpotent(a: GradedMap, p: int | None = PRIME) -> bool:
-    return gm_is_zero(gm_power(a, sum(a.dims), p))
+    return gm_compose(x, xbar, p) == gm_compose(xbar, x, p)  # entries reduced mod p
 
 
 # ------------------------------------------------------------ kernel tables
@@ -235,66 +229,94 @@ class KernelTable:
         }
 
 
-def _kernel_sequence(base: GradedMap, step: GradedMap, alpha: RootVec,
-                     p: int | None) -> tuple[RootVec, ...]:
-    """ker(base), ker(base o step), ker(base o step^2), ... until stable at alpha."""
-    rows = [gm_kernel_dims(base, p)]
-    cur = base
-    bound = sum(alpha.k) + 2
-    for _ in range(bound):
-        if rows[-1] == alpha:
-            return tuple(rows)
-        cur = gm_compose(cur, step, p)
-        nxt = gm_kernel_dims(cur, p)
-        if nxt == rows[-1]:
-            raise GenericityError(
-                f"kernel filtration stabilized at {nxt} below alpha = {alpha}"
-            )
-        rows.append(nxt)
-    raise GenericityError(f"kernel filtration failed to stabilize at alpha = {alpha}; "
-                          f"rows reached: {', '.join(map(str, rows))}")
+def power_kernels(a: GradedMap) -> tuple[RootVec, ...]:
+    """ker a^k for k = 0, 1, ... until alpha, with no elimination.
+
+    a^k kills the last k vectors of each Jordan string and sends the others
+    to distinct basis vectors, so ker a^k adds the k-th vector from the end.
+    """
+    strings = _jordan_strings(a)
+    rows = [zero_root(a.m - 1)]
+    for k in range(1, max(map(len, strings), default=0) + 1):
+        ends = [string[-k][0] for string in strings if len(string) >= k]
+        rows.append(rows[-1] + RootVec(tuple(map(ends.count, range(a.m)))))
+    return tuple(rows)
+
+
+def _chain_kernels(dims, factors, p: int | None):
+    """Yield the graded kernels of 1, f1, f1 f2, f1 f2 f3, ..., f cycling in factors.
+
+    Per component V_i it carries a maximal independent set of the actual
+    rows of the block of the product leaving V_i; dim ker is dim V_i minus
+    their number.  Right factor f maps the rows for V_(i + deg f) through the
+    block of f leaving V_i, so the work shrinks with the rank.
+    """
+    m = len(dims)
+    steps = [(f.shift, [sparse_rows(f.block_out(i)) for i in range(m)]) for f in factors]
+    rows = [[[int(r == c) for c in range(d)] for r in range(d)] for d in dims]
+    for shift, right in cycle(steps):
+        yield RootVec(tuple(d - len(r) for d, r in zip(dims, rows)))
+        rows = [independent_rows(mat_mul(rows[(i + shift) % m], right[i], dims[i], p),
+                                 dims[i], p) for i in range(m)]
+
+
+def _filtrations(kernels, names: tuple[str, ...], alpha: RootVec) -> list[tuple[RootVec, ...]]:
+    """Deal the kernels to the named sequences in turn until alpha.
+
+    A zero product stays zero, so a sequence at alpha ends them all.  At a
+    commuting point each sequence is nested: a repeat below alpha is a stall.
+    """
+    seqs: dict[str, list[RootVec]] = {name: [] for name in names}
+    for name, ker in zip(cycle(names), kernels):
+        seq = seqs[name]
+        if seq and seq[-1] == alpha:
+            break
+        if seq and ker == seq[-1]:
+            raise GenericityError(f"kernel filtration {name} stabilized at {ker} "
+                                  f"below alpha = {alpha}")
+        seq.append(ker)
+    return [tuple(seqs[name]) for name in names]
 
 
 def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> KernelTable:
-    """Kernel table at one point; requires a commuting pair."""
+    """Kernel table at a commuting point (x, xbar) with x a wall map.
+
+    ker x^k comes from the Jordan strings of x, ker xbar^k from the row
+    chain 1, xbar, xbar^2, ...  One alternating chain 1, xbar, xbar x,
+    xbar x xbar, ... gives both adjoint rows: its even steps are
+    (xbar x)^k = (x xbar)^k, as xbar x = x xbar at a commuting point, and
+    its odd steps xbar (x xbar)^k.  The chains carry actual rows of each
+    product, not eliminated ones: over Q those would compound the Bareiss
+    entry growth step by step.
+    """
     if not check_moment(x, xbar, p):
         raise ValueError("kernel table requested at a non-commuting point")
     alpha = RootVec(x.dims)
-    zero = zero_root(len(x.dims) - 1)
-    if alpha.is_zero():
-        single = (zero,)
-        return KernelTable(alpha, single, single, single, single)
-    xy = gm_compose(x, xbar, p)
-    x_pow = (zero,) + _kernel_sequence(x, x, alpha, p)
-    xbar_pow = (zero,) + _kernel_sequence(xbar, xbar, alpha, p)
-    xy_pow = (zero,) + _kernel_sequence(xy, xy, alpha, p)
-    yxy_pow = _kernel_sequence(xbar, xy, alpha, p)
+    x_pow = power_kernels(x)
+    (xbar_pow,) = _filtrations(_chain_kernels(x.dims, (xbar,), p), ("ker xbar^k",), alpha)
+    xy_pow, yxy_pow = _filtrations(_chain_kernels(x.dims, (xbar, x), p),
+                                   ("ker (x xbar)^k", "ker xbar (x xbar)^k"), alpha)
     return KernelTable(alpha, x_pow, xbar_pow, xy_pow, yxy_pow)
 
 
+SEQS = ("x_pow", "xbar_pow", "xy_pow", "yxy_pow")
+
+
 def _table_rows_eq(a: KernelTable, b: KernelTable) -> bool:
-    for seq in ("x_pow", "xbar_pow", "xy_pow", "yxy_pow"):
-        la, lb = getattr(a, seq), getattr(b, seq)
-        for k in range(max(len(la), len(lb))):
-            if a.at(seq, k) != b.at(seq, k):
-                return False
-    return True
+    return all(a.at(seq, k) == b.at(seq, k) for seq in SEQS
+               for k in range(max(len(getattr(a, seq)), len(getattr(b, seq)))))
 
 
 def _table_min(tables: list[KernelTable]) -> KernelTable:
-    alpha = tables[0].alpha
     out = {}
-    for seq in ("x_pow", "xbar_pow", "xy_pow", "yxy_pow"):
+    for seq in SEQS:
         span = max(len(getattr(t, seq)) for t in tables)
-        rows = []
-        for k in range(span):
-            rows.append(RootVec(tuple(
-                min(t.at(seq, k).k[i] for t in tables) for i in range(len(alpha.k))
-            )))
+        rows = [RootVec(tuple(map(min, zip(*(t.at(seq, k).k for t in tables)))))
+                for k in range(span)]
         while len(rows) > 1 and rows[-1] == rows[-2]:
             rows.pop()
         out[seq] = tuple(rows)
-    return KernelTable(alpha, out["x_pow"], out["xbar_pow"], out["xy_pow"], out["yxy_pow"])
+    return KernelTable(tables[0].alpha, **out)
 
 
 def generic_kernel_table(x: GradedMap, basis, seed: int = 0,
@@ -329,13 +351,5 @@ def sample_framing(lam: Weight, dims, rng: random.Random, p: int | None = PRIME)
 
 def is_stable(x: GradedMap, xbar: GradedMap, framing, p: int | None = PRIME) -> bool:
     """ker x  ∩ ker xbar ∩ ker t = 0, one rank computation per component."""
-    m = x.m
-    for i in range(m):
-        if x.dims[i] == 0:
-            continue
-        stacked = [list(r) for r in x.block_out(i)]
-        stacked += [list(r) for r in xbar.block_out(i)]
-        stacked += [list(r) for r in framing[i]]
-        if rank(stacked, p) < x.dims[i]:
-            return False
-    return True
+    return all(rank([*x.block_out(i), *xbar.block_out(i), *framing[i]], p) == x.dims[i]
+               for i in range(x.m) if x.dims[i])

@@ -3,19 +3,24 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_crystals import golden
-from affine_crystals.cartan import root, zero_root
-from affine_crystals.linalg import PRIME, gm_from_blocks, gm_is_zero, gm_power, gm_zero, nullspace
+from affine_crystals.cartan import RootVec, root, weight, zero_root
+from affine_crystals.linalg import (PRIME, gm_compose, gm_from_blocks, gm_zero, nullspace, rank,
+                                    zero_blocks)
 from affine_crystals.paths import from_word
 from affine_crystals.quiver import (
     GenericityError,
+    KernelTable,
     check_moment,
     commutant_basis,
     generic_kernel_table,
     is_nilpotent,
     is_stable,
     kernel_table_at,
+    power_kernels,
     sample_framing,
     sample_in_commutant,
     units_to_graded_map,
@@ -51,7 +56,7 @@ def test_single_wall_units():
 
 def test_empty_walls_zero_map():
     x, units = wall_graded_map(N, make_walls("P1", (0, 0, 1), ((), (), ())))
-    assert units == [] and gm_is_zero(x)
+    assert units == [] and x == gm_zero(x.dims, 1)
 
 
 def _big_commutator_dim(x, dims):
@@ -181,6 +186,38 @@ def _random_wall_maps(count):
     return out[:count]
 
 
+def _kernel_dims(a, p):
+    """Graded nullity: per component i, dim ker of the block leaving V_i."""
+    return RootVec(tuple(a.dims[i] - rank([list(r) for r in a.block_out(i)], p)
+                         for i in range(a.m)))
+
+
+def _kernel_sequence(base, step, alpha, p):
+    """Oracle: ker(base), ker(base o step), ... from dense products, until alpha."""
+    rows = [_kernel_dims(base, p)]
+    cur = base
+    while rows[-1] != alpha:
+        cur = gm_compose(cur, step, p)
+        rows.append(_kernel_dims(cur, p))
+        if rows[-1] == rows[-2]:
+            raise GenericityError(f"stabilized at {rows[-1]} below alpha = {alpha}")
+    return tuple(rows)
+
+
+def _oracle_table(x, xbar, p):
+    """The four kernel sequences from dense powers and a full rank on each."""
+    alpha = RootVec(x.dims)
+    zero = zero_root(x.m - 1)
+    if alpha.is_zero():
+        return KernelTable(alpha, (zero,), (zero,), (zero,), (zero,))
+    xy = gm_compose(x, xbar, p)
+    return KernelTable(alpha,
+                       (zero,) + _kernel_sequence(x, x, alpha, p),
+                       (zero,) + _kernel_sequence(xbar, xbar, alpha, p),
+                       (zero,) + _kernel_sequence(xy, xy, alpha, p),
+                       _kernel_sequence(xbar, xy, alpha, p))
+
+
 def _assert_matches_solver(x):
     basis = commutant_basis(x)
     for p in (PRIME, None):
@@ -268,8 +305,13 @@ def test_sampling_is_deterministic():
 
 def test_nilpotency():
     x, _ = wall_graded_map(N, WP1)
-    assert is_nilpotent(x, PRIME)
-    assert gm_is_zero(gm_power(x, 5, PRIME))
+    assert is_nilpotent(x)
+    cube = gm_compose(x, gm_compose(x, x, PRIME), PRIME)
+    assert gm_compose(x, gm_compose(x, cube, PRIME), PRIME) == gm_zero(x.dims, 5)
+    assert is_nilpotent(gm_zero((2, 1, 1), -1))
+    assert not is_nilpotent(gm_from_blocks((1, 1), 1, [[[1]], [[1]]]))  # a 2-cycle
+    with pytest.raises(ValueError):
+        is_nilpotent(gm_from_blocks((1, 1), 1, [[[2]], [[0]]]))
 
 
 def test_kernel_table_reference_multi_seed():
@@ -330,30 +372,101 @@ def test_kernel_spans_equal_column_contents():
         walls = path_to_walls(n, lam, p, alpha, "P1")
         x, _ = wall_graded_map(n, walls)
         acc = zero_root(n)
-        from affine_crystals.linalg import gm_kernel_dims, gm_compose
-
-        cur = x
+        ker = power_kernels(x)
+        assert len(ker) == walls.n_cols() + 1
         for t in range(1, walls.n_cols() + 2):
             acc = acc + column_content(n, walls, t - 1)
-            assert gm_kernel_dims(cur, PRIME) == acc
-            cur = gm_compose(cur, x, PRIME)
+            assert ker[min(t, len(ker) - 1)] == acc
         checked += 1
 
 
 def test_xy_and_yx_kernels_agree_at_commuting_points():
     x, _ = wall_graded_map(N, WP1)
     basis = commutant_basis(x)
-    from affine_crystals.linalg import gm_compose, gm_kernel_dims
-
     for seed in (0, 1):
         xbar = sample_in_commutant(basis, x.dims, -1, random.Random(seed), PRIME)
         xy = gm_compose(x, xbar, PRIME)
         yx = gm_compose(xbar, x, PRIME)
         cur_a, cur_b = xy, yx
         for _ in range(4):
-            assert gm_kernel_dims(cur_a, PRIME) == gm_kernel_dims(cur_b, PRIME)
+            assert _kernel_dims(cur_a, PRIME) == _kernel_dims(cur_b, PRIME)
             cur_a = gm_compose(cur_a, xy, PRIME)
             cur_b = gm_compose(cur_b, yx, PRIME)
+
+
+FIELDS = pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
+
+
+@FIELDS
+def test_kernel_table_matches_dense_oracle_on_random_wall_maps(p):
+    for x in _random_wall_maps(64):
+        basis = commutant_basis(x)
+        for s in (0, 1, 2):
+            xbar = sample_in_commutant(basis, x.dims, -x.shift, random.Random(s), p)
+            assert kernel_table_at(x, xbar, p) == _oracle_table(x, xbar, p)
+
+
+@FIELDS
+def test_kernel_table_matches_dense_oracle_at_special_points(p):
+    # zero xbar, one basis support, and half of the supports switched off
+    hi = p if p is not None else 10**6
+    for x in [wall_graded_map(N, WP1)[0]] + _random_wall_maps(24):
+        basis = commutant_basis(x)
+        rng = random.Random(len(basis))
+        picks = [[], basis[:1], basis[-1:], [b for b in basis if rng.random() < 0.5]]
+        for chosen in picks:
+            blocks = zero_blocks(x.dims, -x.shift)
+            for cells in chosen:
+                co = rng.randrange(1, hi)
+                for t, r, c in cells:
+                    blocks[t][r][c] = co
+            xbar = gm_from_blocks(x.dims, -x.shift, blocks)
+            assert kernel_table_at(x, xbar, p) == _oracle_table(x, xbar, p)
+
+
+def test_kernel_table_matches_dense_oracle_mid_size_exact():
+    lam = weight([1, 1, 0])
+    word = random_word(lam, 60, random.Random(3))
+    alpha = root([sum(m for i, m in word if i == c) for c in range(3)])
+    x, _ = wall_graded_map(2, path_to_walls(2, lam, from_word(lam, "B1", word), alpha, "P1"))
+    xbar = sample_in_commutant(commutant_basis(x), x.dims, -1, random.Random(0), None)
+    assert sum(x.dims) >= 40
+    assert kernel_table_at(x, xbar, None) == _oracle_table(x, xbar, None)
+
+
+@st.composite
+def commuting_points(draw):
+    """A wall map of a random word (n <= 3, level <= 3, <= 20 letters) and a sampled xbar."""
+    n = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    lam = random_dominant(n, draw(st.integers(1, 3)), rng)
+    word = random_word(lam, draw(st.integers(0, 20)), rng)
+    kind = draw(st.sampled_from(["P1", "Pn"]))
+    alpha = root([sum(m for i, m in word if i == c) for c in range(n + 1)])
+    path = from_word(lam, "B1" if kind == "P1" else "Bn", word)
+    x, _ = wall_graded_map(n, path_to_walls(n, lam, path, alpha, kind))
+    p = draw(st.sampled_from([PRIME, None]))
+    basis = commutant_basis(x)
+    return x, sample_in_commutant(basis, x.dims, -x.shift, rng, p), p
+
+
+@settings(max_examples=300)
+@given(commuting_points())
+def test_kernel_table_matches_dense_oracle_property(point):
+    x, xbar, p = point
+    assert kernel_table_at(x, xbar, p) == _oracle_table(x, xbar, p)
+
+
+@FIELDS
+def test_stalled_filtration_names_its_sequence(p):
+    # x = 0 commutes with the cyclic xbar, which is invertible: ker xbar^k stays 0
+    dims = (1, 1, 1)
+    xbar = gm_from_blocks(dims, -1, [[[1]], [[1]], [[1]]])
+    with pytest.raises(GenericityError, match=r"^kernel filtration ker xbar\^k stabilized "
+                       r"at 0 below alpha = 1a0\+1a1\+1a2$"):
+        kernel_table_at(gm_zero(dims, 1), xbar, p)
+    with pytest.raises(GenericityError):
+        _oracle_table(gm_zero(dims, 1), xbar, p)
 
 
 def test_stability():
