@@ -150,23 +150,24 @@ def generate_graph(seed, max_nodes: int = 2000, ops: tuple[str, ...] = ("e", "f"
 def check_axioms(graph: CrystalGraph) -> list[str]:
     """Verify the crystal axioms on every node and edge; returns violations."""
     bad: list[str] = []
+    n = graph.nodes[0].wt().n if graph.nodes else -1  # an empty graph needs no roots
+    roots = [cl_root(simple_root(n, i)) for i in range(n + 1)]
     for b in graph.nodes:
         w = b.wt()
-        for i in range(w.n + 1):
+        for i in range(n + 1):
             if b.phi(i) != b.eps(i) + pairing(i, w):
                 bad.append(f"phi/eps/wt mismatch at i={i}: {b}")
     for src, op, i, dst in graph.edges:
         b, b2 = graph.nodes[src], graph.nodes[dst]
-        ai = cl_root(simple_root(b.wt().n, i))
         if op == "f":
-            if b2.wt() != b.wt() - ai:
+            if b2.wt() != b.wt() - roots[i]:
                 bad.append(f"wt(f_{i} b) != wt(b) - cl(alpha_{i}): {b}")
             if b2.eps(i) != b.eps(i) + 1 or b2.phi(i) != b.phi(i) - 1:
                 bad.append(f"eps/phi step wrong along f_{i}: {b}")
             if b2.e(i) != b:
                 bad.append(f"e_{i} does not invert f_{i}: {b}")
         else:
-            if b2.wt() != b.wt() + ai:
+            if b2.wt() != b.wt() + roots[i]:
                 bad.append(f"wt(e_{i} b) != wt(b) + cl(alpha_{i}): {b}")
             if b2.eps(i) != b.eps(i) - 1 or b2.phi(i) != b.phi(i) + 1:
                 bad.append(f"eps/phi step wrong along e_{i}: {b}")

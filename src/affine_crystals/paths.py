@@ -8,13 +8,15 @@ satisfy phi_i(factor_{k+1}) = eps_i(factor_k) (KKMMNN, Duke 1992), so their
 junction symbols cancel and a larger window changes nothing.  Only the "-"
 symbols of the leftmost window factor survive from the tail: an e_i landing
 there annihilates the path, and no f_i lands there.  A property test, not the
-run time, compares each operator with its value on larger windows.
+run time, compares each operator with its value on larger windows.  The ground
+factors are one period per (lam, kind) in a bounded cache; a Path caches the rest.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .cartan import Weight, weight
 from .crystal_core import signature, tensor_apply
@@ -48,19 +50,27 @@ class InversionError(RuntimeError):
     """
 
 
-def ground_elem(lam: Weight, kind: str, k: int):
-    if kind == "B1":
-        return ground_b1(lam, k)
-    if kind == "Bn":
-        return ground_bn(lam, k)
+@lru_cache(maxsize=64)
+def _ground(lam: Weight, kind: str) -> tuple:
+    """One period of the ground-state factors: n + 1 for B1/Bn, one for Ad."""
     if kind == "Ad":
-        return ground_adj(lam)
-    raise ValueError(f"unknown kind {kind!r}")
+        return (ground_adj(lam),)
+    if kind not in ("B1", "Bn"):
+        raise ValueError(f"unknown kind {kind!r}")
+    return tuple((ground_b1 if kind == "B1" else ground_bn)(lam, k) for k in range(lam.n + 1))
+
+
+def ground_elem(lam: Weight, kind: str, k: int):
+    period = _ground(lam, kind)
+    return period[k % len(period)]
 
 
 @dataclass(frozen=True)
 class Path:
-    """Normalized path: devs[k] is the factor at position k for k < tail_start."""
+    """Normalized path: devs[k] is the factor at position k for k < tail_start.
+
+    _window, wt, eps/phi and the hash are cached on first use: exact, since the
+    instance is immutable, and the cache dies with the path."""
 
     lam: Weight
     kind: str
@@ -79,17 +89,39 @@ class Path:
             return self.devs[k]
         return ground_elem(self.lam, self.kind, k)
 
+    @cached_property
+    def _window(self) -> list:
+        """The deviations and n + 2 ground factors, highest position first; read only.
+        A list, as freed short tuples pile up in CPython's free lists (+1.5 MB RSS)."""
+        return [self.factor(k) for k in range(self.tail_start + self.n + 1, -1, -1)]
+
+    @cached_property
+    def _wt(self) -> Weight:
+        return sum((dev.wt() - ground_elem(self.lam, self.kind, k).wt()
+                    for k, dev in enumerate(self.devs)), self.lam)
+
+    @cached_property
+    def _eps_phi(self) -> tuple[tuple[int, int], ...]:
+        # "-" symbols owned by the leftmost window factor belong to the tail: not counted
+        sigs = [signature(i, self._window) for i in range(self.n + 1)]
+        return tuple((len(minus) - minus.count(0), len(plus)) for minus, plus in sigs)
+
+    _hash = cached_property(lambda self: hash((self.lam, self.kind, self.devs)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # unpickle without caches: str hashes differ between processes
+        return Path, (self.lam, self.kind, self.devs)
+
     def wt(self) -> Weight:
-        w = self.lam
-        for k, dev in enumerate(self.devs):
-            w = w + dev.wt() - ground_elem(self.lam, self.kind, k).wt()
-        return w
+        return self._wt
 
     def eps(self, i: int) -> int:
-        return _eps_phi(self, i)[0]
+        return self._eps_phi[i % (self.n + 1)][0]
 
     def phi(self, i: int) -> int:
-        return _eps_phi(self, i)[1]
+        return self._eps_phi[i % (self.n + 1)][1]
 
     def e(self, i: int):
         return path_apply("e", i, self)
@@ -114,11 +146,6 @@ def ground_path(lam: Weight, kind: str) -> Path:
     return Path(lam, kind, ())
 
 
-def _window(p: Path) -> list:
-    """The deviations and n + 2 ground factors, highest position first."""
-    return [p.factor(k) for k in range(p.tail_start + p.n + 1, -1, -1)]
-
-
 def _apply_window(op: str, i: int, p: Path, facs):
     """(path, changed position) of e_i/f_i on the window facs of p, or None."""
     res = tensor_apply(op, i, facs)
@@ -131,9 +158,7 @@ def _apply_window(op: str, i: int, p: Path, facs):
             return None
         raise AssertionError("f acted on the window boundary; window too small")
     pos = len(facs) - 1 - idx
-    devs = list(p.devs)
-    while len(devs) <= pos:
-        devs.append(ground_elem(p.lam, p.kind, len(devs)))
+    devs = [p.factor(k) for k in range(max(p.tail_start, pos + 1))]
     devs[pos] = elem
     return make_path(p.lam, p.kind, devs), pos
 
@@ -141,15 +166,8 @@ def _apply_window(op: str, i: int, p: Path, facs):
 def path_apply(op: str, i: int, p: Path):
     """Apply e_i/f_i on the window (exact by the window lemma); None when the
     operator annihilates the path."""
-    res = _apply_window(op, i, p, _window(p))
+    res = _apply_window(op, i, p, p._window)
     return None if res is None else res[0]
-
-
-def _eps_phi(p: Path, i: int) -> tuple[int, int]:
-    minus, plus = signature(i, _window(p))
-    # minus symbols owned by the leftmost window factor belong to the
-    # inaccessible tail and do not count
-    return sum(1 for idx in minus if idx != 0), len(plus)
 
 
 def from_word(lam: Weight, kind: str, word) -> Path:
@@ -180,9 +198,8 @@ def raising_steps(path: Path) -> list[tuple[int, int]]:
     steps: list[tuple[int, int]] = []
     cur = path
     while True:
-        facs = _window(cur)
         for i in range(path.n + 1):
-            res = _apply_window("e", i, cur, facs)
+            res = _apply_window("e", i, cur, cur._window)
             if res is not None:
                 cur, pos = res
                 steps.append((i, pos))

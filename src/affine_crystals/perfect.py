@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .cartan import Weight
-from .crystal_core import TensorProd, eps_phi_tensor, eps_weight, phi_weight, tensor_apply
+from .crystal_core import TensorProd, eps_weight, phi_weight, tensor_apply
 
 
 class WeightSectionError(ValueError):
@@ -125,7 +124,13 @@ class BnElem:
 
 @dataclass(frozen=True)
 class AdjElem:
-    """Adjoint-crystal element as a (barred columns, boxes) multiplicity pair."""
+    """Adjoint-crystal element as a (barred columns, boxes) multiplicity pair.
+
+    eps_i/phi_i come from split_adj's pair B1(nu) (x) Bn(nubar), an isomorphism for
+    every i, where the tensor rule gives eps_i = nu_i + max(0, nubar_{i-1} - nu_{i-1}).
+    nu, nubar are m, mbar with c = cap - k added at index 0, which cancels in the
+    difference, so (indices mod n + 1) eps_i = m_i + [i = 0] c + max(0, mbar_{i-1} -
+    m_{i-1}) and phi_i = mbar_i + [i = 0] c + max(0, m_{i-1} - mbar_{i-1})."""
 
     mbar: tuple[int, ...]
     m: tuple[int, ...]
@@ -154,14 +159,14 @@ class AdjElem:
         return self.box_part().wt() + self.bar_part().wt()
 
     def eps(self, i: int) -> int:
-        if i % (self.n + 1) == 0:
-            return _affine_count(self, "e")
-        return eps_phi_tensor(i, (self.box_part(), self.bar_part()))[0]
+        j = i % (self.n + 1)
+        c = self.cap - self.k if j == 0 else 0
+        return self.m[j] + c + max(0, self.mbar[j - 1] - self.m[j - 1])
 
     def phi(self, i: int) -> int:
-        if i % (self.n + 1) == 0:
-            return _affine_count(self, "f")
-        return eps_phi_tensor(i, (self.box_part(), self.bar_part()))[1]
+        j = i % (self.n + 1)
+        c = self.cap - self.k if j == 0 else 0
+        return self.mbar[j] + c + max(0, self.m[j - 1] - self.mbar[j - 1])
 
     def _f0(self):
         phi1, eps1 = self.m[-1], self.m[0]
@@ -217,19 +222,6 @@ class AdjElem:
 
     def e(self, i: int):
         return self._e0() if i % (self.n + 1) == 0 else self._classical("e", i)
-
-
-@lru_cache(maxsize=None)
-def _affine_count(elem: AdjElem, op: str) -> int:
-    """eps_0/phi_0 by repeated application; closed forms are not trusted."""
-    count = 0
-    cur = elem
-    while True:
-        nxt = cur._e0() if op == "e" else cur._f0()
-        if nxt is None:
-            return count
-        count += 1
-        cur = nxt
 
 
 # ---------------------------------------------------------------- sections

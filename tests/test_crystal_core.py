@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from dataclasses import dataclass
 
@@ -11,6 +13,8 @@ from affine_crystals.crystal_core import (
     signature,
     tensor_apply,
 )
+from affine_crystals.cartan import weight
+from affine_crystals.paths import ground_path, path_from_json, path_to_json
 from affine_crystals.perfect import B1Elem, BnElem
 
 
@@ -150,3 +154,46 @@ def test_check_axioms_detects_corruption():
     src, op, i, dst = g.edges[0]
     g.edges[0] = (src, op, (i + 1) % 3, dst)
     assert check_axioms(g)
+    # on path balls whose cached values are warm from a first clean check, a
+    # re-indexed edge or a node swapped for another valid path still shows
+    for kind in ("B1", "Bn", "Ad"):
+        g = generate_graph(ground_path(weight((2, 1, 0)), kind), max_nodes=60)
+        assert len(g.nodes) == 60 and not check_axioms(g)
+        src, op, i, dst = g.edges[7]
+        g.edges[7] = (src, op, (i + 1) % 3, dst)
+        assert check_axioms(g)
+        g.edges[7] = (src, op, i, dst)
+        assert not check_axioms(g)
+        other = path_from_json(path_to_json(g.nodes[40]))  # built afresh, cold caches
+        assert other != g.nodes[src]
+        g.nodes[src] = other
+        assert check_axioms(g)
+
+
+# sha256 of json.dumps([[path_to_json(b) for b in g.nodes], g.edges], sort_keys=True)
+# for the five 500-node balls of A9 in suite_axioms(0)
+A9_BALL_SHA256 = [
+    ("B1", (1, 0), "8c3a63403457c5df760c946b8a155d33ad4b50782f4eb876e5c7e0b6af173e92"),
+    ("Bn", (1, 0, 0, 2), "ba37201e2bdd7c32f6ba26f8d4c3c40d0bd00cc9af05036160bab1a4e2d23aa1"),
+    ("Ad", (1, 1), "1d0798b5c94517497b609e68a63db199b3d2395d6b5dd8a3bc9eff0c546e5b68"),
+    ("B1", (0, 1, 2, 0), "52ef9df458c28c5071252ef1160654f6eaec2d7fb86150c9c52f7aa6762d97a5"),
+    ("Bn", (1, 0, 0, 0), "8b75a7e29b8828341711aeadf5f339e761b38740177ac0c64034578ced5e706c"),
+]
+
+
+def test_a9_ball_graphs_are_pinned(monkeypatch):
+    from affine_crystals import suites
+
+    graphs = []
+
+    def recording_check(g):
+        graphs.append(g)
+        return check_axioms(g)
+
+    monkeypatch.setattr(suites, "check_axioms", recording_check)
+    assert all(c.ok for c in suites.suite_axioms(0))
+    got = []
+    for g in graphs:
+        text = json.dumps([[path_to_json(b) for b in g.nodes], g.edges], sort_keys=True)
+        got.append((g.nodes[0].kind, g.nodes[0].lam.a, hashlib.sha256(text.encode()).hexdigest()))
+    assert got == A9_BALL_SHA256

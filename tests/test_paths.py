@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -8,7 +9,9 @@ from affine_crystals.crystal_core import check_axioms, generate_graph, signature
 from affine_crystals.paths import (
     DeadWordError,
     KINDS,
+    Path,
     WordIndexError,
+    _ground,
     from_word,
     ground_path,
     make_path,
@@ -19,7 +22,7 @@ from affine_crystals.paths import (
     raising_steps,
     word_alpha,
 )
-from affine_crystals.perfect import AdjElem, B1Elem, ground_adj
+from affine_crystals.perfect import AdjElem, B1Elem, ground_adj, ground_b1, ground_bn
 from affine_crystals.suites import random_dominant, random_word
 
 LAM = weight((2, 1, 0))
@@ -170,6 +173,49 @@ def test_truncation_independence(p):
         for wide in (w + 3, 2 * w):
             minus, plus = signature(i, [p.factor(k) for k in range(wide - 1, -1, -1)])
             assert (p.eps(i), p.phi(i)) == (sum(1 for idx in minus if idx != 0), len(plus))
+
+
+def _fresh_values(p):
+    """Window, wt and (eps_i, phi_i) of p recomputed from its deviations and
+    the ground factors of perfect.py, with no cache of the path layer."""
+    ground = {"B1": lambda k: ground_b1(p.lam, k), "Bn": lambda k: ground_bn(p.lam, k),
+              "Ad": lambda k: ground_adj(p.lam)}[p.kind]
+    top = p.tail_start + p.n + 1
+    window = [p.devs[k] if k < p.tail_start else ground(k) for k in range(top, -1, -1)]
+    wt = p.lam
+    for k, dev in enumerate(p.devs):
+        wt = wt + dev.wt() - ground(k).wt()
+    counts = []
+    for i in range(p.n + 1):
+        minus, plus = signature(i, window)
+        counts.append((sum(1 for idx in minus if idx != 0), len(plus)))
+    return window, wt, counts
+
+
+def _cached_values(p):
+    return p._window, p.wt(), [(p.eps(i), p.phi(i)) for i in range(p.n + 1)]
+
+
+@given(lowered_paths())
+def test_cached_values_equal_a_fresh_recomputation(p):
+    p = Path(p.lam, p.kind, p.devs)  # a new instance: nothing cached yet
+    assert set(vars(p)) == {"lam", "kind", "devs"}
+    before = _fresh_values(p)
+    assert _cached_values(p) == before  # fills the caches
+    assert _cached_values(p) == before  # reads them
+    assert _fresh_values(p) == before
+    assert p._window == [p.factor(k) for k in range(p.tail_start + p.n + 1, -1, -1)]
+    # an equal path built separately, once with trailing ground factors and
+    # once already trimmed, is the same dict key
+    padded = make_path(p.lam, p.kind, list(p.devs) + [p.factor(p.tail_start + j) for j in range(3)])
+    trimmed = Path(p.lam, p.kind, tuple(p.devs))
+    for q in (padded, trimmed):
+        assert q is not p and q == p and hash(q) == hash(p)
+        assert {p: "p"}[q] == "p" and q in {p}
+    # unpickling rebuilds the path, so no hash cached in another process survives
+    copy = pickle.loads(pickle.dumps(p))
+    assert copy == p and "_hash" not in vars(copy) and hash(copy) == hash(p)
+    assert _ground.cache_info().maxsize is not None
 
 
 def test_path_axioms_small_balls():

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from affine_crystals.cartan import weight, rotate
-from affine_crystals.crystal_core import TensorProd, eps_weight, phi_weight
+from affine_crystals.crystal_core import TensorProd, eps_phi_tensor, eps_weight, phi_weight
 from affine_crystals.perfect import (
     AdjElem,
     B1Elem,
@@ -107,6 +107,27 @@ def test_classical_adjoint_operators():
 def test_affine_counts_terminate_and_match_ground():
     b = ground_adj(LAM)
     assert b.phi(0) == 2 and b.eps(0) == 2
+
+
+def _affine_count(elem, op):
+    """eps_0/phi_0 by repeated e_0/f_0 (oracle for the closed forms)."""
+    count = 0
+    cur = elem._e0() if op == "e" else elem._f0()
+    while cur is not None:
+        count += 1
+        cur = cur._e0() if op == "e" else cur._f0()
+    return count
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjoint_eps_phi_closed_forms_match_oracles(n):
+    # eps_0/phi_0 against repeated e_0/f_0, eps_i/phi_i (i >= 1) against the
+    # signature rule on box_part (x) bar_part, on every element for l <= 4
+    for lvl in range(1, 5):
+        for a in all_adj(n, lvl):
+            assert (a.eps(0), a.phi(0)) == (_affine_count(a, "e"), _affine_count(a, "f"))
+            for i in range(1, n + 1):
+                assert (a.eps(i), a.phi(i)) == eps_phi_tensor(i, (a.box_part(), a.bar_part()))
 
 
 def test_affine_adjoint_mutual_inverse_everywhere():
