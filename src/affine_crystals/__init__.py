@@ -10,17 +10,15 @@ from .iso import (
     b1_path_from_kernels,
     bn_path_from_kernels,
     peel_adj,
-    peel_p1,
-    peel_pn,
+    peel_column0,
     run_pipeline,
 )
 from .linalg import PRIME, GradedMap
-from .paths import Path, from_word, ground_path, parse_word
+from .paths import Path, factor_from_content, from_word, ground_path, parse_word
 from .perfect import (
     AdjElem,
     B1Elem,
     BnElem,
-    adj_from_weights,
     b1_from_weight,
     bn_from_weight,
     ground_adj,

@@ -114,9 +114,8 @@ class CrystalGraph:
     complete: bool = True
 
 
-def generate_graph(seed, max_nodes: int = 2000, ops: tuple[str, ...] = ("e", "f"),
-                   max_depth: int | None = None) -> CrystalGraph:
-    """Breadth-first closure of a seed element under the requested operators.
+def generate_graph(seed, max_nodes: int = 2000, max_depth: int | None = None) -> CrystalGraph:
+    """Breadth-first closure of a seed element under every e_i and f_i.
 
     Stops expanding once max_nodes is reached (or past max_depth) and flags
     the graph incomplete.
@@ -132,8 +131,7 @@ def generate_graph(seed, max_nodes: int = 2000, ops: tuple[str, ...] = ("e", "f"
             continue
         b = g.nodes[src]
         for i in range(n + 1):
-            for op in ops:
-                out = b.e(i) if op == "e" else b.f(i)
+            for op, out in (("e", b.e(i)), ("f", b.f(i))):
                 if out is None:
                     continue
                 if out not in g.ids:

@@ -1,15 +1,16 @@
 """Reconstruction of the three path realizations from kernel filtrations,
 the one-factor peeling steps, and the end-to-end cross-check pipeline.
 
-The kernel-table rows determine each path factor through the weight sections:
+Each path factor is ``paths.factor_from_content`` of one kernel-filtration step:
 
-    row model factor i:    wt(ground_i)         - cl(ker x^{i+1} - ker x^i)
-    column model factor i: wt(ground_i~)        - cl(ker xbar^{i+1} - ker xbar^i)
-    adjoint factor i:      box part from        ker (x xbar)^{i+1} - ker xbar(x xbar)^i
-                           barred part from     ker xbar(x xbar)^i - ker (x xbar)^i
+    row model factor i:    ker x^{i+1} - ker x^i
+    column model factor i: ker xbar^{i+1} - ker xbar^i
+    adjoint factor i:      merge_pair of the box part from ker (x xbar)^{i+1} - ker xbar(x xbar)^i
+                           and the barred part from ker xbar(x xbar)^i - ker (x xbar)^i
 
-where the adjoint reference weights are the position-0 ground factors for the
-(-1)-rotated weight (box side) and for the weight itself (barred side).
+where the adjoint parts take position 0 of the row model over the
+(-1)-rotated weight (box side) and of the column model over the weight
+itself (barred side).
 """
 
 from __future__ import annotations
@@ -19,17 +20,8 @@ from dataclasses import dataclass, field
 
 from .cartan import RootVec, Weight, cl_root, root, rotate
 from .linalg import PRIME, GradedMap
-from .paths import Path, from_word, make_path, raising_steps, word_alpha
-from .perfect import (
-    AdjElem,
-    B1Elem,
-    BnElem,
-    adj_from_weights,
-    b1_from_weight,
-    bn_from_weight,
-    ground_b1,
-    ground_bn,
-)
+from .paths import Path, factor_from_content, from_word, make_path, raising_steps, word_alpha
+from .perfect import AdjElem, B1Elem, BnElem, merge_pair
 from .quiver import (
     KernelTable,
     MatrixUnit,
@@ -40,57 +32,40 @@ from .quiver import (
     sample_in_commutant,
     wall_graded_map,
 )
-from .walls import WallTuple, path_to_walls, strip_column0, wall_lambda
+from .walls import PATH_KIND, WallTuple, path_to_walls, strip_column0, wall_lambda
+
+
+def _row_path(kt: KernelTable, lam: Weight, kind: str, seq: str) -> Path:
+    """Factor i of the row (B1) or column (Bn) model from the step seq[i + 1] - seq[i]."""
+    steps = [kt.at(seq, i + 1) - kt.at(seq, i) for i in range(len(getattr(kt, seq)) - 1)]
+    return make_path(lam, kind, [factor_from_content(lam, kind, i, d) for i, d in enumerate(steps)])
 
 
 def b1_path_from_kernels(kt: KernelTable, lam: Weight) -> Path:
-    lvl = lam.level
-    top = len(kt.x_pow) - 1
-    factors = []
-    for i in range(top):
-        r = ground_b1(lam, i).wt() - cl_root(kt.at("x_pow", i + 1) - kt.at("x_pow", i))
-        factors.append(b1_from_weight(r, lvl))
-    return make_path(lam, "B1", factors)
+    return _row_path(kt, lam, "B1", "x_pow")
 
 
 def bn_path_from_kernels(kt: KernelTable, lam: Weight) -> Path:
-    lvl = lam.level
-    top = len(kt.xbar_pow) - 1
-    factors = []
-    for i in range(top):
-        s = ground_bn(lam, i).wt() - cl_root(kt.at("xbar_pow", i + 1) - kt.at("xbar_pow", i))
-        factors.append(bn_from_weight(s, lvl))
-    return make_path(lam, "Bn", factors)
+    return _row_path(kt, lam, "Bn", "xbar_pow")
 
 
 def adj_path_from_kernels(kt: KernelTable, lam: Weight) -> Path:
-    lvl = lam.level
-    box_ref = ground_b1(rotate(lam, -1), 0).wt()
-    bar_ref = ground_bn(lam, 0).wt()
-    top = max(len(kt.xy_pow), len(kt.yxy_pow))
-    factors = []
-    for i in range(top):
-        r = box_ref - cl_root(kt.at("xy_pow", i + 1) - kt.at("yxy_pow", i))
-        s = bar_ref - cl_root(kt.at("yxy_pow", i) - kt.at("xy_pow", i))
-        factors.append(adj_from_weights(r, s, lvl))
+    box_lam = rotate(lam, -1)
+    factors = [merge_pair(
+        factor_from_content(box_lam, "B1", 0, kt.at("xy_pow", i + 1) - kt.at("yxy_pow", i)),
+        factor_from_content(lam, "Bn", 0, kt.at("yxy_pow", i) - kt.at("xy_pow", i)),
+    ) for i in range(max(len(kt.xy_pow), len(kt.yxy_pow)))]
     return make_path(lam, "Ad", factors)
 
 
 # ------------------------------------------------------------ peeling steps
 
-def peel_p1(n: int, walls: WallTuple) -> tuple[WallTuple, B1Elem]:
-    """Strip column 0; the emitted factor is position 0 of the wall's path."""
+def peel_column0(n: int, walls: WallTuple) -> tuple[WallTuple, B1Elem | BnElem]:
+    """Strip column 0; the emitted factor is position 0 of the tuple's path
+    (a B1Elem for a P1 tuple, a BnElem for a Pn tuple)."""
     lam = wall_lambda(n, walls)
     rest, beta = strip_column0(n, walls)
-    elem = b1_from_weight(ground_b1(lam, 0).wt() - cl_root(beta), lam.level)
-    return rest, elem
-
-
-def peel_pn(n: int, walls: WallTuple) -> tuple[WallTuple, BnElem]:
-    lam = wall_lambda(n, walls)
-    rest, gamma = strip_column0(n, walls)
-    elem = bn_from_weight(ground_bn(lam, 0).wt() - cl_root(gamma), lam.level)
-    return rest, elem
+    return rest, factor_from_content(lam, PATH_KIND[walls.kind], 0, beta)
 
 
 def raising_word(path: Path) -> list[int]:
@@ -98,22 +73,15 @@ def raising_word(path: Path) -> list[int]:
     return [i for i, _ in raising_steps(path)]
 
 
-def peel_adj(n: int, walls: WallTuple, kt: KernelTable, lam: Weight,
-             ) -> tuple[WallTuple, AdjElem]:
-    """One adjoint peeling step on a P1 wall tuple.
+def peel_adj(n: int, walls: WallTuple, kt: KernelTable) -> tuple[WallTuple, AdjElem]:
+    """One adjoint peeling step on a P1 wall tuple with kernel table kt.
 
-    The emitted factor comes from the k=1 kernel rows; the remaining tuple is
-    the one whose adjoint path is the input's shifted by one position,
-    recovered by raising the shifted path to the top and lowering the mirror
-    word in the row model.
+    The emitted factor is position 0 of the adjoint path read off kt; the
+    remaining tuple is the one whose adjoint path is that path shifted by one
+    position, recovered by raising the shifted path to the top and lowering
+    the mirror word in the row model.
     """
-    beta = kt.at("xy_pow", 1) - kt.at("yxy_pow", 0)
-    gamma = kt.at("yxy_pow", 0)
-    factor = adj_from_weights(
-        ground_b1(rotate(lam, -1), 0).wt() - cl_root(beta),
-        ground_bn(lam, 0).wt() - cl_root(gamma),
-        lam.level,
-    )
+    lam = wall_lambda(n, walls)
     pad = adj_path_from_kernels(kt, lam)
     shifted = make_path(lam, "Ad", pad.devs[1:])
     eword = [(i, 1) for i in raising_word(shifted)]
@@ -122,7 +90,7 @@ def peel_adj(n: int, walls: WallTuple, kt: KernelTable, lam: Weight,
     lowered = from_word(lam, "B1", eword)
     alpha_rest = root(word_alpha(n, eword))
     rest = path_to_walls(n, lam, lowered, alpha_rest, "P1")
-    return rest, factor
+    return rest, pad.factor(0)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -160,8 +128,7 @@ def _compare(direct: Path, geom: Path, kind: str, mismatches: list[str]):
             return
 
 
-def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME,
-                 check_stability: bool = True) -> IsoReport:
+def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> IsoReport:
     """Direct paths vs kernel-table reconstructions for one lowering word."""
     n = lam.n
     word = tuple(word)
@@ -190,12 +157,9 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME,
     for kind in ("B1", "Bn", "Ad"):
         _compare(report.direct[kind], report.geometric[kind], kind, report.mismatches)
 
-    if check_stability:
-        report.stable = all(
-            _stable_once(lam, x, basis, seed * 101 + t, p) for t in range(3)
-        )
-        if not report.stable:
-            report.mismatches.append("generic framing failed the stability criterion")
+    report.stable = all(_stable_once(lam, x, basis, seed * 101 + t, p) for t in range(3))
+    if not report.stable:
+        report.mismatches.append("generic framing failed the stability criterion")
     report.ok = not report.mismatches
     return report
 

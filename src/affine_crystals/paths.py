@@ -10,6 +10,9 @@ symbols of the leftmost window factor survive from the tail: an e_i landing
 there annihilates the path, and no f_i lands there.  A property test, not the
 run time, compares each operator with its value on larger windows.  The ground
 factors are one period per (lam, kind) in a bounded cache; a Path caches the rest.
+
+Every isomorphism reads a B1/Bn factor off a root content by one rule,
+``factor_from_content``: the weight section of wt(ground factor k) - cl(content).
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .cartan import Weight, weight
+from .cartan import RootVec, Weight, cl_root, weight
 from .crystal_core import signature, tensor_apply
 from .perfect import (
     AdjElem,
     B1Elem,
     BnElem,
+    b1_from_weight,
+    bn_from_weight,
     ground_adj,
     ground_b1,
     ground_bn,
@@ -63,6 +68,16 @@ def _ground(lam: Weight, kind: str) -> tuple:
 def ground_elem(lam: Weight, kind: str, k: int):
     period = _ground(lam, kind)
     return period[k % len(period)]
+
+
+def factor_from_content(lam: Weight, kind: str, k: int, content: RootVec):
+    """The B1/Bn factor at position k: the section of wt(ground_k) - cl(content).
+
+    Raises WeightSectionError when that weight is not a factor weight."""
+    if kind not in ("B1", "Bn"):
+        raise ValueError(f"no weight section for kind {kind!r}")
+    section = b1_from_weight if kind == "B1" else bn_from_weight
+    return section(ground_elem(lam, kind, k).wt() - cl_root(content), lam.level)
 
 
 @dataclass(frozen=True)

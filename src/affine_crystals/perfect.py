@@ -32,6 +32,18 @@ class WeightSectionError(ValueError):
     """A weight outside the image of wt was handed to a section map."""
 
 
+def _move(vec: tuple[int, ...], s: int, d: int):
+    """vec with one unit moved from index s to index d (mod len), or None if vec[s] is 0."""
+    m = len(vec)
+    s, d = s % m, d % m
+    if vec[s] == 0:
+        return None
+    out = list(vec)
+    out[s] -= 1
+    out[d] += 1
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class B1Elem:
     """Row-crystal element; nu[t] counts the letter t+1."""
@@ -47,39 +59,29 @@ class B1Elem:
         return sum(self.nu)
 
     def eps(self, i: int) -> int:
-        return self.nu[i % (self.n + 1)]
+        return self.nu[i % len(self.nu)]
 
     def phi(self, i: int) -> int:
-        return self.nu[(i - 1) % (self.n + 1)]
+        return self.nu[(i - 1) % len(self.nu)]
 
     def wt(self) -> Weight:
-        m = self.n + 1
-        return Weight(tuple(self.nu[(j - 1) % m] - self.nu[j] for j in range(m)))
+        return Weight(tuple(self.nu[j - 1] - self.nu[j] for j in range(len(self.nu))))
 
     def f(self, i: int):
-        m = self.n + 1
-        s, d = (i - 1) % m, i % m
-        if self.nu[s] == 0:
-            return None
-        nu = list(self.nu)
-        nu[s] -= 1
-        nu[d] += 1
-        return B1Elem(tuple(nu))
+        nu = _move(self.nu, i - 1, i)
+        return None if nu is None else B1Elem(nu)
 
     def e(self, i: int):
-        m = self.n + 1
-        s, d = i % m, (i - 1) % m
-        if self.nu[s] == 0:
-            return None
-        nu = list(self.nu)
-        nu[s] -= 1
-        nu[d] += 1
-        return B1Elem(tuple(nu))
+        nu = _move(self.nu, i, i - 1)
+        return None if nu is None else B1Elem(nu)
 
 
 @dataclass(frozen=True)
 class BnElem:
-    """Column-crystal element; nubar[t] counts the barred letter (t+1)~."""
+    """Column-crystal element; nubar[t] counts the barred letter (t+1)~.
+
+    BnElem(v) is the dual of B1Elem(v): eps and phi swap, e and f swap, and
+    wt is negated."""
 
     nubar: tuple[int, ...]
 
@@ -92,34 +94,21 @@ class BnElem:
         return sum(self.nubar)
 
     def eps(self, i: int) -> int:
-        return self.nubar[(i - 1) % (self.n + 1)]
+        return self.nubar[(i - 1) % len(self.nubar)]
 
     def phi(self, i: int) -> int:
-        return self.nubar[i % (self.n + 1)]
+        return self.nubar[i % len(self.nubar)]
 
     def wt(self) -> Weight:
-        m = self.n + 1
-        return Weight(tuple(self.nubar[j] - self.nubar[(j - 1) % m] for j in range(m)))
+        return Weight(tuple(self.nubar[j] - self.nubar[j - 1] for j in range(len(self.nubar))))
 
     def f(self, i: int):
-        m = self.n + 1
-        s, d = i % m, (i - 1) % m
-        if self.nubar[s] == 0:
-            return None
-        nb = list(self.nubar)
-        nb[s] -= 1
-        nb[d] += 1
-        return BnElem(tuple(nb))
+        nb = _move(self.nubar, i, i - 1)
+        return None if nb is None else BnElem(nb)
 
     def e(self, i: int):
-        m = self.n + 1
-        s, d = (i - 1) % m, i % m
-        if self.nubar[s] == 0:
-            return None
-        nb = list(self.nubar)
-        nb[s] -= 1
-        nb[d] += 1
-        return BnElem(tuple(nb))
+        nb = _move(self.nubar, i - 1, i)
+        return None if nb is None else BnElem(nb)
 
 
 @dataclass(frozen=True)
@@ -159,17 +148,17 @@ class AdjElem:
         return self.box_part().wt() + self.bar_part().wt()
 
     def eps(self, i: int) -> int:
-        j = i % (self.n + 1)
+        j = i % len(self.m)
         c = self.cap - self.k if j == 0 else 0
         return self.m[j] + c + max(0, self.mbar[j - 1] - self.m[j - 1])
 
     def phi(self, i: int) -> int:
-        j = i % (self.n + 1)
+        j = i % len(self.m)
         c = self.cap - self.k if j == 0 else 0
         return self.mbar[j] + c + max(0, self.m[j - 1] - self.mbar[j - 1])
 
     def _f0(self):
-        phi1, eps1 = self.m[-1], self.m[0]
+        phi1 = self.m[-1]
         eps2, phi2 = self.mbar[-1], self.mbar[0]
         mbar, m = list(self.mbar), list(self.m)
         if phi1 > eps2 and phi2 > 0:
@@ -218,10 +207,10 @@ class AdjElem:
         return AdjElem(new.nubar, self.m, self.cap)
 
     def f(self, i: int):
-        return self._f0() if i % (self.n + 1) == 0 else self._classical("f", i)
+        return self._f0() if i % len(self.m) == 0 else self._classical("f", i)
 
     def e(self, i: int):
-        return self._e0() if i % (self.n + 1) == 0 else self._classical("e", i)
+        return self._e0() if i % len(self.m) == 0 else self._classical("e", i)
 
 
 # ---------------------------------------------------------------- sections
@@ -240,16 +229,11 @@ def b1_from_weight(w: Weight, lvl: int) -> B1Elem:
 
 
 def bn_from_weight(w: Weight, lvl: int) -> BnElem:
-    """Inverse of wt on the column crystal of level lvl."""
-    m = w.n + 1
-    s = lvl + sum(k * w.a[k] for k in range(1, m))
-    if w.level != 0 or s % m:
-        raise WeightSectionError(f"{w} is not a Bn weight at level {lvl}")
-    base = s // m
-    nubar = tuple(base - sum(w.a[i:m]) for i in range(1, m + 1))
-    if any(v < 0 for v in nubar):
-        raise WeightSectionError(f"{w} is not a Bn weight at level {lvl}")
-    return BnElem(nubar)
+    """Inverse of wt on the column crystal of level lvl: the dual of b1_from_weight."""
+    try:
+        return BnElem(b1_from_weight(-w, lvl).nu)
+    except WeightSectionError:
+        raise WeightSectionError(f"{w} is not a Bn weight at level {lvl}") from None
 
 
 def merge_pair(b: B1Elem, bb: BnElem) -> AdjElem:
@@ -266,11 +250,6 @@ def split_adj(a: AdjElem) -> tuple[B1Elem, BnElem]:
     """Inverse of merge_pair: pad both first entries back up to the level."""
     c = a.cap - a.k
     return B1Elem((a.m[0] + c,) + a.m[1:]), BnElem((a.mbar[0] + c,) + a.mbar[1:])
-
-
-def adj_from_weights(r: Weight, s: Weight, lvl: int) -> AdjElem:
-    """Adjoint element with box-part weight r and barred-part weight s."""
-    return merge_pair(b1_from_weight(r, lvl), bn_from_weight(s, lvl))
 
 
 # ------------------------------------------------------- ground-state data

@@ -319,22 +319,25 @@ def _table_min(tables: list[KernelTable]) -> KernelTable:
     return KernelTable(tables[0].alpha, **out)
 
 
+MIN_SAMPLES = 3   # samples drawn before a minimum table may be returned
+MAX_SAMPLES = 10  # samples drawn before GenericityError
+
+
 def generic_kernel_table(x: GradedMap, basis, seed: int = 0,
-                         p: int | None = PRIME, min_samples: int = 3,
-                         max_samples: int = 10) -> KernelTable:
+                         p: int | None = PRIME) -> KernelTable:
     """Componentwise-minimum table over agreeing independent samples."""
     rng = random.Random(seed)
     tables: list[KernelTable] = []
     lower, agree = None, 0
-    for _ in range(max_samples):
+    for _ in range(MAX_SAMPLES):
         xbar = sample_in_commutant(basis, x.dims, -x.shift, rng, p)
         tables.append(kernel_table_at(x, xbar, p))
         lower = _table_min(tables)
         agree = sum(1 for t in tables if _table_rows_eq(t, lower))
-        if len(tables) >= min_samples and agree >= 2:
+        if len(tables) >= MIN_SAMPLES and agree >= 2:
             return lower
     raise GenericityError(f"no agreeing generic kernel table: {len(tables)} samples drawn "
-                          f"(min_samples {min_samples}), {agree} agreeing with the "
+                          f"(min_samples {MIN_SAMPLES}), {agree} agreeing with the "
                           f"minimum table {lower.to_json() if lower else {}}")
 
 

@@ -20,7 +20,7 @@ from .iso import (
     b1_path_from_kernels,
     bn_path_from_kernels,
     peel_adj,
-    peel_p1,
+    peel_column0,
     run_pipeline,
 )
 from .linalg import PRIME
@@ -174,10 +174,10 @@ def suite_example(seed: int = 0) -> list[Check]:
     rep = run_pipeline(lam, word, seed=seed)
     _check(out, "extra: full pipeline report passes", rep.ok, rep.first_mismatch())
 
-    rest, fac = peel_adj(n, wp1, ref, lam)
+    rest, fac = peel_adj(n, wp1, ref)
     x_rest, _ = wall_graded_map(n, rest)
     kt_rest = generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed)
-    _, fac2 = peel_adj(n, rest, kt_rest, lam)
+    _, fac2 = peel_adj(n, rest, kt_rest)
     _check(out, "extra: adjoint peeling emits positions 0 and 1",
            fac == pad.factor(0) and fac2 == pad.factor(1))
     return out
@@ -337,7 +337,7 @@ def suite_bridge(seed: int = 0) -> list[Check]:
         walls = path_to_walls(n, lam, p1, alpha, "P1")
         if walls.block_count() == 0:
             continue
-        rest, elem = peel_p1(n, walls)
+        rest, elem = peel_column0(n, walls)
         if elem != walls_to_path(n, walls).factor(0):
             ok11, det11 = False, f"peeled factor is not position 0 for {lam}"
             break

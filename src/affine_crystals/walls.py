@@ -15,7 +15,8 @@ consecutive walls and a reducedness condition (the left-end colors of the
 rows of any fixed length never exhaust all residues; this is what kills the
 delta-direction redundancy).
 
-Column j of a tuple is read as path factor j (``walls_to_path``).  The
+Column j of a tuple is read as path factor j (``walls_to_path``), through
+``paths.factor_from_content`` with the column's content.  The
 inverse ``path_to_walls`` replays the path's greedy raising word backwards
 from the empty tuple: each lowering step f_i adds one i-block, in the column
 of the factor it changes, to the one wall where the block fits.
@@ -25,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootVec, Weight, cl_root, decompose, fundamental_weight, zero_root, zero_weight
-from .paths import InversionError, Path, ground_elem, make_path, raising_steps
-from .perfect import b1_from_weight, bn_from_weight
+from .cartan import RootVec, Weight, decompose, fundamental_weight, zero_root, zero_weight
+from .paths import InversionError, Path, factor_from_content, make_path, raising_steps
 
 WALL_KINDS = ("P1", "Pn")
+PATH_KIND = {"P1": "B1", "Pn": "Bn"}  # the path model each wall kind realizes
 
 
 @dataclass(frozen=True)
@@ -149,20 +150,12 @@ def validate(n: int, walls: WallTuple) -> tuple[bool, str]:
 
 # ------------------------------------------------------------ wall <-> path
 
-def _path_kind(wall_kind: str) -> str:
-    return "B1" if wall_kind == "P1" else "Bn"
-
-
 def walls_to_path(n: int, walls: WallTuple) -> Path:
-    """Factor j = section(wt(ground_j) - cl(column content j))."""
+    """Factor j is factor_from_content of column j's content."""
     lam = wall_lambda(n, walls)
-    kind = _path_kind(walls.kind)
-    section = b1_from_weight if kind == "B1" else bn_from_weight
-    factors = []
-    for j in range(walls.n_cols()):
-        target = ground_elem(lam, kind, j).wt() - cl_root(column_content(n, walls, j))
-        factors.append(section(target, lam.level))
-    return make_path(lam, kind, factors)
+    kind = PATH_KIND[walls.kind]
+    return make_path(lam, kind, [factor_from_content(lam, kind, j, column_content(n, walls, j))
+                                 for j in range(walls.n_cols())])
 
 
 def path_to_walls(n: int, lam: Weight, path: Path, alpha: RootVec, kind: str) -> WallTuple:

@@ -1,24 +1,27 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from affine_crystals import golden
-from affine_crystals.cartan import cl_root, rotate, weight
+from affine_crystals.cartan import cl_root, root, rotate, weight
 from affine_crystals.iso import (
     adj_path_from_kernels,
     b1_path_from_kernels,
     bn_path_from_kernels,
     peel_adj,
-    peel_p1,
-    peel_pn,
+    peel_column0,
     raising_word,
+    report_to_json,
     run_pipeline,
 )
-from affine_crystals.paths import from_word, ground_path, parse_word
+from affine_crystals.linalg import PRIME
+from affine_crystals.paths import from_word, ground_path, parse_word, word_alpha
 from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn, render
 from affine_crystals.quiver import KernelTable, commutant_basis, generic_kernel_table, wall_graded_map
-from affine_crystals.suites import reference_table
-from affine_crystals.walls import make_walls, walls_to_path
+from affine_crystals.suites import random_dominant, random_word, reference_table
+from affine_crystals.walls import make_walls, path_to_walls, strip_column0, walls_to_path
 
 N, LAM = golden.N, golden.LAM
 WP1 = make_walls("P1", **golden.WALLS_P1)
@@ -55,14 +58,14 @@ def test_zero_table_gives_ground_paths():
 
 
 def test_peel_p1_matches_path_factor():
-    rest, elem = peel_p1(N, WP1)
+    rest, elem = peel_column0(N, WP1)
     assert elem == B1Elem((1, 1, 1))
     assert elem == walls_to_path(N, WP1).factor(0)
     assert rest.charges == (0, 2, 2)
 
 
 def test_peel_pn_matches_path_factor():
-    rest, elem = peel_pn(N, WPN)
+    rest, elem = peel_column0(N, WPN)
     assert elem == BnElem((2, 1, 0))
     assert elem == walls_to_path(N, WPN).factor(0)
     assert rest.charges == (1, 1, 2)
@@ -70,7 +73,7 @@ def test_peel_pn_matches_path_factor():
 
 def test_peel_on_empty_walls():
     empty = make_walls("P1", (0, 0, 1), ((), (), ()))
-    rest, elem = peel_p1(N, empty)
+    rest, elem = peel_column0(N, empty)
     assert rest.block_count() == 0
     assert elem == ground_b1(LAM, 0)
 
@@ -78,16 +81,37 @@ def test_peel_on_empty_walls():
 def test_peel_adj_twice():
     pad = from_word(LAM, "Ad", golden.WORD)
     ref = reference_table()
-    rest, fac0 = peel_adj(N, WP1, ref, LAM)
+    rest, fac0 = peel_adj(N, WP1, ref)
     assert fac0 == pad.factor(0)
     x2, _ = wall_graded_map(N, rest)
     kt2 = generic_kernel_table(x2, commutant_basis(x2), seed=3)
-    rest2, fac1 = peel_adj(N, rest, kt2, LAM)
+    rest2, fac1 = peel_adj(N, rest, kt2)
     assert fac1 == pad.factor(1)
     x3, _ = wall_graded_map(N, rest2)
     kt3 = generic_kernel_table(x3, commutant_basis(x3), seed=3)
-    _, fac2 = peel_adj(N, rest2, kt3, LAM)
+    _, fac2 = peel_adj(N, rest2, kt3)
     assert fac2 == pad.factor(2)
+
+
+@pytest.mark.parametrize("kind", ["P1", "Pn"])
+def test_peel_column0_is_strip_and_factor0(kind):
+    # the model, and with it the factor's crystal, comes from the tuple's kind
+    pkind = "B1" if kind == "P1" else "Bn"
+    golden_walls = WP1 if kind == "P1" else WPN
+    tuples = [(N, golden_walls)]
+    rng = random.Random(21 if kind == "P1" else 22)
+    for _ in range(64):
+        n = rng.randint(1, 3)
+        lam = random_dominant(n, rng.randint(1, 3), rng)
+        if lam.level == 0:
+            lam = weight([1] + [0] * n)
+        word = random_word(lam, rng.randint(0, 12), rng, kind=pkind)
+        p = from_word(lam, pkind, word)
+        tuples.append((n, path_to_walls(n, lam, p, root(word_alpha(n, word)), kind)))
+    for n, w in tuples:
+        expected = (strip_column0(n, w)[0], walls_to_path(n, w).factor(0))
+        assert peel_column0(n, w) == expected
+        assert type(expected[1]) is (B1Elem if kind == "P1" else BnElem)
 
 
 def test_raising_word_height():
@@ -113,8 +137,6 @@ def test_pipeline_trivial():
 
 def test_pipeline_matches_over_random_words():
     rng = random.Random(100)
-    from affine_crystals.suites import random_dominant, random_word
-
     for _ in range(8):
         n = rng.randint(1, 2)
         lam = random_dominant(n, rng.randint(1, 2), rng)
@@ -140,3 +162,33 @@ def test_pipeline_rejects_index_above_n():
 
     with pytest.raises(WordIndexError):
         run_pipeline(LAM, ((3, 2), (1, 1)), seed=0)
+
+
+def _bridge_runs(seed=0):
+    """The 50 (lam, word, pipeline seed) runs of suite_bridge(seed), drawn the same way."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(50):
+        n = rng.randint(1, 3)
+        lam = random_dominant(n, rng.randint(1, 3), rng)
+        if lam.level == 0:
+            lam = weight([1] + [0] * n)
+        cases.append((lam, random_word(lam, rng.randint(0, 12), rng)))
+    return [(lam, word, rng.randrange(10**6)) for lam, word in cases]
+
+
+def _reports_digest(runs, p):
+    h = hashlib.sha256()
+    for lam, word, seed in runs:
+        rep = run_pipeline(lam, word, seed=seed, p=p)
+        h.update(json.dumps(report_to_json(rep), sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("p, count, digest", [
+    (PRIME, 50, "2fb298d5cded3200df4f5307f1db570000445cf89435d67102748434ac6263e7"),
+    (None, 10, "40143b6faa2ffa5ef7d53005baeffa18191e4161b970e6f01cc78d7d6646a438"),
+], ids=["fp", "qq"])
+def test_bridge_reports_are_pinned(p, count, digest):
+    # every field of the pipeline report, bridge cases over F_p and the first ones over Q
+    assert _reports_digest(_bridge_runs()[:count], p) == digest

@@ -12,6 +12,7 @@ from affine_crystals.paths import (
     Path,
     WordIndexError,
     _ground,
+    factor_from_content,
     from_word,
     ground_path,
     make_path,
@@ -94,6 +95,17 @@ def test_ground_paths():
     tail = ground_path(weight((3, 0, 0)), "B1")
     assert tail.factor(0) == B1Elem((0, 0, 3))
     assert tail.factor(1) == B1Elem((0, 3, 0))
+
+
+def test_factor_from_content():
+    # no content leaves the ground factor; one alpha_1 box lowers it by f_1
+    zero, a1 = root((0, 0, 0)), root((0, 1, 0))
+    for kind in ("B1", "Bn"):
+        g = ground_path(LAM, kind).factor(3)
+        assert factor_from_content(LAM, kind, 3, zero) == g
+        assert factor_from_content(LAM, kind, 3, a1) == g.f(1)
+    with pytest.raises(ValueError, match="no weight section for kind 'Ad'"):
+        factor_from_content(LAM, "Ad", 0, zero)
 
 
 def test_single_step():

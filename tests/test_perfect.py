@@ -9,7 +9,6 @@ from affine_crystals.perfect import (
     B1Elem,
     BnElem,
     WeightSectionError,
-    adj_from_weights,
     all_adj,
     all_b1,
     all_bn,
@@ -52,6 +51,21 @@ def test_sections_reject_bad_weights():
         b1_from_weight(weight((1, 0, 0)), 3)  # level-1 weight, level-3 crystal
     with pytest.raises(WeightSectionError):
         b1_from_weight(weight((0, 4, -4)), 3)  # negative multiplicity
+
+
+def test_column_crystal_is_dual_of_row_crystal():
+    # BnElem(v) against B1Elem(v): eps/phi swap, f/e swap, wt is negated
+    for n, lvl in itertools.product(range(1, 5), repeat=2):
+        for b in all_b1(n, lvl):
+            bb = BnElem(b.nu)
+            assert bb.wt() == -b.wt()
+            for i in range(n + 1):
+                assert (bb.eps(i), bb.phi(i)) == (b.phi(i), b.eps(i))
+                for ours, theirs in ((bb.f(i), b.e(i)), (bb.e(i), b.f(i))):
+                    assert (ours is None and theirs is None) or ours.nubar == theirs.nu
+        for bad in (weight((1,) + (0,) * n), BnElem((lvl + 1,) + (0,) * n).wt()):
+            with pytest.raises(WeightSectionError, match="not a Bn weight"):
+                bn_from_weight(bad, lvl)
 
 
 @pytest.mark.parametrize(
@@ -192,12 +206,12 @@ def test_merge_split_roundtrip():
 
 
 def test_adj_from_weights_worked_values():
-    a = adj_from_weights(weight((1, -2, 1)), weight((2, -1, -1)), 3)
-    assert render(a) == "rows: [1,2,2,2,2,3],[3,3,3]"
-    b = adj_from_weights(weight((-1, 2, -1)), weight((3, -3, 0)), 3)
-    assert render(b) == "rows: [2,3],[3]"
-    c = adj_from_weights(weight((-2, 1, 1)), weight((2, -1, -1)), 3)
-    assert render(c) == "rows: [1,2],[3]"
+    def adj(r, s):  # box-part weight r, barred-part weight s, level 3
+        return merge_pair(b1_from_weight(weight(r), 3), bn_from_weight(weight(s), 3))
+
+    assert render(adj((1, -2, 1), (2, -1, -1))) == "rows: [1,2,2,2,2,3],[3,3,3]"
+    assert render(adj((-1, 2, -1), (3, -3, 0))) == "rows: [2,3],[3]"
+    assert render(adj((-2, 1, 1), (2, -1, -1))) == "rows: [1,2],[3]"
 
 
 def test_merge_intertwines_small():

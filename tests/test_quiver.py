@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_crystals import golden
+from affine_crystals import golden, quiver
 from affine_crystals.cartan import RootVec, root, weight, zero_root
 from affine_crystals.linalg import (PRIME, gm_compose, gm_from_blocks, gm_zero, nullspace, rank,
                                     zero_blocks)
@@ -326,13 +326,14 @@ def test_kernel_table_reference_multi_seed():
         assert kt.yxy_pow == ref.yxy_pow
 
 
-def test_genericity_error_carries_its_witness():
-    # two samples never reach min_samples = 3; the error names the samples
+def test_genericity_error_carries_its_witness(monkeypatch):
+    # two samples never reach MIN_SAMPLES = 3; the error names the samples
     # drawn, the agreeing count and the minimum table's rows
+    monkeypatch.setattr(quiver, "MAX_SAMPLES", 2)
     x, _ = wall_graded_map(N, WP1)
     with pytest.raises(GenericityError, match=r"2 samples drawn \(min_samples 3\), "
                        r"2 agreeing with the minimum table \{'alpha': .*'ker_x': "):
-        generic_kernel_table(x, commutant_basis(x), max_samples=2)
+        generic_kernel_table(x, commutant_basis(x))
 
 
 def test_kernel_table_exact_field_flag():
