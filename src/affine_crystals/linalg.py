@@ -5,17 +5,14 @@ fraction-free forward elimination serves both fields: over F_p (p = 2^31 - 1)
 a row update is ``(piv * x - f * y) mod p``, over Q (``p=None``) it is
 Bareiss's exact division by the previous pivot, so entries stay integers.
 Pivots are the first nonzero entry in column order.  ``rank`` counts the
-pivots; ``independent_rows`` keeps the original rows that became pivot rows;
-``nullspace`` back-substitutes each free column on the echelon form,
-giving the reduced-echelon basis (1 at its own free column, 0 at the others;
-over Q cleared to integer vectors).
+pivots; ``independent_rows`` keeps the original rows that became pivot rows.
+No solver is left: the commutant is built directly (``quiver.commutant_basis``),
+and the tests keep a nullspace on this elimination as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 PRIME = 2**31 - 1
 
@@ -62,26 +59,6 @@ def rank(a, p: int | None = PRIME) -> int:
 def independent_rows(a, ncols: int, p: int | None = PRIME) -> list:
     """A maximal independent subset of the rows of a, as given (not reduced)."""
     return [a[i] for i in _echelon(a, ncols, p)[2]]
-
-
-def nullspace(a, ncols: int, p: int | None = PRIME):
-    """Reduced-echelon basis of the right nullspace (vectors of length ncols)."""
-    rows, pivots, _ = _echelon(a, ncols, p)
-    inv = [pow(row[c], -1, p) if p is not None else Fraction(1, row[c])
-           for row, c in zip(rows, pivots)]
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        v = [0] * ncols
-        v[free] = 1
-        for row, c, s in reversed(list(zip(rows, pivots, inv))):
-            v[c] = -s * sum(row[j] * v[j] for j in range(c + 1, free + 1))
-            if p is not None:
-                v[c] %= p
-        if p is None:
-            den = lcm(*(Fraction(x).denominator for x in v))
-            v = [int(x * den) for x in v]
-        basis.append(v)
-    return basis
 
 
 # --------------------------------------------------------------- graded maps

@@ -10,6 +10,9 @@ symbols of the leftmost window factor survive from the tail: an e_i landing
 there annihilates the path, and no f_i lands there.  A property test, not the
 run time, compares each operator with its value on larger windows.  The ground
 factors are one period per (lam, kind) in a bounded cache; a Path caches the rest.
+An operator builds its result from the window it read: the deviations are a
+slice of it, and the result's window is it with one factor replaced.  Raising
+edits one copy of the window in place.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
 ``factor_from_content``: the weight section of wt(ground factor k) - cl(content).
@@ -161,8 +164,12 @@ def ground_path(lam: Weight, kind: str) -> Path:
     return Path(lam, kind, ())
 
 
-def _apply_window(op: str, i: int, p: Path, facs):
-    """(path, changed position) of e_i/f_i on the window facs of p, or None."""
+def _apply_window(op: str, i: int, p: Path):
+    """(path, changed position) of e_i/f_i on p's window, or None.
+
+    The result's deviations are a slice of p's window, and its window is that
+    window with the one factor replaced, cut or extended by ground factors."""
+    facs = p._window
     res = tensor_apply(op, i, facs)
     if res is None:
         return None
@@ -172,16 +179,22 @@ def _apply_window(op: str, i: int, p: Path, facs):
         if op == "e":
             return None
         raise AssertionError("f acted on the window boundary; window too small")
-    pos = len(facs) - 1 - idx
-    devs = [p.factor(k) for k in range(max(p.tail_start, pos + 1))]
-    devs[pos] = elem
-    return make_path(p.lam, p.kind, devs), pos
+    size = len(facs)
+    pos = size - 1 - idx
+    window = facs.copy()
+    window[idx] = elem
+    top = max(p.tail_start, pos + 1)
+    out = make_path(p.lam, p.kind, window[:size - 1 - top:-1])  # positions 0 .. top - 1
+    grow = out.tail_start + p.n + 2 - size
+    vars(out)["_window"] = window[-grow:] if grow < 0 else (  # fills the cached property
+        [ground_elem(p.lam, p.kind, k) for k in range(size + grow - 1, size - 1, -1)] + window)
+    return out, pos
 
 
 def path_apply(op: str, i: int, p: Path):
     """Apply e_i/f_i on the window (exact by the window lemma); None when the
     operator annihilates the path."""
-    res = _apply_window(op, i, p, p._window)
+    res = _apply_window(op, i, p)
     return None if res is None else res[0]
 
 
@@ -207,23 +220,26 @@ def raising_steps(path: Path) -> list[tuple[int, int]]:
     """Greedy raising to the ground path, lowest index first at every step.
 
     Each step is ``(i, pos)``: e_i acted and changed the factor at ``pos``.
-    A step builds one window and takes the first i whose rightmost surviving
-    "-" is not owned by the leftmost factor, i.e. the first i with eps_i > 0.
+    All steps edit one copy of the path's window in place; the window only
+    gets larger than needed as the path rises, which the window lemma allows.
+    A step takes the first i whose rightmost surviving "-" is not owned by the
+    leftmost factor, i.e. the first i with eps_i > 0.
     """
+    facs = list(path._window)
+    top = len(facs) - 1
     steps: list[tuple[int, int]] = []
-    cur = path
     while True:
         for i in range(path.n + 1):
-            res = _apply_window("e", i, cur, cur._window)
-            if res is not None:
-                cur, pos = res
-                steps.append((i, pos))
+            res = tensor_apply("e", i, facs)
+            if res is not None and res[0]:
+                idx, facs[idx] = res
+                steps.append((i, top - idx))
                 break
         else:
             break
-    if cur != ground_path(path.lam, path.kind):
-        raise InversionError(f"raising stopped at {cur} after {len(steps)} steps, "
-                             "below the ground path")
+    if any(f != ground_elem(path.lam, path.kind, top - idx) for idx, f in enumerate(facs)):
+        raise InversionError(f"raising stopped at {make_path(path.lam, path.kind, facs[::-1])} "
+                             f"after {len(steps)} steps, below the ground path")
     return steps
 
 

@@ -19,7 +19,10 @@ Column j of a tuple is read as path factor j (``walls_to_path``), through
 ``paths.factor_from_content`` with the column's content.  The
 inverse ``path_to_walls`` replays the path's greedy raising word backwards
 from the empty tuple: each lowering step f_i adds one i-block, in the column
-of the factor it changes, to the one wall where the block fits.
+of the factor it changes, to the one wall where the block fits.  One block
+changes one column and one row length, so the fit test (``_fits``) checks
+just those; ``validate`` runs the same per-column and per-length rules over
+the whole tuple.
 """
 
 from __future__ import annotations
@@ -101,51 +104,62 @@ def total_content(n: int, walls: WallTuple) -> RootVec:
     return out
 
 
-def _row_data(heights: tuple[int, ...]):
-    """Rows of one wall as (row_index from 1, length)."""
-    if not heights:
-        return []
-    return [(r, sum(1 for h in heights if h >= r)) for r in range(1, heights[0] + 1)]
+def _column_fault(n: int, kind: str, charges, heights, j: int) -> str:
+    """Stacking and (cyclic) interlacing at column j: the first witness, or ''."""
+    col = [h[j] if j < len(h) else 0 for h in heights]
+    for w, (h, c) in enumerate(zip(heights, col)):
+        if c < 0:
+            return f"wall {w}: negative height"
+        if c and j and h[j - 1] < c:  # c > 0: column j - 1 is inside h
+            return f"wall {w}: free space right of column {j}"
+    for w in range(len(charges) - 1):
+        d = charges[w + 1] - charges[w]
+        if kind == "P1" and col[w] > col[w + 1] + d or kind == "Pn" and col[w] < col[w + 1] - d:
+            return f"interlacing fails between walls {w},{w + 1} at column {j}"
+    d = charges[-1] - charges[0] - n - 1
+    if kind == "P1" and col[-1] > col[0] - d or kind == "Pn" and col[-1] < col[0] + d:
+        return f"cyclic interlacing fails at column {j}"
+    return ""
+
+
+def _length_fault(n: int, kind: str, charges, heights, length: int) -> str:
+    """Reducedness of the rows of this length: their left-end colors miss a residue."""
+    colors = {block_color(n, kind, c, row, length - 1)
+              for c, h in zip(charges, heights) if len(h) >= length
+              for row in range((h[length] if len(h) > length else 0) + 1, h[length - 1] + 1)}
+    return f"not reduced: rows of length {length} use every color" if len(colors) == n + 1 else ""
 
 
 def validate(n: int, walls: WallTuple) -> tuple[bool, str]:
     """Stacking, cyclic interlacing, and reducedness; first witness on failure."""
-    for w, h in enumerate(walls.heights):
-        for j in range(len(h) - 1):
-            if h[j] < h[j + 1]:
-                return False, f"wall {w}: free space right of column {j + 1}"
-        if h and h[-1] < 0:
-            return False, f"wall {w}: negative height"
+    cols = range(walls.n_cols())
+    args = (n, walls.kind, walls.charges, walls.heights)
+    fault = (next(filter(None, (_column_fault(*args, j) for j in cols)), "")
+             or next(filter(None, (_length_fault(*args, j + 1) for j in cols)), ""))
+    return (False, fault) if fault else (True, "ok")
 
-    ell = walls.ell
-    cols = walls.n_cols()
-    ch = walls.charges
 
-    def ht(w, j):
-        return walls.heights[w][j] if j < len(walls.heights[w]) else 0
+def _add_block(h: list[int], pos: int) -> None:
+    h.extend([0] * (pos + 1 - len(h)))
+    h[pos] += 1
 
-    for j in range(cols):
-        for w in range(ell - 1):
-            d = ch[w + 1] - ch[w]
-            if walls.kind == "P1" and ht(w, j) > ht(w + 1, j) + d:
-                return False, f"interlacing fails between walls {w},{w + 1} at column {j}"
-            if walls.kind == "Pn" and ht(w, j) < ht(w + 1, j) - d:
-                return False, f"interlacing fails between walls {w},{w + 1} at column {j}"
-        if walls.kind == "P1" and ht(ell - 1, j) > ht(0, j) + ch[0] - ch[ell - 1] + n + 1:
-            return False, f"cyclic interlacing fails at column {j}"
-        if walls.kind == "Pn" and ht(ell - 1, j) < ht(0, j) + ch[ell - 1] - ch[0] - n - 1:
-            return False, f"cyclic interlacing fails at column {j}"
 
-    lengths: dict[int, set[int]] = {}
-    for charge, h in zip(walls.charges, walls.heights):
-        for row, length in _row_data(h):
-            lengths.setdefault(length, set()).add(
-                block_color(n, walls.kind, charge, row, length - 1)
-            )
-    for length, colors in lengths.items():
-        if len(colors) == n + 1:
-            return False, f"not reduced: rows of length {length} use every color"
-    return True, "ok"
+def _fits(n: int, kind: str, charges, heights: list[list[int]], w: int, pos: int) -> bool:
+    """Whether the valid heights (trimmed lists) stay valid with one more block
+    on wall w at column pos.
+
+    Only stacking at pos, interlacing at column pos and the reducedness of rows
+    of length pos + 1 (the one row that grows) can change.  heights is bumped in
+    place for the test and restored."""
+    h = heights[w]
+    _add_block(h, pos)
+    try:
+        return not (_column_fault(n, kind, charges, heights, pos)
+                    or _length_fault(n, kind, charges, heights, pos + 1))
+    finally:
+        h[pos] -= 1
+        while h and not h[-1]:
+            h.pop()
 
 
 # ------------------------------------------------------------ wall <-> path
@@ -166,29 +180,27 @@ def path_to_walls(n: int, lam: Weight, path: Path, alpha: RootVec, kind: str) ->
     exactly alpha_i.  So the greedy raising steps (i, pos), replayed in
     reverse from the empty tuple, build the wall tuple block by block: at
     each step exactly one wall must take an i-block at column pos and stay
-    valid.  The result must have content alpha and map back to the path.
+    valid.  The steps edit one heights list per wall in place.  The result
+    must be valid, have content alpha and map back to the path.
     """
     if path.lam != lam:
         raise ValueError("path does not belong to the given weight")
     charges = decompose(lam)
-    heights = tuple(() for _ in charges)
+    heights: list[list[int]] = [[] for _ in charges]
     for t, (i, pos) in enumerate(reversed(raising_steps(path))):
-        fits = []
-        for w, h in enumerate(heights):
-            h = h + (0,) * (pos + 1 - len(h))
-            if block_color(n, kind, charges[w], h[pos] + 1, pos) != i:
-                continue
-            h = h[:pos] + (h[pos] + 1,) + h[pos + 1:]
-            cand = make_walls(kind, charges, heights[:w] + (h,) + heights[w + 1:])
-            if validate(n, cand)[0]:
-                fits.append((w, cand))
+        fits = [w for w, h in enumerate(heights)
+                if block_color(n, kind, charges[w], (h[pos] if pos < len(h) else 0) + 1, pos) == i
+                and _fits(n, kind, charges, heights, w, pos)]
         if len(fits) != 1:
             raise InversionError(
-                f"step {t} (f_{i} at column {pos}) fits walls {[w for w, _ in fits]} "
-                f"of {kind} heights {[list(h) for h in heights]}"
+                f"step {t} (f_{i} at column {pos}) fits walls {fits} "
+                f"of {kind} heights {heights}"
             )
-        heights = fits[0][1].heights
+        _add_block(heights[fits[0]], pos)
     out = make_walls(kind, charges, heights)
+    ok, msg = validate(n, out)
+    if not ok:
+        raise InversionError(f"replayed tuple {out} is not valid: {msg}")
     if total_content(n, out) != alpha:
         raise InversionError(f"replayed content {total_content(n, out)} is not alpha = {alpha}")
     if walls_to_path(n, out) != path:

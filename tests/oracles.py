@@ -1,0 +1,29 @@
+"""Generic solvers kept only as test oracles for the direct constructions."""
+
+from fractions import Fraction
+from math import lcm
+
+from affine_crystals.linalg import PRIME, _echelon
+
+
+def nullspace(a, ncols: int, p: int | None = PRIME):
+    """Reduced-echelon basis of the right nullspace (vectors of length ncols).
+
+    Back-substitutes each free column on ``linalg._echelon``'s form: 1 at its
+    own free column, 0 at the others; over Q cleared to integer vectors."""
+    rows, pivots, _ = _echelon(a, ncols, p)
+    inv = [pow(row[c], -1, p) if p is not None else Fraction(1, row[c])
+           for row, c in zip(rows, pivots)]
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[free] = 1
+        for row, c, s in reversed(list(zip(rows, pivots, inv))):
+            v[c] = -s * sum(row[j] * v[j] for j in range(c + 1, free + 1))
+            if p is not None:
+                v[c] %= p
+        if p is None:
+            den = lcm(*(Fraction(x).denominator for x in v))
+            v = [int(x * den) for x in v]
+        basis.append(v)
+    return basis

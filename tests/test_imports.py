@@ -1,6 +1,8 @@
 """Every module-level import of the package is used in its module."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -32,3 +34,18 @@ def test_module_imports_are_used(path):
 def test_unused_import_is_reported():
     assert _unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "line 1: os", "line 2: b"]
+
+
+@pytest.mark.parametrize("module,name", [
+    ("paths", "path_apply"), ("paths", "_apply_window"), ("paths", "ground_elem"),
+    ("walls", "path_to_walls"), ("crystal_core", "signature"),
+])
+def test_counted_functions_stay_module_level(module, name):
+    # perfbench's counted run reads these call counts off the profiler by
+    # module file and function name: a rename, a nesting or a wrapper would
+    # silently read 0
+    mod = importlib.import_module(f"affine_crystals.{module}")
+    fn = getattr(mod, name, None)
+    assert inspect.isfunction(fn), f"{module}.{name} is not a plain function"
+    assert fn.__module__ == mod.__name__
+    assert fn.__qualname__ == fn.__code__.co_name == name

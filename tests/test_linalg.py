@@ -10,10 +10,11 @@ from affine_crystals.linalg import (
     gm_zero,
     independent_rows,
     mat_mul,
-    nullspace,
     rank,
     sparse_rows,
 )
+
+from oracles import nullspace
 
 FIELDS = (PRIME, None)
 

@@ -2,7 +2,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from affine_crystals.cartan import cl_root, root, weight
 from affine_crystals.crystal_core import check_axioms, generate_graph, signature, tensor_apply
@@ -23,8 +23,10 @@ from affine_crystals.paths import (
     raising_steps,
     word_alpha,
 )
-from affine_crystals.perfect import AdjElem, B1Elem, ground_adj, ground_b1, ground_bn
+from affine_crystals.perfect import (AdjElem, B1Elem, all_adj, all_b1, all_bn, ground_adj,
+                                     ground_b1, ground_bn)
 from affine_crystals.suites import random_dominant, random_word
+from affine_crystals.walls import path_to_walls, walls_to_path
 
 LAM = weight((2, 1, 0))
 WORD = parse_word("1^4 2^5 1^2 0^4 2 1")
@@ -185,6 +187,66 @@ def test_truncation_independence(p):
         for wide in (w + 3, 2 * w):
             minus, plus = signature(i, [p.factor(k) for k in range(wide - 1, -1, -1)])
             assert (p.eps(i), p.phi(i)) == (sum(1 for idx in minus if idx != 0), len(plus))
+
+
+def _check_filled_windows(p):
+    """Every e_i/f_i of p: the window path_apply fills in equals a fresh
+    path's, the result is the signature rule on a wider window, and p's own
+    window is left as it was."""
+    before = list(p._window)
+    for i in range(p.n + 1):
+        for op in ("e", "f"):
+            q = path_apply(op, i, p)
+            assert q == _apply_on_window(op, i, p, p.tail_start + p.n + 5)
+            if q is not None:
+                assert "_window" in vars(q)
+                assert q._window == Path(q.lam, q.kind, q.devs)._window
+            assert p._window == before
+
+
+@given(lowered_paths())
+@example(ground_path(LAM, "Ad"))
+@example(from_word(LAM, "B1", [(1, 1)]))
+@example(from_word(LAM, "Bn", WORD))
+def test_path_apply_fills_the_window_of_a_fresh_path(p):
+    _check_filled_windows(p)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_filled_windows_on_trims_and_extensions(kind):
+    # f_1 on the ground path extends the tail by one factor (window grows);
+    # e_1 back trims it to ground (window shrinks); then every path on the
+    # greedy raising walk of a long word, whose tail shrinks to nothing
+    g = ground_path(LAM, kind)
+    one = path_apply("f", 1, g)
+    assert one.tail_start == 1 and path_apply("e", 1, one) == g
+    for p in (g, one):
+        _check_filled_windows(p)
+    p = from_word(LAM, kind, WORD)
+    while p.tail_start:
+        _check_filled_windows(p)
+        p = next(q for q in (path_apply("e", i, p) for i in range(3)) if q is not None)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_raising_steps_on_random_factor_paths(kind):
+    # any finite deviation from the ground tail is an element of B(lam), so
+    # raising one window in place must reach the ground path, agree with
+    # raising through path_apply, and (B1/Bn) invert to walls and back
+    rng = random.Random(100 + KINDS.index(kind))
+    elements = {"B1": all_b1, "Bn": all_bn, "Ad": all_adj}[kind]
+    for _ in range(30):
+        n, lvl = rng.randint(1, 3), rng.randint(1, 3)
+        lam = random_dominant(n, lvl, rng)
+        pool = elements(n, lvl)
+        p = make_path(lam, kind, [rng.choice(pool) for _ in range(rng.randint(0, 5))])
+        steps = raising_steps(p)
+        assert steps == _oracle_raising_steps(p)
+        if kind != "Ad":
+            alpha = root([sum(1 for i, _ in steps if i == c) for c in range(n + 1)])
+            walls = path_to_walls(n, lam, p, alpha, "P1" if kind == "B1" else "Pn")
+            assert walls.block_count() == len(steps)
+            assert walls_to_path(n, walls) == p
 
 
 def _fresh_values(p):

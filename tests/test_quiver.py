@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from affine_crystals import golden, quiver
 from affine_crystals.cartan import RootVec, root, weight, zero_root
-from affine_crystals.linalg import (PRIME, gm_compose, gm_from_blocks, gm_zero, nullspace, rank,
-                                    zero_blocks)
+from affine_crystals.linalg import PRIME, gm_compose, gm_from_blocks, gm_zero, rank, zero_blocks
 from affine_crystals.paths import from_word
 from affine_crystals.quiver import (
     GenericityError,
@@ -29,6 +28,8 @@ from affine_crystals.quiver import (
 )
 from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import column_content, make_walls, path_to_walls
+
+from oracles import nullspace
 
 N, LAM = golden.N, golden.LAM
 WP1 = make_walls("P1", **golden.WALLS_P1)

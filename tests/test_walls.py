@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affine_crystals import golden
 from affine_crystals.cartan import RootVec, cl_root, decompose, root, rotate, weight, zero_root
 from affine_crystals.paths import from_word, ground_elem, ground_path
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import (
+    WALL_KINDS,
     InversionError,
+    _fits,
     block_color,
     column_content,
     make_walls,
@@ -261,6 +264,37 @@ def test_strip_terminates():
         walls, _ = strip_column0(N, walls)
         steps += 1
     assert steps <= WP1.n_cols()
+
+
+def _grown(heights, w, pos):
+    """A copy of heights with one more block on wall w at column pos."""
+    out = [list(h) for h in heights]
+    out[w] += [0] * (pos + 1 - len(out[w]))
+    out[w][pos] += 1
+    return out
+
+
+@pytest.mark.parametrize("kind", WALL_KINDS)
+@given(n=st.integers(1, 4), ell=st.integers(1, 5), rng=st.randoms(use_true_random=False))
+@settings(max_examples=40)
+def test_fits_equals_validate_of_the_grown_tuple(kind, n, ell, rng):
+    # grow a random valid tuple from the empty one; at every state, the local
+    # test of each wall at each column up to len + 1 agrees with the full one
+    charges = sorted(rng.randint(0, n) for _ in range(ell))
+    heights = [[] for _ in charges]
+    for _ in range(rng.randint(1, 30)):
+        fitting = []
+        for w, h in enumerate(heights):
+            for pos in range(len(h) + 2):
+                want = validate(n, make_walls(kind, charges, _grown(heights, w, pos)))[0]
+                before = [list(x) for x in heights]
+                assert _fits(n, kind, charges, heights, w, pos) == want, (heights, w, pos)
+                assert heights == before  # restored in place
+                if want:
+                    fitting.append((w, pos))
+        if not fitting:
+            break
+        heights = _grown(heights, *rng.choice(fitting))
 
 
 def test_json_roundtrip():
