@@ -24,13 +24,20 @@ from .suites import run_suite
 KIND_BY_FLAG = {"b1": "B1", "bn": "Bn", "ad": "Ad"}
 
 
-def _dump(data, path: str | None):
-    text = json.dumps(data, sort_keys=True, indent=2)
-    if path:
+def _write(text: str, path: str | None):
+    """Print text, or write it to the --out file; a failed write is one usage error."""
+    if not path:
+        print(text)
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as err:
+        _usage_error(f"--out: cannot write {path!r}: {err.strerror or err}")
+
+
+def _dump(data, path: str | None):
+    _write(json.dumps(data, sort_keys=True, indent=2), path)
 
 
 def _seed(args) -> int:
@@ -143,12 +150,7 @@ def cmd_graph(args) -> int:
     if not g.complete:
         lines.append('  meta [label="truncated", shape=box];')
     lines.append("}")
-    text = "\n".join(lines)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write("\n".join(lines), args.out)
     return 0
 
 

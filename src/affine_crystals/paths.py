@@ -9,10 +9,10 @@ junction symbols cancel and a larger window changes nothing.  Only the "-"
 symbols of the leftmost window factor survive from the tail: an e_i landing
 there annihilates the path, and no f_i lands there.  A property test, not the
 run time, compares each operator with its value on larger windows.  The ground
-factors are one period per (lam, kind) in a bounded cache; a Path caches the rest.
-An operator builds its result from the window it read: the deviations are a
-slice of it, and the result's window is it with one factor replaced.  Raising
-edits one copy of the window in place.
+factors are one period per (lam, kind) in a bounded cache; a Path caches the rest,
+with one signature record per i that eps_i, phi_i, e_i and f_i all read.  An
+operator's result reuses the window it read: its deviations are a slice, its
+window the same with one factor replaced.  Raising edits one window in place.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
 ``factor_from_content``: the weight section of wt(ground factor k) - cl(content).
@@ -87,8 +87,8 @@ def factor_from_content(lam: Weight, kind: str, k: int, content: RootVec):
 class Path:
     """Normalized path: devs[k] is the factor at position k for k < tail_start.
 
-    _window, wt, eps/phi and the hash are cached on first use: exact, since the
-    instance is immutable, and the cache dies with the path."""
+    _window, wt, the hash and each i's signature record are cached on first use,
+    exact as the path is immutable; one i at a time, as from_word reads one i."""
 
     lam: Weight
     kind: str
@@ -118,11 +118,18 @@ class Path:
         return sum((dev.wt() - ground_elem(self.lam, self.kind, k).wt()
                     for k, dev in enumerate(self.devs)), self.lam)
 
-    @cached_property
-    def _eps_phi(self) -> tuple[tuple[int, int], ...]:
-        # "-" symbols owned by the leftmost window factor belong to the tail: not counted
-        sigs = [signature(i, self._window) for i in range(self.n + 1)]
-        return tuple((len(minus) - minus.count(0), len(plus)) for minus, plus in sigs)
+    _records = cached_property(lambda self: [None] * (self.n + 1))
+
+    def _record(self, i: int) -> tuple:
+        """(eps_i, phi_i, e-owner, f-owner); the leftmost factor's "-" count in neither."""
+        records = self._records
+        i %= len(records)
+        rec = records[i]
+        if rec is None:
+            minus, plus = signature(i, self._window)
+            rec = records[i] = (len(minus) - minus.count(0), len(plus),
+                                (minus[-1] or None) if minus else None, plus[0] if plus else None)
+        return rec
 
     _hash = cached_property(lambda self: hash((self.lam, self.kind, self.devs)))
 
@@ -136,10 +143,10 @@ class Path:
         return self._wt
 
     def eps(self, i: int) -> int:
-        return self._eps_phi[i % (self.n + 1)][0]
+        return self._record(i)[0]
 
     def phi(self, i: int) -> int:
-        return self._eps_phi[i % (self.n + 1)][1]
+        return self._record(i)[1]
 
     def e(self, i: int):
         return path_apply("e", i, self)
@@ -167,18 +174,18 @@ def ground_path(lam: Weight, kind: str) -> Path:
 def _apply_window(op: str, i: int, p: Path):
     """(path, changed position) of e_i/f_i on p's window, or None.
 
-    The result's deviations are a slice of p's window, and its window is that
-    window with the one factor replaced, cut or extended by ground factors."""
-    facs = p._window
-    res = tensor_apply(op, i, facs)
-    if res is None:
+    The result reuses p's window with one factor replaced, cut or extended by ground factors."""
+    if op not in ("e", "f"):
+        raise ValueError(f"op must be 'e' or 'f', got {op!r}")
+    idx = p._record(i)[2 if op == "e" else 3]
+    if idx is None:
         return None
-    idx, elem = res
-    if idx == 0:
-        # leftmost window factor is deep in the ground tail
-        if op == "e":
-            return None
-        raise AssertionError("f acted on the window boundary; window too small")
+    if idx == 0:  # never an e-owner; an f_i there is ruled out by the window lemma
+        raise RuntimeError(f"{op}_{i} acted on the leftmost window factor of {p}")
+    facs = p._window
+    elem = facs[idx].e(i) if op == "e" else facs[idx].f(i)
+    if elem is None:
+        raise ValueError(f"{op}_{i} does not act on {facs[idx]}, which owns a surviving symbol")
     size = len(facs)
     pos = size - 1 - idx
     window = facs.copy()
@@ -186,7 +193,8 @@ def _apply_window(op: str, i: int, p: Path):
     top = max(p.tail_start, pos + 1)
     out = make_path(p.lam, p.kind, window[:size - 1 - top:-1])  # positions 0 .. top - 1
     grow = out.tail_start + p.n + 2 - size
-    vars(out)["_window"] = window[-grow:] if grow < 0 else (  # fills the cached property
+    vars(out)["_records"] = [None] * len(p._records)  # fills the cached properties
+    vars(out)["_window"] = window[-grow:] if grow < 0 else (
         [ground_elem(p.lam, p.kind, k) for k in range(size + grow - 1, size - 1, -1)] + window)
     return out, pos
 

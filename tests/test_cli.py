@@ -181,6 +181,21 @@ def test_bad_word_is_a_usage_error(args):
     assert len(lines) == 1 and lines[0].startswith("error: --word")
 
 
+@pytest.mark.parametrize("command", [
+    ["path", "--n", "2", "--lambda", "2,1,0", "--word", "1"],
+    ["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "1"],
+    ["graph", "--crystal", "b1", "--n", "2", "--max-nodes", "5"],
+], ids=["path", "quiver", "graph"])
+@pytest.mark.parametrize("target", ["missing-dir", "a-directory"])
+def test_unwritable_out_is_one_usage_error(command, target, tmp_path):
+    out = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path
+    proc = run_cli(command + ["--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: --out: cannot write {str(out)!r}")
+
+
 def test_quiver_command_dead_word():
     proc = run_cli(["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "0^9"])
     assert proc.returncode == 1

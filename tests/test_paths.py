@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import example, given, strategies as st
 
+from affine_crystals import paths
 from affine_crystals.cartan import cl_root, root, weight
 from affine_crystals.crystal_core import check_axioms, generate_graph, signature, tensor_apply
 from affine_crystals.paths import (
@@ -290,6 +291,85 @@ def test_cached_values_equal_a_fresh_recomputation(p):
     copy = pickle.loads(pickle.dumps(p))
     assert copy == p and "_hash" not in vars(copy) and hash(copy) == hash(p)
     assert _ground.cache_info().maxsize is not None
+
+
+def _counted_signatures(monkeypatch):
+    """Route the path layer's signature calls through a counter; returns its call list."""
+    calls = []
+    real = paths.signature
+
+    def counted(i, factors):
+        calls.append(i)
+        return real(i, factors)
+
+    monkeypatch.setattr(paths, "signature", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_signature_per_node_and_index_in_a_ball(kind, monkeypatch):
+    # generate_graph reads e_i and f_i of every node, check_axioms its eps/phi
+    # and the e_i/f_i of every edge's target: one signature per (node, i) serves all
+    calls = _counted_signatures(monkeypatch)
+    g = generate_graph(ground_path(LAM, kind), max_nodes=120)
+    assert not check_axioms(g)
+    assert len(g.nodes) == 120 and len(calls) == len(g.nodes) * (LAM.n + 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_one_signature_per_letter_of_a_word(kind, monkeypatch):
+    # each path on the lowering walk is asked for the one i of its letter
+    calls = _counted_signatures(monkeypatch)
+    from_word(LAM, kind, WORD)
+    assert calls == [i for i, mult in reversed(WORD) for _ in range(mult)]
+
+
+def test_path_apply_after_eps_phi_reads_no_signature(monkeypatch):
+    p = Path(LAM, "Bn", from_word(LAM, "Bn", WORD).devs)
+    counts = [(p.eps(i), p.phi(i)) for i in range(LAM.n + 1)]
+    calls = _counted_signatures(monkeypatch)
+    for i in range(LAM.n + 1):
+        for op in ("e", "f"):
+            path_apply(op, i, p)
+    assert [(p.eps(i), p.phi(i)) for i in range(LAM.n + 1)] == counts
+    assert calls == []
+
+
+@given(lowered_paths())
+@example(ground_path(LAM, "Ad"))
+@example(from_word(LAM, "B1", WORD))
+def test_records_do_not_depend_on_the_order_of_reads(p):
+    # operators first on one fresh instance, eps/phi first on another: the same
+    # values, equal to a fresh recomputation and to the rule on a wider window
+    indices = range(p.n + 1)
+
+    def apply_all(q):
+        return [path_apply(op, i, q) for i in indices for op in ("e", "f")]
+
+    def counts(q):
+        return [(q.eps(i), q.phi(i)) for i in indices]
+
+    ops_first, counts_first = Path(p.lam, p.kind, p.devs), Path(p.lam, p.kind, p.devs)
+    applied = apply_all(ops_first)
+    read = counts(ops_first)
+    assert counts(counts_first) == read and apply_all(counts_first) == applied
+    assert read == _fresh_values(p)[2]
+    wide = p.tail_start + p.n + 5
+    assert applied == [_apply_on_window(op, i, p, wide) for i in indices for op in ("e", "f")]
+    with pytest.raises(ValueError, match="op must be 'e' or 'f'"):
+        path_apply("x", 0, ops_first)
+
+
+def test_forged_records_raise_typed_errors():
+    # a record whose f-owner is the leftmost window factor, or whose owner
+    # refuses the operator, is a broken invariant and says which one
+    p = Path(LAM, "B1", ())
+    vars(p)["_records"] = [(0, 1, None, 1), (0, 1, None, 0), None]
+    assert p._window[1].f(0) is None
+    with pytest.raises(ValueError, match="f_0 does not act on"):
+        path_apply("f", 0, p)
+    with pytest.raises(RuntimeError, match="f_1 acted on the leftmost window factor of ground"):
+        path_apply("f", 1, p)
 
 
 def test_path_axioms_small_balls():
