@@ -14,7 +14,7 @@ from .iso import (
     run_pipeline,
 )
 from .linalg import PRIME, GradedMap
-from .paths import Path, factor_from_content, from_word, ground_path, parse_word
+from .paths import Path, factor_from_content, from_word, ground_path, lowering_steps, parse_word
 from .perfect import (
     AdjElem,
     B1Elem,

@@ -27,7 +27,7 @@ KIND_BY_FLAG = {"b1": "B1", "bn": "Bn", "ad": "Ad"}
 def _write(text: str, path: str | None):
     """Print text, or write it to the --out file; a failed write is one usage error."""
     if not path:
-        print(text)
+        print(text, flush=True)  # a closed pipe fails here, inside main, not at exit
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
     for c in checks:
         print(c.line())
     failed = [c for c in checks if not c.ok]
-    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed")
+    print(f"{len(checks) - len(failed)}/{len(checks)} checks passed", flush=True)
     return 1 if failed else 0
 
 
@@ -206,7 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout; devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

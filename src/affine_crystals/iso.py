@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from .cartan import RootVec, Weight, cl_root, root, rotate
 from .linalg import PRIME, GradedMap
-from .paths import Path, factor_from_content, from_word, make_path, raising_steps, word_alpha
+from .paths import (InversionError, Path, factor_from_content, from_word, lowering_steps,
+                    make_path, path_to_json, word_alpha)
 from .perfect import AdjElem, B1Elem, BnElem, merge_pair
 from .quiver import (
     KernelTable,
@@ -32,7 +33,7 @@ from .quiver import (
     sample_in_commutant,
     wall_graded_map,
 )
-from .walls import PATH_KIND, WallTuple, path_to_walls, strip_column0, wall_lambda
+from .walls import PATH_KIND, WallTuple, path_to_walls, strip_column0, wall_lambda, walls_to_json
 
 
 def _row_path(kt: KernelTable, lam: Weight, kind: str, seq: str) -> Path:
@@ -69,8 +70,16 @@ def peel_column0(n: int, walls: WallTuple) -> tuple[WallTuple, B1Elem | BnElem]:
 
 
 def raising_word(path: Path) -> list[int]:
-    """Greedy e-word from the element up to the highest weight element."""
-    return [i for i, _ in raising_steps(path)]
+    """Greedy e-word from the element up to the highest weight element: the
+    lowest i with eps_i > 0 at every step."""
+    word = []
+    while (i := next((i for i in range(path.n + 1) if path.eps(i)), None)) is not None:
+        path = path.e(i)
+        word.append(i)
+    if path.devs:
+        raise InversionError(f"raising stopped at {path} after {len(word)} steps, "
+                             "below the ground path")
+    return word
 
 
 def peel_adj(n: int, walls: WallTuple, kt: KernelTable) -> tuple[WallTuple, AdjElem]:
@@ -85,11 +94,11 @@ def peel_adj(n: int, walls: WallTuple, kt: KernelTable) -> tuple[WallTuple, AdjE
     pad = adj_path_from_kernels(kt, lam)
     shifted = make_path(lam, "Ad", pad.devs[1:])
     eword = [(i, 1) for i in raising_word(shifted)]
-    # the first raising index is the last lowering one, which from_word
+    # the first raising index is the last lowering one, which lowering_steps
     # applies first when the word is read in recorded order
-    lowered = from_word(lam, "B1", eword)
+    lowered, steps = lowering_steps(lam, "B1", eword)
     alpha_rest = root(word_alpha(n, eword))
-    rest = path_to_walls(n, lam, lowered, alpha_rest, "P1")
+    rest = path_to_walls(n, lam, lowered, steps, alpha_rest, "P1")
     return rest, pad.factor(0)
 
 
@@ -135,13 +144,15 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> Iso
     alpha = root(word_alpha(n, word))
     report = IsoReport(lam=lam, word=word, alpha=alpha)
 
-    for kind in ("B1", "Bn", "Ad"):
-        report.direct[kind] = from_word(lam, kind, word)
+    steps = {}
+    for kind in ("B1", "Bn"):
+        report.direct[kind], steps[kind] = lowering_steps(lam, kind, word)
+    report.direct["Ad"] = from_word(lam, "Ad", word)
     if cl_root(alpha) != lam - report.direct["B1"].wt():
         raise ValueError(f"word content {alpha} does not match the weight of its B1 path")
 
-    report.walls_p1 = path_to_walls(n, lam, report.direct["B1"], alpha, "P1")
-    report.walls_pn = path_to_walls(n, lam, report.direct["Bn"], alpha, "Pn")
+    report.walls_p1 = path_to_walls(n, lam, report.direct["B1"], steps["B1"], alpha, "P1")
+    report.walls_pn = path_to_walls(n, lam, report.direct["Bn"], steps["Bn"], alpha, "Pn")
     x, report.units_x = wall_graded_map(n, report.walls_p1)
     _, report.units_xbar = wall_graded_map(n, report.walls_pn)
 
@@ -172,9 +183,6 @@ def _stable_once(lam: Weight, x: GradedMap, basis, seed: int, p) -> bool:
 
 
 def report_to_json(report: IsoReport) -> dict:
-    from .paths import path_to_json
-    from .walls import walls_to_json
-
     return {
         "schema": "v1",
         "lambda": list(report.lam.a),

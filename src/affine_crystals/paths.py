@@ -12,7 +12,8 @@ run time, compares each operator with its value on larger windows.  The ground
 factors are one period per (lam, kind) in a bounded cache; a Path caches the rest,
 with one signature record per i that eps_i, phi_i, e_i and f_i all read.  An
 operator's result reuses the window it read: its deviations are a slice, its
-window the same with one factor replaced.  Raising edits one window in place.
+window the same with one factor replaced.  A lowering walk reads the position
+each f_i changes off the same record, and the wall tuples replay those steps.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
 ``factor_from_content``: the weight section of wt(ground factor k) - cl(content).
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .cartan import RootVec, Weight, cl_root, weight
-from .crystal_core import signature, tensor_apply
+from .crystal_core import signature
 from .perfect import (
     AdjElem,
     B1Elem,
@@ -206,49 +207,31 @@ def path_apply(op: str, i: int, p: Path):
     return None if res is None else res[0]
 
 
-def from_word(lam: Weight, kind: str, word) -> Path:
+def lowering_steps(lam: Weight, kind: str, word) -> tuple[Path, list[tuple[int, int]]]:
     """Fold f-operators over the ground path; the rightmost token acts first.
 
     word is a sequence of (index, multiplicity) pairs in written order; an
-    index outside 0..n raises WordIndexError.
+    index outside 0..n raises WordIndexError.  Returns the path and its steps
+    in the order they act: ``(i, pos)`` when f_i changed the factor at ``pos``,
+    read off the f-owner of the signature record f_i used.
     """
     word = list(word)
     word_alpha(lam.n, word)  # raises WordIndexError for an index outside 0..n
     p = ground_path(lam, kind)
+    steps = []
     for i, mult in reversed(word):
         for _ in range(mult):
             nxt = path_apply("f", i, p)
             if nxt is None:
                 raise DeadWordError(f"f_{i} annihilates the path at {p}")
+            steps.append((i, len(p._window) - 1 - p._record(i)[3]))
             p = nxt
-    return p
+    return p, steps
 
 
-def raising_steps(path: Path) -> list[tuple[int, int]]:
-    """Greedy raising to the ground path, lowest index first at every step.
-
-    Each step is ``(i, pos)``: e_i acted and changed the factor at ``pos``.
-    All steps edit one copy of the path's window in place; the window only
-    gets larger than needed as the path rises, which the window lemma allows.
-    A step takes the first i whose rightmost surviving "-" is not owned by the
-    leftmost factor, i.e. the first i with eps_i > 0.
-    """
-    facs = list(path._window)
-    top = len(facs) - 1
-    steps: list[tuple[int, int]] = []
-    while True:
-        for i in range(path.n + 1):
-            res = tensor_apply("e", i, facs)
-            if res is not None and res[0]:
-                idx, facs[idx] = res
-                steps.append((i, top - idx))
-                break
-        else:
-            break
-    if any(f != ground_elem(path.lam, path.kind, top - idx) for idx, f in enumerate(facs)):
-        raise InversionError(f"raising stopped at {make_path(path.lam, path.kind, facs[::-1])} "
-                             f"after {len(steps)} steps, below the ground path")
-    return steps
+def from_word(lam: Weight, kind: str, word) -> Path:
+    """The path of ``lowering_steps``, without its steps."""
+    return lowering_steps(lam, kind, word)[0]
 
 
 _TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")

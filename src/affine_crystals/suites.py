@@ -24,7 +24,7 @@ from .iso import (
     run_pipeline,
 )
 from .linalg import PRIME
-from .paths import from_word, ground_path, word_alpha
+from .paths import from_word, ground_path, lowering_steps, word_alpha
 from .perfect import (
     all_adj,
     all_b1,
@@ -102,8 +102,8 @@ def suite_example(seed: int = 0) -> list[Check]:
     out: list[Check] = []
     lam, word, n = golden.LAM, golden.WORD, golden.N
     t0 = time.monotonic()
-    p1 = from_word(lam, "B1", word)
-    pn = from_word(lam, "Bn", word)
+    p1, steps1 = lowering_steps(lam, "B1", word)
+    pn, stepsn = lowering_steps(lam, "Bn", word)
     pad = from_word(lam, "Ad", word)
     elapsed = time.monotonic() - t0
 
@@ -122,8 +122,8 @@ def suite_example(seed: int = 0) -> list[Check]:
            f"elapsed {elapsed:.2f}s")
 
     t0 = time.monotonic()
-    wp1 = path_to_walls(n, lam, p1, golden.ALPHA, "P1")
-    wpn = path_to_walls(n, lam, pn, golden.ALPHA, "Pn")
+    wp1 = path_to_walls(n, lam, p1, steps1, golden.ALPHA, "P1")
+    wpn = path_to_walls(n, lam, pn, stepsn, golden.ALPHA, "Pn")
     x, ux = wall_graded_map(n, wp1)
     xb_wall, uxb = wall_graded_map(n, wpn)
     elapsed = time.monotonic() - t0
@@ -332,9 +332,9 @@ def suite_bridge(seed: int = 0) -> list[Check]:
     ok11 = True
     det11 = ""
     for n, lam, word in cases:
-        p1 = from_word(lam, "B1", word)
+        p1, steps = lowering_steps(lam, "B1", word)
         alpha = root(word_alpha(n, word))
-        walls = path_to_walls(n, lam, p1, alpha, "P1")
+        walls = path_to_walls(n, lam, p1, steps, alpha, "P1")
         if walls.block_count() == 0:
             continue
         rest, elem = peel_column0(n, walls)

@@ -17,9 +17,9 @@ delta-direction redundancy).
 
 Column j of a tuple is read as path factor j (``walls_to_path``), through
 ``paths.factor_from_content`` with the column's content.  The
-inverse ``path_to_walls`` replays the path's greedy raising word backwards
-from the empty tuple: each lowering step f_i adds one i-block, in the column
-of the factor it changes, to the one wall where the block fits.  One block
+inverse ``path_to_walls`` replays the lowering steps that reached the path
+from the empty tuple: each f_i adds one i-block, in the column of the factor
+it changed, to the one wall where the block fits.  One block
 changes one column and one row length, so the fit test (``_fits``) checks
 just those; ``validate`` runs the same per-column and per-length rules over
 the whole tuple.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import RootVec, Weight, decompose, fundamental_weight, zero_root, zero_weight
-from .paths import InversionError, Path, factor_from_content, make_path, raising_steps
+from .paths import InversionError, Path, factor_from_content, make_path
 
 WALL_KINDS = ("P1", "Pn")
 PATH_KIND = {"P1": "B1", "Pn": "Bn"}  # the path model each wall kind realizes
@@ -172,22 +172,22 @@ def walls_to_path(n: int, walls: WallTuple) -> Path:
                                  for j in range(walls.n_cols())])
 
 
-def path_to_walls(n: int, lam: Weight, path: Path, alpha: RootVec, kind: str) -> WallTuple:
-    """Invert walls_to_path by replaying the raising word, one block per step.
+def path_to_walls(n: int, lam: Weight, path: Path, steps, alpha: RootVec,
+                  kind: str) -> WallTuple:
+    """Invert walls_to_path by replaying the path's lowering steps, one block each.
 
-    Every f_i on the path side adds one i-block to one wall, in the column of
-    the factor it changes, and lowers that column's classical weight by
-    exactly alpha_i.  So the greedy raising steps (i, pos), replayed in
-    reverse from the empty tuple, build the wall tuple block by block: at
-    each step exactly one wall must take an i-block at column pos and stay
-    valid.  The steps edit one heights list per wall in place.  The result
-    must be valid, have content alpha and map back to the path.
+    steps are the (i, pos) of ``paths.lowering_steps``, in the order they act:
+    f_i changed the factor at pos, which lowers that column's classical weight
+    by exactly alpha_i.  So each step adds one i-block at column pos, and
+    exactly one wall must take it and stay valid.  The steps edit one heights
+    list per wall in place.  The result must be valid, have content alpha and
+    map back to the path, whatever word the steps came from.
     """
     if path.lam != lam:
         raise ValueError("path does not belong to the given weight")
     charges = decompose(lam)
     heights: list[list[int]] = [[] for _ in charges]
-    for t, (i, pos) in enumerate(reversed(raising_steps(path))):
+    for t, (i, pos) in enumerate(steps):
         fits = [w for w, h in enumerate(heights)
                 if block_color(n, kind, charges[w], (h[pos] if pos < len(h) else 0) + 1, pos) == i
                 and _fits(n, kind, charges, heights, w, pos)]

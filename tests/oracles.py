@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 from affine_crystals.linalg import PRIME, _echelon
+from affine_crystals.paths import path_apply
 
 
 def nullspace(a, ncols: int, p: int | None = PRIME):
@@ -27,3 +28,25 @@ def nullspace(a, ncols: int, p: int | None = PRIME):
             v = [int(x * den) for x in v]
         basis.append(v)
     return basis
+
+
+def changed_positions(p, q):
+    """The factor positions where paths p and q differ."""
+    top = max(p.tail_start, q.tail_start) + 1
+    return [k for k in range(top) if p.factor(k) != q.factor(k)]
+
+
+def raising_steps(p):
+    """Greedy raising through path_apply, in raising order: the first i whose
+    e_i acts, and the one factor position where the raised path differs."""
+    steps = []
+    while True:
+        for i in range(p.n + 1):
+            nxt = path_apply("e", i, p)
+            if nxt is not None:
+                (pos,) = changed_positions(p, nxt)
+                steps.append((i, pos))
+                p = nxt
+                break
+        else:
+            return steps

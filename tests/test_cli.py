@@ -23,6 +23,22 @@ def run_cli(args, env_seed=None):
     return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
 
 
+@pytest.mark.parametrize("args", [
+    ["graph", "--crystal", "b1", "--n", "3", "--level", "3", "--max-nodes", "2000"],
+    ["verify", "example"],
+], ids=["graph", "verify-example"])
+def test_closed_stdout_ends_without_a_traceback(args):
+    # the read end is closed before the child starts, so every write fails
+    # whatever the pipe buffer holds: exit 1, nothing on stderr
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "CRYSTAL_SEED"}
+    proc = subprocess.Popen(RUN + args, stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    os.close(write)
+    _, err = proc.communicate(timeout=300)
+    assert (proc.returncode, err) == (1, "")
+
+
 def test_path_command_worked_example(tmp_path):
     out = tmp_path / "p.json"
     rc = main(["path", "--n", "2", "--lambda", "2,1,0", "--kind", "ad",

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from affine_crystals import golden
+from affine_crystals import golden, paths
 from affine_crystals.cartan import cl_root, root, rotate, weight
 from affine_crystals.iso import (
     adj_path_from_kernels,
@@ -17,11 +17,13 @@ from affine_crystals.iso import (
     run_pipeline,
 )
 from affine_crystals.linalg import PRIME
-from affine_crystals.paths import from_word, ground_path, parse_word, word_alpha
+from affine_crystals.paths import from_word, ground_path, lowering_steps, parse_word, word_alpha
 from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn, render
 from affine_crystals.quiver import KernelTable, commutant_basis, generic_kernel_table, wall_graded_map
 from affine_crystals.suites import random_dominant, random_word, reference_table
-from affine_crystals.walls import make_walls, path_to_walls, strip_column0, walls_to_path
+from affine_crystals.walls import (PATH_KIND, make_walls, path_to_walls, strip_column0,
+                                   walls_to_path)
+from oracles import raising_steps as oracle_raising_steps
 
 N, LAM = golden.N, golden.LAM
 WP1 = make_walls("P1", **golden.WALLS_P1)
@@ -106,8 +108,8 @@ def test_peel_column0_is_strip_and_factor0(kind):
         if lam.level == 0:
             lam = weight([1] + [0] * n)
         word = random_word(lam, rng.randint(0, 12), rng, kind=pkind)
-        p = from_word(lam, pkind, word)
-        tuples.append((n, path_to_walls(n, lam, p, root(word_alpha(n, word)), kind)))
+        p, steps = lowering_steps(lam, pkind, word)
+        tuples.append((n, path_to_walls(n, lam, p, steps, root(word_alpha(n, word)), kind)))
     for n, w in tuples:
         expected = (strip_column0(n, w)[0], walls_to_path(n, w).factor(0))
         assert peel_column0(n, w) == expected
@@ -136,15 +138,34 @@ def test_pipeline_trivial():
 
 
 def test_pipeline_matches_over_random_words():
+    # 100 F_p cases with n <= 5, level <= 6 and 20-60 letters: the three
+    # realizations agree, and each wall tuple, replayed from the word's own
+    # steps, equals the one replayed from the raising oracle's steps
     rng = random.Random(100)
-    for _ in range(8):
-        n = rng.randint(1, 2)
-        lam = random_dominant(n, rng.randint(1, 2), rng)
-        if lam.level == 0:
-            lam = weight([1] + [0] * n)
-        word = random_word(lam, rng.randint(0, 8), rng)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        lam = random_dominant(n, rng.randint(1, 6), rng)
+        word = random_word(lam, rng.randint(20, 60), rng)
         rep = run_pipeline(lam, word, seed=rng.randrange(10**6))
         assert rep.ok, rep.first_mismatch()
+        for kind, walls in (("P1", rep.walls_p1), ("Pn", rep.walls_pn)):
+            path = rep.direct[PATH_KIND[kind]]
+            steps = oracle_raising_steps(path)[::-1]
+            assert path_to_walls(n, lam, path, steps, rep.alpha, kind) == walls
+
+
+def test_pipeline_applies_no_raising_operator(monkeypatch):
+    # the wall tuples replay the word's lowering steps: no e_i acts anywhere
+    ops = []
+    real = paths.path_apply
+
+    def recorded(op, i, p):
+        ops.append(op)
+        return real(op, i, p)
+
+    monkeypatch.setattr(paths, "path_apply", recorded)
+    assert run_pipeline(LAM, golden.WORD, seed=5).ok
+    assert ops == ["f"] * 3 * golden.ALPHA.height
 
 
 def test_report_json():

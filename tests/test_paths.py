@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 from affine_crystals import paths
 from affine_crystals.cartan import cl_root, root, weight
 from affine_crystals.crystal_core import check_axioms, generate_graph, signature, tensor_apply
+from affine_crystals.iso import raising_word
 from affine_crystals.paths import (
     DeadWordError,
     KINDS,
@@ -16,18 +17,19 @@ from affine_crystals.paths import (
     factor_from_content,
     from_word,
     ground_path,
+    lowering_steps,
     make_path,
     parse_word,
     path_apply,
     path_from_json,
     path_to_json,
-    raising_steps,
     word_alpha,
 )
 from affine_crystals.perfect import (AdjElem, B1Elem, all_adj, all_b1, all_bn, ground_adj,
                                      ground_b1, ground_bn)
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import path_to_walls, walls_to_path
+from oracles import changed_positions, raising_steps as oracle_raising_steps
 
 LAM = weight((2, 1, 0))
 WORD = parse_word("1^4 2^5 1^2 0^4 2 1")
@@ -48,47 +50,32 @@ def test_word_index_out_of_range(word):
             from_word(LAM, kind, word)
 
 
-def _changed_positions(p, q):
-    top = max(p.tail_start, q.tail_start) + 1
-    return [k for k in range(top) if p.factor(k) != q.factor(k)]
-
-
-def _oracle_raising_steps(p):
-    """Greedy raising through path_apply: the first i whose e_i acts, and the
-    one factor position where the raised path differs."""
-    steps = []
-    while True:
-        for i in range(p.n + 1):
-            nxt = path_apply("e", i, p)
-            if nxt is not None:
-                (pos,) = _changed_positions(p, nxt)
-                steps.append((i, pos))
-                p = nxt
-                break
-        else:
-            return steps
+def _check_steps(lam, kind, word):
+    """lowering_steps(word): each step's f_i changes exactly the factor at its
+    pos, and the steps rebuild the path from the ground path."""
+    p, steps = lowering_steps(lam, kind, word)
+    assert [i for i, _ in steps] == [i for i, mult in reversed(word) for _ in range(mult)]
+    cur = ground_path(lam, kind)
+    for i, pos in steps:
+        nxt = cur.f(i)
+        assert changed_positions(cur, nxt) == [pos]
+        cur = nxt
+    assert cur == p
+    return p, steps
 
 
 @pytest.mark.parametrize("kind", ["B1", "Bn", "Ad"])
 def test_raising_steps_replay_to_the_path(kind):
-    # lowering the ground path along the reversed steps rebuilds the path,
-    # and each f_i changes exactly the factor at the recorded position
-    p = from_word(LAM, kind, WORD)
-    steps = raising_steps(p)
-    assert len(steps) == sum(m for _, m in WORD)
-    cur = ground_path(LAM, kind)
-    for i, pos in reversed(steps):
-        nxt = cur.f(i)
-        assert _changed_positions(cur, nxt) == [pos]
-        cur = nxt
-    assert cur == p
-    assert raising_steps(ground_path(LAM, kind)) == []
-    # one window per step agrees with raising through path_apply
+    # every lowering step changes exactly the factor at its recorded position;
+    # lowering along the mirror of the raising oracle's word retraces its steps
+    _check_steps(LAM, kind, WORD)
+    assert lowering_steps(LAM, kind, []) == (ground_path(LAM, kind), [])
     rng = random.Random(KINDS.index(kind))
     for _ in range(24):
         lam = random_dominant(rng.randint(1, 3), rng.randint(1, 3), rng)
-        q = from_word(lam, kind, random_word(lam, rng.randint(0, 20), rng, kind=kind))
-        assert raising_steps(q) == _oracle_raising_steps(q)
+        q, _ = _check_steps(lam, kind, random_word(lam, rng.randint(0, 20), rng, kind=kind))
+        raised = oracle_raising_steps(q)
+        assert _check_steps(lam, kind, [(i, 1) for i, _ in raised]) == (q, raised[::-1])
 
 
 def test_ground_paths():
@@ -232,8 +219,8 @@ def test_filled_windows_on_trims_and_extensions(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_raising_steps_on_random_factor_paths(kind):
     # any finite deviation from the ground tail is an element of B(lam), so
-    # raising one window in place must reach the ground path, agree with
-    # raising through path_apply, and (B1/Bn) invert to walls and back
+    # greedy raising must reach the ground path and agree with the oracle, and
+    # (B1/Bn) the walls replayed from the oracle's steps invert and map back
     rng = random.Random(100 + KINDS.index(kind))
     elements = {"B1": all_b1, "Bn": all_bn, "Ad": all_adj}[kind]
     for _ in range(30):
@@ -241,11 +228,11 @@ def test_raising_steps_on_random_factor_paths(kind):
         lam = random_dominant(n, lvl, rng)
         pool = elements(n, lvl)
         p = make_path(lam, kind, [rng.choice(pool) for _ in range(rng.randint(0, 5))])
-        steps = raising_steps(p)
-        assert steps == _oracle_raising_steps(p)
+        steps = oracle_raising_steps(p)
+        assert raising_word(p) == [i for i, _ in steps]
         if kind != "Ad":
             alpha = root([sum(1 for i, _ in steps if i == c) for c in range(n + 1)])
-            walls = path_to_walls(n, lam, p, alpha, "P1" if kind == "B1" else "Pn")
+            walls = path_to_walls(n, lam, p, steps[::-1], alpha, "P1" if kind == "B1" else "Pn")
             assert walls.block_count() == len(steps)
             assert walls_to_path(n, walls) == p
 
@@ -320,8 +307,10 @@ def test_one_signature_per_node_and_index_in_a_ball(kind, monkeypatch):
 def test_one_signature_per_letter_of_a_word(kind, monkeypatch):
     # each path on the lowering walk is asked for the one i of its letter
     calls = _counted_signatures(monkeypatch)
-    from_word(LAM, kind, WORD)
-    assert calls == [i for i, mult in reversed(WORD) for _ in range(mult)]
+    for walk in (from_word, lowering_steps):
+        calls.clear()
+        walk(LAM, kind, WORD)
+        assert calls == [i for i, mult in reversed(WORD) for _ in range(mult)]
 
 
 def test_path_apply_after_eps_phi_reads_no_signature(monkeypatch):
@@ -386,8 +375,6 @@ def test_wt_step_along_edges():
 
 def test_three_kinds_same_abstract_element():
     # identical raising words from the three realizations of the same element
-    from affine_crystals.iso import raising_word
-
     words = {tuple(raising_word(from_word(LAM, kind, WORD))) for kind in ("B1", "Bn", "Ad")}
     assert len(words) == 1
 

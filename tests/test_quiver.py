@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from affine_crystals import golden, quiver
 from affine_crystals.cartan import RootVec, root, weight, zero_root
 from affine_crystals.linalg import PRIME, gm_compose, gm_from_blocks, gm_zero, rank, zero_blocks
-from affine_crystals.paths import from_word
+from affine_crystals.paths import lowering_steps
 from affine_crystals.quiver import (
     GenericityError,
     KernelTable,
@@ -182,7 +182,7 @@ def _random_wall_maps(count):
         word = random_word(lam, rng.randint(0, 12), rng)
         alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
         for kind, path_kind in kinds.items():
-            walls = path_to_walls(n, lam, from_word(lam, path_kind, word), alpha, kind)
+            walls = path_to_walls(n, lam, *lowering_steps(lam, path_kind, word), alpha, kind)
             out.append(wall_graded_map(n, walls)[0])
     return out[:count]
 
@@ -369,9 +369,9 @@ def test_kernel_spans_equal_column_contents():
         if lam.level == 0:
             continue
         word = random_word(lam, rng.randint(1, 10), rng)
-        p = from_word(lam, "B1", word)
+        p, steps = lowering_steps(lam, "B1", word)
         alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
-        walls = path_to_walls(n, lam, p, alpha, "P1")
+        walls = path_to_walls(n, lam, p, steps, alpha, "P1")
         x, _ = wall_graded_map(n, walls)
         acc = zero_root(n)
         ker = power_kernels(x)
@@ -430,7 +430,7 @@ def test_kernel_table_matches_dense_oracle_mid_size_exact():
     lam = weight([1, 1, 0])
     word = random_word(lam, 60, random.Random(3))
     alpha = root([sum(m for i, m in word if i == c) for c in range(3)])
-    x, _ = wall_graded_map(2, path_to_walls(2, lam, from_word(lam, "B1", word), alpha, "P1"))
+    x, _ = wall_graded_map(2, path_to_walls(2, lam, *lowering_steps(lam, "B1", word), alpha, "P1"))
     xbar = sample_in_commutant(commutant_basis(x), x.dims, -1, random.Random(0), None)
     assert sum(x.dims) >= 40
     assert kernel_table_at(x, xbar, None) == _oracle_table(x, xbar, None)
@@ -445,8 +445,8 @@ def commuting_points(draw):
     word = random_word(lam, draw(st.integers(0, 20)), rng)
     kind = draw(st.sampled_from(["P1", "Pn"]))
     alpha = root([sum(m for i, m in word if i == c) for c in range(n + 1)])
-    path = from_word(lam, "B1" if kind == "P1" else "Bn", word)
-    x, _ = wall_graded_map(n, path_to_walls(n, lam, path, alpha, kind))
+    path, steps = lowering_steps(lam, "B1" if kind == "P1" else "Bn", word)
+    x, _ = wall_graded_map(n, path_to_walls(n, lam, path, steps, alpha, kind))
     p = draw(st.sampled_from([PRIME, None]))
     basis = commutant_basis(x)
     return x, sample_in_commutant(basis, x.dims, -x.shift, rng, p), p

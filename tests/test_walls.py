@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from affine_crystals import golden
 from affine_crystals.cartan import RootVec, cl_root, decompose, root, rotate, weight, zero_root
-from affine_crystals.paths import from_word, ground_elem, ground_path
+from affine_crystals.paths import from_word, ground_elem, ground_path, lowering_steps
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import (
     WALL_KINDS,
@@ -172,21 +172,20 @@ def test_walls_to_path_matches_direct():
 
 
 def test_inversion_on_example():
-    p1 = from_word(LAM, "B1", golden.WORD)
-    assert path_to_walls(N, LAM, p1, golden.ALPHA, "P1") == WP1
-    pn = from_word(LAM, "Bn", golden.WORD)
-    assert path_to_walls(N, LAM, pn, golden.ALPHA, "Pn") == WPN
+    for kind, walls in (("P1", WP1), ("Pn", WPN)):
+        p, steps = lowering_steps(LAM, "B1" if kind == "P1" else "Bn", golden.WORD)
+        assert path_to_walls(N, LAM, p, steps, golden.ALPHA, kind) == walls
 
 
 def test_inversion_of_ground_path():
-    walls = path_to_walls(N, LAM, ground_path(LAM, "B1"), zero_root(N), "P1")
+    walls = path_to_walls(N, LAM, ground_path(LAM, "B1"), [], zero_root(N), "P1")
     assert walls.block_count() == 0
 
 
 def test_inversion_rejects_wrong_alpha():
-    p1 = from_word(LAM, "B1", golden.WORD)
+    p1, steps = lowering_steps(LAM, "B1", golden.WORD)
     with pytest.raises(InversionError):
-        path_to_walls(N, LAM, p1, root((4, 7, 3)), "P1")
+        path_to_walls(N, LAM, p1, steps, root((4, 7, 3)), "P1")
 
 
 @pytest.mark.parametrize("kind", ["P1", "Pn"])
@@ -197,9 +196,9 @@ def test_inversion_roundtrip_random(kind):
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
         word = random_word(lam, rng.randint(0, 12), rng, kind=pkind)
-        p = from_word(lam, pkind, word)
+        p, steps = lowering_steps(lam, pkind, word)
         alpha = _alpha(n, word)
-        walls = path_to_walls(n, lam, p, alpha, kind)
+        walls = path_to_walls(n, lam, p, steps, alpha, kind)
         assert validate(n, walls) == (True, "ok")
         assert total_content(n, walls) == alpha
         assert walls_to_path(n, walls) == p
@@ -216,9 +215,9 @@ def test_long_words_roundtrip(kind):
         lam = weights[t % 3]
         n = lam.n
         word = random_word(lam, rng.randint(40, 60), rng, kind=pkind)
-        p = from_word(lam, pkind, word)
+        p, steps = lowering_steps(lam, pkind, word)
         alpha = _alpha(n, word)
-        walls = path_to_walls(n, lam, p, alpha, kind)
+        walls = path_to_walls(n, lam, p, steps, alpha, kind)
         assert validate(n, walls) == (True, "ok")
         assert total_content(n, walls) == alpha
         assert walls_to_path(n, walls) == p
@@ -231,12 +230,16 @@ def test_wall_operator_transport():
     lam = LAM
     p = ground_path(lam, "B1")
     alpha = zero_root(N)
+    word = ()
     for _ in range(12):
         options = [i for i in range(3) if p.phi(i) > 0]
         i = rng.choice(options)
-        p = p.f(i)
+        word = ((i, 1),) + word  # the new letter acts last
+        q, steps = lowering_steps(lam, "B1", word)
+        assert q == p.f(i)
+        p = q
         alpha = alpha + root(tuple(int(c == i) for c in range(3)))
-        walls = path_to_walls(N, lam, p, alpha, "P1")
+        walls = path_to_walls(N, lam, p, steps, alpha, "P1")
         assert walls_to_path(N, walls) == p
 
 
@@ -335,8 +338,8 @@ def test_f_map_injective_small_enumeration():
     ("P1", (1, 1), 1), ("Pn", (0, 1, 0, 1), 3),
 ])
 def test_every_ball_element_has_walls(kind, lam_coeffs, n):
-    # wall-model completeness: each element of the depth-5 ball inverts, and
-    # the exact block count recovers the raising distance
+    # wall-model completeness: each element of the depth-5 ball inverts along
+    # the mirror of its raising word, and the block count is the raising distance
     from affine_crystals.crystal_core import generate_graph
     from affine_crystals.iso import raising_word
     from affine_crystals.paths import ground_path
@@ -348,7 +351,9 @@ def test_every_ball_element_has_walls(kind, lam_coeffs, n):
     for p in g.nodes:
         word = raising_word(p)
         alpha = root([word.count(c) for c in range(n + 1)])
-        walls = path_to_walls(n, lam, p, alpha, kind)
+        lowered, steps = lowering_steps(lam, pkind, [(i, 1) for i in word])
+        assert lowered == p
+        walls = path_to_walls(n, lam, p, steps, alpha, kind)
         assert walls.block_count() == len(word)
         assert walls_to_path(n, walls) == p
         assert walls == _search_path_to_walls(n, lam, p, alpha, kind)
@@ -361,15 +366,17 @@ def test_inversion_guards_hold_under_optimize():
     code = (
         "from affine_crystals import golden\n"
         "from affine_crystals.cartan import root, rotate\n"
-        "from affine_crystals.paths import from_word\n"
+        "from affine_crystals.paths import lowering_steps, parse_word\n"
         "from affine_crystals.walls import InversionError, make_walls, path_to_walls, "
         "strip_column0\n"
         "lam, n = golden.LAM, golden.N\n"
-        "p1 = from_word(lam, 'B1', golden.WORD)\n"
+        "p1, steps = lowering_steps(lam, 'B1', golden.WORD)\n"
+        "_, other = lowering_steps(lam, 'B1', parse_word('2 1^4 2^4 1^2 0^4 2 1'))\n"
         "cases = [\n"
-        "    lambda: path_to_walls(n, lam, p1, root((4, 7, 3)), 'P1'),\n"
-        "    lambda: path_to_walls(n, rotate(lam, 1), p1, golden.ALPHA, 'P1'),\n"
+        "    lambda: path_to_walls(n, lam, p1, steps, root((4, 7, 3)), 'P1'),\n"
+        "    lambda: path_to_walls(n, rotate(lam, 1), p1, steps, golden.ALPHA, 'P1'),\n"
         "    lambda: strip_column0(n, make_walls('P1', (0,), ((2, 1, 2),))),\n"
+        "    lambda: path_to_walls(n, lam, p1, other, golden.ALPHA, 'P1'),  # same content\n"
         "]\n"
         "for case in cases:\n"
         "    try:\n"
@@ -380,4 +387,5 @@ def test_inversion_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["InversionError", "ValueError", "InversionError"]
+    assert proc.stdout.split() == ["InversionError", "ValueError", "InversionError",
+                                   "InversionError"]
