@@ -19,6 +19,7 @@ from .iso import report_to_json, run_pipeline
 from .linalg import PRIME
 from .paths import DeadWordError, WordIndexError, from_word, ground_path, parse_word, path_to_json
 from .perfect import B1Elem, BnElem, ground_adj, render
+from .quiver import GenericityError
 from .suites import run_suite
 
 KIND_BY_FLAG = {"b1": "B1", "bn": "Bn", "ad": "Ad"}
@@ -85,7 +86,7 @@ def _word(args):
         _usage_error(f"--word: {err}")
 
 
-def _dead_word(err: DeadWordError) -> int:
+def _failed(err: Exception) -> int:
     print(f"error: {err}", file=sys.stderr)
     return 1
 
@@ -96,7 +97,7 @@ def cmd_path(args) -> int:
     try:
         p = from_word(lam, kind, _word(args))
     except DeadWordError as err:
-        return _dead_word(err)
+        return _failed(err)
     except WordIndexError as err:
         _usage_error(f"--word: {err}")
     data = path_to_json(p)
@@ -110,8 +111,8 @@ def cmd_quiver(args) -> int:
     p = None if args.field == "qq" else PRIME
     try:
         report = run_pipeline(lam, _word(args), seed=_seed(args), p=p)
-    except DeadWordError as err:
-        return _dead_word(err)
+    except (DeadWordError, GenericityError) as err:
+        return _failed(err)
     except WordIndexError as err:
         _usage_error(f"--word: {err}")
     data = report_to_json(report)

@@ -5,7 +5,7 @@ fraction-free forward elimination serves both fields: over F_p (p = 2^31 - 1)
 a row update is ``(piv * x - f * y) mod p``, over Q (``p=None``) it is
 Bareiss's exact division by the previous pivot, so entries stay integers.
 Pivots are the first nonzero entry in column order.  ``rank`` counts the
-pivots; ``independent_rows`` keeps the original rows that became pivot rows.
+pivots; ``independent_rows`` keeps the original pivot rows and the pivots.
 No solver is left: the commutant is built directly (``quiver.commutant_basis``),
 and the tests keep a nullspace on this elimination as its oracle.
 """
@@ -56,9 +56,10 @@ def rank(a, p: int | None = PRIME) -> int:
     return len(_echelon(a, len(a[0]) if a else 0, p)[1])
 
 
-def independent_rows(a, ncols: int, p: int | None = PRIME) -> list:
-    """A maximal independent subset of the rows of a, as given (not reduced)."""
-    return [a[i] for i in _echelon(a, ncols, p)[2]]
+def independent_rows(a, ncols: int, p: int | None = PRIME) -> tuple[list, list[int]]:
+    """A maximal independent subset of the rows of a, as given, and the pivot columns."""
+    _, pivots, picked = _echelon(a, ncols, p)
+    return [a[i] for i in picked], pivots
 
 
 # --------------------------------------------------------------- graded maps

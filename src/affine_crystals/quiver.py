@@ -17,10 +17,10 @@ cells; see ``commutant_basis`` for the construction and the order of its
 basis.
 
 Kernel tables take no dense powers.  ker x^k is counted on the Jordan
-strings; the other rows come from chains that extend a product one factor at
-a time, keeping a maximal independent set of its actual rows (eliminated
-rows would compound Bareiss growth over Q).  One chain gives both adjoint
-rows, since xbar x = x xbar at a commuting point; see ``kernel_table_at``.
+strings and one chain xbar, xbar^2, ... gives the rest: x^k hits exactly the
+vectors at string depth >= k, so with each basis sorted by depth both adjoint
+ranks are pivot counts in column prefixes of xbar^k; see ``kernel_table_at``.
+Stability needs only the string-end columns; see ``is_stable``.
 
 Generic values are taken as the componentwise minimum over >= 3 independent
 prime-field samples that must agree; disagreement triggers resampling and,
@@ -30,8 +30,9 @@ past a bound, a GenericityError.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import chain, count, cycle, tee
 
 from .cartan import RootVec, Weight, zero_root
 from .linalg import (PRIME, GradedMap, gm_compose, gm_from_blocks, gm_zero, independent_rows,
@@ -229,35 +230,18 @@ class KernelTable:
         }
 
 
-def power_kernels(a: GradedMap) -> tuple[RootVec, ...]:
+def power_kernels(a: GradedMap, strings=None) -> tuple[RootVec, ...]:
     """ker a^k for k = 0, 1, ... until alpha, with no elimination.
 
     a^k kills the last k vectors of each Jordan string and sends the others
     to distinct basis vectors, so ker a^k adds the k-th vector from the end.
     """
-    strings = _jordan_strings(a)
+    strings = _jordan_strings(a) if strings is None else strings
     rows = [zero_root(a.m - 1)]
     for k in range(1, max(map(len, strings), default=0) + 1):
         ends = [string[-k][0] for string in strings if len(string) >= k]
         rows.append(rows[-1] + RootVec(tuple(map(ends.count, range(a.m)))))
     return tuple(rows)
-
-
-def _chain_kernels(dims, factors, p: int | None):
-    """Yield the graded kernels of 1, f1, f1 f2, f1 f2 f3, ..., f cycling in factors.
-
-    Per component V_i it carries a maximal independent set of the actual
-    rows of the block of the product leaving V_i; dim ker is dim V_i minus
-    their number.  Right factor f maps the rows for V_(i + deg f) through the
-    block of f leaving V_i, so the work shrinks with the rank.
-    """
-    m = len(dims)
-    steps = [(f.shift, [sparse_rows(f.block_out(i)) for i in range(m)]) for f in factors]
-    rows = [[[int(r == c) for c in range(d)] for r in range(d)] for d in dims]
-    for shift, right in cycle(steps):
-        yield RootVec(tuple(d - len(r) for d, r in zip(dims, rows)))
-        rows = [independent_rows(mat_mul(rows[(i + shift) % m], right[i], dims[i], p),
-                                 dims[i], p) for i in range(m)]
 
 
 def _filtrations(kernels, names: tuple[str, ...], alpha: RootVec) -> list[tuple[RootVec, ...]]:
@@ -267,10 +251,11 @@ def _filtrations(kernels, names: tuple[str, ...], alpha: RootVec) -> list[tuple[
     commuting point each sequence is nested: a repeat below alpha is a stall.
     """
     seqs: dict[str, list[RootVec]] = {name: [] for name in names}
-    for name, ker in zip(cycle(names), kernels):
+    for name in cycle(names):
         seq = seqs[name]
         if seq and seq[-1] == alpha:
             break
+        ker = next(kernels)
         if seq and ker == seq[-1]:
             raise GenericityError(f"kernel filtration {name} stabilized at {ker} "
                                   f"below alpha = {alpha}")
@@ -281,22 +266,42 @@ def _filtrations(kernels, names: tuple[str, ...], alpha: RootVec) -> list[tuple[
 def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> KernelTable:
     """Kernel table at a commuting point (x, xbar) with x a wall map.
 
-    ker x^k comes from the Jordan strings of x, ker xbar^k from the row
-    chain 1, xbar, xbar^2, ...  One alternating chain 1, xbar, xbar x,
-    xbar x xbar, ... gives both adjoint rows: its even steps are
-    (xbar x)^k = (x xbar)^k, as xbar x = x xbar at a commuting point, and
-    its odd steps xbar (x xbar)^k.  The chains carry actual rows of each
-    product, not eliminated ones: over Q those would compound the Bareiss
-    entry growth step by step.
+    ker x^k comes from the Jordan strings of x, the rest from the row chain
+    1, xbar, xbar^2, ...: (x xbar)^k = xbar^k x^k and xbar (x xbar)^(k-1) =
+    xbar^k x^(k-1), and x^t maps V_i onto the vectors of V_(i + t deg x) at
+    string depth >= t.  Sorted deepest first, those are a column prefix, so
+    rank xbar^k x^t is a pivot count of xbar^k's echelon form in a prefix.
+    The chain keeps actual rows of xbar^k, not eliminated ones, which over Q
+    would compound the Bareiss entry growth.
     """
     if not check_moment(x, xbar, p):
         raise ValueError("kernel table requested at a non-commuting point")
-    alpha = RootVec(x.dims)
-    x_pow = power_kernels(x)
-    (xbar_pow,) = _filtrations(_chain_kernels(x.dims, (xbar,), p), ("ker xbar^k",), alpha)
-    xy_pow, yxy_pow = _filtrations(_chain_kernels(x.dims, (xbar, x), p),
+    m, dims, sb = x.m, x.dims, xbar.shift
+    alpha = RootVec(dims)
+    strings = _jordan_strings(x)
+    depth = {v: d for string in strings for d, v in enumerate(string)}
+    perm = [sorted(range(n), key=lambda c: -depth[j, c]) for j, n in enumerate(dims)]
+    neg = [[-depth[j, c] for c in cs] for j, cs in enumerate(perm)]  # sorted, for bisect
+    right = [sparse_rows([[blk[r][c] for c in perm[i]] for r in perm[(i + sb) % m]])
+             for i, blk in enumerate(map(xbar.block_out, range(m)))]
+
+    def ker(pivots, t):  # ker xbar^k x^t from the pivots of xbar^k
+        return RootVec(tuple(n - bisect_left(pivots[j], bisect_right(neg[j], -t))
+                             for i, n in enumerate(dims) for j in [(i - t * sb) % m]))
+
+    def kernels():  # ker xbar^k and the adjoint kernels it gives, k = 0, 1, ...
+        rows = [[[int(r == c) for c in range(n)] for r in range(n)] for n in dims]
+        pivots = [range(n) for n in dims]
+        for k in count():
+            yield ker(pivots, 0), [ker(pivots, k - 1), ker(pivots, k)] if k else [ker(pivots, 0)]
+            rows, pivots = zip(*(independent_rows(mat_mul(rows[(i + sb) % m], right[i], n, p), n, p)
+                                 for i, n in enumerate(dims)))
+
+    ys, adj = tee(kernels())
+    (xbar_pow,) = _filtrations((y for y, _ in ys), ("ker xbar^k",), alpha)
+    xy_pow, yxy_pow = _filtrations(chain.from_iterable(a for _, a in adj),
                                    ("ker (x xbar)^k", "ker xbar (x xbar)^k"), alpha)
-    return KernelTable(alpha, x_pow, xbar_pow, xy_pow, yxy_pow)
+    return KernelTable(alpha, power_kernels(x, strings), xbar_pow, xy_pow, yxy_pow)
 
 
 SEQS = ("x_pow", "xbar_pow", "xy_pow", "yxy_pow")
@@ -353,6 +358,13 @@ def sample_framing(lam: Weight, dims, rng: random.Random, p: int | None = PRIME)
 
 
 def is_stable(x: GradedMap, xbar: GradedMap, framing, p: int | None = PRIME) -> bool:
-    """ker x  ∩ ker xbar ∩ ker t = 0, one rank computation per component."""
-    return all(rank([*x.block_out(i), *xbar.block_out(i), *framing[i]], p) == x.dims[i]
-               for i in range(x.m) if x.dims[i])
+    """ker x ∩ ker xbar ∩ ker t = 0 for a wall map x, one rank per component.
+
+    The nonzero rows of x leaving V_i are distinct unit vectors, one per basis
+    vector that is not a string end, so [x; xbar; t] has rank dim V_i exactly
+    when [xbar; t] on the string-end columns of V_i has full column rank.
+    """
+    tails = [string[-1] for string in _open_strings(x)]
+    ends = [[c for j, c in tails if j == i] for i in range(x.m)]
+    return all(rank([[row[c] for c in ends[i]] for row in (*xbar.block_out(i), *framing[i])], p)
+               == len(ends[i]) for i in range(x.m) if ends[i])

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import lcm
 
-from affine_crystals.linalg import PRIME, _echelon
+from affine_crystals.linalg import PRIME, _echelon, rank
 from affine_crystals.paths import path_apply
 
 
@@ -28,6 +28,12 @@ def nullspace(a, ncols: int, p: int | None = PRIME):
             v = [int(x * den) for x in v]
         basis.append(v)
     return basis
+
+
+def stacked_rank_is_stable(x, xbar, framing, p=PRIME):
+    """ker x ∩ ker xbar ∩ ker t = 0 from the rank of [x; xbar; t] on each component."""
+    return all(rank([*x.block_out(i), *xbar.block_out(i), *framing[i]], p) == x.dims[i]
+               for i in range(x.m) if x.dims[i])
 
 
 def changed_positions(p, q):

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affine_crystals import iso, quiver
 from affine_crystals.cli import main
+from affine_crystals.linalg import gm_from_blocks, gm_zero
+from affine_crystals.walls import total_content
 
 RUN = [sys.executable, "-m", "affine_crystals.cli"]
 
@@ -218,6 +221,31 @@ def test_quiver_command_dead_word():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and "annihilates" in lines[0]
+
+
+def test_quiver_sampling_failure_is_one_error_line(monkeypatch, capsys):
+    # no sample drawn: generic_kernel_table raises GenericityError with its witness
+    monkeypatch.setattr(quiver, "MAX_SAMPLES", 0)
+    assert main(["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: no agreeing generic kernel table: 0 samples drawn "
+                                 "(min_samples 3), 0 agreeing with the minimum table {}\n")
+
+
+def test_quiver_stalled_filtration_is_one_error_line(monkeypatch, capsys):
+    # x = 0 commutes with the cyclic xbar, which is invertible: ker xbar^k stays 0
+    def zero_wall_map(n, walls):
+        return gm_zero(total_content(n, walls).k, 1), []
+
+    def cyclic_sample(basis, dims, shift, rng, p):
+        return gm_from_blocks(dims, shift, [[[1]]] * len(dims))
+
+    monkeypatch.setattr(iso, "wall_graded_map", zero_wall_map)
+    monkeypatch.setattr(quiver, "sample_in_commutant", cyclic_sample)
+    assert main(["quiver", "--n", "2", "--lambda", "1,0,0", "--word", "1 2 0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: kernel filtration ker xbar^k stabilized at 0 "
+                                 "below alpha = 1a0+1a1+1a2\n")
 
 
 small = st.integers(-1, 3)

@@ -3,9 +3,8 @@ import json
 import random
 
 import pytest
-
 from affine_crystals import golden, paths
-from affine_crystals.cartan import cl_root, root, rotate, weight
+from affine_crystals.cartan import cl_root, root, rotate, weight, zero_root
 from affine_crystals.iso import (
     adj_path_from_kernels,
     b1_path_from_kernels,
@@ -19,10 +18,11 @@ from affine_crystals.iso import (
 from affine_crystals.linalg import PRIME
 from affine_crystals.paths import from_word, ground_path, lowering_steps, parse_word, word_alpha
 from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn, render
-from affine_crystals.quiver import KernelTable, commutant_basis, generic_kernel_table, wall_graded_map
+from affine_crystals.quiver import (KernelTable, commutant_basis, generic_kernel_table,
+                                    power_kernels, wall_graded_map)
 from affine_crystals.suites import random_dominant, random_word, reference_table
-from affine_crystals.walls import (PATH_KIND, make_walls, path_to_walls, strip_column0,
-                                   walls_to_path)
+from affine_crystals.walls import (PATH_KIND, column_content, make_walls, path_to_walls,
+                                   strip_column0, walls_to_path)
 from oracles import raising_steps as oracle_raising_steps
 
 N, LAM = golden.N, golden.LAM
@@ -152,6 +152,41 @@ def test_pipeline_matches_over_random_words():
             path = rep.direct[PATH_KIND[kind]]
             steps = oracle_raising_steps(path)[::-1]
             assert path_to_walls(n, lam, path, steps, rep.alpha, kind) == walls
+
+
+def test_kernel_identities_on_long_words():
+    # 30 F_p cases with n <= 5, level <= 6 and 20-60 letters; every third also over Q
+    rng = random.Random(30)
+    for case in range(30):
+        n = rng.randint(1, 5)
+        lam = random_dominant(n, rng.randint(1, 6), rng)
+        if lam.level == 0:
+            lam = weight([1] + [0] * n)
+        word, seed = random_word(lam, rng.randint(20, 60), rng), rng.randrange(10**6)
+        rep = run_pipeline(lam, word, seed=seed)
+        assert rep.ok, rep.first_mismatch()
+        kt = rep.table
+        if case % 3 == 0:
+            x, _ = wall_graded_map(n, rep.walls_p1)
+            assert generic_kernel_table(x, commutant_basis(x), seed=seed, p=None) == kt
+        # A10: ker xbar^t is the content of the first t columns of the Pn tuple
+        acc = zero_root(n)
+        for t, ker in enumerate(kt.xbar_pow):
+            assert ker == acc
+            acc = acc + column_content(n, rep.walls_pn, t)
+        # A11: column 0 peels off position 0, and the rest's ker a^k is ker a^(k+1) - ker a
+        for kind, walls in (("P1", rep.walls_p1), ("Pn", rep.walls_pn)):
+            rest, elem = peel_column0(n, walls)
+            assert elem == rep.direct[PATH_KIND[kind]].factor(0)
+            ker = power_kernels(wall_graded_map(n, walls)[0])
+            ker_rest = power_kernels(wall_graded_map(n, rest)[0])
+            assert ker_rest == tuple(ker[k + 1] - ker[1] for k in range(len(ker_rest)))
+        # peel_adj twice emits positions 0 and 1 of the direct Ad path
+        rest, fac0 = peel_adj(n, rep.walls_p1, kt)
+        x_rest, _ = wall_graded_map(n, rest)
+        _, fac1 = peel_adj(n, rest,
+                           generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed))
+        assert (fac0, fac1) == (rep.direct["Ad"].factor(0), rep.direct["Ad"].factor(1))
 
 
 def test_pipeline_applies_no_raising_operator(monkeypatch):

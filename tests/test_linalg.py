@@ -156,6 +156,6 @@ def test_independent_rows_are_original_rows_spanning_the_row_space():
         if rng.random() < 0.5 and len(a) > 1:
             a.insert(0, [x + y for x, y in zip(a[-1], a[-2])])
         for p in FIELDS:
-            keep = independent_rows(a, cols, p)
-            assert len(keep) == rank(a, p) == rank(keep, p)
+            keep, pivots = independent_rows(a, cols, p)
+            assert len(keep) == len(pivots) == rank(a, p) == rank(keep, p)
             assert all(any(row is orig for orig in a) for row in keep)

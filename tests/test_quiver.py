@@ -1,12 +1,13 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affine_crystals import golden, quiver
+from affine_crystals import golden, linalg, quiver
 from affine_crystals.cartan import RootVec, root, weight, zero_root
 from affine_crystals.linalg import PRIME, gm_compose, gm_from_blocks, gm_zero, rank, zero_blocks
 from affine_crystals.paths import lowering_steps
@@ -29,7 +30,7 @@ from affine_crystals.quiver import (
 from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import column_content, make_walls, path_to_walls
 
-from oracles import nullspace
+from oracles import nullspace, stacked_rank_is_stable
 
 N, LAM = golden.N, golden.LAM
 WP1 = make_walls("P1", **golden.WALLS_P1)
@@ -490,3 +491,49 @@ def test_stability_fails_without_framing():
     # alpha = 0 is vacuously stable
     z0 = gm_zero((0, 0, 0), 1)
     assert is_stable(z0, gm_zero((0, 0, 0), -1), [[], [], []], PRIME)
+
+
+@FIELDS
+def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, p):
+    # the xbar chain is the only chain: a second (alternating) one would
+    # need up to twice as many eliminations
+    calls = []
+    real = linalg._echelon
+    monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(args) or real(*args))
+    x, _ = wall_graded_map(N, WP1)
+    xbar = sample_in_commutant(commutant_basis(x), x.dims, -1, random.Random(0), p)
+    kt = kernel_table_at(x, xbar, p)
+    assert 0 < len(calls) <= x.m * len(kt.xbar_pow)
+    assert kt == _oracle_table(x, xbar, p)
+
+
+@st.composite
+def framed_points(draw):
+    """A commuting point and a framing that is random, zero, or has one t_i row repeated."""
+    x, xbar, p = draw(commuting_points())
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    lam = weight(draw(st.lists(st.integers(0, 2), min_size=x.m, max_size=x.m)))
+    framing = sample_framing(lam, x.dims, rng, p)
+    shape = draw(st.sampled_from(["random", "zero", "repeat"]))
+    if shape == "zero":
+        framing = [[[0] * len(row) for row in t] for t in framing]
+    rows = [i for i, t in enumerate(framing) if t and t[0]]
+    if shape == "repeat" and rows:
+        i = draw(st.sampled_from(rows))
+        framing[i] = [framing[i][0]] * len(framing[i])
+    return x, xbar, framing, p
+
+
+def test_is_stable_matches_stacked_rank_oracle():
+    seen = Counter()
+
+    @settings(max_examples=300)
+    @given(framed_points())
+    def check(point):
+        x, xbar, framing, p = point
+        stable = is_stable(x, xbar, framing, p)
+        assert stable == stacked_rank_is_stable(x, xbar, framing, p)
+        seen[stable] += 1
+
+    check()
+    assert seen[True] and seen[False], seen
