@@ -2,7 +2,7 @@
 
 Index arithmetic lives in Z/(n+1)Z throughout.  Weights are stored densely as
 coefficients of Lambda_0..Lambda_n; every weight computed by this package is a
-classical projection, so the delta coefficient is carried but stays 0.
+classical projection, so no delta coefficient is kept.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Weight:
-    """Integer weight: coefficients of Lambda_0..Lambda_n plus a delta term."""
+    """Integer classical weight: coefficients of Lambda_0..Lambda_n."""
 
     a: tuple[int, ...]
-    delta: int = 0
 
     @property
     def n(self) -> int:
@@ -29,19 +28,13 @@ class Weight:
         return all(c >= 0 for c in self.a)
 
     def __add__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(x + y for x, y in zip(self.a, other.a, strict=True)),
-            self.delta + other.delta,
-        )
+        return Weight(tuple(x + y for x, y in zip(self.a, other.a, strict=True)))
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(x - y for x, y in zip(self.a, other.a, strict=True)),
-            self.delta - other.delta,
-        )
+        return Weight(tuple(x - y for x, y in zip(self.a, other.a, strict=True)))
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-x for x in self.a), -self.delta)
+        return Weight(tuple(-x for x in self.a))
 
     def __str__(self) -> str:
         return "+".join(f"{c}L{i}" for i, c in enumerate(self.a) if c) or "0"
@@ -80,8 +73,8 @@ class RootVec:
         return "+".join(f"{c}a{i}" for i, c in enumerate(self.k) if c) or "0"
 
 
-def weight(coeffs, delta: int = 0) -> Weight:
-    return Weight(tuple(int(c) for c in coeffs), delta)
+def weight(coeffs) -> Weight:
+    return Weight(tuple(int(c) for c in coeffs))
 
 
 def root(coeffs) -> RootVec:
@@ -112,7 +105,7 @@ def simple_root(n: int, i: int) -> RootVec:
 
 
 def pairing(i: int, w: Weight) -> int:
-    """<h_i, w>: the Lambda_i coefficient (delta pairs to 0)."""
+    """<h_i, w>: the Lambda_i coefficient."""
     return w.a[i % (w.n + 1)]
 
 
@@ -133,7 +126,7 @@ def rotate(w: Weight, direction: int) -> Weight:
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
     m = w.n + 1
-    return Weight(tuple(w.a[(i + direction) % m] for i in range(m)), w.delta)
+    return Weight(tuple(w.a[(i + direction) % m] for i in range(m)))
 
 
 def decompose(w: Weight) -> tuple[int, ...]:

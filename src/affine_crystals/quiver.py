@@ -1,12 +1,12 @@
 """Quiver-variety data at generic points of a wall-tuple component.
 
-A wall tuple determines a strictly triangular graded map (one matrix unit per
+A wall tuple determines a strictly triangular graded map: one matrix unit per
 horizontal adjacency of blocks, indices given by the per-color enumeration of
-blocks in lex order wall > row > column).  A component is represented by the
-canonical pair: that map fixed, the opposite-degree partner sampled
-generically inside its commutant, which is exactly the conormal fiber since
-the moment map vanishes iff the commutator does.  Group quotients are never
-formed.
+blocks in lex order wall > row > column, all read in one pass over the rows.
+A component is represented by the canonical pair: that map fixed, the
+opposite-degree partner sampled generically inside its commutant, which is
+exactly the conormal fiber since the moment map vanishes iff the commutator
+does.  Group quotients are never formed.
 
 The commutant needs no linear solve.  Each wall row is one Jordan string of
 the nilpotent partial permutation x, and the commutant is spanned by the
@@ -19,12 +19,14 @@ basis.
 Kernel tables take no dense powers.  ker x^k is counted on the Jordan
 strings and one chain xbar, xbar^2, ... gives the rest: x^k hits exactly the
 vectors at string depth >= k, so with each basis sorted by depth both adjoint
-ranks are pivot counts in column prefixes of xbar^k; see ``kernel_table_at``.
+ranks are pivot counts in column prefixes of xbar^k.  One loop over k fills
+the three sequences and stops when all of them reach alpha; see
+``kernel_table_at``.
 Stability needs only the string-end columns; see ``is_stable``.
 
 Generic values are taken as the componentwise minimum over >= 3 independent
-prime-field samples that must agree; disagreement triggers resampling and,
-past a bound, a GenericityError.
+prime-field samples, at least two of which must equal it; disagreement
+triggers resampling and, past a bound, a GenericityError.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, count, cycle, tee
+from itertools import count
 
 from .cartan import RootVec, Weight, zero_root
-from .linalg import (PRIME, GradedMap, gm_compose, gm_from_blocks, gm_zero, independent_rows,
-                     mat_mul, rank, sparse_rows, zero_blocks)
+from .linalg import (PRIME, GradedMap, gm_compose, gm_from_blocks, independent_rows, mat_mul,
+                     rank, sparse_rows, zero_blocks)
 from .walls import WallTuple, block_color, total_content
 
 
@@ -55,61 +57,43 @@ class MatrixUnit:
         return {"dir": self.direction, "s": self.s, "from": self.src, "to": self.dst}
 
 
-def wall_blocks(n: int, walls: WallTuple):
-    """Blocks in lex order (wall, row, column) with colors and o-indices."""
-    seen = [0] * (n + 1)
-    out = []
-    for w, (charge, heights) in enumerate(zip(walls.charges, walls.heights)):
-        top = heights[0] if heights else 0
-        for row in range(1, top + 1):
-            for col in range(len(heights)):
-                if heights[col] < row:
+def wall_matrix_units(n: int, walls: WallTuple) -> list[MatrixUnit]:
+    """One unit per horizontal adjacency; P1 tuples give the degree +1 map.
+
+    Each wall row is walked from column 0 leftwards, walls and rows in
+    order, and each block is numbered within its colour as it is reached.
+    A block at column c > 0 emits the unit to its right-hand neighbour at
+    column c - 1, whose colour is one up (P1, an x unit) or one down (Pn, an
+    xbar unit); s is the colour of the unit's target (x) or source (xbar).
+    """
+    m = n + 1
+    seen = [0] * m
+    units = []
+    for charge, heights in zip(walls.charges, walls.heights):
+        for row in range(1, (heights[0] if heights else 0) + 1):
+            for col, height in enumerate(heights):
+                if height < row:
                     break
                 color = block_color(n, walls.kind, charge, row, col)
-                out.append((w, row, col, color, seen[color]))
+                if col and walls.kind == "P1":
+                    units.append(MatrixUnit("x", (color + 1) % m, seen[color], right))
+                elif col:
+                    units.append(MatrixUnit("xbar", color, seen[color], right))
+                right = seen[color]
                 seen[color] += 1
-    return out
-
-
-def wall_matrix_units(n: int, walls: WallTuple) -> list[MatrixUnit]:
-    """One unit per horizontal adjacency; P1 tuples give the degree +1 map."""
-    blocks = wall_blocks(n, walls)
-    order = {(w, r, c): o for w, r, c, _, o in blocks}
-    units = []
-    m = n + 1
-    for w, row, col, color, o in blocks:
-        if col == 0:
-            continue
-        right = order[(w, row, col - 1)]
-        if walls.kind == "P1":
-            units.append(MatrixUnit("x", (color + 1) % m, o, right))
-        else:
-            units.append(MatrixUnit("xbar", color, o, right))
     return units
 
 
-def units_to_graded_map(dims, units) -> GradedMap:
-    dims = tuple(dims)
-    m = len(dims)
-    direction = units[0].direction if units else "x"
-    shift = 1 if direction == "x" else -1
+def wall_graded_map(n: int, walls: WallTuple) -> tuple[GradedMap, list[MatrixUnit]]:
+    """The wall map (degree +1 for P1, -1 for Pn) with a 1 for each of its units."""
+    dims = total_content(n, walls).k
+    shift = 1 if walls.kind == "P1" else -1
+    units = wall_matrix_units(n, walls)
     blocks = zero_blocks(dims, shift)
     for u in units:
-        if u.direction != direction:
-            raise ValueError("matrix units of both directions in one map")
         # x unit: v^{s-1}_src -> v^s_dst ; xbar unit: v^s_src -> v^{s-1}_dst
-        i = u.s if direction == "x" else (u.s - 1) % m
-        blocks[i][u.dst][u.src] = 1
-    return gm_from_blocks(dims, shift, blocks)
-
-
-def wall_graded_map(n: int, walls: WallTuple) -> tuple[GradedMap, list[MatrixUnit]]:
-    alpha = total_content(n, walls)
-    units = wall_matrix_units(n, walls)
-    shift = 1 if walls.kind == "P1" else -1
-    if not units:
-        return gm_zero(alpha.k, shift), []
-    return units_to_graded_map(alpha.k, units), units
+        blocks[(u.s if shift == 1 else u.s - 1) % (n + 1)][u.dst][u.src] = 1
+    return gm_from_blocks(dims, shift, blocks), units
 
 
 # ------------------------------------------------------------- commutant
@@ -244,25 +228,6 @@ def power_kernels(a: GradedMap, strings=None) -> tuple[RootVec, ...]:
     return tuple(rows)
 
 
-def _filtrations(kernels, names: tuple[str, ...], alpha: RootVec) -> list[tuple[RootVec, ...]]:
-    """Deal the kernels to the named sequences in turn until alpha.
-
-    A zero product stays zero, so a sequence at alpha ends them all.  At a
-    commuting point each sequence is nested: a repeat below alpha is a stall.
-    """
-    seqs: dict[str, list[RootVec]] = {name: [] for name in names}
-    for name in cycle(names):
-        seq = seqs[name]
-        if seq and seq[-1] == alpha:
-            break
-        ker = next(kernels)
-        if seq and ker == seq[-1]:
-            raise GenericityError(f"kernel filtration {name} stabilized at {ker} "
-                                  f"below alpha = {alpha}")
-        seq.append(ker)
-    return [tuple(seqs[name]) for name in names]
-
-
 def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> KernelTable:
     """Kernel table at a commuting point (x, xbar) with x a wall map.
 
@@ -273,6 +238,12 @@ def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> Ker
     rank xbar^k x^t is a pivot count of xbar^k's echelon form in a prefix.
     The chain keeps actual rows of xbar^k, not eliminated ones, which over Q
     would compound the Bareiss entry growth.
+
+    One loop over k appends ker xbar^k, then (k >= 1) ker xbar (x xbar)^(k-1),
+    then ker (x xbar)^k, skipping a sequence once it has reached alpha; the
+    chain takes its next step only while some sequence is still below alpha.
+    At a commuting point each sequence is nested, so a repeat below alpha is
+    a stall and raises GenericityError naming the sequence.
     """
     if not check_moment(x, xbar, p):
         raise ValueError("kernel table requested at a non-commuting point")
@@ -289,27 +260,26 @@ def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> Ker
         return RootVec(tuple(n - bisect_left(pivots[j], bisect_right(neg[j], -t))
                              for i, n in enumerate(dims) for j in [(i - t * sb) % m]))
 
-    def kernels():  # ker xbar^k and the adjoint kernels it gives, k = 0, 1, ...
-        rows = [[[int(r == c) for c in range(n)] for r in range(n)] for n in dims]
-        pivots = [range(n) for n in dims]
-        for k in count():
-            yield ker(pivots, 0), [ker(pivots, k - 1), ker(pivots, k)] if k else [ker(pivots, 0)]
-            rows, pivots = zip(*(independent_rows(mat_mul(rows[(i + sb) % m], right[i], n, p), n, p)
-                                 for i, n in enumerate(dims)))
-
-    ys, adj = tee(kernels())
-    (xbar_pow,) = _filtrations((y for y, _ in ys), ("ker xbar^k",), alpha)
-    xy_pow, yxy_pow = _filtrations(chain.from_iterable(a for _, a in adj),
-                                   ("ker (x xbar)^k", "ker xbar (x xbar)^k"), alpha)
-    return KernelTable(alpha, power_kernels(x, strings), xbar_pow, xy_pow, yxy_pow)
+    rows = [[[int(r == c) for c in range(n)] for r in range(n)] for n in dims]
+    pivots = [range(n) for n in dims]
+    seqs = {"ker xbar^k": [], "ker xbar (x xbar)^k": [], "ker (x xbar)^k": []}
+    for k in count():
+        for (name, seq), t in zip(seqs.items(), (0, k - 1, k)):
+            if t < 0 or seq[-1:] == [alpha]:
+                continue
+            kernel = ker(pivots, t)
+            if seq[-1:] == [kernel]:
+                raise GenericityError(f"kernel filtration {name} stabilized at {kernel} "
+                                      f"below alpha = {alpha}")
+            seq.append(kernel)
+        if all(seq[-1:] == [alpha] for seq in seqs.values()):
+            xbar_pow, yxy_pow, xy_pow = map(tuple, seqs.values())
+            return KernelTable(alpha, power_kernels(x, strings), xbar_pow, xy_pow, yxy_pow)
+        rows, pivots = zip(*(independent_rows(mat_mul(rows[(i + sb) % m], right[i], n, p), n, p)
+                             for i, n in enumerate(dims)))
 
 
 SEQS = ("x_pow", "xbar_pow", "xy_pow", "yxy_pow")
-
-
-def _table_rows_eq(a: KernelTable, b: KernelTable) -> bool:
-    return all(a.at(seq, k) == b.at(seq, k) for seq in SEQS
-               for k in range(max(len(getattr(a, seq)), len(getattr(b, seq)))))
 
 
 def _table_min(tables: list[KernelTable]) -> KernelTable:
@@ -330,7 +300,12 @@ MAX_SAMPLES = 10  # samples drawn before GenericityError
 
 def generic_kernel_table(x: GradedMap, basis, seed: int = 0,
                          p: int | None = PRIME) -> KernelTable:
-    """Componentwise-minimum table over agreeing independent samples."""
+    """Componentwise-minimum table over agreeing independent samples.
+
+    A sample agrees when its table equals the minimum table.  Each sampled
+    table strictly increases to alpha in every sequence and the minimum drops
+    its trailing repeats, so equality is row-by-row agreement.
+    """
     rng = random.Random(seed)
     tables: list[KernelTable] = []
     lower, agree = None, 0
@@ -338,7 +313,7 @@ def generic_kernel_table(x: GradedMap, basis, seed: int = 0,
         xbar = sample_in_commutant(basis, x.dims, -x.shift, rng, p)
         tables.append(kernel_table_at(x, xbar, p))
         lower = _table_min(tables)
-        agree = sum(1 for t in tables if _table_rows_eq(t, lower))
+        agree = tables.count(lower)
         if len(tables) >= MIN_SAMPLES and agree >= 2:
             return lower
     raise GenericityError(f"no agreeing generic kernel table: {len(tables)} samples drawn "

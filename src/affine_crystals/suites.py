@@ -2,7 +2,8 @@
 perfectness, crystal axioms, and the cross-model bridge.
 
 Each suite returns a list of Check records; the CLI prints one line per check
-and the acceptance tests assert them individually.
+and the acceptance tests assert them individually.  A check that runs over
+many cases is a generator of failure witnesses, read up to its first one.
 """
 
 from __future__ import annotations
@@ -60,8 +61,11 @@ class Check:
         )
 
 
-def _check(out: list[Check], name: str, ok: bool, detail: str = ""):
-    out.append(Check(name, bool(ok), detail))
+def _check(out: list[Check], name: str, faults):
+    """Record a check from its failure witnesses: it passes when there is none,
+    and a failure reports the first."""
+    witness = next(iter(faults), None)
+    out.append(Check(name, witness is None, witness or ""))
 
 
 def reference_table() -> KernelTable:
@@ -107,7 +111,7 @@ def suite_example(seed: int = 0) -> list[Check]:
     pad = from_word(lam, "Ad", word)
     elapsed = time.monotonic() - t0
 
-    ok1 = (
+    out.append(Check("A1 worked example paths, all three models", (
         [p1.factor(k).nu for k in range(5)] == [tuple(v) for v in golden.P1_FACTORS]
         and [pn.factor(k).nubar for k in range(6)] == [tuple(v) for v in golden.PN_FACTORS]
         and [
@@ -117,9 +121,7 @@ def suite_example(seed: int = 0) -> list[Check]:
         and [render(pn.factor(k)) for k in range(6)] == golden.PN_RENDERS
         and [render(pad.factor(k)) for k in range(4)] == golden.AD_RENDERS
         and elapsed < 5.0
-    )
-    _check(out, "A1 worked example paths, all three models", ok1,
-           f"elapsed {elapsed:.2f}s")
+    ), f"elapsed {elapsed:.2f}s"))
 
     t0 = time.monotonic()
     wp1 = path_to_walls(n, lam, p1, steps1, golden.ALPHA, "P1")
@@ -127,7 +129,7 @@ def suite_example(seed: int = 0) -> list[Check]:
     x, ux = wall_graded_map(n, wp1)
     xb_wall, uxb = wall_graded_map(n, wpn)
     elapsed = time.monotonic() - t0
-    ok2 = (
+    out.append(Check("A2 wall tuples and matrix units reconstructed", (
         wp1.charges == golden.WALLS_P1["charges"]
         and wp1.heights == golden.WALLS_P1["heights"]
         and wpn.charges == golden.WALLS_PN["charges"]
@@ -137,49 +139,40 @@ def suite_example(seed: int = 0) -> list[Check]:
         and {(u.s, u.src, u.dst) for u in uxb} == golden.XBAR_UNITS
         and all(u.direction == "xbar" for u in uxb)
         and elapsed < 5.0
-    )
-    _check(out, "A2 wall tuples and matrix units reconstructed", ok2,
-           f"elapsed {elapsed:.2f}s")
+    ), f"elapsed {elapsed:.2f}s"))
 
     basis = commutant_basis(x)
-    _check(out, "A3 commutant fiber dimension is 29",
-           len(basis) == golden.COMMUTANT_DIM, f"dim={len(basis)}")
+    out.append(Check("A3 commutant fiber dimension is 29",
+                     len(basis) == golden.COMMUTANT_DIM, f"dim={len(basis)}"))
 
     ref = reference_table()
-    tables_ok = True
-    for s in (seed, seed + 1, seed + 2):
-        kt = generic_kernel_table(x, basis, seed=s)
-        if (kt.x_pow, kt.xbar_pow, kt.xy_pow, kt.yxy_pow) != (
-            ref.x_pow, ref.xbar_pow, ref.xy_pow, ref.yxy_pow
-        ):
-            tables_ok = False
     _check(out, "A4 generic kernel tables match the frozen tables (3 seeds)",
-           tables_ok)
+           (f"table at seed {s} differs" for s in (seed, seed + 1, seed + 2)
+            if generic_kernel_table(x, basis, seed=s) != ref))
 
     g1 = b1_path_from_kernels(ref, lam)
     gn = bn_path_from_kernels(ref, lam)
     gad = adj_path_from_kernels(ref, lam)
-    ok5 = all(
+    out.append(Check("A5 kernel-table reconstructions reproduce the paths", all(
         g1.factor(k) == p1.factor(k)
         and gn.factor(k) == pn.factor(k)
         and gad.factor(k) == pad.factor(k)
         for k in range(6)
-    )
-    _check(out, "A5 kernel-table reconstructions reproduce the paths", ok5)
+    )))
 
-    _check(out, "extra: fixed wall pair does not commute",
-           not check_moment(x, xb_wall, PRIME))
-    _check(out, "extra: wall map is nilpotent", is_nilpotent(x))
+    out.append(Check("extra: fixed wall pair does not commute",
+                     not check_moment(x, xb_wall, PRIME)))
+    out.append(Check("extra: wall map is nilpotent", is_nilpotent(x)))
 
     rep = run_pipeline(lam, word, seed=seed)
-    _check(out, "extra: full pipeline report passes", rep.ok, rep.first_mismatch())
+    out.append(Check("extra: full pipeline report passes", rep.ok, rep.first_mismatch()))
 
     rest, fac = peel_adj(n, wp1, ref)
     x_rest, _ = wall_graded_map(n, rest)
     kt_rest = generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed)
     _, fac2 = peel_adj(n, rest, kt_rest)
-    _check(out, "extra: adjoint peeling emits positions 0 and 1",
-           fac == pad.factor(0) and fac2 == pad.factor(1))
+    out.append(Check("extra: adjoint peeling emits positions 0 and 1",
+                     fac == pad.factor(0) and fac2 == pad.factor(1)))
     return out
 
 
@@ -188,11 +181,8 @@ def suite_example(seed: int = 0) -> list[Check]:
 XI_GRID = ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2))
 
 
-def suite_xi() -> list[Check]:
-    out: list[Check] = []
+def _xi_faults():
     t0 = time.monotonic()
-    all_ok = True
-    detail = ""
     for n, lvl in XI_GRID:
         rows, cols = all_b1(n, lvl), all_bn(n, lvl)
         images = {}
@@ -201,41 +191,31 @@ def suite_xi() -> list[Check]:
                 images[(b, bb)] = merge_pair(b, bb)
         target = comb(lvl + n, n) ** 2
         if len(set(images.values())) != target or len(images) != target:
-            all_ok, detail = False, f"cardinality off at (n,l)=({n},{lvl})"
-            break
-        adj_all = set(all_adj(n, lvl))
-        if set(images.values()) != adj_all:
-            all_ok, detail = False, f"image misses elements at ({n},{lvl})"
-            break
+            yield f"cardinality off at (n,l)=({n},{lvl})"
+        if set(images.values()) != set(all_adj(n, lvl)):
+            yield f"image misses elements at ({n},{lvl})"
         for (b, bb), a in images.items():
             pair = TensorProd((b, bb))
             for i in range(n + 1):
                 for op in ("e", "f"):
                     lhs = pair.e(i) if op == "e" else pair.f(i)
                     rhs = a.e(i) if op == "e" else a.f(i)
-                    lhs_m = merge_pair(*lhs.factors) if lhs is not None else None
-                    if lhs_m != rhs:
-                        all_ok = False
-                        detail = f"intertwining fails at ({n},{lvl}) i={i} op={op} {b},{bb}"
-                        break
-                if not all_ok:
-                    break
-            if not all_ok:
-                break
-        if not all_ok:
-            break
+                    if (merge_pair(*lhs.factors) if lhs is not None else None) != rhs:
+                        yield f"intertwining fails at ({n},{lvl}) i={i} op={op} {b},{bb}"
     elapsed = time.monotonic() - t0
-    _check(out, "A6 pair merge is an isomorphism on the whole grid",
-           all_ok and elapsed < 60.0, detail or f"elapsed {elapsed:.2f}s")
+    if elapsed >= 60.0:
+        yield f"elapsed {elapsed:.2f}s"
+
+
+def suite_xi() -> list[Check]:
+    out: list[Check] = []
+    _check(out, "A6 pair merge is an isomorphism on the whole grid", _xi_faults())
     return out
 
 
 # --------------------------------------------------------------- perfectness
 
-def suite_perfect() -> list[Check]:
-    out: list[Check] = []
-    all_ok = True
-    detail = ""
+def _perfect_faults():
     for n, lvl in XI_GRID:
         for name, elems in (
             ("row", all_b1(n, lvl)),
@@ -244,23 +224,18 @@ def suite_perfect() -> list[Check]:
         ):
             rep = verify_perfect(elems, lvl)
             if not rep.ok:
-                all_ok = False
-                detail = f"{name} crystal at ({n},{lvl}): {rep.failures[0]}"
-                break
-        if not all_ok:
-            break
-    _check(out, "A7 perfectness conditions hold on the grid", all_ok, detail)
+                yield f"{name} crystal at ({n},{lvl}): {rep.failures[0]}"
+
+
+def suite_perfect() -> list[Check]:
+    out: list[Check] = []
+    _check(out, "A7 perfectness conditions hold on the grid", _perfect_faults())
     return out
 
 
 # -------------------------------------------------------------------- axioms
 
-def suite_axioms(seed: int = 0) -> list[Check]:
-    out: list[Check] = []
-    rng = random.Random(seed)
-
-    ok8 = True
-    detail = ""
+def _ground_faults(rng: random.Random):
     for _ in range(200):
         n = rng.randint(1, 4)
         lvl = rng.randint(1, 4)
@@ -274,28 +249,72 @@ def suite_axioms(seed: int = 0) -> list[Check]:
             and phi_weight(ad) == lam
             and eps_weight(ad) == lam
         ):
-            ok8, detail = False, f"ground identities fail for n={n}, lam={lam}"
-            break
-    _check(out, "A8 ground-state eps/phi identities (200 random weights)", ok8, detail)
+            yield f"ground identities fail for n={n}, lam={lam}"
 
-    ok9 = True
-    detail = ""
+
+def _ball_faults(rng: random.Random):
     kinds = ("B1", "Bn", "Ad")
     for trial in range(5):
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
         if lam.level == 0:
             lam = weight([1] + [0] * n)
-        g = generate_graph(ground_path(lam, kinds[trial % 3]), max_nodes=500)
-        bad = check_axioms(g)
+        bad = check_axioms(generate_graph(ground_path(lam, kinds[trial % 3]), max_nodes=500))
         if bad:
-            ok9, detail = False, f"{kinds[trial % 3]} ball of {lam}: {bad[0]}"
-            break
-    _check(out, "A9 crystal axioms on 500-element path balls", ok9, detail)
+            yield f"{kinds[trial % 3]} ball of {lam}: {bad[0]}"
+
+
+def suite_axioms(seed: int = 0) -> list[Check]:
+    out: list[Check] = []
+    rng = random.Random(seed)
+    _check(out, "A8 ground-state eps/phi identities (200 random weights)", _ground_faults(rng))
+    _check(out, "A9 crystal axioms on 500-element path balls", _ball_faults(rng))
     return out
 
 
 # -------------------------------------------------------------------- bridge
+
+def _bridge_faults(cases, rng: random.Random, unstable: list[str]):
+    """A10's witnesses; each unstable framing met on the way goes to unstable first."""
+    for n, lam, word in cases:
+        rep = run_pipeline(lam, word, seed=rng.randrange(10**6))
+        if not rep.stable:
+            unstable.append(f"generic framing unstable for {lam} word {word}")
+        if not rep.ok:
+            yield f"pipeline fails for {lam} word {word}: {rep.first_mismatch()}"
+        acc = zero_root(n)
+        for t in range(len(rep.table.xbar_pow)):
+            if rep.table.at("xbar_pow", t) != acc:
+                yield f"bridge kernel mismatch at power {t} for {lam}"
+            acc = acc + column_content(n, rep.walls_pn, t)
+
+
+def _peel_faults(cases):
+    for n, lam, word in cases:
+        p1, steps = lowering_steps(lam, "B1", word)
+        alpha = root(word_alpha(n, word))
+        walls = path_to_walls(n, lam, p1, steps, alpha, "P1")
+        if walls.block_count() == 0:
+            continue
+        rest, elem = peel_column0(n, walls)
+        if elem != walls_to_path(n, walls).factor(0):
+            yield f"peeled factor is not position 0 for {lam}"
+        okv, msg = validate(n, rest)
+        if not okv:
+            yield f"stripped tuple invalid: {msg}"
+        x, _ = wall_graded_map(n, walls)
+        ker = power_kernels(x)
+        if rest.block_count():
+            ker2 = power_kernels(wall_graded_map(n, rest)[0])
+            shifted = [ker[min(k + 1, len(ker) - 1)] - ker[1] for k in range(len(ker2))]
+            if ker2 != tuple(shifted):
+                yield f"kernel shift law fails for {lam}"
+        if not (
+            eps_weight(ground_b1(lam, 0)) == rotate(lam, 1)
+            and eps_weight(ground_bn(lam, 0)) == rotate(lam, -1)
+        ):
+            yield f"rotation consistency fails for {lam}"
+
 
 def suite_bridge(seed: int = 0) -> list[Check]:
     out: list[Check] = []
@@ -308,59 +327,11 @@ def suite_bridge(seed: int = 0) -> list[Check]:
             lam = weight([1] + [0] * n)
         cases.append((n, lam, random_word(lam, rng.randint(0, 12), rng)))
 
-    ok10 = True
-    det10 = ""
-    ok12 = True
-    for n, lam, word in cases:
-        rep = run_pipeline(lam, word, seed=rng.randrange(10**6))
-        if not rep.ok:
-            ok10, det10 = False, f"pipeline fails for {lam} word {word}: {rep.first_mismatch()}"
-            break
-        if not rep.stable:
-            ok12 = False
-        kt = rep.table
-        acc = zero_root(n)
-        for t in range(len(kt.xbar_pow)):
-            if kt.at("xbar_pow", t) != acc:
-                ok10, det10 = False, f"bridge kernel mismatch at power {t} for {lam}"
-                break
-            acc = acc + column_content(n, rep.walls_pn, t)
-        if not ok10:
-            break
-    _check(out, "A10 cross-model bridge over 50 random words", ok10, det10)
-
-    ok11 = True
-    det11 = ""
-    for n, lam, word in cases:
-        p1, steps = lowering_steps(lam, "B1", word)
-        alpha = root(word_alpha(n, word))
-        walls = path_to_walls(n, lam, p1, steps, alpha, "P1")
-        if walls.block_count() == 0:
-            continue
-        rest, elem = peel_column0(n, walls)
-        if elem != walls_to_path(n, walls).factor(0):
-            ok11, det11 = False, f"peeled factor is not position 0 for {lam}"
-            break
-        okv, msg = validate(n, rest)
-        if not okv:
-            ok11, det11 = False, f"stripped tuple invalid: {msg}"
-            break
-        x, _ = wall_graded_map(n, walls)
-        ker = power_kernels(x)
-        if rest.block_count():
-            ker2 = power_kernels(wall_graded_map(n, rest)[0])
-            shifted = [ker[min(k + 1, len(ker) - 1)] - ker[1] for k in range(len(ker2))]
-            if ker2 != tuple(shifted):
-                ok11, det11 = False, f"kernel shift law fails for {lam}"
-                break
-        if not (
-            eps_weight(ground_b1(lam, 0)) == rotate(lam, 1)
-            and eps_weight(ground_bn(lam, 0)) == rotate(lam, -1)
-        ):
-            ok11, det11 = False, f"rotation consistency fails for {lam}"
-            break
-    _check(out, "A11 peeling step and kernel shift law on 50 components", ok11, det11)
-    _check(out, "A12 generic framings are stable (3 seeds per component)", ok12)
+    unstable: list[str] = []
+    _check(out, "A10 cross-model bridge over 50 random words",
+           _bridge_faults(cases, rng, unstable))
+    _check(out, "A11 peeling step and kernel shift law on 50 components", _peel_faults(cases))
+    _check(out, "A12 generic framings are stable (3 seeds per component)", unstable)
     return out
 
 

@@ -5,6 +5,7 @@ from math import lcm
 
 from affine_crystals.linalg import PRIME, _echelon, rank
 from affine_crystals.paths import path_apply
+from affine_crystals.quiver import SEQS
 
 
 def nullspace(a, ncols: int, p: int | None = PRIME):
@@ -56,3 +57,9 @@ def raising_steps(p):
                 break
         else:
             return steps
+
+
+def _table_rows_eq(a, b):
+    """Kernel tables a and b agree row by row, each sequence clamped at its last row."""
+    return all(a.at(seq, k) == b.at(seq, k) for seq in SEQS
+               for k in range(max(len(getattr(a, seq)), len(getattr(b, seq)))))

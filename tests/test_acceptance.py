@@ -5,6 +5,9 @@ and asserts the underlying checks at exact tolerance.  The same checks back
 the CLI's `verify` subcommand.
 """
 
+import hashlib
+
+from affine_crystals import iso
 from affine_crystals.suites import (
     suite_axioms,
     suite_bridge,
@@ -15,6 +18,8 @@ from affine_crystals.suites import (
 
 SEED = 0
 _cache = {}
+# sha256 of `verify all` stdout (seed 0)
+VERIFY_ALL_SHA256 = "a193232a436648ac12115a8f8e109b60ecc47554d54babb916177177c668049a"
 
 
 def _suite(name):
@@ -87,6 +92,26 @@ def test_A11_peeling_and_kernel_shift():
 
 def test_A12_stability():
     _criterion("bridge", "A12")
+
+
+def test_A12_fails_on_the_first_unstable_framing(monkeypatch):
+    # an unstable framing also fails the pipeline, so A10 stops at the same
+    # case; A12 must still report it
+    monkeypatch.setattr(iso, "_stable_once", lambda *args: False)
+    a10, a12 = (next(c for c in suite_bridge(SEED) if c.name.startswith(key))
+                for key in ("A10", "A12"))
+    assert not a10.ok and not a12.ok
+    assert a12.detail.startswith("generic framing unstable for ")
+    case = a12.detail.removeprefix("generic framing unstable for ")
+    assert a10.detail == f"pipeline fails for {case}: generic framing failed the stability criterion"
+
+
+def test_verify_all_output_is_pinned():
+    # cmd_verify's stdout for `verify all`, rebuilt from the cached suites
+    checks = [c for name in ("example", "xi", "perfect", "axioms", "bridge") for c in _suite(name)]
+    passed = sum(c.ok for c in checks)
+    text = "".join(f"{c.line()}\n" for c in checks) + f"{passed}/{len(checks)} checks passed\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_extra_example_checks():

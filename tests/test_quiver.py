@@ -23,14 +23,13 @@ from affine_crystals.quiver import (
     power_kernels,
     sample_framing,
     sample_in_commutant,
-    units_to_graded_map,
     wall_graded_map,
     wall_matrix_units,
 )
 from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import column_content, make_walls, path_to_walls
 
-from oracles import nullspace, stacked_rank_is_stable
+from oracles import _table_rows_eq, nullspace, stacked_rank_is_stable
 
 N, LAM = golden.N, golden.LAM
 WP1 = make_walls("P1", **golden.WALLS_P1)
@@ -235,7 +234,7 @@ def test_commutant_dimension_reference():
 
 def test_commutant_tiny_cases_against_oracle():
     # single unit on alpha = a0 + a2 with n = 2
-    x = units_to_graded_map((1, 0, 1), [type("U", (), {"direction": "x", "s": 0, "src": 0, "dst": 0})()])
+    x = gm_from_blocks((1, 0, 1), 1, [[[1]], [], [[]]])
     assert len(_assert_matches_solver(x)) == _big_commutator_dim(x, (1, 0, 1))
     # zero map: everything commutes
     dims = (2, 1, 1)
@@ -457,7 +456,33 @@ def commuting_points(draw):
 @given(commuting_points())
 def test_kernel_table_matches_dense_oracle_property(point):
     x, xbar, p = point
-    assert kernel_table_at(x, xbar, p) == _oracle_table(x, xbar, p)
+    kt = kernel_table_at(x, xbar, p)
+    assert kt == _oracle_table(x, xbar, p)
+    # every sequence strictly increases to alpha, so table equality is agreement
+    for seq in quiver.SEQS:
+        rows = getattr(kt, seq)
+        assert rows[-1] == kt.alpha
+        assert all(a <= b and a != b for a, b in zip(rows, rows[1:]))
+
+
+@settings(max_examples=200)
+@given(commuting_points(), st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), max_size=3))
+def test_table_min_agreement_is_row_equality(point, draws):
+    # the first table at the drawn point, the others at random or half-sparse
+    # points of the same commutant, so that some disagree with the minimum
+    x, xbar, p = point
+    basis = commutant_basis(x)
+    xbars = [xbar]
+    for seed, sparse in draws:
+        rng = random.Random(seed)
+        xbars.append(sample_in_commutant([b for b in basis if not sparse or rng.random() < 0.5],
+                                         x.dims, -x.shift, rng, p))
+    tables = [kernel_table_at(x, xb, p) for xb in xbars]
+    lower = quiver._table_min(tables)
+    for seq in quiver.SEQS:
+        rows = getattr(lower, seq)
+        assert len(rows) == 1 or rows[-1] != rows[-2]
+    assert [t == lower for t in tables] == [_table_rows_eq(t, lower) for t in tables]
 
 
 @FIELDS
