@@ -28,7 +28,7 @@ from .perfect import (
     split_adj,
     verify_perfect,
 )
-from .quiver import KernelTable, commutant_basis, generic_kernel_table, wall_graded_map
+from .quiver import KernelTable, WallMap, commutant_basis, generic_kernel_table, wall_graded_map
 from .walls import WallTuple, make_walls, path_to_walls, strip_column0, validate, walls_to_path
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .cartan import weight
@@ -41,12 +42,19 @@ def _dump(data, path: str | None):
     _write(json.dumps(data, sort_keys=True, indent=2), path)
 
 
+def integer(text: str) -> int:
+    """int() of ASCII digits only; int() alone also takes other scripts' digits and '_'."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _seed(args) -> int:
     env = os.environ.get("CRYSTAL_SEED")
     if env is None:
         return args.seed
     try:
-        return int(env)
+        return integer(env)
     except ValueError:
         _usage_error(f"CRYSTAL_SEED must be an integer, got {env!r}")
 
@@ -69,7 +77,7 @@ def _n(args) -> int:
 def _lam(args):
     """The --lambda weight, checked against --n: dominant of level >= 1, n >= 1."""
     try:
-        w = weight(int(c) for c in args.lam.split(","))
+        w = weight(integer(c) for c in args.lam.split(","))
     except ValueError:
         _usage_error(f"--lambda must be comma-separated integers, got {args.lam!r}")
     if w.n != _n(args):
@@ -164,12 +172,17 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other usage error
+        _usage_error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="affine-crystals")
+    ap = _Parser(prog="affine-crystals")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("path", help="apply a lowering word in one path model")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="comma-separated coefficients a0,..,an")
     p.add_argument("--kind", choices=sorted(KIND_BY_FLAG), default="b1")
@@ -178,29 +191,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_path)
 
     q = sub.add_parser("quiver", help="geometric pipeline dump for a word")
-    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--n", type=integer, required=True)
     q.add_argument("--lambda", dest="lam", required=True)
     q.add_argument("--word", default="")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=integer, default=0)
     q.add_argument("--field", choices=("fp", "qq"), default="fp")
     q.add_argument("--out")
     q.set_defaults(func=cmd_quiver)
 
     g = sub.add_parser("graph", help="DOT export of a crystal ball")
     g.add_argument("--crystal", choices=("b1", "bn", "ad", "path"), default="b1")
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--level", type=int, default=1)
+    g.add_argument("--n", type=integer, required=True)
+    g.add_argument("--level", type=integer, default=1)
     g.add_argument("--lambda", dest="lam", default="1",
                    help="only for --crystal path")
     g.add_argument("--kind", choices=sorted(KIND_BY_FLAG), default="b1")
-    g.add_argument("--depth", type=int, default=None)
-    g.add_argument("--max-nodes", type=int, default=2000)
+    g.add_argument("--depth", type=integer, default=None)
+    g.add_argument("--max-nodes", type=integer, default=2000)
     g.add_argument("--out")
     g.set_defaults(func=cmd_graph)
 
     v = sub.add_parser("verify", help="run a named check suite")
     v.add_argument("suite", choices=("example", "xi", "perfect", "bridge", "axioms", "all"))
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=integer, default=0)
     v.set_defaults(func=cmd_verify)
     return ap
 

@@ -26,6 +26,7 @@ from .perfect import AdjElem, B1Elem, BnElem, merge_pair
 from .quiver import (
     KernelTable,
     MatrixUnit,
+    WallMap,
     commutant_basis,
     generic_kernel_table,
     is_stable,
@@ -175,7 +176,7 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> Iso
     return report
 
 
-def _stable_once(lam: Weight, x: GradedMap, basis, seed: int, p) -> bool:
+def _stable_once(lam: Weight, x: WallMap, basis, seed: int, p) -> bool:
     rng = random.Random(seed)
     xbar = sample_in_commutant(basis, x.dims, -x.shift, rng, p)
     framing = sample_framing(lam, x.dims, rng, p)

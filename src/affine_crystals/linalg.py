@@ -7,7 +7,8 @@ Bareiss's exact division by the previous pivot, so entries stay integers.
 Pivots are the first nonzero entry in column order.  ``rank`` counts the
 pivots; ``independent_rows`` keeps the original pivot rows and the pivots.
 No solver is left: the commutant is built directly (``quiver.commutant_basis``),
-and the tests keep a nullspace on this elimination as its oracle.
+and the tests keep a nullspace on this elimination as its oracle.  No graded
+product is left either; the tests keep the dense one as a reference.
 """
 
 from __future__ import annotations
@@ -92,16 +93,8 @@ def zero_blocks(dims, shift: int) -> list[list[list[int]]]:
     return [[[0] * dims[(i - shift) % m] for _ in range(dims[i])] for i in range(m)]
 
 
-def gm_zero(dims, shift: int) -> GradedMap:
-    return gm_from_blocks(dims, shift, zero_blocks(dims, shift))
-
-
-def _freeze(mat) -> tuple:
-    return tuple(tuple(row) for row in mat)
-
-
 def gm_from_blocks(dims, shift: int, blocks) -> GradedMap:
-    return GradedMap(shift, tuple(dims), tuple(_freeze(b) for b in blocks))
+    return GradedMap(shift, tuple(dims), tuple(tuple(map(tuple, b)) for b in blocks))
 
 
 def sparse_rows(mat) -> list[list[tuple[int, int]]]:
@@ -120,21 +113,3 @@ def mat_mul(rows, right, ncols: int, p: int | None = None) -> list[list[int]]:
                     acc[c] += v * w
         out.append([u % p for u in acc] if p is not None else acc)
     return out
-
-
-def gm_compose(a: GradedMap, b: GradedMap, p: int | None = None) -> GradedMap:
-    """a after b; degree shifts add.
-
-    Shapes come from dims, not from the block tuples: a 0-row block cannot
-    carry its column count.
-    """
-    if a.dims != b.dims:
-        raise ValueError(f"cannot compose maps on dims {a.dims} and {b.dims}")
-    m = a.m
-    shift = a.shift + b.shift
-    blocks = tuple(
-        _freeze(mat_mul(a.blocks[i], sparse_rows(b.blocks[(i - a.shift) % m]),
-                        a.dims[(i - shift) % m], p))
-        for i in range(m)
-    )
-    return GradedMap(shift, a.dims, blocks)

@@ -234,14 +234,14 @@ def from_word(lam: Weight, kind: str, word) -> Path:
     return lowering_steps(lam, kind, word)[0]
 
 
-_TOKEN = re.compile(r"^(\d+)(?:\^(\d+))?$")
+_TOKEN = re.compile(r"([0-9]+)(?:\^([0-9]+))?")  # ASCII digits: int() takes any script's
 
 
 def parse_word(text: str) -> tuple[tuple[int, int], ...]:
     """Parse a word string: whitespace-separated tokens ``i`` or ``i^m``."""
     out = []
     for tok in text.split():
-        m = _TOKEN.match(tok)
+        m = _TOKEN.fullmatch(tok)
         if not m:
             raise ValueError(f"bad word token {tok!r}")
         out.append((int(m.group(1)), int(m.group(2) or 1)))

@@ -1,20 +1,22 @@
 """Quiver-variety data at generic points of a wall-tuple component.
 
-A wall tuple determines a strictly triangular graded map: one matrix unit per
-horizontal adjacency of blocks, indices given by the per-color enumeration of
-blocks in lex order wall > row > column, all read in one pass over the rows.
-A component is represented by the canonical pair: that map fixed, the
-opposite-degree partner sampled generically inside its commutant, which is
-exactly the conormal fiber since the moment map vanishes iff the commutator
-does.  Group quotients are never formed.
+A wall tuple determines a nilpotent graded partial permutation x: one matrix
+unit per horizontal adjacency of blocks, indices given by the per-color
+enumeration of blocks in lex order wall > row > column.  Each wall row is one
+Jordan string of x, and x is carried as those strings (``WallMap``), all read
+in one pass over the rows.  Every stage below reads the strings; a dense x
+exists only as ``WallMap.dense()``, which the verify suite uses once, and in
+the test oracles.  A component is represented by the canonical pair: x fixed,
+the opposite-degree partner xbar sampled generically inside its commutant,
+which is exactly the conormal fiber since the moment map vanishes iff the
+commutator does; ``check_moment`` tests [x, xbar] = 0 on the strings, with
+no matrix product.  Group quotients are never formed.
 
-The commutant needs no linear solve.  Each wall row is one Jordan string of
-the nilpotent partial permutation x, and the commutant is spanned by the
-truncated shifts between pairs of strings whose colour degree fits.  These
-are 0/1 maps with disjoint supports, so the basis is kept as a list of
-supports (cells) and a sample writes one coefficient into each support's
-cells; see ``commutant_basis`` for the construction and the order of its
-basis.
+The commutant needs no linear solve: it is spanned by the truncated shifts
+between pairs of strings whose colour degree fits.  These are 0/1 maps with
+disjoint supports, so the basis is kept as a list of supports (cells) and a
+sample writes one coefficient into each support's cells; see
+``commutant_basis`` for the construction and the order of its basis.
 
 Kernel tables take no dense powers.  ker x^k is counted on the Jordan
 strings and one chain xbar, xbar^2, ... gives the rest: x^k hits exactly the
@@ -37,9 +39,9 @@ from dataclasses import dataclass
 from itertools import count
 
 from .cartan import RootVec, Weight, zero_root
-from .linalg import (PRIME, GradedMap, gm_compose, gm_from_blocks, independent_rows, mat_mul,
-                     rank, sparse_rows, zero_blocks)
-from .walls import WallTuple, block_color, total_content
+from .linalg import (PRIME, GradedMap, gm_from_blocks, independent_rows, mat_mul, rank,
+                     sparse_rows, zero_blocks)
+from .walls import WallTuple, block_color
 
 
 class GenericityError(RuntimeError):
@@ -57,86 +59,74 @@ class MatrixUnit:
         return {"dir": self.direction, "s": self.s, "from": self.src, "to": self.dst}
 
 
-def wall_matrix_units(n: int, walls: WallTuple) -> list[MatrixUnit]:
-    """One unit per horizontal adjacency; P1 tuples give the degree +1 map.
+@dataclass(frozen=True)
+class WallMap:
+    """The wall map x as its Jordan strings: strings[t] lists (component, index)
+    from the string's start, and x sends each vector to the next, the last to 0."""
+
+    shift: int
+    dims: tuple[int, ...]
+    strings: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.dims)
+
+    def dense(self) -> GradedMap:
+        """x as a 0/1 graded map, one 1 per link of a string."""
+        blocks = zero_blocks(self.dims, self.shift)
+        for string in self.strings:
+            for (_, c), (t, r) in zip(string, string[1:]):
+                blocks[t][r][c] = 1
+        return gm_from_blocks(self.dims, self.shift, blocks)
+
+
+def wall_graded_map(n: int, walls: WallTuple) -> tuple[WallMap, list[MatrixUnit]]:
+    """The wall map (degree +1 for P1, -1 for Pn) and its units, one per link.
 
     Each wall row is walked from column 0 leftwards, walls and rows in
     order, and each block is numbered within its colour as it is reached.
-    A block at column c > 0 emits the unit to its right-hand neighbour at
-    column c - 1, whose colour is one up (P1, an x unit) or one down (Pn, an
-    xbar unit); s is the colour of the unit's target (x) or source (xbar).
+    The map sends a block at column c > 0 to its right-hand neighbour, whose
+    colour is one up (P1, an x unit) or one down (Pn, an xbar unit), so each
+    row read from its left end is one string.  s is the colour of the unit's
+    target (x) or source (xbar).
     """
-    m = n + 1
-    seen = [0] * m
-    units = []
+    up = walls.kind == "P1"
+    seen = [0] * (n + 1)
+    strings, units = [], []
     for charge, heights in zip(walls.charges, walls.heights):
         for row in range(1, (heights[0] if heights else 0) + 1):
+            string = []
             for col, height in enumerate(heights):
                 if height < row:
                     break
                 color = block_color(n, walls.kind, charge, row, col)
-                if col and walls.kind == "P1":
-                    units.append(MatrixUnit("x", (color + 1) % m, seen[color], right))
-                elif col:
-                    units.append(MatrixUnit("xbar", color, seen[color], right))
-                right = seen[color]
+                if col:
+                    units.append(MatrixUnit("x" if up else "xbar", string[-1][0] if up else color,
+                                            seen[color], string[-1][1]))
+                string.append((color, seen[color]))
                 seen[color] += 1
-    return units
-
-
-def wall_graded_map(n: int, walls: WallTuple) -> tuple[GradedMap, list[MatrixUnit]]:
-    """The wall map (degree +1 for P1, -1 for Pn) with a 1 for each of its units."""
-    dims = total_content(n, walls).k
-    shift = 1 if walls.kind == "P1" else -1
-    units = wall_matrix_units(n, walls)
-    blocks = zero_blocks(dims, shift)
-    for u in units:
-        # x unit: v^{s-1}_src -> v^s_dst ; xbar unit: v^s_src -> v^{s-1}_dst
-        blocks[(u.s if shift == 1 else u.s - 1) % (n + 1)][u.dst][u.src] = 1
-    return gm_from_blocks(dims, shift, blocks), units
+            strings.append(tuple(reversed(string)))
+    return WallMap(1 if up else -1, tuple(seen), tuple(strings)), units
 
 
 # ------------------------------------------------------------- commutant
 
-def _open_strings(a: GradedMap) -> list[list[tuple[int, int]]]:
-    """Strings [(component, index), ...] of a 0/1 partial permutation, off its cycles."""
-    nxt: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, blk in enumerate(a.blocks):
-        for r, row in enumerate(blk):
-            for c, v in enumerate(row):
-                if v:
-                    src = ((i - a.shift) % a.m, c)
-                    if v != 1 or src in nxt:
-                        raise ValueError("wall map is not a 0/1 partial permutation")
-                    nxt[src] = (i, r)
-    hit = set(nxt.values())
-    if len(hit) < len(nxt):
-        raise ValueError("wall map is not a 0/1 partial permutation")
-    strings = [[(i, k)] for i in range(a.m) for k in range(a.dims[i]) if (i, k) not in hit]
-    for string in strings:
-        while string[-1] in nxt:
-            string.append(nxt[string[-1]])
-    return strings
+def is_nilpotent(x: WallMap) -> bool:
+    """True iff x is a wall map: of degree +1 or -1, with nonempty strings that
+    cover each component's basis exactly once and step the colour by x.shift."""
+    return (x.shift in (1, -1) and all(x.strings)
+            and sorted(v for string in x.strings for v in string)
+            == [(i, k) for i, n in enumerate(x.dims) for k in range(n)]
+            and all(b[0] == (a[0] + x.shift) % x.m
+                    for string in x.strings for a, b in zip(string, string[1:])))
 
 
-def is_nilpotent(a: GradedMap) -> bool:
-    """True iff the 0/1 partial permutation a has no cycle; ValueError for other maps."""
-    return sum(map(len, _open_strings(a))) == sum(a.dims)
-
-
-def _jordan_strings(a: GradedMap) -> list[list[tuple[int, int]]]:
-    """Strings [(component, index), ...] of a nilpotent 0/1 partial permutation."""
-    strings = _open_strings(a)
-    if sum(map(len, strings)) != sum(a.dims):
-        raise ValueError("wall map is not nilpotent")
-    return strings
-
-
-def commutant_basis(a: GradedMap) -> list[tuple[tuple[int, int, int], ...]]:
-    """Basis of the opposite-degree maps commuting with the wall map a.
+def commutant_basis(x: WallMap) -> list[tuple[tuple[int, int, int], ...]]:
+    """Basis of the opposite-degree maps commuting with the wall map x.
 
     The moment map vanishes iff the commutator does, so these are precisely
-    the conormal-fiber directions.  a is a nilpotent partial permutation, so
+    the conormal-fiber directions.  x is a nilpotent partial permutation, so
     its basis vectors split into Jordan strings A_0 -> A_1 -> ... -> 0, and
     the commutant is spanned by the truncated shifts B_k -> A_{k+d} between
     ordered pairs of strings (A of length la, B of length lb), one for each
@@ -151,14 +141,14 @@ def commutant_basis(a: GradedMap) -> list[tuple[tuple[int, int, int], ...]]:
     order.  A sample draws one coefficient per basis map in this order, so
     the order fixes every sampled xbar and with it the output bytes.
     """
-    if a.shift not in (1, -1):
-        raise ValueError(f"wall map has degree {a.shift}, expected +1 or -1")
-    strings = _jordan_strings(a)
+    if not is_nilpotent(x):
+        raise ValueError(f"not a wall map (degree {x.shift}): its strings must cover each "
+                         "basis vector once, one colour step of +1 or -1 apart")
     supports = []
-    for sa in strings:
-        for sb in strings:
+    for sa in x.strings:
+        for sb in x.strings:
             for d in range(max(0, len(sa) - len(sb)), len(sa)):
-                if sa[d][0] == (sb[0][0] - a.shift) % a.m:
+                if sa[d][0] == (sb[0][0] - x.shift) % x.m:
                     supports.append(tuple(sorted(
                         (t, r, c) for (t, r), (_, c) in zip(sa[d:], sb))))
     return sorted(supports, key=lambda cells: cells[-1])
@@ -183,9 +173,26 @@ def sample_in_commutant(basis, dims, shift: int, rng: random.Random,
 
 # ------------------------------------------------------- point diagnostics
 
-def check_moment(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> bool:
-    """True iff [x, xbar] = 0 (equivalently, the moment map vanishes)."""
-    return gm_compose(x, xbar, p) == gm_compose(xbar, x, p)  # entries reduced mod p
+def check_moment(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> bool:
+    """True iff [x, xbar] = 0 (equivalently, the moment map vanishes).
+
+    x moves each vector one step along its string, so with no product
+    (x xbar)[u][v] = xbar[prev u][v] and (xbar x)[u][v] = xbar[u][next v],
+    an entry before a string's start or past its end being 0.  Entries are
+    compared mod p.
+    """
+    links = [(a, b) for string in x.strings for a, b in zip(string, string[1:])]
+    prev, nxt = {b: a[1] for a, b in links}, {a: b[1] for a, b in links}
+    for i, n in enumerate(x.dims):
+        j = (i - x.shift - xbar.shift) % x.m
+        cols = [nxt.get((j, c)) for c in range(x.dims[j])]
+        before, here = xbar.blocks[(i - x.shift) % x.m], xbar.blocks[i]
+        for r in range(n):
+            lhs = before[prev[i, r]] if (i, r) in prev else [0] * len(cols)
+            rhs = [0 if c is None else here[r][c] for c in cols]
+            if any((u - w) % p if p is not None else u != w for u, w in zip(lhs, rhs)):
+                return False
+    return True
 
 
 # ------------------------------------------------------------ kernel tables
@@ -214,21 +221,20 @@ class KernelTable:
         }
 
 
-def power_kernels(a: GradedMap, strings=None) -> tuple[RootVec, ...]:
+def power_kernels(x: WallMap) -> tuple[RootVec, ...]:
     """ker a^k for k = 0, 1, ... until alpha, with no elimination.
 
-    a^k kills the last k vectors of each Jordan string and sends the others
-    to distinct basis vectors, so ker a^k adds the k-th vector from the end.
+    x^k kills the last k vectors of each Jordan string and sends the others
+    to distinct basis vectors, so ker x^k adds the k-th vector from the end.
     """
-    strings = _jordan_strings(a) if strings is None else strings
-    rows = [zero_root(a.m - 1)]
-    for k in range(1, max(map(len, strings), default=0) + 1):
-        ends = [string[-k][0] for string in strings if len(string) >= k]
-        rows.append(rows[-1] + RootVec(tuple(map(ends.count, range(a.m)))))
+    rows = [zero_root(x.m - 1)]
+    for k in range(1, max(map(len, x.strings), default=0) + 1):
+        ends = [string[-k][0] for string in x.strings if len(string) >= k]
+        rows.append(rows[-1] + RootVec(tuple(map(ends.count, range(x.m)))))
     return tuple(rows)
 
 
-def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> KernelTable:
+def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> KernelTable:
     """Kernel table at a commuting point (x, xbar) with x a wall map.
 
     ker x^k comes from the Jordan strings of x, the rest from the row chain
@@ -249,8 +255,7 @@ def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> Ker
         raise ValueError("kernel table requested at a non-commuting point")
     m, dims, sb = x.m, x.dims, xbar.shift
     alpha = RootVec(dims)
-    strings = _jordan_strings(x)
-    depth = {v: d for string in strings for d, v in enumerate(string)}
+    depth = {v: d for string in x.strings for d, v in enumerate(string)}
     perm = [sorted(range(n), key=lambda c: -depth[j, c]) for j, n in enumerate(dims)]
     neg = [[-depth[j, c] for c in cs] for j, cs in enumerate(perm)]  # sorted, for bisect
     right = [sparse_rows([[blk[r][c] for c in perm[i]] for r in perm[(i + sb) % m]])
@@ -274,7 +279,7 @@ def kernel_table_at(x: GradedMap, xbar: GradedMap, p: int | None = PRIME) -> Ker
             seq.append(kernel)
         if all(seq[-1:] == [alpha] for seq in seqs.values()):
             xbar_pow, yxy_pow, xy_pow = map(tuple, seqs.values())
-            return KernelTable(alpha, power_kernels(x, strings), xbar_pow, xy_pow, yxy_pow)
+            return KernelTable(alpha, power_kernels(x), xbar_pow, xy_pow, yxy_pow)
         rows, pivots = zip(*(independent_rows(mat_mul(rows[(i + sb) % m], right[i], n, p), n, p)
                              for i, n in enumerate(dims)))
 
@@ -298,7 +303,7 @@ MIN_SAMPLES = 3   # samples drawn before a minimum table may be returned
 MAX_SAMPLES = 10  # samples drawn before GenericityError
 
 
-def generic_kernel_table(x: GradedMap, basis, seed: int = 0,
+def generic_kernel_table(x: WallMap, basis, seed: int = 0,
                          p: int | None = PRIME) -> KernelTable:
     """Componentwise-minimum table over agreeing independent samples.
 
@@ -332,14 +337,14 @@ def sample_framing(lam: Weight, dims, rng: random.Random, p: int | None = PRIME)
     ]
 
 
-def is_stable(x: GradedMap, xbar: GradedMap, framing, p: int | None = PRIME) -> bool:
+def is_stable(x: WallMap, xbar: GradedMap, framing, p: int | None = PRIME) -> bool:
     """ker x ∩ ker xbar ∩ ker t = 0 for a wall map x, one rank per component.
 
     The nonzero rows of x leaving V_i are distinct unit vectors, one per basis
     vector that is not a string end, so [x; xbar; t] has rank dim V_i exactly
     when [xbar; t] on the string-end columns of V_i has full column rank.
     """
-    tails = [string[-1] for string in _open_strings(x)]
+    tails = [string[-1] for string in x.strings]
     ends = [[c for j, c in tails if j == i] for i in range(x.m)]
     return all(rank([[row[c] for c in ends[i]] for row in (*xbar.block_out(i), *framing[i])], p)
                == len(ends[i]) for i in range(x.m) if ends[i])

@@ -161,7 +161,7 @@ def suite_example(seed: int = 0) -> list[Check]:
     )))
 
     out.append(Check("extra: fixed wall pair does not commute",
-                     not check_moment(x, xb_wall, PRIME)))
+                     not check_moment(x, xb_wall.dense(), PRIME)))
     out.append(Check("extra: wall map is nilpotent", is_nilpotent(x)))
 
     rep = run_pipeline(lam, word, seed=seed)

@@ -3,9 +3,10 @@
 from fractions import Fraction
 from math import lcm
 
-from affine_crystals.linalg import PRIME, _echelon, rank
+from affine_crystals.linalg import (PRIME, _echelon, gm_from_blocks, mat_mul, rank, sparse_rows,
+                                   zero_blocks)
 from affine_crystals.paths import path_apply
-from affine_crystals.quiver import SEQS
+from affine_crystals.quiver import SEQS, WallMap
 
 
 def nullspace(a, ncols: int, p: int | None = PRIME):
@@ -29,6 +30,52 @@ def nullspace(a, ncols: int, p: int | None = PRIME):
             v = [int(x * den) for x in v]
         basis.append(v)
     return basis
+
+
+def gm_zero(dims, shift):
+    return gm_from_blocks(dims, shift, zero_blocks(dims, shift))
+
+
+def gm_compose(a, b, p=None):
+    """a after b, entries reduced mod p; degree shifts add.  The dense
+    reference for the string-form commutator and for powers of x.
+
+    Shapes come from dims, not from the block tuples: a 0-row block cannot
+    carry its column count.
+    """
+    if a.dims != b.dims:
+        raise ValueError(f"cannot compose maps on dims {a.dims} and {b.dims}")
+    shift = a.shift + b.shift
+    return gm_from_blocks(a.dims, shift, [
+        mat_mul(a.blocks[i], sparse_rows(b.blocks[(i - a.shift) % a.m]),
+                a.dims[(i - shift) % a.m], p)
+        for i in range(a.m)])
+
+
+def _open_strings(a):
+    """Strings [(component, index), ...] of a dense 0/1 partial permutation, off its cycles."""
+    nxt = {}
+    for i, blk in enumerate(a.blocks):
+        for r, row in enumerate(blk):
+            for c, v in enumerate(row):
+                if v:
+                    src = ((i - a.shift) % a.m, c)
+                    if v != 1 or src in nxt:
+                        raise ValueError("not a 0/1 partial permutation")
+                    nxt[src] = (i, r)
+    hit = set(nxt.values())
+    if len(hit) < len(nxt):
+        raise ValueError("not a 0/1 partial permutation")
+    strings = [[(i, k)] for i in range(a.m) for k in range(a.dims[i]) if (i, k) not in hit]
+    for string in strings:
+        while string[-1] in nxt:
+            string.append(nxt[string[-1]])
+    return strings
+
+
+def zero_wall_map(dims, shift):
+    """The zero map as a WallMap: each basis vector is a string of its own."""
+    return WallMap(shift, tuple(dims), tuple(((i, k),) for i, n in enumerate(dims) for k in range(n)))
 
 
 def stacked_rank_is_stable(x, xbar, framing, p=PRIME):

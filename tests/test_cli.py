@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from affine_crystals import iso, quiver
 from affine_crystals.cli import main
-from affine_crystals.linalg import gm_from_blocks, gm_zero
+from affine_crystals.linalg import gm_from_blocks
 from affine_crystals.walls import total_content
+
+from oracles import zero_wall_map
 
 RUN = [sys.executable, "-m", "affine_crystals.cli"]
 
@@ -200,6 +202,40 @@ def test_bad_word_is_a_usage_error(args):
     assert len(lines) == 1 and lines[0].startswith("error: --word")
 
 
+@pytest.mark.parametrize("args, env_seed", [
+    (["path", "--n", "1", "--lambda", "1_0,0"], None),
+    (["path", "--n", "1", "--lambda", "\u0661,0"], None),
+    (["path", "--n", "2", "--lambda", "2,1,0", "--word", "\u0662 1^\u0661"], None),
+    (["path", "--n", "2", "--lambda", "2,1,0", "--word", "1^1_0"], None),
+    (["path", "--n", "\u0661", "--lambda", "1,0"], None),
+    (["quiver", "--n", "2", "--lambda", "2,1,0", "--seed", "1_0"], None),
+    (["graph", "--crystal", "b1", "--n", "2", "--level", "\u0662"], None),
+    (["graph", "--crystal", "b1", "--n", "2", "--max-nodes", "1_000"], None),
+    (["verify", "example", "--seed", "\u0663"], None),
+    (["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "1"], "1_0"),
+    (["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "1"], "\u0663"),
+], ids=["lambda-underscore", "lambda-arabic-indic", "word-arabic-indic", "word-underscore",
+        "n-arabic-indic", "seed-underscore", "level-arabic-indic", "max-nodes-underscore",
+        "verify-seed-arabic-indic", "env-seed-underscore", "env-seed-arabic-indic"])
+def test_numbers_take_ascii_digits_only(args, env_seed, monkeypatch, capsys):
+    # int() alone also reads '_' separators and the digits of other scripts
+    monkeypatch.delenv("CRYSTAL_SEED", raising=False)
+    if env_seed is not None:
+        monkeypatch.setenv("CRYSTAL_SEED", env_seed)
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_argparse_errors_are_one_usage_line():
+    proc = run_cli(["graph", "--n", "x"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: argument --n: invalid integer value: 'x'\n"
+
+
 @pytest.mark.parametrize("command", [
     ["path", "--n", "2", "--lambda", "2,1,0", "--word", "1"],
     ["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "1"],
@@ -234,13 +270,13 @@ def test_quiver_sampling_failure_is_one_error_line(monkeypatch, capsys):
 
 def test_quiver_stalled_filtration_is_one_error_line(monkeypatch, capsys):
     # x = 0 commutes with the cyclic xbar, which is invertible: ker xbar^k stays 0
-    def zero_wall_map(n, walls):
-        return gm_zero(total_content(n, walls).k, 1), []
+    def zero_map(n, walls):
+        return zero_wall_map(total_content(n, walls).k, 1), []
 
     def cyclic_sample(basis, dims, shift, rng, p):
         return gm_from_blocks(dims, shift, [[[1]]] * len(dims))
 
-    monkeypatch.setattr(iso, "wall_graded_map", zero_wall_map)
+    monkeypatch.setattr(iso, "wall_graded_map", zero_map)
     monkeypatch.setattr(quiver, "sample_in_commutant", cyclic_sample)
     assert main(["quiver", "--n", "2", "--lambda", "1,0,0", "--word", "1 2 0"]) == 1
     out, err = capsys.readouterr()

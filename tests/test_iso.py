@@ -4,7 +4,7 @@ import random
 
 import pytest
 from affine_crystals import golden, paths
-from affine_crystals.cartan import cl_root, root, rotate, weight, zero_root
+from affine_crystals.cartan import cl_root, pairing, root, rotate, weight, zero_root
 from affine_crystals.iso import (
     adj_path_from_kernels,
     b1_path_from_kernels,
@@ -15,11 +15,11 @@ from affine_crystals.iso import (
     report_to_json,
     run_pipeline,
 )
-from affine_crystals.linalg import PRIME
+from affine_crystals.linalg import PRIME, rank
 from affine_crystals.paths import from_word, ground_path, lowering_steps, parse_word, word_alpha
 from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn, render
 from affine_crystals.quiver import (KernelTable, commutant_basis, generic_kernel_table,
-                                    power_kernels, wall_graded_map)
+                                    power_kernels, sample_in_commutant, wall_graded_map)
 from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import (PATH_KIND, column_content, make_walls, path_to_walls,
                                    strip_column0, walls_to_path)
@@ -187,6 +187,42 @@ def test_kernel_identities_on_long_words():
         _, fac1 = peel_adj(n, rest,
                            generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed))
         assert (fac0, fac1) == (rep.direct["Ad"].factor(0), rep.direct["Ad"].factor(1))
+
+
+def _geometric_eps(x, xbar, p):
+    """dim V_i - rank [x_i | xbar_i], with x_i and xbar_i the blocks of x and xbar into V_i."""
+    dense = x.dense()
+    return tuple(n - rank([a + b for a, b in zip(dense.blocks[i], xbar.blocks[i])], p)
+                 for i, n in enumerate(x.dims))
+
+
+@pytest.mark.parametrize("p, cases", [(PRIME, 80), (None, 16)], ids=["fp", "qq"])
+def test_geometric_eps_matches_the_direct_paths(p, cases):
+    # at the pipeline's points (the P1 wall map and samples in its commutant),
+    # eps_i is the codimension in V_i of the images of its two neighbours:
+    # the minimum over 3 samples, 2 of which agree with it.  n <= 5, level
+    # <= 6 and 0-60 letters, as in test_pipeline_matches_over_random_words
+    rng = random.Random(4)
+    for _ in range(cases):
+        n = rng.randint(1, 5)
+        lam = random_dominant(n, rng.randint(1, 6), rng)
+        if lam.level == 0:
+            lam = weight([1] + [0] * n)
+        word = random_word(lam, rng.randint(0, 60), rng)
+        alpha = root(word_alpha(n, word))
+        x, _ = wall_graded_map(n, path_to_walls(n, lam, *lowering_steps(lam, "B1", word), alpha,
+                                                "P1"))
+        basis, draws = commutant_basis(x), random.Random(rng.randrange(10**6))
+        samples = [_geometric_eps(x, sample_in_commutant(basis, x.dims, -1, draws, p), p)
+                   for _ in range(3)]
+        eps = tuple(map(min, zip(*samples)))
+        assert samples.count(eps) >= 2, samples
+        wt = lam - cl_root(alpha)
+        for kind in ("B1", "Bn", "Ad"):
+            path = from_word(lam, kind, word)
+            assert path.wt() == wt
+            assert tuple(path.eps(i) for i in range(n + 1)) == eps, (lam, word, kind)
+            assert all(path.phi(i) == e + pairing(i, wt) for i, e in enumerate(eps))
 
 
 def test_pipeline_applies_no_raising_operator(monkeypatch):

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from affine_crystals import golden, linalg, quiver
 from affine_crystals.cartan import RootVec, root, weight, zero_root
-from affine_crystals.linalg import PRIME, gm_compose, gm_from_blocks, gm_zero, rank, zero_blocks
-from affine_crystals.paths import lowering_steps
+from affine_crystals.linalg import PRIME, gm_from_blocks, rank, zero_blocks
+from affine_crystals.paths import lowering_steps, word_alpha
 from affine_crystals.quiver import (
     GenericityError,
     KernelTable,
+    WallMap,
     check_moment,
     commutant_basis,
     generic_kernel_table,
@@ -24,44 +25,45 @@ from affine_crystals.quiver import (
     sample_framing,
     sample_in_commutant,
     wall_graded_map,
-    wall_matrix_units,
 )
 from affine_crystals.suites import random_dominant, random_word, reference_table
-from affine_crystals.walls import column_content, make_walls, path_to_walls
+from affine_crystals.walls import column_content, make_walls, path_to_walls, total_content
 
-from oracles import _table_rows_eq, nullspace, stacked_rank_is_stable
+from oracles import (_open_strings, _table_rows_eq, gm_compose, gm_zero, nullspace,
+                     stacked_rank_is_stable, zero_wall_map)
 
 N, LAM = golden.N, golden.LAM
+FIELDS = pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
 WP1 = make_walls("P1", **golden.WALLS_P1)
 WPN = make_walls("Pn", **golden.WALLS_PN)
 
 
 def test_matrix_units_match_reference():
-    ux = wall_matrix_units(N, WP1)
+    ux = wall_graded_map(N, WP1)[1]
     assert {(u.s, u.src, u.dst) for u in ux} == golden.X_UNITS
     assert all(u.direction == "x" for u in ux)
-    uxb = wall_matrix_units(N, WPN)
+    uxb = wall_graded_map(N, WPN)[1]
     assert {(u.s, u.src, u.dst) for u in uxb} == golden.XBAR_UNITS
     assert all(u.direction == "xbar" for u in uxb)
 
 
 def test_single_wall_units():
     one = make_walls("P1", (0,), ((1, 1),))
-    assert {(u.s, u.src, u.dst) for u in wall_matrix_units(2, one)} == {(0, 0, 0)}
+    assert {(u.s, u.src, u.dst) for u in wall_graded_map(2, one)[1]} == {(0, 0, 0)}
     # charge-0 block at (row 1, col 1) has color 0+1-1+1 = 1, so the unit
     # is the same adjacency that produces the reference tuple's first unit
     onebar = make_walls("Pn", (0,), ((1, 1),))
-    units = wall_matrix_units(2, onebar)
+    units = wall_graded_map(2, onebar)[1]
     assert [(u.direction, u.s, u.src, u.dst) for u in units] == [("xbar", 1, 0, 0)]
 
 
 def test_empty_walls_zero_map():
     x, units = wall_graded_map(N, make_walls("P1", (0, 0, 1), ((), (), ())))
-    assert units == [] and x == gm_zero(x.dims, 1)
+    assert units == [] and x == zero_wall_map(x.dims, 1) and x.dense() == gm_zero(x.dims, 1)
 
 
 def _big_commutator_dim(x, dims):
-    """Independent oracle: dense one-matrix commutator system over Q."""
+    """Independent oracle: dense one-matrix commutator system over Q, for a dense x."""
     m = len(dims)
     total = sum(dims)
     offs = [sum(dims[:i]) for i in range(m)]
@@ -97,9 +99,9 @@ def _big_commutator_dim(x, dims):
 def _solver_commutant_maps(a, p):
     """Reference oracle: the commutant as the nullspace of [a, u] = 0.
 
-    Unknowns are the entries of the opposite-degree blocks u[b], block-major
-    then row-major; the basis is the reduced-echelon one in that order, each
-    vector returned as a dense map.
+    a is dense.  Unknowns are the entries of the opposite-degree blocks u[b],
+    block-major then row-major; the basis is the reduced-echelon one in that
+    order, each vector returned as a dense map.
     """
     m = a.m
     dims = a.dims
@@ -206,7 +208,7 @@ def _kernel_sequence(base, step, alpha, p):
 
 
 def _oracle_table(x, xbar, p):
-    """The four kernel sequences from dense powers and a full rank on each."""
+    """The four kernel sequences of a dense x from dense powers and a full rank on each."""
     alpha = RootVec(x.dims)
     zero = zero_root(x.m - 1)
     if alpha.is_zero():
@@ -222,25 +224,26 @@ def _oracle_table(x, xbar, p):
 def _assert_matches_solver(x):
     basis = commutant_basis(x)
     for p in (PRIME, None):
-        assert basis == _solver_commutant_basis(x, p)
+        assert basis == _solver_commutant_basis(x.dense(), p)
     return basis
 
 
 def test_commutant_dimension_reference():
     x, _ = wall_graded_map(N, WP1)
     assert len(_assert_matches_solver(x)) == golden.COMMUTANT_DIM
-    assert _big_commutator_dim(x, x.dims) == golden.COMMUTANT_DIM
+    assert _big_commutator_dim(x.dense(), x.dims) == golden.COMMUTANT_DIM
 
 
 def test_commutant_tiny_cases_against_oracle():
-    # single unit on alpha = a0 + a2 with n = 2
-    x = gm_from_blocks((1, 0, 1), 1, [[[1]], [], [[]]])
-    assert len(_assert_matches_solver(x)) == _big_commutator_dim(x, (1, 0, 1))
+    # single unit v^2_0 -> v^0_0 on alpha = a0 + a2 with n = 2
+    x = WallMap(1, (1, 0, 1), (((2, 0), (0, 0)),))
+    assert x.dense() == gm_from_blocks((1, 0, 1), 1, [[[1]], [], [[]]])
+    assert len(_assert_matches_solver(x)) == _big_commutator_dim(x.dense(), (1, 0, 1))
     # zero map: everything commutes
     dims = (2, 1, 1)
     expect = sum(dims[i] * dims[i - 1] for i in range(3))
-    assert len(_assert_matches_solver(gm_zero(dims, 1))) == expect
-    assert len(_assert_matches_solver(gm_zero(dims, -1))) == expect
+    assert len(_assert_matches_solver(zero_wall_map(dims, 1))) == expect
+    assert len(_assert_matches_solver(zero_wall_map(dims, -1))) == expect
 
 
 def test_commutant_matches_solver_on_random_wall_maps():
@@ -253,36 +256,105 @@ def test_sample_equals_dense_sum_of_oracle_maps(p):
     # placing one coefficient per support is the dense combination, mod p
     x, _ = wall_graded_map(N, WP1)
     for a in [x] + _random_wall_maps(16):
-        basis, maps = commutant_basis(a), _solver_commutant_maps(a, p)
+        basis, maps = commutant_basis(a), _solver_commutant_maps(a.dense(), p)
         for s in (0, 1, 7):
             got = sample_in_commutant(basis, a.dims, -a.shift, random.Random(s), p)
             assert got == _dense_sample(maps, a.dims, -a.shift, random.Random(s), p)
 
 
+# one map for each way a WallMap can fail to be a wall map
+MALFORMED = {
+    "repeated-vector": WallMap(1, (1, 1), (((0, 0), (1, 0)), ((0, 0),))),
+    "skipped-colour": WallMap(1, (1, 0, 1), (((0, 0), (2, 0)),)),
+    "index-past-dims": WallMap(1, (1, 1), (((0, 0), (1, 1)), ((1, 0),))),
+    "missing-vector": WallMap(1, (1, 1), (((0, 0),),)),
+    "empty-string": WallMap(1, (1, 0), (((0, 0),), ())),
+    "degree-2": WallMap(2, (1, 1), (((0, 0),), ((1, 0),))),
+}
+
+
 def test_commutant_rejects_maps_that_are_not_wall_maps():
-    two = gm_from_blocks((1, 1), 1, [[[2]], [[0]]])
-    with pytest.raises(ValueError):
-        commutant_basis(two)
-    with pytest.raises(ValueError):
-        commutant_basis(gm_zero((1, 1), 2))
-    merge = gm_from_blocks((2, 1), 1, [[[0], [0]], [[1, 1]]])  # two columns hit one row
-    with pytest.raises(ValueError):
-        commutant_basis(merge)
+    for x in MALFORMED.values():
+        assert not is_nilpotent(x)
+        with pytest.raises(ValueError, match="^not a wall map"):
+            commutant_basis(x)
 
 
 def test_commutant_rejects_cycle_under_optimize():
-    # a 2-cycle V_0 -> V_1 -> V_0 is not nilpotent; the guard must survive -O
+    # a string form holds no cycle; the guard against every other malformed
+    # map must survive -O, and "extra: wall map is nilpotent" must be able to fail
     code = (
-        "from affine_crystals.linalg import gm_from_blocks\n"
-        "from affine_crystals.quiver import commutant_basis\n"
-        "try:\n"
-        "    commutant_basis(gm_from_blocks((1, 1), 1, [[[1]], [[1]]]))\n"
-        "except ValueError as err:\n"
-        "    print('ValueError', err)\n"
+        "from affine_crystals.quiver import WallMap, commutant_basis, is_nilpotent\n"
+        f"for x in {list(MALFORMED.values())!r}:\n"
+        "    try:\n"
+        "        commutant_basis(x)\n"
+        "    except ValueError:\n"
+        "        print('ValueError', is_nilpotent(x))\n"
+        "    else:\n"
+        "        print('accepted', is_nilpotent(x))\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("ValueError")
+    assert proc.stdout.splitlines() == ["ValueError False"] * len(MALFORMED)
+
+
+def _long_wall_tuples(count, seed):
+    """(n, walls) of P1 and Pn tuples of random words: n <= 5, level <= 6, 20-60 letters."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        lam = random_dominant(n, rng.randint(1, 6), rng)
+        if lam.level == 0:
+            continue
+        word = random_word(lam, rng.randint(20, 60), rng)
+        alpha = root(word_alpha(n, word))
+        for kind, path_kind in (("P1", "B1"), ("Pn", "Bn")):
+            out.append((n, path_to_walls(n, lam, *lowering_steps(lam, path_kind, word), alpha,
+                                         kind)))
+    return out[:count]
+
+
+def test_wall_map_strings_and_units_match_dense_oracle():
+    for n, walls in _long_wall_tuples(40, seed=14):
+        x, units = wall_graded_map(n, walls)
+        assert is_nilpotent(x) and x.dims == total_content(n, walls).k
+        assert x.shift == (1 if walls.kind == "P1" else -1)
+        assert set(x.strings) == set(map(tuple, _open_strings(x.dense())))
+        # one unit per link, from each string vector to the next one
+        links = [(a, b) for string in x.strings for a, b in zip(string, string[1:])]
+        up = [u.direction == "x" for u in units]
+        assert all(up) if x.shift == 1 else not any(up)
+        below = [(u.s - 1) % x.m for u in units]
+        pairs = [((t, u.src), (u.s, u.dst)) if x.shift == 1 else ((u.s, u.src), (t, u.dst))
+                 for u, t in zip(units, below)]
+        assert len(pairs) == len(links) and set(pairs) == set(links)
+
+
+@FIELDS
+def test_string_commutator_matches_dense_commutator(p):
+    # commuting samples, samples with one entry perturbed, and samples with
+    # PRIME added to every entry, which commute mod PRIME but not over Q
+    rng = random.Random(9)
+    seen = Counter()
+    for n, walls in _long_wall_tuples(16, seed=15):
+        x, _ = wall_graded_map(n, walls)
+        dense, shift = x.dense(), -x.shift
+        xbar = sample_in_commutant(commutant_basis(x), x.dims, shift, rng, p)
+        cells = [(t, r, c) for t, blk in enumerate(xbar.blocks)
+                 for r, row in enumerate(blk) for c in range(len(row))]
+        points = [xbar, gm_from_blocks(x.dims, shift, [[[v + PRIME for v in row] for row in blk]
+                                                        for blk in xbar.blocks])]
+        for t, r, c in rng.sample(cells, min(3, len(cells))):
+            blocks = [[list(row) for row in blk] for blk in xbar.blocks]
+            blocks[t][r][c] += rng.randrange(1, 10)
+            points.append(gm_from_blocks(x.dims, shift, blocks))
+        for xb in points:
+            commutes = check_moment(x, xb, p)
+            assert commutes == (gm_compose(dense, xb, p) == gm_compose(xb, dense, p))
+            seen[commutes] += 1
+        assert check_moment(x, xbar, p)
+    assert seen[True] and seen[False], seen
 
 
 def test_commutant_elements_commute():
@@ -291,7 +363,7 @@ def test_commutant_elements_commute():
     rng = random.Random(0)
     xbar = sample_in_commutant(basis, x.dims, -1, rng, PRIME)
     assert check_moment(x, xbar, PRIME)
-    assert not check_moment(x, wall_graded_map(N, WPN)[0], PRIME)
+    assert not check_moment(x, wall_graded_map(N, WPN)[0].dense(), PRIME)
 
 
 def test_sampling_is_deterministic():
@@ -307,12 +379,12 @@ def test_sampling_is_deterministic():
 def test_nilpotency():
     x, _ = wall_graded_map(N, WP1)
     assert is_nilpotent(x)
-    cube = gm_compose(x, gm_compose(x, x, PRIME), PRIME)
-    assert gm_compose(x, gm_compose(x, cube, PRIME), PRIME) == gm_zero(x.dims, 5)
-    assert is_nilpotent(gm_zero((2, 1, 1), -1))
-    assert not is_nilpotent(gm_from_blocks((1, 1), 1, [[[1]], [[1]]]))  # a 2-cycle
-    with pytest.raises(ValueError):
-        is_nilpotent(gm_from_blocks((1, 1), 1, [[[2]], [[0]]]))
+    dense = x.dense()
+    cube = gm_compose(dense, gm_compose(dense, dense, PRIME), PRIME)
+    assert gm_compose(dense, gm_compose(dense, cube, PRIME), PRIME) == gm_zero(x.dims, 5)
+    assert is_nilpotent(zero_wall_map((2, 1, 1), -1))
+    assert is_nilpotent(zero_wall_map((0, 0, 0), 1))
+    assert not any(map(is_nilpotent, MALFORMED.values()))
 
 
 def test_kernel_table_reference_multi_seed():
@@ -349,7 +421,7 @@ def test_kernel_table_requires_commuting_point():
     x, _ = wall_graded_map(N, WP1)
     xb, _ = wall_graded_map(N, WPN)
     with pytest.raises(ValueError):
-        kernel_table_at(x, xb, PRIME)
+        kernel_table_at(x, xb.dense(), PRIME)
 
 
 def test_kernel_table_zero_xbar():
@@ -387,16 +459,13 @@ def test_xy_and_yx_kernels_agree_at_commuting_points():
     basis = commutant_basis(x)
     for seed in (0, 1):
         xbar = sample_in_commutant(basis, x.dims, -1, random.Random(seed), PRIME)
-        xy = gm_compose(x, xbar, PRIME)
-        yx = gm_compose(xbar, x, PRIME)
+        xy = gm_compose(x.dense(), xbar, PRIME)
+        yx = gm_compose(xbar, x.dense(), PRIME)
         cur_a, cur_b = xy, yx
         for _ in range(4):
             assert _kernel_dims(cur_a, PRIME) == _kernel_dims(cur_b, PRIME)
             cur_a = gm_compose(cur_a, xy, PRIME)
             cur_b = gm_compose(cur_b, yx, PRIME)
-
-
-FIELDS = pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
 
 
 @FIELDS
@@ -405,7 +474,7 @@ def test_kernel_table_matches_dense_oracle_on_random_wall_maps(p):
         basis = commutant_basis(x)
         for s in (0, 1, 2):
             xbar = sample_in_commutant(basis, x.dims, -x.shift, random.Random(s), p)
-            assert kernel_table_at(x, xbar, p) == _oracle_table(x, xbar, p)
+            assert kernel_table_at(x, xbar, p) == _oracle_table(x.dense(), xbar, p)
 
 
 @FIELDS
@@ -423,7 +492,7 @@ def test_kernel_table_matches_dense_oracle_at_special_points(p):
                 for t, r, c in cells:
                     blocks[t][r][c] = co
             xbar = gm_from_blocks(x.dims, -x.shift, blocks)
-            assert kernel_table_at(x, xbar, p) == _oracle_table(x, xbar, p)
+            assert kernel_table_at(x, xbar, p) == _oracle_table(x.dense(), xbar, p)
 
 
 def test_kernel_table_matches_dense_oracle_mid_size_exact():
@@ -433,7 +502,7 @@ def test_kernel_table_matches_dense_oracle_mid_size_exact():
     x, _ = wall_graded_map(2, path_to_walls(2, lam, *lowering_steps(lam, "B1", word), alpha, "P1"))
     xbar = sample_in_commutant(commutant_basis(x), x.dims, -1, random.Random(0), None)
     assert sum(x.dims) >= 40
-    assert kernel_table_at(x, xbar, None) == _oracle_table(x, xbar, None)
+    assert kernel_table_at(x, xbar, None) == _oracle_table(x.dense(), xbar, None)
 
 
 @st.composite
@@ -457,7 +526,7 @@ def commuting_points(draw):
 def test_kernel_table_matches_dense_oracle_property(point):
     x, xbar, p = point
     kt = kernel_table_at(x, xbar, p)
-    assert kt == _oracle_table(x, xbar, p)
+    assert kt == _oracle_table(x.dense(), xbar, p)
     # every sequence strictly increases to alpha, so table equality is agreement
     for seq in quiver.SEQS:
         rows = getattr(kt, seq)
@@ -492,7 +561,7 @@ def test_stalled_filtration_names_its_sequence(p):
     xbar = gm_from_blocks(dims, -1, [[[1]], [[1]], [[1]]])
     with pytest.raises(GenericityError, match=r"^kernel filtration ker xbar\^k stabilized "
                        r"at 0 below alpha = 1a0\+1a1\+1a2$"):
-        kernel_table_at(gm_zero(dims, 1), xbar, p)
+        kernel_table_at(zero_wall_map(dims, 1), xbar, p)
     with pytest.raises(GenericityError):
         _oracle_table(gm_zero(dims, 1), xbar, p)
 
@@ -509,12 +578,12 @@ def test_stability():
 
 def test_stability_fails_without_framing():
     dims = (1, 0, 0)
-    z = gm_zero(dims, 1)
+    z = zero_wall_map(dims, 1)
     zbar = gm_zero(dims, -1)
     zero_framing = [[[0] * dims[i] for _ in range(LAM.a[i])] for i in range(3)]
     assert not is_stable(z, zbar, zero_framing, PRIME)
     # alpha = 0 is vacuously stable
-    z0 = gm_zero((0, 0, 0), 1)
+    z0 = zero_wall_map((0, 0, 0), 1)
     assert is_stable(z0, gm_zero((0, 0, 0), -1), [[], [], []], PRIME)
 
 
@@ -529,7 +598,7 @@ def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, 
     xbar = sample_in_commutant(commutant_basis(x), x.dims, -1, random.Random(0), p)
     kt = kernel_table_at(x, xbar, p)
     assert 0 < len(calls) <= x.m * len(kt.xbar_pow)
-    assert kt == _oracle_table(x, xbar, p)
+    assert kt == _oracle_table(x.dense(), xbar, p)
 
 
 @st.composite
@@ -557,7 +626,7 @@ def test_is_stable_matches_stacked_rank_oracle():
     def check(point):
         x, xbar, framing, p = point
         stable = is_stable(x, xbar, framing, p)
-        assert stable == stacked_rank_is_stable(x, xbar, framing, p)
+        assert stable == stacked_rank_is_stable(x.dense(), xbar, framing, p)
         seen[stable] += 1
 
     check()
