@@ -84,18 +84,8 @@ def root(coeffs) -> RootVec:
     return rv
 
 
-def zero_weight(n: int) -> Weight:
-    return Weight((0,) * (n + 1))
-
-
 def zero_root(n: int) -> RootVec:
     return RootVec((0,) * (n + 1))
-
-
-def fundamental_weight(n: int, i: int) -> Weight:
-    a = [0] * (n + 1)
-    a[i % (n + 1)] = 1
-    return Weight(tuple(a))
 
 
 def simple_root(n: int, i: int) -> RootVec:

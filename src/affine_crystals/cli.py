@@ -150,12 +150,7 @@ def cmd_graph(args) -> int:
     for t, node in enumerate(g.nodes):
         label = str(node) if args.crystal == "path" else render(node)
         lines.append(f'  n{t} [label="{label}"];')
-    drawn = set()
-    for src, op, i, dst in g.edges:
-        if op != "f" or (src, i, dst) in drawn:
-            continue
-        drawn.add((src, i, dst))
-        lines.append(f'  n{src} -> n{dst} [label="{i}"];')
+    lines.extend(f'  n{src} -> n{dst} [label="{i}"];' for src, op, i, dst in g.edges if op == "f")
     if not g.complete:
         lines.append('  meta [label="truncated", shape=box];')
     lines.append("}")

@@ -34,7 +34,7 @@ from .quiver import (
     sample_in_commutant,
     wall_graded_map,
 )
-from .walls import PATH_KIND, WallTuple, path_to_walls, strip_column0, wall_lambda, walls_to_json
+from .walls import PATH_KIND, WallTuple, path_to_walls, strip_column0, walls_to_json
 
 
 def _row_path(kt: KernelTable, lam: Weight, kind: str, seq: str) -> Path:
@@ -62,12 +62,11 @@ def adj_path_from_kernels(kt: KernelTable, lam: Weight) -> Path:
 
 # ------------------------------------------------------------ peeling steps
 
-def peel_column0(n: int, walls: WallTuple) -> tuple[WallTuple, B1Elem | BnElem]:
+def peel_column0(walls: WallTuple) -> tuple[WallTuple, B1Elem | BnElem]:
     """Strip column 0; the emitted factor is position 0 of the tuple's path
     (a B1Elem for a P1 tuple, a BnElem for a Pn tuple)."""
-    lam = wall_lambda(n, walls)
-    rest, beta = strip_column0(n, walls)
-    return rest, factor_from_content(lam, PATH_KIND[walls.kind], 0, beta)
+    rest, beta = strip_column0(walls)
+    return rest, factor_from_content(walls.lam, PATH_KIND[walls.kind], 0, beta)
 
 
 def raising_word(path: Path) -> list[int]:
@@ -83,23 +82,23 @@ def raising_word(path: Path) -> list[int]:
     return word
 
 
-def peel_adj(n: int, walls: WallTuple, kt: KernelTable) -> tuple[WallTuple, AdjElem]:
-    """One adjoint peeling step on a P1 wall tuple with kernel table kt.
+def peel_adj(walls: WallTuple, kt: KernelTable) -> tuple[WallTuple, AdjElem]:
+    """One adjoint peeling step on a wall tuple with kernel table kt.
 
-    The emitted factor is position 0 of the adjoint path read off kt; the
-    remaining tuple is the one whose adjoint path is that path shifted by one
-    position, recovered by raising the shifted path to the top and lowering
-    the mirror word in the row model.
+    The tuple gives the weight lam, kt the adjoint path over lam, and the
+    emitted factor is that path's position 0.  The remaining P1 tuple is the
+    one whose adjoint path is that path shifted by one position, recovered by
+    raising the shifted path to the top and lowering the mirror word in the
+    row model.
     """
-    lam = wall_lambda(n, walls)
+    lam = walls.lam
     pad = adj_path_from_kernels(kt, lam)
     shifted = make_path(lam, "Ad", pad.devs[1:])
     eword = [(i, 1) for i in raising_word(shifted)]
     # the first raising index is the last lowering one, which lowering_steps
     # applies first when the word is read in recorded order
     lowered, steps = lowering_steps(lam, "B1", eword)
-    alpha_rest = root(word_alpha(n, eword))
-    rest = path_to_walls(n, lam, lowered, steps, alpha_rest, "P1")
+    rest = path_to_walls(lowered, steps, root(word_alpha(lam.n, eword)))
     return rest, pad.factor(0)
 
 
@@ -140,9 +139,8 @@ def _compare(direct: Path, geom: Path, kind: str, mismatches: list[str]):
 
 def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> IsoReport:
     """Direct paths vs kernel-table reconstructions for one lowering word."""
-    n = lam.n
     word = tuple(word)
-    alpha = root(word_alpha(n, word))
+    alpha = root(word_alpha(lam.n, word))
     report = IsoReport(lam=lam, word=word, alpha=alpha)
 
     steps = {}
@@ -152,14 +150,14 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> Iso
     if cl_root(alpha) != lam - report.direct["B1"].wt():
         raise ValueError(f"word content {alpha} does not match the weight of its B1 path")
 
-    report.walls_p1 = path_to_walls(n, lam, report.direct["B1"], steps["B1"], alpha, "P1")
-    report.walls_pn = path_to_walls(n, lam, report.direct["Bn"], steps["Bn"], alpha, "Pn")
-    x, report.units_x = wall_graded_map(n, report.walls_p1)
-    _, report.units_xbar = wall_graded_map(n, report.walls_pn)
+    report.walls_p1 = path_to_walls(report.direct["B1"], steps["B1"], alpha)
+    report.walls_pn = path_to_walls(report.direct["Bn"], steps["Bn"], alpha)
+    x, report.units_x = wall_graded_map(report.walls_p1)
+    _, report.units_xbar = wall_graded_map(report.walls_pn)
 
     basis = commutant_basis(x)
     report.commutant_dim = len(basis)
-    report.xbar = sample_in_commutant(basis, x.dims, -x.shift, random.Random(seed), p)
+    report.xbar = sample_in_commutant(x, basis, random.Random(seed), p)
     report.table = generic_kernel_table(x, basis, seed=seed, p=p)
 
     report.geometric["B1"] = b1_path_from_kernels(report.table, lam)
@@ -178,7 +176,7 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> Iso
 
 def _stable_once(lam: Weight, x: WallMap, basis, seed: int, p) -> bool:
     rng = random.Random(seed)
-    xbar = sample_in_commutant(basis, x.dims, -x.shift, rng, p)
+    xbar = sample_in_commutant(x, basis, rng, p)
     framing = sample_framing(lam, x.dims, rng, p)
     return is_stable(x, xbar, framing, p)
 

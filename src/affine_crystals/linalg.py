@@ -57,9 +57,9 @@ def rank(a, p: int | None = PRIME) -> int:
     return len(_echelon(a, len(a[0]) if a else 0, p)[1])
 
 
-def independent_rows(a, ncols: int, p: int | None = PRIME) -> tuple[list, list[int]]:
+def independent_rows(a, p: int | None = PRIME) -> tuple[list, list[int]]:
     """A maximal independent subset of the rows of a, as given, and the pivot columns."""
-    _, pivots, picked = _echelon(a, ncols, p)
+    _, pivots, picked = _echelon(a, len(a[0]) if a else 0, p)
     return [a[i] for i in picked], pivots
 
 

@@ -11,9 +11,9 @@ Three families:
 * AdjElem -- the adjoint crystal B(0) + B(theta) + ... + B(l*theta), encoded
   as the pair (mbar, m): mbar counts barred columns, m counts boxes, both of
   size k <= l, with mbar_1 * m_1 = 0 (semistandardness of the two-row
-  tableau).  Classical operators act through the pair tensor (box part left,
-  barred part right, matching the column reading of the tableau); the affine
-  operators follow the explicit four-case rules.
+  tableau).  Classical operators are the pair tensor rule (box part left,
+  barred part right, matching the column reading of the tableau) in closed
+  form; the affine operators follow the explicit four-case rules.
 
 ``merge_pair``/``split_adj`` realize the crystal isomorphism
 B1 (x) Bn  ~~>  Adj by cancelling c = min(nu_1, nubar_1) leading pairs.
@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cartan import Weight
-from .crystal_core import TensorProd, eps_weight, phi_weight, tensor_apply
+from .crystal_core import TensorProd, eps_weight, phi_weight
 
 
 class WeightSectionError(ValueError):
@@ -197,20 +197,25 @@ class AdjElem:
             return None
         return AdjElem(tuple(mbar), tuple(m), self.cap)
 
-    def _classical(self, op: str, i: int):
-        res = tensor_apply(op, i, (self.box_part(), self.bar_part()))
-        if res is None:
-            return None
-        idx, new = res
-        if idx == 0:
-            return AdjElem(self.mbar, new.nu, self.cap)
-        return AdjElem(new.nubar, self.m, self.cap)
+    def _classical(self, op: str, j: int):
+        """e_j/f_j for 0 < j <= n, the tensor rule on box part (x) barred part in
+        closed form: f_j moves a box from m_{j-1} to m_j when m_{j-1} > mbar_{j-1},
+        else a barred column from mbar_j to mbar_{j-1}; e_j makes the reverse move,
+        on the boxes when m_{j-1} >= mbar_{j-1}."""
+        s, d = (j - 1, j) if op == "f" else (j, j - 1)
+        if self.m[j - 1] > self.mbar[j - 1] or op == "e" and self.m[j - 1] == self.mbar[j - 1]:
+            m = _move(self.m, s, d)
+            return None if m is None else AdjElem(self.mbar, m, self.cap)
+        mbar = _move(self.mbar, d, s)
+        return None if mbar is None else AdjElem(mbar, self.m, self.cap)
 
     def f(self, i: int):
-        return self._f0() if i % len(self.m) == 0 else self._classical("f", i)
+        j = i % len(self.m)
+        return self._classical("f", j) if j else self._f0()
 
     def e(self, i: int):
-        return self._e0() if i % len(self.m) == 0 else self._classical("e", i)
+        j = i % len(self.m)
+        return self._classical("e", j) if j else self._e0()
 
 
 # ---------------------------------------------------------------- sections

@@ -81,7 +81,7 @@ class WallMap:
         return gm_from_blocks(self.dims, self.shift, blocks)
 
 
-def wall_graded_map(n: int, walls: WallTuple) -> tuple[WallMap, list[MatrixUnit]]:
+def wall_graded_map(walls: WallTuple) -> tuple[WallMap, list[MatrixUnit]]:
     """The wall map (degree +1 for P1, -1 for Pn) and its units, one per link.
 
     Each wall row is walked from column 0 leftwards, walls and rows in
@@ -91,7 +91,7 @@ def wall_graded_map(n: int, walls: WallTuple) -> tuple[WallMap, list[MatrixUnit]
     row read from its left end is one string.  s is the colour of the unit's
     target (x) or source (xbar).
     """
-    up = walls.kind == "P1"
+    up, n = walls.kind == "P1", walls.n
     seen = [0] * (n + 1)
     strings, units = [], []
     for charge, heights in zip(walls.charges, walls.heights):
@@ -154,21 +154,21 @@ def commutant_basis(x: WallMap) -> list[tuple[tuple[int, int, int], ...]]:
     return sorted(supports, key=lambda cells: cells[-1])
 
 
-def sample_in_commutant(basis, dims, shift: int, rng: random.Random,
+def sample_in_commutant(x: WallMap, basis, rng: random.Random,
                         p: int | None = PRIME) -> GradedMap:
-    """Deterministic random combination of the basis supports.
+    """Deterministic random combination of the supports of x's commutant basis.
 
     One coefficient is drawn per support, in basis order, and written into
     the support's cells.  The supports are disjoint and every coefficient is
     below p, so this is the sum of coefficient times basis map, reduced mod p.
     """
-    blocks = zero_blocks(dims, shift)
+    blocks = zero_blocks(x.dims, -x.shift)
     hi = p if p is not None else 10**6
     for cells in basis:
         co = rng.randrange(hi)
         for t, r, c in cells:
             blocks[t][r][c] = co
-    return gm_from_blocks(dims, shift, blocks)
+    return gm_from_blocks(x.dims, -x.shift, blocks)
 
 
 # ------------------------------------------------------- point diagnostics
@@ -280,7 +280,7 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
         if all(seq[-1:] == [alpha] for seq in seqs.values()):
             xbar_pow, yxy_pow, xy_pow = map(tuple, seqs.values())
             return KernelTable(alpha, power_kernels(x), xbar_pow, xy_pow, yxy_pow)
-        rows, pivots = zip(*(independent_rows(mat_mul(rows[(i + sb) % m], right[i], n, p), n, p)
+        rows, pivots = zip(*(independent_rows(mat_mul(rows[(i + sb) % m], right[i], n, p), p)
                              for i, n in enumerate(dims)))
 
 
@@ -315,7 +315,7 @@ def generic_kernel_table(x: WallMap, basis, seed: int = 0,
     tables: list[KernelTable] = []
     lower, agree = None, 0
     for _ in range(MAX_SAMPLES):
-        xbar = sample_in_commutant(basis, x.dims, -x.shift, rng, p)
+        xbar = sample_in_commutant(x, basis, rng, p)
         tables.append(kernel_table_at(x, xbar, p))
         lower = _table_min(tables)
         agree = tables.count(lower)

@@ -104,7 +104,7 @@ def random_word(lam: Weight, length: int, rng: random.Random, kind: str = "B1"):
 
 def suite_example(seed: int = 0) -> list[Check]:
     out: list[Check] = []
-    lam, word, n = golden.LAM, golden.WORD, golden.N
+    lam, word = golden.LAM, golden.WORD
     t0 = time.monotonic()
     p1, steps1 = lowering_steps(lam, "B1", word)
     pn, stepsn = lowering_steps(lam, "Bn", word)
@@ -124,10 +124,10 @@ def suite_example(seed: int = 0) -> list[Check]:
     ), f"elapsed {elapsed:.2f}s"))
 
     t0 = time.monotonic()
-    wp1 = path_to_walls(n, lam, p1, steps1, golden.ALPHA, "P1")
-    wpn = path_to_walls(n, lam, pn, stepsn, golden.ALPHA, "Pn")
-    x, ux = wall_graded_map(n, wp1)
-    xb_wall, uxb = wall_graded_map(n, wpn)
+    wp1 = path_to_walls(p1, steps1, golden.ALPHA)
+    wpn = path_to_walls(pn, stepsn, golden.ALPHA)
+    x, ux = wall_graded_map(wp1)
+    xb_wall, uxb = wall_graded_map(wpn)
     elapsed = time.monotonic() - t0
     out.append(Check("A2 wall tuples and matrix units reconstructed", (
         wp1.charges == golden.WALLS_P1["charges"]
@@ -167,10 +167,10 @@ def suite_example(seed: int = 0) -> list[Check]:
     rep = run_pipeline(lam, word, seed=seed)
     out.append(Check("extra: full pipeline report passes", rep.ok, rep.first_mismatch()))
 
-    rest, fac = peel_adj(n, wp1, ref)
-    x_rest, _ = wall_graded_map(n, rest)
+    rest, fac = peel_adj(wp1, ref)
+    x_rest, _ = wall_graded_map(rest)
     kt_rest = generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed)
-    _, fac2 = peel_adj(n, rest, kt_rest)
+    _, fac2 = peel_adj(rest, kt_rest)
     out.append(Check("extra: adjoint peeling emits positions 0 and 1",
                      fac == pad.factor(0) and fac2 == pad.factor(1)))
     return out
@@ -257,8 +257,6 @@ def _ball_faults(rng: random.Random):
     for trial in range(5):
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
-        if lam.level == 0:
-            lam = weight([1] + [0] * n)
         bad = check_axioms(generate_graph(ground_path(lam, kinds[trial % 3]), max_nodes=500))
         if bad:
             yield f"{kinds[trial % 3]} ball of {lam}: {bad[0]}"
@@ -276,36 +274,36 @@ def suite_axioms(seed: int = 0) -> list[Check]:
 
 def _bridge_faults(cases, rng: random.Random, unstable: list[str]):
     """A10's witnesses; each unstable framing met on the way goes to unstable first."""
-    for n, lam, word in cases:
+    for lam, word in cases:
         rep = run_pipeline(lam, word, seed=rng.randrange(10**6))
         if not rep.stable:
             unstable.append(f"generic framing unstable for {lam} word {word}")
         if not rep.ok:
             yield f"pipeline fails for {lam} word {word}: {rep.first_mismatch()}"
-        acc = zero_root(n)
+        acc = zero_root(lam.n)
         for t in range(len(rep.table.xbar_pow)):
             if rep.table.at("xbar_pow", t) != acc:
                 yield f"bridge kernel mismatch at power {t} for {lam}"
-            acc = acc + column_content(n, rep.walls_pn, t)
+            acc = acc + column_content(rep.walls_pn, t)
 
 
 def _peel_faults(cases):
-    for n, lam, word in cases:
+    for lam, word in cases:
         p1, steps = lowering_steps(lam, "B1", word)
-        alpha = root(word_alpha(n, word))
-        walls = path_to_walls(n, lam, p1, steps, alpha, "P1")
+        alpha = root(word_alpha(lam.n, word))
+        walls = path_to_walls(p1, steps, alpha)
         if walls.block_count() == 0:
             continue
-        rest, elem = peel_column0(n, walls)
-        if elem != walls_to_path(n, walls).factor(0):
+        rest, elem = peel_column0(walls)
+        if elem != walls_to_path(walls).factor(0):
             yield f"peeled factor is not position 0 for {lam}"
-        okv, msg = validate(n, rest)
+        okv, msg = validate(rest)
         if not okv:
             yield f"stripped tuple invalid: {msg}"
-        x, _ = wall_graded_map(n, walls)
+        x, _ = wall_graded_map(walls)
         ker = power_kernels(x)
         if rest.block_count():
-            ker2 = power_kernels(wall_graded_map(n, rest)[0])
+            ker2 = power_kernels(wall_graded_map(rest)[0])
             shifted = [ker[min(k + 1, len(ker) - 1)] - ker[1] for k in range(len(ker2))]
             if ker2 != tuple(shifted):
                 yield f"kernel shift law fails for {lam}"
@@ -323,9 +321,7 @@ def suite_bridge(seed: int = 0) -> list[Check]:
     for _ in range(50):
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
-        if lam.level == 0:
-            lam = weight([1] + [0] * n)
-        cases.append((n, lam, random_word(lam, rng.randint(0, 12), rng)))
+        cases.append((lam, random_word(lam, rng.randint(0, 12), rng)))
 
     unstable: list[str] = []
     _check(out, "A10 cross-model bridge over 50 random words",
@@ -336,20 +332,17 @@ def suite_bridge(seed: int = 0) -> list[Check]:
 
 
 SUITES = {
-    "example": lambda seed: suite_example(seed),
+    "example": suite_example,
     "xi": lambda seed: suite_xi(),
     "perfect": lambda seed: suite_perfect(),
-    "axioms": lambda seed: suite_axioms(seed),
-    "bridge": lambda seed: suite_bridge(seed),
+    "axioms": suite_axioms,
+    "bridge": suite_bridge,
 }
 
 
 def run_suite(name: str, seed: int = 0) -> list[Check]:
     if name == "all":
-        checks = []
-        for key in ("example", "xi", "perfect", "axioms", "bridge"):
-            checks.extend(SUITES[key](seed))
-        return checks
+        return [check for suite in SUITES.values() for check in suite(seed)]
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick from "
                          f"{', '.join(list(SUITES) + ['all'])}")

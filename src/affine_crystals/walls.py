@@ -10,10 +10,14 @@ Block colors walk by one residue per step:
 
 with rows counted from 1 at the bottom and columns from 0 at the right.
 
-An l-tuple additionally satisfies a cyclic interlacing order between
-consecutive walls and a reducedness condition (the left-end colors of the
-rows of any fixed length never exhaust all residues; this is what kills the
-delta-direction redundancy).
+An l-tuple lives over one dominant weight lam = Lambda_{c_1} + ... +
+Lambda_{c_l} of A_n^(1), charges c_1 <= ... <= c_l in 0..n (Kang, Proc. LMS
+2003): a ``WallTuple`` carries n and reads ``lam`` off its charges, and a
+function given a tuple or a path takes n, lam and the kind from it.
+The tuple also satisfies a cyclic interlacing order between consecutive walls
+and a reducedness condition (the left-end colors of the rows of any fixed
+length never exhaust all residues; this is what kills the delta-direction
+redundancy).
 
 Column j of a tuple is read as path factor j (``walls_to_path``), through
 ``paths.factor_from_content`` with the column's content.  The
@@ -29,22 +33,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cartan import RootVec, Weight, decompose, fundamental_weight, zero_root, zero_weight
+from .cartan import RootVec, Weight, decompose, weight, zero_root
 from .paths import InversionError, Path, factor_from_content, make_path
 
 WALL_KINDS = ("P1", "Pn")
 PATH_KIND = {"P1": "B1", "Pn": "Bn"}  # the path model each wall kind realizes
+WALL_KIND = {"B1": "P1", "Bn": "Pn"}  # and the wall kind each path model has
 
 
 @dataclass(frozen=True)
 class WallTuple:
     kind: str
-    charges: tuple[int, ...]
+    n: int
+    charges: tuple[int, ...]  # ascending, in 0..n
     heights: tuple[tuple[int, ...], ...]  # per wall, index = column from the right
 
     @property
-    def ell(self) -> int:
-        return len(self.charges)
+    def lam(self) -> Weight:
+        """The dominant weight: Lambda_c summed over the charges c."""
+        return weight(map(self.charges.count, range(self.n + 1)))
 
     def n_cols(self) -> int:
         return max((len(h) for h in self.heights), default=0)
@@ -57,13 +64,16 @@ class WallTuple:
         return f"{self.kind}({walls})"
 
 
-def make_walls(kind: str, charges, heights) -> WallTuple:
+def make_walls(kind: str, n: int, charges, heights) -> WallTuple:
+    """A tuple of rank n >= 1, trailing zero heights trimmed; ValueError unless
+    the kind is known and one height sequence follows each ascending charge in 0..n."""
     if kind not in WALL_KINDS:
         raise ValueError(f"unknown wall kind {kind!r}")
-    charges = tuple(charges)
-    heights = tuple(heights)
+    charges, heights = tuple(charges), tuple(heights)
     if len(heights) != len(charges):
         raise ValueError("one height sequence per charge required")
+    if n < 1 or not all(0 <= c <= n for c in charges):
+        raise ValueError(f"rank {n} with charges {charges}: needs n >= 1 and charges in 0..n")
     if any(charges[t] > charges[t + 1] for t in range(len(charges) - 1)):
         raise ValueError("charges must be ascending")
     trimmed = []
@@ -72,7 +82,7 @@ def make_walls(kind: str, charges, heights) -> WallTuple:
         while h and h[-1] == 0:
             h.pop()
         trimmed.append(tuple(h))
-    return WallTuple(kind, charges, tuple(trimmed))
+    return WallTuple(kind, n, charges, tuple(trimmed))
 
 
 def block_color(n: int, kind: str, charge: int, row: int, col: int) -> int:
@@ -81,26 +91,19 @@ def block_color(n: int, kind: str, charge: int, row: int, col: int) -> int:
     return (charge + col - row + 1) % (n + 1)
 
 
-def wall_lambda(n: int, walls: WallTuple) -> Weight:
-    lam = zero_weight(n)
-    for c in walls.charges:
-        lam = lam + fundamental_weight(n, c)
-    return lam
-
-
-def column_content(n: int, walls: WallTuple, j: int) -> RootVec:
-    counts = [0] * (n + 1)
+def column_content(walls: WallTuple, j: int) -> RootVec:
+    counts = [0] * (walls.n + 1)
     for charge, h in zip(walls.charges, walls.heights):
         height = h[j] if j < len(h) else 0
         for row in range(1, height + 1):
-            counts[block_color(n, walls.kind, charge, row, j)] += 1
+            counts[block_color(walls.n, walls.kind, charge, row, j)] += 1
     return RootVec(tuple(counts))
 
 
-def total_content(n: int, walls: WallTuple) -> RootVec:
-    out = zero_root(n)
+def total_content(walls: WallTuple) -> RootVec:
+    out = zero_root(walls.n)
     for j in range(walls.n_cols()):
-        out = out + column_content(n, walls, j)
+        out = out + column_content(walls, j)
     return out
 
 
@@ -130,10 +133,10 @@ def _length_fault(n: int, kind: str, charges, heights, length: int) -> str:
     return f"not reduced: rows of length {length} use every color" if len(colors) == n + 1 else ""
 
 
-def validate(n: int, walls: WallTuple) -> tuple[bool, str]:
+def validate(walls: WallTuple) -> tuple[bool, str]:
     """Stacking, cyclic interlacing, and reducedness; first witness on failure."""
     cols = range(walls.n_cols())
-    args = (n, walls.kind, walls.charges, walls.heights)
+    args = (walls.n, walls.kind, walls.charges, walls.heights)
     fault = (next(filter(None, (_column_fault(*args, j) for j in cols)), "")
              or next(filter(None, (_length_fault(*args, j + 1) for j in cols)), ""))
     return (False, fault) if fault else (True, "ok")
@@ -164,28 +167,28 @@ def _fits(n: int, kind: str, charges, heights: list[list[int]], w: int, pos: int
 
 # ------------------------------------------------------------ wall <-> path
 
-def walls_to_path(n: int, walls: WallTuple) -> Path:
+def walls_to_path(walls: WallTuple) -> Path:
     """Factor j is factor_from_content of column j's content."""
-    lam = wall_lambda(n, walls)
-    kind = PATH_KIND[walls.kind]
-    return make_path(lam, kind, [factor_from_content(lam, kind, j, column_content(n, walls, j))
+    lam, kind = walls.lam, PATH_KIND[walls.kind]
+    return make_path(lam, kind, [factor_from_content(lam, kind, j, column_content(walls, j))
                                  for j in range(walls.n_cols())])
 
 
-def path_to_walls(n: int, lam: Weight, path: Path, steps, alpha: RootVec,
-                  kind: str) -> WallTuple:
+def path_to_walls(path: Path, steps, alpha: RootVec) -> WallTuple:
     """Invert walls_to_path by replaying the path's lowering steps, one block each.
 
-    steps are the (i, pos) of ``paths.lowering_steps``, in the order they act:
-    f_i changed the factor at pos, which lowers that column's classical weight
-    by exactly alpha_i.  So each step adds one i-block at column pos, and
-    exactly one wall must take it and stay valid.  The steps edit one heights
-    list per wall in place.  The result must be valid, have content alpha and
-    map back to the path, whatever word the steps came from.
+    The tuple takes the path's n and lam, and is P1 for a B1 path, Pn for a Bn
+    path; an Ad path has none (ValueError).  steps are the (i, pos) of
+    ``paths.lowering_steps``, in the order they act: f_i changed the factor at
+    pos, which lowers that column's classical weight by exactly alpha_i.  So
+    each step adds one i-block at column pos, and exactly one wall must take it
+    and stay valid.  The steps edit one heights list per wall in place.  The
+    result must be valid, have content alpha and map back to the path,
+    whatever word the steps came from.
     """
-    if path.lam != lam:
-        raise ValueError("path does not belong to the given weight")
-    charges = decompose(lam)
+    if path.kind not in WALL_KIND:
+        raise ValueError(f"{path.kind} paths have no wall tuple")
+    n, kind, charges = path.n, WALL_KIND[path.kind], decompose(path.lam)
     heights: list[list[int]] = [[] for _ in charges]
     for t, (i, pos) in enumerate(steps):
         fits = [w for w, h in enumerate(heights)
@@ -197,35 +200,31 @@ def path_to_walls(n: int, lam: Weight, path: Path, steps, alpha: RootVec,
                 f"of {kind} heights {heights}"
             )
         _add_block(heights[fits[0]], pos)
-    out = make_walls(kind, charges, heights)
-    ok, msg = validate(n, out)
+    out = make_walls(kind, n, charges, heights)
+    ok, msg = validate(out)
     if not ok:
         raise InversionError(f"replayed tuple {out} is not valid: {msg}")
-    if total_content(n, out) != alpha:
-        raise InversionError(f"replayed content {total_content(n, out)} is not alpha = {alpha}")
-    if walls_to_path(n, out) != path:
+    if total_content(out) != alpha:
+        raise InversionError(f"replayed content {total_content(out)} is not alpha = {alpha}")
+    if walls_to_path(out) != path:
         raise InversionError(f"replayed tuple {out} does not map back to {path}")
     return out
 
 
-def strip_column0(n: int, walls: WallTuple) -> tuple[WallTuple, RootVec]:
+def strip_column0(walls: WallTuple) -> tuple[WallTuple, RootVec]:
     """Remove column 0 everywhere; charges shift by -1 (P1) or +1 (Pn).
 
     Walls whose charge wraps move cyclically to the other end so charges stay
     ascending; the result lives over the rotated dominant weight.
     """
-    m = n + 1
-    beta = column_content(n, walls, 0)
     shift = -1 if walls.kind == "P1" else 1
-    items = sorted(
-        (((c + shift) % m, tuple(h[1:])) for c, h in zip(walls.charges, walls.heights)),
-        key=lambda it: it[0],
-    )
-    out = make_walls(walls.kind, tuple(c for c, _ in items), tuple(h for _, h in items))
-    ok, msg = validate(n, out)
+    items = sorted((((c + shift) % (walls.n + 1), h[1:])
+                    for c, h in zip(walls.charges, walls.heights)), key=lambda it: it[0])
+    out = make_walls(walls.kind, walls.n, [c for c, _ in items], [h for _, h in items])
+    ok, msg = validate(out)
     if not ok:
         raise InversionError(f"stripping column 0 broke validity: {msg}")
-    return out, beta
+    return out, column_content(walls, 0)
 
 
 # ------------------------------------------------------------------- JSON
@@ -239,5 +238,6 @@ def walls_to_json(walls: WallTuple) -> dict:
     }
 
 
-def walls_from_json(data) -> WallTuple:
-    return make_walls(data["kind"], data["charges"], data["heights"])
+def walls_from_json(data, n: int) -> WallTuple:
+    """The tuple of walls_to_json, which does not record the rank n."""
+    return make_walls(data["kind"], n, data["charges"], data["heights"])

@@ -3,10 +3,11 @@
 from fractions import Fraction
 from math import lcm
 
+from affine_crystals.cartan import RootVec, zero_root
 from affine_crystals.linalg import (PRIME, _echelon, gm_from_blocks, mat_mul, rank, sparse_rows,
                                    zero_blocks)
 from affine_crystals.paths import path_apply
-from affine_crystals.quiver import SEQS, WallMap
+from affine_crystals.quiver import SEQS, GenericityError, KernelTable, WallMap
 
 
 def nullspace(a, ncols: int, p: int | None = PRIME):
@@ -110,3 +111,74 @@ def _table_rows_eq(a, b):
     """Kernel tables a and b agree row by row, each sequence clamped at its last row."""
     return all(a.at(seq, k) == b.at(seq, k) for seq in SEQS
                for k in range(max(len(getattr(a, seq)), len(getattr(b, seq)))))
+
+
+def _kernel_dims(a, p):
+    """Graded nullity: per component i, dim ker of the block leaving V_i."""
+    return RootVec(tuple(a.dims[i] - rank([list(r) for r in a.block_out(i)], p)
+                         for i in range(a.m)))
+
+
+def _kernel_sequence(base, step, alpha, p):
+    """Oracle: ker(base), ker(base o step), ... from dense products, until alpha."""
+    rows = [_kernel_dims(base, p)]
+    cur = base
+    while rows[-1] != alpha:
+        cur = gm_compose(cur, step, p)
+        rows.append(_kernel_dims(cur, p))
+        if rows[-1] == rows[-2]:
+            raise GenericityError(f"stabilized at {rows[-1]} below alpha = {alpha}")
+    return tuple(rows)
+
+
+def _oracle_table(x, xbar, p):
+    """The four kernel sequences of a dense x from dense powers and a full rank on each."""
+    alpha = RootVec(x.dims)
+    zero = zero_root(x.m - 1)
+    if alpha.is_zero():
+        return KernelTable(alpha, (zero,), (zero,), (zero,), (zero,))
+    xy = gm_compose(x, xbar, p)
+    return KernelTable(alpha,
+                       (zero,) + _kernel_sequence(x, x, alpha, p),
+                       (zero,) + _kernel_sequence(xbar, xbar, alpha, p),
+                       (zero,) + _kernel_sequence(xy, xy, alpha, p),
+                       _kernel_sequence(xbar, xy, alpha, p))
+
+
+def restrict_to_hyperplane(x, xbar, i, rng, p=PRIME):
+    """(x, xbar), dense maps of degree +1 and -1, restricted to the subspace
+    that has V_i replaced by a random hyperplane H containing the images of x
+    and xbar coming into V_i; None when those images span V_i.
+
+    H is ker phi for a random functional phi vanishing on the images.  With
+    c its first nonzero coordinate and s = phi[c], H has the basis
+    s e_r - phi[r] e_c (r != c), in which a vector w of H has coordinates
+    w_r / s.  To stay integral the restricted pair is scaled by s, which
+    moves no kernel: the blocks into V_i lose row c, the blocks out of V_i
+    become s times their product with that basis, and the others are
+    multiplied by s.  The restricted pair still commutes.
+    """
+    d = x.dims[i]
+    incoming = [a + b for a, b in zip(x.blocks[i], xbar.blocks[i])]
+    basis = nullspace([list(col) for col in zip(*incoming)], d, p)  # functionals on V_i
+    if not basis:
+        return None
+    phi = [0] * d
+    while not any(phi):
+        co = [rng.randrange(p or 10**6) for _ in basis]
+        phi = [sum(a * v[r] for a, v in zip(co, basis)) for r in range(d)]
+        phi = [v % p for v in phi] if p is not None else phi
+    c = next(r for r, v in enumerate(phi) if v)
+    s, keep = phi[c], [r for r in range(d) if r != c]
+    dims = tuple(n - (t == i) for t, n in enumerate(x.dims))
+
+    def cut(g):
+        blocks = []
+        for t, blk in enumerate(g.blocks):
+            rows = [list(blk[r]) for r in keep] if t == i else [[s * v for v in row] for row in blk]
+            if (t - g.shift) % g.m == i:
+                rows = [[s * row[r] - phi[r] * row[c] for r in keep] for row in rows]
+            blocks.append([[v % p for v in row] for row in rows] if p is not None else rows)
+        return gm_from_blocks(dims, g.shift, blocks)
+
+    return cut(x), cut(xbar)

@@ -270,11 +270,11 @@ def test_quiver_sampling_failure_is_one_error_line(monkeypatch, capsys):
 
 def test_quiver_stalled_filtration_is_one_error_line(monkeypatch, capsys):
     # x = 0 commutes with the cyclic xbar, which is invertible: ker xbar^k stays 0
-    def zero_map(n, walls):
-        return zero_wall_map(total_content(n, walls).k, 1), []
+    def zero_map(walls):
+        return zero_wall_map(total_content(walls).k, 1), []
 
-    def cyclic_sample(basis, dims, shift, rng, p):
-        return gm_from_blocks(dims, shift, [[[1]]] * len(dims))
+    def cyclic_sample(x, basis, rng, p):
+        return gm_from_blocks(x.dims, -x.shift, [[[1]]] * x.m)
 
     monkeypatch.setattr(iso, "wall_graded_map", zero_map)
     monkeypatch.setattr(quiver, "sample_in_commutant", cyclic_sample)

@@ -75,3 +75,18 @@ def test_hooked_names_are_callable(module, name):
     # the traced run replaces these attributes at call time and stops with
     # HookError when one is gone
     assert callable(getattr(importlib.import_module(f"affine_crystals.{module}"), name, None))
+
+
+@pytest.mark.parametrize("name", ["walls.py", "quiver.py", "iso.py"])
+def test_rank_and_weight_come_from_the_data(name):
+    # a wall tuple carries its rank n and weight lam, and a path its lam and
+    # kind: a public function that takes walls or a path reads them off it
+    # instead of taking them beside it, where they could disagree
+    tree = ast.parse((Path(affine_crystals.__file__).parent / name).read_text(encoding="utf-8"))
+    beside = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            params = {a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs}
+            if params & {"n", "lam"} and params & {"walls", "path"}:
+                beside.append(node.name)
+    assert beside == []

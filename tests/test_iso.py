@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from affine_crystals import golden, paths
+from affine_crystals import golden, paths, quiver
 from affine_crystals.cartan import cl_root, pairing, root, rotate, weight, zero_root
 from affine_crystals.iso import (
     adj_path_from_kernels,
@@ -23,11 +23,11 @@ from affine_crystals.quiver import (KernelTable, commutant_basis, generic_kernel
 from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import (PATH_KIND, column_content, make_walls, path_to_walls,
                                    strip_column0, walls_to_path)
-from oracles import raising_steps as oracle_raising_steps
+from oracles import _oracle_table, raising_steps as oracle_raising_steps, restrict_to_hyperplane
 
 N, LAM = golden.N, golden.LAM
-WP1 = make_walls("P1", **golden.WALLS_P1)
-WPN = make_walls("Pn", **golden.WALLS_PN)
+WP1 = make_walls("P1", N, **golden.WALLS_P1)
+WPN = make_walls("Pn", N, **golden.WALLS_PN)
 
 
 def test_reconstructions_from_frozen_table():
@@ -60,22 +60,22 @@ def test_zero_table_gives_ground_paths():
 
 
 def test_peel_p1_matches_path_factor():
-    rest, elem = peel_column0(N, WP1)
+    rest, elem = peel_column0(WP1)
     assert elem == B1Elem((1, 1, 1))
-    assert elem == walls_to_path(N, WP1).factor(0)
+    assert elem == walls_to_path(WP1).factor(0)
     assert rest.charges == (0, 2, 2)
 
 
 def test_peel_pn_matches_path_factor():
-    rest, elem = peel_column0(N, WPN)
+    rest, elem = peel_column0(WPN)
     assert elem == BnElem((2, 1, 0))
-    assert elem == walls_to_path(N, WPN).factor(0)
+    assert elem == walls_to_path(WPN).factor(0)
     assert rest.charges == (1, 1, 2)
 
 
 def test_peel_on_empty_walls():
-    empty = make_walls("P1", (0, 0, 1), ((), (), ()))
-    rest, elem = peel_column0(N, empty)
+    empty = make_walls("P1", N, (0, 0, 1), ((), (), ()))
+    rest, elem = peel_column0(empty)
     assert rest.block_count() == 0
     assert elem == ground_b1(LAM, 0)
 
@@ -83,15 +83,15 @@ def test_peel_on_empty_walls():
 def test_peel_adj_twice():
     pad = from_word(LAM, "Ad", golden.WORD)
     ref = reference_table()
-    rest, fac0 = peel_adj(N, WP1, ref)
+    rest, fac0 = peel_adj(WP1, ref)
     assert fac0 == pad.factor(0)
-    x2, _ = wall_graded_map(N, rest)
+    x2, _ = wall_graded_map(rest)
     kt2 = generic_kernel_table(x2, commutant_basis(x2), seed=3)
-    rest2, fac1 = peel_adj(N, rest, kt2)
+    rest2, fac1 = peel_adj(rest, kt2)
     assert fac1 == pad.factor(1)
-    x3, _ = wall_graded_map(N, rest2)
+    x3, _ = wall_graded_map(rest2)
     kt3 = generic_kernel_table(x3, commutant_basis(x3), seed=3)
-    _, fac2 = peel_adj(N, rest2, kt3)
+    _, fac2 = peel_adj(rest2, kt3)
     assert fac2 == pad.factor(2)
 
 
@@ -109,10 +109,10 @@ def test_peel_column0_is_strip_and_factor0(kind):
             lam = weight([1] + [0] * n)
         word = random_word(lam, rng.randint(0, 12), rng, kind=pkind)
         p, steps = lowering_steps(lam, pkind, word)
-        tuples.append((n, path_to_walls(n, lam, p, steps, root(word_alpha(n, word)), kind)))
+        tuples.append((n, path_to_walls(p, steps, root(word_alpha(n, word)))))
     for n, w in tuples:
-        expected = (strip_column0(n, w)[0], walls_to_path(n, w).factor(0))
-        assert peel_column0(n, w) == expected
+        expected = (strip_column0(w)[0], walls_to_path(w).factor(0))
+        assert peel_column0(w) == expected
         assert type(expected[1]) is (B1Elem if kind == "P1" else BnElem)
 
 
@@ -151,7 +151,7 @@ def test_pipeline_matches_over_random_words():
         for kind, walls in (("P1", rep.walls_p1), ("Pn", rep.walls_pn)):
             path = rep.direct[PATH_KIND[kind]]
             steps = oracle_raising_steps(path)[::-1]
-            assert path_to_walls(n, lam, path, steps, rep.alpha, kind) == walls
+            assert path_to_walls(path, steps, rep.alpha) == walls
 
 
 def test_kernel_identities_on_long_words():
@@ -167,24 +167,24 @@ def test_kernel_identities_on_long_words():
         assert rep.ok, rep.first_mismatch()
         kt = rep.table
         if case % 3 == 0:
-            x, _ = wall_graded_map(n, rep.walls_p1)
+            x, _ = wall_graded_map(rep.walls_p1)
             assert generic_kernel_table(x, commutant_basis(x), seed=seed, p=None) == kt
         # A10: ker xbar^t is the content of the first t columns of the Pn tuple
         acc = zero_root(n)
         for t, ker in enumerate(kt.xbar_pow):
             assert ker == acc
-            acc = acc + column_content(n, rep.walls_pn, t)
+            acc = acc + column_content(rep.walls_pn, t)
         # A11: column 0 peels off position 0, and the rest's ker a^k is ker a^(k+1) - ker a
         for kind, walls in (("P1", rep.walls_p1), ("Pn", rep.walls_pn)):
-            rest, elem = peel_column0(n, walls)
+            rest, elem = peel_column0(walls)
             assert elem == rep.direct[PATH_KIND[kind]].factor(0)
-            ker = power_kernels(wall_graded_map(n, walls)[0])
-            ker_rest = power_kernels(wall_graded_map(n, rest)[0])
+            ker = power_kernels(wall_graded_map(walls)[0])
+            ker_rest = power_kernels(wall_graded_map(rest)[0])
             assert ker_rest == tuple(ker[k + 1] - ker[1] for k in range(len(ker_rest)))
         # peel_adj twice emits positions 0 and 1 of the direct Ad path
-        rest, fac0 = peel_adj(n, rep.walls_p1, kt)
-        x_rest, _ = wall_graded_map(n, rest)
-        _, fac1 = peel_adj(n, rest,
+        rest, fac0 = peel_adj(rep.walls_p1, kt)
+        x_rest, _ = wall_graded_map(rest)
+        _, fac1 = peel_adj(rest,
                            generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed))
         assert (fac0, fac1) == (rep.direct["Ad"].factor(0), rep.direct["Ad"].factor(1))
 
@@ -210,10 +210,9 @@ def test_geometric_eps_matches_the_direct_paths(p, cases):
             lam = weight([1] + [0] * n)
         word = random_word(lam, rng.randint(0, 60), rng)
         alpha = root(word_alpha(n, word))
-        x, _ = wall_graded_map(n, path_to_walls(n, lam, *lowering_steps(lam, "B1", word), alpha,
-                                                "P1"))
+        x, _ = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word), alpha))
         basis, draws = commutant_basis(x), random.Random(rng.randrange(10**6))
-        samples = [_geometric_eps(x, sample_in_commutant(basis, x.dims, -1, draws, p), p)
+        samples = [_geometric_eps(x, sample_in_commutant(x, basis, draws, p), p)
                    for _ in range(3)]
         eps = tuple(map(min, zip(*samples)))
         assert samples.count(eps) >= 2, samples
@@ -223,6 +222,34 @@ def test_geometric_eps_matches_the_direct_paths(p, cases):
             assert path.wt() == wt
             assert tuple(path.eps(i) for i in range(n + 1)) == eps, (lam, word, kind)
             assert all(path.phi(i) == e + pairing(i, wt) for i, e in enumerate(eps))
+
+
+@pytest.mark.parametrize("p, cases", [(PRIME, 40), (None, 8)], ids=["fp", "qq"])
+def test_geometric_e_matches_the_direct_paths(p, cases):
+    # for each i with eps_i > 0, restricting the pipeline's point (the P1
+    # wall map and a sample in its commutant) to a random hyperplane of V_i
+    # that holds the images coming into V_i gives a point of the e_i
+    # component: the minimum of 3 such kernel tables, 2 of which agree with
+    # it, reconstructs e_i of the direct B1, Bn and Ad paths.  n <= 3,
+    # level <= 3 and 1-14 letters
+    rng = random.Random(15)
+    for _ in range(cases):
+        n = rng.randint(1, 3)
+        lam = random_dominant(n, rng.randint(1, 3), rng)
+        word = random_word(lam, rng.randint(1, 14), rng)
+        x = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word),
+                                          root(word_alpha(n, word))))[0]
+        basis, draws, dense = commutant_basis(x), random.Random(rng.randrange(10**6)), x.dense()
+        direct = {kind: from_word(lam, kind, word) for kind in ("B1", "Bn", "Ad")}
+        for i in (i for i in range(n + 1) if direct["B1"].eps(i)):
+            tables = [_oracle_table(*restrict_to_hyperplane(
+                dense, sample_in_commutant(x, basis, draws, p), i, draws, p), p)
+                for _ in range(3)]
+            table = quiver._table_min(tables)
+            assert tables.count(table) >= 2, (lam, word, i)
+            for kind, read in (("B1", b1_path_from_kernels), ("Bn", bn_path_from_kernels),
+                               ("Ad", adj_path_from_kernels)):
+                assert read(table, lam) == direct[kind].e(i), (lam, word, i, kind)
 
 
 def test_pipeline_applies_no_raising_operator(monkeypatch):

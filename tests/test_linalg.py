@@ -143,10 +143,10 @@ def test_mat_mul_is_the_dense_product():
 def test_independent_rows_are_original_rows_spanning_the_row_space():
     rng = random.Random(14)
     for _ in range(60):
-        a, cols = _random_matrix(rng)
+        a, _ = _random_matrix(rng)
         if rng.random() < 0.5 and len(a) > 1:
             a.insert(0, [x + y for x, y in zip(a[-1], a[-2])])
         for p in FIELDS:
-            keep, pivots = independent_rows(a, cols, p)
+            keep, pivots = independent_rows(a, p)
             assert len(keep) == len(pivots) == rank(a, p) == rank(keep, p)
             assert all(any(row is orig for orig in a) for row in keep)

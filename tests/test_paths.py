@@ -232,9 +232,9 @@ def test_raising_steps_on_random_factor_paths(kind):
         assert raising_word(p) == [i for i, _ in steps]
         if kind != "Ad":
             alpha = root([sum(1 for i, _ in steps if i == c) for c in range(n + 1)])
-            walls = path_to_walls(n, lam, p, steps[::-1], alpha, "P1" if kind == "B1" else "Pn")
+            walls = path_to_walls(p, steps[::-1], alpha)
             assert walls.block_count() == len(steps)
-            assert walls_to_path(n, walls) == p
+            assert walls_to_path(walls) == p
 
 
 def _fresh_values(p):
@@ -400,3 +400,29 @@ def test_json_roundtrip():
     a = ground_adj(LAM)
     blob = path_to_json(make_path(LAM, "Ad", [AdjElem((2, 1, 0), (0, 2, 1), 3), a]))
     assert blob["deviations"][0] == {"mbar": [2, 1, 0], "m": [0, 2, 1], "cap": 3}
+
+
+@pytest.mark.parametrize("kind, bad, fault", [
+    ("B1", {"nubar": [1, 1, 1]}, "B1 factors have the keys nu, got ['nubar']"),
+    ("Ad", {"mbar": [0, 1, 0], "m": [0, 1, 0]}, "Ad factors have the keys cap, m, mbar"),
+    ("B1", {"nu": [1, 2]}, "each vector needs 3 non-negative integers"),
+    ("B1", {"nu": [-1, 4, 0]}, "each vector needs 3 non-negative integers"),
+    ("Bn", {"nubar": [1.0, 1, 1]}, "each vector needs 3 non-negative integers"),
+    ("Bn", {"nubar": [1, 1, 0]}, "level 2 is not the level 3"),
+    ("Ad", {"mbar": [0, 1, 0], "m": [0, 1, 0], "cap": 2}, "cap 2 is not the level 3"),
+    ("Ad", {"mbar": [1, 0, 0], "m": [1, 0, 0], "cap": 3}, "mbar_1 * m_1 = 0"),
+])
+def test_path_from_json_rejects_a_factor_outside_the_crystal(kind, bad, fault):
+    # each deviation must be a factor of the path's own kind and level
+    blob = path_to_json(from_word(LAM, kind, WORD))
+    blob["deviations"][1] = bad
+    with pytest.raises(ValueError) as err:
+        path_from_json(blob)
+    assert str(err.value).startswith("deviation 1: ") and fault in str(err.value)
+
+
+@pytest.mark.parametrize("lam, kind", [([2, -1, 2], "B1"), ([0, 0, 0], "Bn"), ([2, 1, 0], "B2")])
+def test_path_from_json_rejects_a_weight_or_kind_outside_the_models(lam, kind):
+    blob = {"schema": "v1", "lambda": lam, "kind": kind, "deviations": []}
+    with pytest.raises(ValueError, match="dominant lambda of level >= 1"):
+        path_from_json(blob)

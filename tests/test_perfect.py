@@ -3,7 +3,8 @@ import itertools
 import pytest
 
 from affine_crystals.cartan import weight, rotate
-from affine_crystals.crystal_core import TensorProd, eps_phi_tensor, eps_weight, phi_weight
+from affine_crystals.crystal_core import (TensorProd, eps_phi_tensor, eps_weight, phi_weight,
+                                          tensor_apply)
 from affine_crystals.perfect import (
     AdjElem,
     B1Elem,
@@ -142,6 +143,21 @@ def test_adjoint_eps_phi_closed_forms_match_oracles(n):
             assert (a.eps(0), a.phi(0)) == (_affine_count(a, "e"), _affine_count(a, "f"))
             for i in range(1, n + 1):
                 assert (a.eps(i), a.phi(i)) == eps_phi_tensor(i, (a.box_part(), a.bar_part()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjoint_classical_operators_match_the_tensor_rule(n):
+    # e_i/f_i (i >= 1) in closed form against tensor_apply on box_part (x)
+    # bar_part, on every element for l <= 4
+    for lvl in range(1, 5):
+        for a in all_adj(n, lvl):
+            for i in range(1, n + 1):
+                for op in ("e", "f"):
+                    res = tensor_apply(op, i, (a.box_part(), a.bar_part()))
+                    want = None if res is None else (
+                        AdjElem(a.mbar, res[1].nu, a.cap) if res[0] == 0
+                        else AdjElem(res[1].nubar, a.m, a.cap))
+                    assert (a.e(i) if op == "e" else a.f(i)) == want, (a, op, i)
 
 
 def test_affine_adjoint_mutual_inverse_everywhere():

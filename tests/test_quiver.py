@@ -29,36 +29,36 @@ from affine_crystals.quiver import (
 from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import column_content, make_walls, path_to_walls, total_content
 
-from oracles import (_open_strings, _table_rows_eq, gm_compose, gm_zero, nullspace,
-                     stacked_rank_is_stable, zero_wall_map)
+from oracles import (_kernel_dims, _open_strings, _oracle_table, _table_rows_eq, gm_compose,
+                     gm_zero, nullspace, stacked_rank_is_stable, zero_wall_map)
 
 N, LAM = golden.N, golden.LAM
 FIELDS = pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
-WP1 = make_walls("P1", **golden.WALLS_P1)
-WPN = make_walls("Pn", **golden.WALLS_PN)
+WP1 = make_walls("P1", N, **golden.WALLS_P1)
+WPN = make_walls("Pn", N, **golden.WALLS_PN)
 
 
 def test_matrix_units_match_reference():
-    ux = wall_graded_map(N, WP1)[1]
+    ux = wall_graded_map(WP1)[1]
     assert {(u.s, u.src, u.dst) for u in ux} == golden.X_UNITS
     assert all(u.direction == "x" for u in ux)
-    uxb = wall_graded_map(N, WPN)[1]
+    uxb = wall_graded_map(WPN)[1]
     assert {(u.s, u.src, u.dst) for u in uxb} == golden.XBAR_UNITS
     assert all(u.direction == "xbar" for u in uxb)
 
 
 def test_single_wall_units():
-    one = make_walls("P1", (0,), ((1, 1),))
-    assert {(u.s, u.src, u.dst) for u in wall_graded_map(2, one)[1]} == {(0, 0, 0)}
+    one = make_walls("P1", 2, (0,), ((1, 1),))
+    assert {(u.s, u.src, u.dst) for u in wall_graded_map(one)[1]} == {(0, 0, 0)}
     # charge-0 block at (row 1, col 1) has color 0+1-1+1 = 1, so the unit
     # is the same adjacency that produces the reference tuple's first unit
-    onebar = make_walls("Pn", (0,), ((1, 1),))
-    units = wall_graded_map(2, onebar)[1]
+    onebar = make_walls("Pn", 2, (0,), ((1, 1),))
+    units = wall_graded_map(onebar)[1]
     assert [(u.direction, u.s, u.src, u.dst) for u in units] == [("xbar", 1, 0, 0)]
 
 
 def test_empty_walls_zero_map():
-    x, units = wall_graded_map(N, make_walls("P1", (0, 0, 1), ((), (), ())))
+    x, units = wall_graded_map(make_walls("P1", N, (0, 0, 1), ((), (), ())))
     assert units == [] and x == zero_wall_map(x.dims, 1) and x.dense() == gm_zero(x.dims, 1)
 
 
@@ -184,41 +184,9 @@ def _random_wall_maps(count):
         word = random_word(lam, rng.randint(0, 12), rng)
         alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
         for kind, path_kind in kinds.items():
-            walls = path_to_walls(n, lam, *lowering_steps(lam, path_kind, word), alpha, kind)
-            out.append(wall_graded_map(n, walls)[0])
+            walls = path_to_walls(*lowering_steps(lam, path_kind, word), alpha)
+            out.append(wall_graded_map(walls)[0])
     return out[:count]
-
-
-def _kernel_dims(a, p):
-    """Graded nullity: per component i, dim ker of the block leaving V_i."""
-    return RootVec(tuple(a.dims[i] - rank([list(r) for r in a.block_out(i)], p)
-                         for i in range(a.m)))
-
-
-def _kernel_sequence(base, step, alpha, p):
-    """Oracle: ker(base), ker(base o step), ... from dense products, until alpha."""
-    rows = [_kernel_dims(base, p)]
-    cur = base
-    while rows[-1] != alpha:
-        cur = gm_compose(cur, step, p)
-        rows.append(_kernel_dims(cur, p))
-        if rows[-1] == rows[-2]:
-            raise GenericityError(f"stabilized at {rows[-1]} below alpha = {alpha}")
-    return tuple(rows)
-
-
-def _oracle_table(x, xbar, p):
-    """The four kernel sequences of a dense x from dense powers and a full rank on each."""
-    alpha = RootVec(x.dims)
-    zero = zero_root(x.m - 1)
-    if alpha.is_zero():
-        return KernelTable(alpha, (zero,), (zero,), (zero,), (zero,))
-    xy = gm_compose(x, xbar, p)
-    return KernelTable(alpha,
-                       (zero,) + _kernel_sequence(x, x, alpha, p),
-                       (zero,) + _kernel_sequence(xbar, xbar, alpha, p),
-                       (zero,) + _kernel_sequence(xy, xy, alpha, p),
-                       _kernel_sequence(xbar, xy, alpha, p))
 
 
 def _assert_matches_solver(x):
@@ -229,7 +197,7 @@ def _assert_matches_solver(x):
 
 
 def test_commutant_dimension_reference():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     assert len(_assert_matches_solver(x)) == golden.COMMUTANT_DIM
     assert _big_commutator_dim(x.dense(), x.dims) == golden.COMMUTANT_DIM
 
@@ -254,11 +222,11 @@ def test_commutant_matches_solver_on_random_wall_maps():
 @pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
 def test_sample_equals_dense_sum_of_oracle_maps(p):
     # placing one coefficient per support is the dense combination, mod p
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     for a in [x] + _random_wall_maps(16):
         basis, maps = commutant_basis(a), _solver_commutant_maps(a.dense(), p)
         for s in (0, 1, 7):
-            got = sample_in_commutant(basis, a.dims, -a.shift, random.Random(s), p)
+            got = sample_in_commutant(a, basis, random.Random(s), p)
             assert got == _dense_sample(maps, a.dims, -a.shift, random.Random(s), p)
 
 
@@ -310,15 +278,14 @@ def _long_wall_tuples(count, seed):
         word = random_word(lam, rng.randint(20, 60), rng)
         alpha = root(word_alpha(n, word))
         for kind, path_kind in (("P1", "B1"), ("Pn", "Bn")):
-            out.append((n, path_to_walls(n, lam, *lowering_steps(lam, path_kind, word), alpha,
-                                         kind)))
+            out.append((n, path_to_walls(*lowering_steps(lam, path_kind, word), alpha)))
     return out[:count]
 
 
 def test_wall_map_strings_and_units_match_dense_oracle():
     for n, walls in _long_wall_tuples(40, seed=14):
-        x, units = wall_graded_map(n, walls)
-        assert is_nilpotent(x) and x.dims == total_content(n, walls).k
+        x, units = wall_graded_map(walls)
+        assert is_nilpotent(x) and x.dims == total_content(walls).k
         assert x.shift == (1 if walls.kind == "P1" else -1)
         assert set(x.strings) == set(map(tuple, _open_strings(x.dense())))
         # one unit per link, from each string vector to the next one
@@ -338,9 +305,9 @@ def test_string_commutator_matches_dense_commutator(p):
     rng = random.Random(9)
     seen = Counter()
     for n, walls in _long_wall_tuples(16, seed=15):
-        x, _ = wall_graded_map(n, walls)
+        x, _ = wall_graded_map(walls)
         dense, shift = x.dense(), -x.shift
-        xbar = sample_in_commutant(commutant_basis(x), x.dims, shift, rng, p)
+        xbar = sample_in_commutant(x, commutant_basis(x), rng, p)
         cells = [(t, r, c) for t, blk in enumerate(xbar.blocks)
                  for r, row in enumerate(blk) for c in range(len(row))]
         points = [xbar, gm_from_blocks(x.dims, shift, [[[v + PRIME for v in row] for row in blk]
@@ -358,26 +325,26 @@ def test_string_commutator_matches_dense_commutator(p):
 
 
 def test_commutant_elements_commute():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     basis = commutant_basis(x)
     rng = random.Random(0)
-    xbar = sample_in_commutant(basis, x.dims, -1, rng, PRIME)
+    xbar = sample_in_commutant(x, basis, rng, PRIME)
     assert check_moment(x, xbar, PRIME)
-    assert not check_moment(x, wall_graded_map(N, WPN)[0].dense(), PRIME)
+    assert not check_moment(x, wall_graded_map(WPN)[0].dense(), PRIME)
 
 
 def test_sampling_is_deterministic():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     basis = commutant_basis(x)
-    a = sample_in_commutant(basis, x.dims, -1, random.Random(42), PRIME)
-    b = sample_in_commutant(basis, x.dims, -1, random.Random(42), PRIME)
+    a = sample_in_commutant(x, basis, random.Random(42), PRIME)
+    b = sample_in_commutant(x, basis, random.Random(42), PRIME)
     assert a == b
-    assert sample_in_commutant([], x.dims, -1, random.Random(1), PRIME) == \
-        sample_in_commutant([], x.dims, -1, random.Random(2), PRIME)
+    assert sample_in_commutant(x, [], random.Random(1), PRIME) == \
+        sample_in_commutant(x, [], random.Random(2), PRIME)
 
 
 def test_nilpotency():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     assert is_nilpotent(x)
     dense = x.dense()
     cube = gm_compose(dense, gm_compose(dense, dense, PRIME), PRIME)
@@ -388,7 +355,7 @@ def test_nilpotency():
 
 
 def test_kernel_table_reference_multi_seed():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     basis = commutant_basis(x)
     ref = reference_table()
     for seed in (0, 1, 2, 77):
@@ -403,14 +370,14 @@ def test_genericity_error_carries_its_witness(monkeypatch):
     # two samples never reach MIN_SAMPLES = 3; the error names the samples
     # drawn, the agreeing count and the minimum table's rows
     monkeypatch.setattr(quiver, "MAX_SAMPLES", 2)
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     with pytest.raises(GenericityError, match=r"2 samples drawn \(min_samples 3\), "
                        r"2 agreeing with the minimum table \{'alpha': .*'ker_x': "):
         generic_kernel_table(x, commutant_basis(x))
 
 
 def test_kernel_table_exact_field_flag():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     basis = commutant_basis(x)
     kt = generic_kernel_table(x, basis, seed=0, p=None)
     ref = reference_table()
@@ -418,14 +385,14 @@ def test_kernel_table_exact_field_flag():
 
 
 def test_kernel_table_requires_commuting_point():
-    x, _ = wall_graded_map(N, WP1)
-    xb, _ = wall_graded_map(N, WPN)
+    x, _ = wall_graded_map(WP1)
+    xb, _ = wall_graded_map(WPN)
     with pytest.raises(ValueError):
         kernel_table_at(x, xb.dense(), PRIME)
 
 
 def test_kernel_table_zero_xbar():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     kt = kernel_table_at(x, gm_zero(x.dims, -1), PRIME)
     assert kt.xbar_pow == (zero_root(N), golden.ALPHA)
     assert kt.xy_pow == (zero_root(N), golden.ALPHA)
@@ -443,22 +410,22 @@ def test_kernel_spans_equal_column_contents():
         word = random_word(lam, rng.randint(1, 10), rng)
         p, steps = lowering_steps(lam, "B1", word)
         alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
-        walls = path_to_walls(n, lam, p, steps, alpha, "P1")
-        x, _ = wall_graded_map(n, walls)
+        walls = path_to_walls(p, steps, alpha)
+        x, _ = wall_graded_map(walls)
         acc = zero_root(n)
         ker = power_kernels(x)
         assert len(ker) == walls.n_cols() + 1
         for t in range(1, walls.n_cols() + 2):
-            acc = acc + column_content(n, walls, t - 1)
+            acc = acc + column_content(walls, t - 1)
             assert ker[min(t, len(ker) - 1)] == acc
         checked += 1
 
 
 def test_xy_and_yx_kernels_agree_at_commuting_points():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     basis = commutant_basis(x)
     for seed in (0, 1):
-        xbar = sample_in_commutant(basis, x.dims, -1, random.Random(seed), PRIME)
+        xbar = sample_in_commutant(x, basis, random.Random(seed), PRIME)
         xy = gm_compose(x.dense(), xbar, PRIME)
         yx = gm_compose(xbar, x.dense(), PRIME)
         cur_a, cur_b = xy, yx
@@ -473,7 +440,7 @@ def test_kernel_table_matches_dense_oracle_on_random_wall_maps(p):
     for x in _random_wall_maps(64):
         basis = commutant_basis(x)
         for s in (0, 1, 2):
-            xbar = sample_in_commutant(basis, x.dims, -x.shift, random.Random(s), p)
+            xbar = sample_in_commutant(x, basis, random.Random(s), p)
             assert kernel_table_at(x, xbar, p) == _oracle_table(x.dense(), xbar, p)
 
 
@@ -481,7 +448,7 @@ def test_kernel_table_matches_dense_oracle_on_random_wall_maps(p):
 def test_kernel_table_matches_dense_oracle_at_special_points(p):
     # zero xbar, one basis support, and half of the supports switched off
     hi = p if p is not None else 10**6
-    for x in [wall_graded_map(N, WP1)[0]] + _random_wall_maps(24):
+    for x in [wall_graded_map(WP1)[0]] + _random_wall_maps(24):
         basis = commutant_basis(x)
         rng = random.Random(len(basis))
         picks = [[], basis[:1], basis[-1:], [b for b in basis if rng.random() < 0.5]]
@@ -499,8 +466,8 @@ def test_kernel_table_matches_dense_oracle_mid_size_exact():
     lam = weight([1, 1, 0])
     word = random_word(lam, 60, random.Random(3))
     alpha = root([sum(m for i, m in word if i == c) for c in range(3)])
-    x, _ = wall_graded_map(2, path_to_walls(2, lam, *lowering_steps(lam, "B1", word), alpha, "P1"))
-    xbar = sample_in_commutant(commutant_basis(x), x.dims, -1, random.Random(0), None)
+    x, _ = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word), alpha))
+    xbar = sample_in_commutant(x, commutant_basis(x), random.Random(0), None)
     assert sum(x.dims) >= 40
     assert kernel_table_at(x, xbar, None) == _oracle_table(x.dense(), xbar, None)
 
@@ -515,10 +482,10 @@ def commuting_points(draw):
     kind = draw(st.sampled_from(["P1", "Pn"]))
     alpha = root([sum(m for i, m in word if i == c) for c in range(n + 1)])
     path, steps = lowering_steps(lam, "B1" if kind == "P1" else "Bn", word)
-    x, _ = wall_graded_map(n, path_to_walls(n, lam, path, steps, alpha, kind))
+    x, _ = wall_graded_map(path_to_walls(path, steps, alpha))
     p = draw(st.sampled_from([PRIME, None]))
     basis = commutant_basis(x)
-    return x, sample_in_commutant(basis, x.dims, -x.shift, rng, p), p
+    return x, sample_in_commutant(x, basis, rng, p), p
 
 
 @settings(max_examples=300)
@@ -544,8 +511,8 @@ def test_table_min_agreement_is_row_equality(point, draws):
     xbars = [xbar]
     for seed, sparse in draws:
         rng = random.Random(seed)
-        xbars.append(sample_in_commutant([b for b in basis if not sparse or rng.random() < 0.5],
-                                         x.dims, -x.shift, rng, p))
+        xbars.append(sample_in_commutant(x, [b for b in basis if not sparse or rng.random() < 0.5],
+                                         rng, p))
     tables = [kernel_table_at(x, xb, p) for xb in xbars]
     lower = quiver._table_min(tables)
     for seq in quiver.SEQS:
@@ -567,11 +534,11 @@ def test_stalled_filtration_names_its_sequence(p):
 
 
 def test_stability():
-    x, _ = wall_graded_map(N, WP1)
+    x, _ = wall_graded_map(WP1)
     basis = commutant_basis(x)
     for seed in (0, 1, 2):
         rng = random.Random(seed)
-        xbar = sample_in_commutant(basis, x.dims, -1, rng, PRIME)
+        xbar = sample_in_commutant(x, basis, rng, PRIME)
         t = sample_framing(LAM, x.dims, rng, PRIME)
         assert is_stable(x, xbar, t, PRIME)
 
@@ -594,8 +561,8 @@ def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, 
     calls = []
     real = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(args) or real(*args))
-    x, _ = wall_graded_map(N, WP1)
-    xbar = sample_in_commutant(commutant_basis(x), x.dims, -1, random.Random(0), p)
+    x, _ = wall_graded_map(WP1)
+    xbar = sample_in_commutant(x, commutant_basis(x), random.Random(0), p)
     kt = kernel_table_at(x, xbar, p)
     assert 0 < len(calls) <= x.m * len(kt.xbar_pow)
     assert kt == _oracle_table(x.dense(), xbar, p)

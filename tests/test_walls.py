@@ -8,6 +8,7 @@ from affine_crystals.cartan import RootVec, cl_root, decompose, root, rotate, we
 from affine_crystals.paths import from_word, ground_elem, ground_path, lowering_steps
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import (
+    WALL_KIND,
     WALL_KINDS,
     InversionError,
     _fits,
@@ -18,18 +19,17 @@ from affine_crystals.walls import (
     strip_column0,
     total_content,
     validate,
-    wall_lambda,
     walls_from_json,
     walls_to_json,
     walls_to_path,
 )
 
 N, LAM = golden.N, golden.LAM
-WP1 = make_walls("P1", **golden.WALLS_P1)
-WPN = make_walls("Pn", **golden.WALLS_PN)
+WP1 = make_walls("P1", N, **golden.WALLS_P1)
+WPN = make_walls("Pn", N, **golden.WALLS_PN)
 
 
-def _search_path_to_walls(n, lam, path, alpha, kind):
+def _search_path_to_walls(path, alpha):
     """Oracle: every column-height vector that fits the path and alpha.
 
     Each column's color content is pinned by the path factor only up to
@@ -37,10 +37,11 @@ def _search_path_to_walls(n, lam, path, alpha, kind):
     interlacing bands and final reducedness cut the candidates down, and the
     unique survivor is returned.  Exponential; small cases only.
     """
+    n, lam, pkind = path.n, path.lam, path.kind
+    kind = WALL_KIND[pkind]
     m = n + 1
     charges = decompose(lam)
     ell = len(charges)
-    pkind = "B1" if kind == "P1" else "Bn"
     top = path.tail_start + n + 1
     targets = [
         ground_elem(lam, pkind, j).wt() - path.factor(j).wt() for j in range(top + 1)
@@ -110,8 +111,8 @@ def _search_path_to_walls(n, lam, path, alpha, kind):
     over_columns(top, (0,) * ell, alpha)
     survivors = []
     for heights in solutions:
-        cand = make_walls(kind, charges, heights)
-        if validate(n, cand)[0] and walls_to_path(n, cand) == path:
+        cand = make_walls(kind, n, charges, heights)
+        if validate(cand)[0] and walls_to_path(cand) == path:
             survivors.append(cand)
     assert len(survivors) == 1, f"search found {len(survivors)} tuples for {path}"
     return survivors[0]
@@ -130,62 +131,75 @@ def test_block_colors():
 
 
 def test_validate_example_tuples():
-    assert validate(N, WP1) == (True, "ok")
-    assert validate(N, WPN) == (True, "ok")
+    assert validate(WP1) == (True, "ok")
+    assert validate(WPN) == (True, "ok")
 
 
 def test_validate_interlacing_failure():
-    swapped = make_walls("P1", (0, 0, 1), ((3, 1, 1), (2, 1, 1), (3, 3, 1, 1)))
-    ok, msg = validate(N, swapped)
+    swapped = make_walls("P1", N, (0, 0, 1), ((3, 1, 1), (2, 1, 1), (3, 3, 1, 1)))
+    ok, msg = validate(swapped)
     assert not ok and "interlacing" in msg
 
 
 def test_validate_stacking_failure():
-    bad = make_walls("P1", (0,), ((1, 2),))
-    ok, msg = validate(N, bad)
+    bad = make_walls("P1", N, (0,), ((1, 2),))
+    ok, msg = validate(bad)
     assert not ok and "free space" in msg
 
 
 def test_validate_reducedness_failure():
     # a single full-height delta column is exactly the redundancy reducedness kills
-    bad = make_walls("P1", (0,), ((2,),))
-    ok, msg = validate(1, bad)
+    bad = make_walls("P1", 1, (0,), ((2,),))
+    ok, msg = validate(bad)
     assert not ok and "reduced" in msg
 
 
 def test_column_contents():
-    assert column_content(N, WP1, 0) == root((3, 3, 2))
-    assert column_content(N, WP1, 3) == root((0, 1, 0))
-    assert column_content(N, make_walls("P1", (0,), ((),)), 5) == zero_root(N)
-    assert total_content(N, WP1) == golden.ALPHA == total_content(N, WPN)
-    assert column_content(N, WPN, 0) == root((3, 3, 3))
+    assert column_content(WP1, 0) == root((3, 3, 2))
+    assert column_content(WP1, 3) == root((0, 1, 0))
+    assert column_content(make_walls("P1", N, (0,), ((),)), 5) == zero_root(N)
+    assert total_content(WP1) == golden.ALPHA == total_content(WPN)
+    assert column_content(WPN, 0) == root((3, 3, 3))
+
+
+@pytest.mark.parametrize("n, charges", [(2, (-1, 0)), (2, (0, 3)), (2, (1, 0)), (0, (0,))])
+def test_make_walls_rejects_charges_outside_the_weight(n, charges):
+    # ascending charges in 0..n for n >= 1 name a dominant weight of A_n^(1)
+    with pytest.raises(ValueError):
+        make_walls("P1", n, charges, [()] * len(charges))
+
+
+def test_path_to_walls_rejects_an_adjoint_path():
+    with pytest.raises(ValueError, match="Ad paths have no wall tuple"):
+        path_to_walls(from_word(LAM, "Ad", golden.WORD), [], golden.ALPHA)
 
 
 def test_wall_lambda():
-    assert wall_lambda(N, WP1) == LAM
+    assert WP1.lam == WPN.lam == LAM
+    assert make_walls("Pn", 3, (0, 2, 2), ((), (), ())).lam == weight((1, 0, 2, 0))
 
 
 def test_walls_to_path_matches_direct():
-    assert walls_to_path(N, WP1) == from_word(LAM, "B1", golden.WORD)
-    assert walls_to_path(N, WPN) == from_word(LAM, "Bn", golden.WORD)
-    assert walls_to_path(N, make_walls("P1", (0, 0, 1), ((), (), ()))) == ground_path(LAM, "B1")
+    assert walls_to_path(WP1) == from_word(LAM, "B1", golden.WORD)
+    assert walls_to_path(WPN) == from_word(LAM, "Bn", golden.WORD)
+    assert walls_to_path(make_walls("P1", N, (0, 0, 1), ((), (), ()))) == ground_path(LAM, "B1")
 
 
 def test_inversion_on_example():
     for kind, walls in (("P1", WP1), ("Pn", WPN)):
         p, steps = lowering_steps(LAM, "B1" if kind == "P1" else "Bn", golden.WORD)
-        assert path_to_walls(N, LAM, p, steps, golden.ALPHA, kind) == walls
+        assert path_to_walls(p, steps, golden.ALPHA) == walls
 
 
 def test_inversion_of_ground_path():
-    walls = path_to_walls(N, LAM, ground_path(LAM, "B1"), [], zero_root(N), "P1")
+    walls = path_to_walls(ground_path(LAM, "B1"), [], zero_root(N))
     assert walls.block_count() == 0
 
 
 def test_inversion_rejects_wrong_alpha():
     p1, steps = lowering_steps(LAM, "B1", golden.WORD)
     with pytest.raises(InversionError):
-        path_to_walls(N, LAM, p1, steps, root((4, 7, 3)), "P1")
+        path_to_walls(p1, steps, root((4, 7, 3)))
 
 
 @pytest.mark.parametrize("kind", ["P1", "Pn"])
@@ -198,11 +212,11 @@ def test_inversion_roundtrip_random(kind):
         word = random_word(lam, rng.randint(0, 12), rng, kind=pkind)
         p, steps = lowering_steps(lam, pkind, word)
         alpha = _alpha(n, word)
-        walls = path_to_walls(n, lam, p, steps, alpha, kind)
-        assert validate(n, walls) == (True, "ok")
-        assert total_content(n, walls) == alpha
-        assert walls_to_path(n, walls) == p
-        assert walls == _search_path_to_walls(n, lam, p, alpha, kind)
+        walls = path_to_walls(p, steps, alpha)
+        assert validate(walls) == (True, "ok")
+        assert total_content(walls) == alpha
+        assert walls_to_path(walls) == p
+        assert walls == _search_path_to_walls(p, alpha)
 
 
 @pytest.mark.parametrize("kind", ["P1", "Pn"])
@@ -217,10 +231,10 @@ def test_long_words_roundtrip(kind):
         word = random_word(lam, rng.randint(40, 60), rng, kind=pkind)
         p, steps = lowering_steps(lam, pkind, word)
         alpha = _alpha(n, word)
-        walls = path_to_walls(n, lam, p, steps, alpha, kind)
-        assert validate(n, walls) == (True, "ok")
-        assert total_content(n, walls) == alpha
-        assert walls_to_path(n, walls) == p
+        walls = path_to_walls(p, steps, alpha)
+        assert validate(walls) == (True, "ok")
+        assert total_content(walls) == alpha
+        assert walls_to_path(walls) == p
         assert walls.block_count() == len(word)
 
 
@@ -239,24 +253,24 @@ def test_wall_operator_transport():
         assert q == p.f(i)
         p = q
         alpha = alpha + root(tuple(int(c == i) for c in range(3)))
-        walls = path_to_walls(N, lam, p, steps, alpha, "P1")
-        assert walls_to_path(N, walls) == p
+        walls = path_to_walls(p, steps, alpha)
+        assert walls_to_path(walls) == p
 
 
 def test_strip_column0_example():
-    rest, beta = strip_column0(N, WP1)
+    rest, beta = strip_column0(WP1)
     assert beta == root((3, 3, 2))
     assert rest.charges == (0, 2, 2)
-    assert wall_lambda(N, rest) == rotate(LAM, 1)
-    restn, gamma = strip_column0(N, WPN)
+    assert rest.lam == rotate(LAM, 1)
+    restn, gamma = strip_column0(WPN)
     assert gamma == root((3, 3, 3))
     assert restn.charges == (1, 1, 2)
-    assert wall_lambda(N, restn) == rotate(LAM, -1)
+    assert restn.lam == rotate(LAM, -1)
 
 
 def test_strip_column0_empty():
-    empty = make_walls("P1", (0, 0, 1), ((), (), ()))
-    rest, beta = strip_column0(N, empty)
+    empty = make_walls("P1", N, (0, 0, 1), ((), (), ()))
+    rest, beta = strip_column0(empty)
     assert beta == zero_root(N) and rest.block_count() == 0
 
 
@@ -264,7 +278,7 @@ def test_strip_terminates():
     walls = WP1
     steps = 0
     while walls.block_count():
-        walls, _ = strip_column0(N, walls)
+        walls, _ = strip_column0(walls)
         steps += 1
     assert steps <= WP1.n_cols()
 
@@ -289,7 +303,7 @@ def test_fits_equals_validate_of_the_grown_tuple(kind, n, ell, rng):
         fitting = []
         for w, h in enumerate(heights):
             for pos in range(len(h) + 2):
-                want = validate(n, make_walls(kind, charges, _grown(heights, w, pos)))[0]
+                want = validate(make_walls(kind, n, charges, _grown(heights, w, pos)))[0]
                 before = [list(x) for x in heights]
                 assert _fits(n, kind, charges, heights, w, pos) == want, (heights, w, pos)
                 assert heights == before  # restored in place
@@ -301,7 +315,7 @@ def test_fits_equals_validate_of_the_grown_tuple(kind, n, ell, rng):
 
 
 def test_json_roundtrip():
-    assert walls_from_json(walls_to_json(WP1)) == WP1
+    assert walls_from_json(walls_to_json(WP1), N) == WP1
     assert walls_to_json(WPN)["kind"] == "Pn"
 
 
@@ -318,8 +332,8 @@ def _all_small_tuples(n, charges, kind, max_cols, max_h):
 
     opts = wall_options()
     for combo in itertools.product(opts, repeat=len(charges)):
-        cand = make_walls(kind, charges, combo)
-        if validate(n, cand)[0]:
+        cand = make_walls(kind, n, charges, combo)
+        if validate(cand)[0]:
             yield cand
 
 
@@ -327,7 +341,7 @@ def test_f_map_injective_small_enumeration():
     # every valid tuple in a bounded box maps to a distinct path
     seen = {}
     for cand in _all_small_tuples(2, (0, 1), "P1", max_cols=3, max_h=3):
-        p = walls_to_path(2, cand)
+        p = walls_to_path(cand)
         assert p not in seen, f"{cand} and {seen[p]} collide"
         seen[p] = cand
     assert len(seen) > 50  # the box is not trivially small
@@ -353,10 +367,10 @@ def test_every_ball_element_has_walls(kind, lam_coeffs, n):
         alpha = root([word.count(c) for c in range(n + 1)])
         lowered, steps = lowering_steps(lam, pkind, [(i, 1) for i in word])
         assert lowered == p
-        walls = path_to_walls(n, lam, p, steps, alpha, kind)
+        walls = path_to_walls(p, steps, alpha)
         assert walls.block_count() == len(word)
-        assert walls_to_path(n, walls) == p
-        assert walls == _search_path_to_walls(n, lam, p, alpha, kind)
+        assert walls_to_path(walls) == p
+        assert walls == _search_path_to_walls(p, alpha)
 
 
 def test_inversion_guards_hold_under_optimize():
@@ -365,7 +379,7 @@ def test_inversion_guards_hold_under_optimize():
 
     code = (
         "from affine_crystals import golden\n"
-        "from affine_crystals.cartan import root, rotate\n"
+        "from affine_crystals.cartan import root\n"
         "from affine_crystals.paths import lowering_steps, parse_word\n"
         "from affine_crystals.walls import InversionError, make_walls, path_to_walls, "
         "strip_column0\n"
@@ -373,10 +387,11 @@ def test_inversion_guards_hold_under_optimize():
         "p1, steps = lowering_steps(lam, 'B1', golden.WORD)\n"
         "_, other = lowering_steps(lam, 'B1', parse_word('2 1^4 2^4 1^2 0^4 2 1'))\n"
         "cases = [\n"
-        "    lambda: path_to_walls(n, lam, p1, steps, root((4, 7, 3)), 'P1'),\n"
-        "    lambda: path_to_walls(n, rotate(lam, 1), p1, steps, golden.ALPHA, 'P1'),\n"
-        "    lambda: strip_column0(n, make_walls('P1', (0,), ((2, 1, 2),))),\n"
-        "    lambda: path_to_walls(n, lam, p1, other, golden.ALPHA, 'P1'),  # same content\n"
+        "    lambda: path_to_walls(p1, steps, root((4, 7, 3))),\n"
+        "    lambda: make_walls('P1', n, (-1, 0), ((1,), ())),  # charge below 0\n"
+        "    lambda: make_walls('P1', n, (0, 3), ((1,), ())),  # charge above n = 2\n"
+        "    lambda: strip_column0(make_walls('P1', n, (0,), ((2, 1, 2),))),\n"
+        "    lambda: path_to_walls(p1, other, golden.ALPHA),  # same content\n"
         "]\n"
         "for case in cases:\n"
         "    try:\n"
@@ -387,5 +402,5 @@ def test_inversion_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["InversionError", "ValueError", "InversionError",
-                                   "InversionError"]
+    assert proc.stdout.split() == ["InversionError", "ValueError", "ValueError",
+                                   "InversionError", "InversionError"]
