@@ -9,6 +9,7 @@ inputs and the seed; CRYSTAL_SEED overrides --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -172,6 +173,7 @@ class _Parser(argparse.ArgumentParser):
         _usage_error(message)
 
 
+@functools.cache  # one parser per process: in-process callers run main once per case
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="affine-crystals")
     sub = ap.add_subparsers(dest="command", required=True)

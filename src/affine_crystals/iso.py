@@ -11,6 +11,9 @@ Each path factor is ``paths.factor_from_content`` of one kernel-filtration step:
 where the adjoint parts take position 0 of the row model over the
 (-1)-rotated weight (box side) and of the column model over the weight
 itself (barred side).
+
+The column-0 peel strips a wall tuple; the adjoint peel splits a word's own
+lowering steps at position 0, so neither raises.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from dataclasses import dataclass, field
 
 from .cartan import RootVec, Weight, cl_root, root, rotate
 from .linalg import PRIME, GradedMap
-from .paths import (InversionError, Path, factor_from_content, from_word, lowering_steps,
-                    make_path, path_to_json, word_alpha)
+from .paths import (Path, factor_from_content, from_word, lowering_steps, make_path,
+                    path_to_json, word_alpha)
 from .perfect import AdjElem, B1Elem, BnElem, merge_pair
 from .quiver import (
     KernelTable,
@@ -69,37 +72,19 @@ def peel_column0(walls: WallTuple) -> tuple[WallTuple, B1Elem | BnElem]:
     return rest, factor_from_content(walls.lam, PATH_KIND[walls.kind], 0, beta)
 
 
-def raising_word(path: Path) -> list[int]:
-    """Greedy e-word from the element up to the highest weight element: the
-    lowest i with eps_i > 0 at every step."""
-    word = []
-    while (i := next((i for i in range(path.n + 1) if path.eps(i)), None)) is not None:
-        path = path.e(i)
-        word.append(i)
-    if path.devs:
-        raise InversionError(f"raising stopped at {path} after {len(word)} steps, "
-                             "below the ground path")
-    return word
+def peel_adj(lam: Weight, word) -> tuple[tuple, AdjElem]:
+    """One adjoint peeling step on a lowering word: (rest word, factor 0).
 
-
-def peel_adj(walls: WallTuple, kt: KernelTable) -> tuple[WallTuple, AdjElem]:
-    """One adjoint peeling step on a wall tuple with kernel table kt.
-
-    The tuple gives the weight lam, kt the adjoint path over lam, and the
-    emitted factor is that path's position 0.  The remaining P1 tuple is the
-    one whose adjoint path is that path shifted by one position, recovered by
-    raising the shifted path to the top and lowering the mirror word in the
-    row model.
+    B(lam) = B(lam) (x) B^ad_l, with u_lam at the ground factor on the right.
+    The Ad ground factor is the same at every position, so positions >= 1 of
+    a path form a path over the same lam, and by the tensor product rule
+    each f_i of the word acts on exactly one side: on position 0 or on that
+    path.  The rest word keeps the letters whose steps changed a position
+    >= 1, in written order; it lowers to the path shifted by one position,
+    and peel_adj(lam, rest) peels the next factor.
     """
-    lam = walls.lam
-    pad = adj_path_from_kernels(kt, lam)
-    shifted = make_path(lam, "Ad", pad.devs[1:])
-    eword = [(i, 1) for i in raising_word(shifted)]
-    # the first raising index is the last lowering one, which lowering_steps
-    # applies first when the word is read in recorded order
-    lowered, steps = lowering_steps(lam, "B1", eword)
-    rest = path_to_walls(lowered, steps, root(word_alpha(lam.n, eword)))
-    return rest, pad.factor(0)
+    path, steps = lowering_steps(lam, "Ad", word)
+    return tuple((i, 1) for i, pos in reversed(steps) if pos), path.factor(0)
 
 
 # ---------------------------------------------------------------- pipeline
@@ -192,14 +177,14 @@ def report_to_json(report: IsoReport) -> dict:
         "paths_direct": {k: path_to_json(v) for k, v in report.direct.items()},
         "paths_geometric": {k: path_to_json(v) for k, v in report.geometric.items()},
         "walls": {
-            "p1": walls_to_json(report.walls_p1) if report.walls_p1 else None,
-            "pn": walls_to_json(report.walls_pn) if report.walls_pn else None,
+            "p1": walls_to_json(report.walls_p1),
+            "pn": walls_to_json(report.walls_pn),
         },
         "matrix_units": {
             "x": [u.to_json() for u in report.units_x],
             "xbar": [u.to_json() for u in report.units_xbar],
         },
         "commutant_dim": report.commutant_dim,
-        "kernel_table": report.table.to_json() if report.table else None,
+        "kernel_table": report.table.to_json(),
         "stable": report.stable,
     }

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .cartan import RootVec, Weight, cl_root, weight
+from .cartan import RootVec, Weight, cl_root
 from .crystal_core import signature
 from .perfect import (
     AdjElem,
@@ -39,9 +39,6 @@ from .perfect import (
     render,
 )
 
-KINDS = ("B1", "Bn", "Ad")
-
-
 class DeadWordError(ValueError):
     """A lowering word annihilated the highest weight element."""
 
@@ -53,9 +50,8 @@ class WordIndexError(ValueError):
 class InversionError(RuntimeError):
     """A path could not be carried back to its wall tuple.
 
-    Raised when greedy raising stops short of the ground path, when a
-    replayed lowering step fits no wall or more than one, or when the
-    replayed tuple misses the given content or the given path.
+    Raised when a replayed lowering step fits no wall or more than one, or
+    when the replayed tuple misses the given content or the given path.
     """
 
 
@@ -277,37 +273,3 @@ def path_to_json(p: Path) -> dict:
         "kind": p.kind,
         "deviations": [elem_to_json(d) for d in p.devs],
     }
-
-
-def _factor_from_json(data, lam: Weight, kind: str):
-    """The factor of elem_to_json's form, checked against the path's kind and level."""
-    keys = {"B1": ["nu"], "Bn": ["nubar"], "Ad": ["cap", "m", "mbar"]}[kind]
-    if sorted(data) != keys:
-        raise ValueError(f"{kind} factors have the keys {', '.join(keys)}, got {sorted(data)}")
-    if not all(isinstance(data[key], list) and len(data[key]) == lam.n + 1
-               and all(type(c) is int and c >= 0 for c in data[key]) for key in keys[-2:]):
-        raise ValueError(f"each vector needs {lam.n + 1} non-negative integers")
-    if kind == "Ad":  # AdjElem checks equal sums <= cap and mbar_1 * m_1 = 0
-        if type(data["cap"]) is not int or data["cap"] != lam.level:
-            raise ValueError(f"cap {data['cap']!r} is not the level {lam.level}")
-        return AdjElem(tuple(data["mbar"]), tuple(data["m"]), data["cap"])
-    elem = (B1Elem if kind == "B1" else BnElem)(tuple(data[keys[0]]))
-    if elem.level != lam.level:
-        raise ValueError(f"level {elem.level} is not the level {lam.level}")
-    return elem
-
-
-def path_from_json(data) -> Path:
-    """path_to_json's path.  lambda must be dominant of level >= 1 and each deviation
-    a factor of the path's kind and level, else ValueError naming the position."""
-    lam, kind = weight(data["lambda"]), data["kind"]
-    if kind not in KINDS or not lam.is_dominant() or lam.level < 1:
-        raise ValueError(f"a path needs a kind in {', '.join(KINDS)} and a dominant lambda "
-                         f"of level >= 1, got {kind!r} and {list(lam.a)}")
-    devs = []
-    for k, dev in enumerate(data["deviations"]):
-        try:
-            devs.append(_factor_from_json(dev, lam, kind))
-        except ValueError as err:
-            raise ValueError(f"deviation {k}: {err}") from None
-    return make_path(lam, kind, devs)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import golden
-from .cartan import RootVec, Weight, root, rotate, weight, zero_root
+from .cartan import RootVec, Weight, rotate, weight, zero_root
 from .crystal_core import check_axioms, eps_weight, generate_graph, phi_weight, TensorProd
 from .iso import (
     adj_path_from_kernels,
@@ -25,7 +25,7 @@ from .iso import (
     run_pipeline,
 )
 from .linalg import PRIME
-from .paths import from_word, ground_path, lowering_steps, word_alpha
+from .paths import from_word, ground_path, lowering_steps
 from .perfect import (
     all_adj,
     all_b1,
@@ -167,12 +167,12 @@ def suite_example(seed: int = 0) -> list[Check]:
     rep = run_pipeline(lam, word, seed=seed)
     out.append(Check("extra: full pipeline report passes", rep.ok, rep.first_mismatch()))
 
-    rest, fac = peel_adj(wp1, ref)
-    x_rest, _ = wall_graded_map(rest)
-    kt_rest = generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed)
-    _, fac2 = peel_adj(rest, kt_rest)
+    rest, fac = peel_adj(lam, word)
+    rest_rep = run_pipeline(lam, rest, seed=seed)
+    _, fac2 = peel_adj(lam, rest)
     out.append(Check("extra: adjoint peeling emits positions 0 and 1",
-                     fac == pad.factor(0) and fac2 == pad.factor(1)))
+                     fac == gad.factor(0) and rest_rep.ok
+                     and rest_rep.geometric["Ad"].factor(0) == fac2 == pad.factor(1)))
     return out
 
 
@@ -272,26 +272,20 @@ def suite_axioms(seed: int = 0) -> list[Check]:
 
 # -------------------------------------------------------------------- bridge
 
-def _bridge_faults(cases, rng: random.Random, unstable: list[str]):
-    """A10's witnesses; each unstable framing met on the way goes to unstable first."""
-    for lam, word in cases:
-        rep = run_pipeline(lam, word, seed=rng.randrange(10**6))
-        if not rep.stable:
-            unstable.append(f"generic framing unstable for {lam} word {word}")
+def _bridge_faults(reports):
+    for rep in reports:
         if not rep.ok:
-            yield f"pipeline fails for {lam} word {word}: {rep.first_mismatch()}"
-        acc = zero_root(lam.n)
+            yield f"pipeline fails for {rep.lam} word {rep.word}: {rep.first_mismatch()}"
+        acc = zero_root(rep.lam.n)
         for t in range(len(rep.table.xbar_pow)):
             if rep.table.at("xbar_pow", t) != acc:
-                yield f"bridge kernel mismatch at power {t} for {lam}"
+                yield f"bridge kernel mismatch at power {t} for {rep.lam}"
             acc = acc + column_content(rep.walls_pn, t)
 
 
-def _peel_faults(cases):
-    for lam, word in cases:
-        p1, steps = lowering_steps(lam, "B1", word)
-        alpha = root(word_alpha(lam.n, word))
-        walls = path_to_walls(p1, steps, alpha)
+def _peel_faults(reports):
+    for rep in reports:
+        lam, walls = rep.lam, rep.walls_p1
         if walls.block_count() == 0:
             continue
         rest, elem = peel_column0(walls)
@@ -323,11 +317,12 @@ def suite_bridge(seed: int = 0) -> list[Check]:
         lam = random_dominant(n, rng.randint(1, 3), rng)
         cases.append((lam, random_word(lam, rng.randint(0, 12), rng)))
 
-    unstable: list[str] = []
-    _check(out, "A10 cross-model bridge over 50 random words",
-           _bridge_faults(cases, rng, unstable))
-    _check(out, "A11 peeling step and kernel shift law on 50 components", _peel_faults(cases))
-    _check(out, "A12 generic framings are stable (3 seeds per component)", unstable)
+    reports = [run_pipeline(lam, word, seed=rng.randrange(10**6)) for lam, word in cases]
+    _check(out, "A10 cross-model bridge over 50 random words", _bridge_faults(reports))
+    _check(out, "A11 peeling step and kernel shift law on 50 components", _peel_faults(reports))
+    _check(out, "A12 generic framings are stable (3 seeds per component)",
+           (f"generic framing unstable for {rep.lam} word {rep.word}"
+            for rep in reports if not rep.stable))
     return out
 
 

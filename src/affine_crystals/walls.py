@@ -236,8 +236,3 @@ def walls_to_json(walls: WallTuple) -> dict:
         "charges": list(walls.charges),
         "heights": [list(h) for h in walls.heights],
     }
-
-
-def walls_from_json(data, n: int) -> WallTuple:
-    """The tuple of walls_to_json, which does not record the rank n."""
-    return make_walls(data["kind"], n, data["charges"], data["heights"])

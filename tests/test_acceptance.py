@@ -7,7 +7,7 @@ the CLI's `verify` subcommand.
 
 import hashlib
 
-from affine_crystals import iso
+from affine_crystals import iso, suites
 from affine_crystals.suites import (
     suite_axioms,
     suite_bridge,
@@ -104,6 +104,31 @@ def test_A12_fails_on_the_first_unstable_framing(monkeypatch):
     assert a12.detail.startswith("generic framing unstable for ")
     case = a12.detail.removeprefix("generic framing unstable for ")
     assert a10.detail == f"pipeline fails for {case}: generic framing failed the stability criterion"
+
+
+def test_A12_sees_unstable_framings_after_the_first_A10_witness(monkeypatch):
+    # case 1 fails the pipeline, and only case 50 is unstable: A10 reports
+    # case 1, and A12 must still run the other 49 and report case 50
+    runs = []
+    real = suites.run_pipeline
+
+    def wrapped(lam, word, seed=0):
+        rep = real(lam, word, seed=seed)
+        runs.append((lam, word))
+        if len(runs) == 1:
+            rep.ok = False
+            rep.mismatches.append("forced mismatch")
+        if len(runs) == 50:
+            rep.stable = False
+        return rep
+
+    monkeypatch.setattr(suites, "run_pipeline", wrapped)
+    checks = suite_bridge(SEED)
+    a10, a12 = (next(c for c in checks if c.name.startswith(key)) for key in ("A10", "A12"))
+    assert len(runs) == 50
+    (lam, word), (lam50, word50) = runs[0], runs[-1]
+    assert a10.detail == f"pipeline fails for {lam} word {word}: forced mismatch"
+    assert a12.detail == f"generic framing unstable for {lam50} word {word50}"
 
 
 def test_verify_all_output_is_pinned():

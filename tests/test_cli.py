@@ -230,6 +230,20 @@ def test_numbers_take_ascii_digits_only(args, env_seed, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
+def test_one_parser_serves_every_call(capsys):
+    # main reuses one parser; a failed parse leaves nothing behind for the next call
+    from affine_crystals.cli import build_parser
+
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["path", "--n", "2", "--lambda", "2,1,0", "--kind", "xx"])
+    for _ in range(2):
+        assert main(["path", "--n", "2", "--lambda", "2,1,0", "--word", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out[:len(out) // 2] == out[len(out) // 2:]
+    assert json.loads(out[:len(out) // 2])["kind"] == "B1"
+
+
 def test_argparse_errors_are_one_usage_line():
     proc = run_cli(["graph", "--n", "x"])
     assert proc.returncode == 2 and proc.stdout == ""

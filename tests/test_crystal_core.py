@@ -14,7 +14,7 @@ from affine_crystals.crystal_core import (
     tensor_apply,
 )
 from affine_crystals.cartan import weight
-from affine_crystals.paths import ground_path, path_from_json, path_to_json
+from affine_crystals.paths import Path, ground_path, path_to_json
 from affine_crystals.perfect import B1Elem, BnElem
 
 
@@ -164,7 +164,8 @@ def test_check_axioms_detects_corruption():
         assert check_axioms(g)
         g.edges[7] = (src, op, i, dst)
         assert not check_axioms(g)
-        other = path_from_json(path_to_json(g.nodes[40]))  # built afresh, cold caches
+        node = g.nodes[40]
+        other = Path(node.lam, node.kind, node.devs)  # built afresh, cold caches
         assert other != g.nodes[src]
         g.nodes[src] = other
         assert check_axioms(g)

@@ -11,7 +11,6 @@ from affine_crystals.iso import (
     bn_path_from_kernels,
     peel_adj,
     peel_column0,
-    raising_word,
     report_to_json,
     run_pipeline,
 )
@@ -20,7 +19,7 @@ from affine_crystals.paths import from_word, ground_path, lowering_steps, parse_
 from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn, render
 from affine_crystals.quiver import (KernelTable, commutant_basis, generic_kernel_table,
                                     power_kernels, sample_in_commutant, wall_graded_map)
-from affine_crystals.suites import random_dominant, random_word, reference_table
+from affine_crystals.suites import random_dominant, random_word, reference_table, suite_example
 from affine_crystals.walls import (PATH_KIND, column_content, make_walls, path_to_walls,
                                    strip_column0, walls_to_path)
 from oracles import _oracle_table, raising_steps as oracle_raising_steps, restrict_to_hyperplane
@@ -81,18 +80,41 @@ def test_peel_on_empty_walls():
 
 
 def test_peel_adj_twice():
+    # three peels of the worked word emit positions 0, 1 and 2 of its Ad path;
+    # each rest word runs the pipeline, whose geometric Ad factor 0 is the next one
     pad = from_word(LAM, "Ad", golden.WORD)
-    ref = reference_table()
-    rest, fac0 = peel_adj(WP1, ref)
-    assert fac0 == pad.factor(0)
-    x2, _ = wall_graded_map(rest)
-    kt2 = generic_kernel_table(x2, commutant_basis(x2), seed=3)
-    rest2, fac1 = peel_adj(rest, kt2)
-    assert fac1 == pad.factor(1)
-    x3, _ = wall_graded_map(rest2)
-    kt3 = generic_kernel_table(x3, commutant_basis(x3), seed=3)
-    _, fac2 = peel_adj(rest2, kt3)
-    assert fac2 == pad.factor(2)
+    assert peel_adj(LAM, golden.WORD)[1] == adj_path_from_kernels(reference_table(), LAM).factor(0)
+    word = golden.WORD
+    for k in range(3):
+        rest, fac = peel_adj(LAM, word)
+        assert fac == pad.factor(k)
+        rep = run_pipeline(LAM, rest, seed=3)
+        assert rep.ok, rep.first_mismatch()
+        assert rep.geometric["Ad"].factor(0) == pad.factor(k + 1)
+        word = rest
+
+
+def test_peel_adj_splits_the_lowering_steps():
+    # 200 words (n <= 5, level <= 6, 0-60 letters, walks in B1 and Bn), each
+    # peeled three times in a row: the rest word lowers to the Ad path shifted
+    # by one position, along exactly the parent's steps at positions >= 1,
+    # and its B1 path is the one the raising oracle reaches from that path
+    rng = random.Random(16)
+    for case in range(200):
+        n = rng.randint(1, 5)
+        lam = random_dominant(n, rng.randint(1, 6), rng)
+        word = random_word(lam, rng.randint(0, 60), rng, kind=("B1", "Bn")[case % 2])
+        for _ in range(3):
+            path, steps = lowering_steps(lam, "Ad", word)
+            rest, fac = peel_adj(lam, word)
+            assert fac == path.factor(0)
+            shifted = paths.make_path(lam, "Ad", path.devs[1:])
+            rest_path, rest_steps = lowering_steps(lam, "Ad", rest)
+            assert rest_path == shifted, (lam, word)
+            assert rest_steps == [(i, pos - 1) for i, pos in steps if pos]
+            mirror = [(i, 1) for i, _ in oracle_raising_steps(shifted)]
+            assert from_word(lam, "B1", rest) == from_word(lam, "B1", mirror)
+            word = rest
 
 
 @pytest.mark.parametrize("kind", ["P1", "Pn"])
@@ -105,8 +127,6 @@ def test_peel_column0_is_strip_and_factor0(kind):
     for _ in range(64):
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
-        if lam.level == 0:
-            lam = weight([1] + [0] * n)
         word = random_word(lam, rng.randint(0, 12), rng, kind=pkind)
         p, steps = lowering_steps(lam, pkind, word)
         tuples.append((n, path_to_walls(p, steps, root(word_alpha(n, word)))))
@@ -114,14 +134,6 @@ def test_peel_column0_is_strip_and_factor0(kind):
         expected = (strip_column0(w)[0], walls_to_path(w).factor(0))
         assert peel_column0(w) == expected
         assert type(expected[1]) is (B1Elem if kind == "P1" else BnElem)
-
-
-def test_raising_word_height():
-    p = from_word(LAM, "B1", golden.WORD)
-    word = raising_word(p)
-    assert len(word) == golden.ALPHA.height
-    counts = [word.count(i) for i in range(3)]
-    assert tuple(counts) == golden.ALPHA.k
 
 
 def test_pipeline_worked_example():
@@ -160,8 +172,6 @@ def test_kernel_identities_on_long_words():
     for case in range(30):
         n = rng.randint(1, 5)
         lam = random_dominant(n, rng.randint(1, 6), rng)
-        if lam.level == 0:
-            lam = weight([1] + [0] * n)
         word, seed = random_word(lam, rng.randint(20, 60), rng), rng.randrange(10**6)
         rep = run_pipeline(lam, word, seed=seed)
         assert rep.ok, rep.first_mismatch()
@@ -181,12 +191,14 @@ def test_kernel_identities_on_long_words():
             ker = power_kernels(wall_graded_map(walls)[0])
             ker_rest = power_kernels(wall_graded_map(rest)[0])
             assert ker_rest == tuple(ker[k + 1] - ker[1] for k in range(len(ker_rest)))
-        # peel_adj twice emits positions 0 and 1 of the direct Ad path
-        rest, fac0 = peel_adj(rep.walls_p1, kt)
-        x_rest, _ = wall_graded_map(rest)
-        _, fac1 = peel_adj(rest,
-                           generic_kernel_table(x_rest, commutant_basis(x_rest), seed=seed))
+        # peel_adj twice emits positions 0 and 1 of the direct Ad path, and the
+        # rest word's kernel table reads position 1 as its own position 0
+        rest, fac0 = peel_adj(lam, word)
+        _, fac1 = peel_adj(lam, rest)
         assert (fac0, fac1) == (rep.direct["Ad"].factor(0), rep.direct["Ad"].factor(1))
+        rest_rep = run_pipeline(lam, rest, seed=seed)
+        assert rest_rep.ok, rest_rep.first_mismatch()
+        assert rest_rep.geometric["Ad"].factor(0) == fac1
 
 
 def _geometric_eps(x, xbar, p):
@@ -206,8 +218,6 @@ def test_geometric_eps_matches_the_direct_paths(p, cases):
     for _ in range(cases):
         n = rng.randint(1, 5)
         lam = random_dominant(n, rng.randint(1, 6), rng)
-        if lam.level == 0:
-            lam = weight([1] + [0] * n)
         word = random_word(lam, rng.randint(0, 60), rng)
         alpha = root(word_alpha(n, word))
         x, _ = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word), alpha))
@@ -253,7 +263,8 @@ def test_geometric_e_matches_the_direct_paths(p, cases):
 
 
 def test_pipeline_applies_no_raising_operator(monkeypatch):
-    # the wall tuples replay the word's lowering steps: no e_i acts anywhere
+    # the wall tuples replay the word's lowering steps, and the adjoint peel
+    # splits them: no e_i acts in the pipeline or in the worked-example suite
     ops = []
     real = paths.path_apply
 
@@ -264,6 +275,9 @@ def test_pipeline_applies_no_raising_operator(monkeypatch):
     monkeypatch.setattr(paths, "path_apply", recorded)
     assert run_pipeline(LAM, golden.WORD, seed=5).ok
     assert ops == ["f"] * 3 * golden.ALPHA.height
+    ops.clear()
+    assert all(check.ok for check in suite_example())
+    assert ops and set(ops) == {"f"}
 
 
 def test_report_json():
@@ -290,8 +304,6 @@ def _bridge_runs(seed=0):
     for _ in range(50):
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
-        if lam.level == 0:
-            lam = weight([1] + [0] * n)
         cases.append((lam, random_word(lam, rng.randint(0, 12), rng)))
     return [(lam, word, rng.randrange(10**6)) for lam, word in cases]
 

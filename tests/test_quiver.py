@@ -179,8 +179,6 @@ def _random_wall_maps(count):
     while len(out) < count:
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
-        if lam.level == 0:
-            continue
         word = random_word(lam, rng.randint(0, 12), rng)
         alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
         for kind, path_kind in kinds.items():
@@ -273,8 +271,6 @@ def _long_wall_tuples(count, seed):
     while len(out) < count:
         n = rng.randint(1, 5)
         lam = random_dominant(n, rng.randint(1, 6), rng)
-        if lam.level == 0:
-            continue
         word = random_word(lam, rng.randint(20, 60), rng)
         alpha = root(word_alpha(n, word))
         for kind, path_kind in (("P1", "B1"), ("Pn", "Bn")):
@@ -405,8 +401,6 @@ def test_kernel_spans_equal_column_contents():
     while checked < 100:
         n = rng.randint(1, 3)
         lam = random_dominant(n, rng.randint(1, 3), rng)
-        if lam.level == 0:
-            continue
         word = random_word(lam, rng.randint(1, 10), rng)
         p, steps = lowering_steps(lam, "B1", word)
         alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
