@@ -19,7 +19,7 @@ from .cartan import weight
 from .crystal_core import generate_graph
 from .iso import report_to_json, run_pipeline
 from .linalg import PRIME
-from .paths import DeadWordError, WordIndexError, from_word, ground_path, parse_word, path_to_json
+from .paths import DeadWordError, from_word, ground_path, parse_word, path_to_json, word_alpha
 from .perfect import B1Elem, BnElem, ground_adj, render
 from .quiver import GenericityError
 from .suites import run_suite
@@ -88,11 +88,14 @@ def _lam(args):
     return w
 
 
-def _word(args):
+def _word(args, lam):
+    """The --word, checked for its token syntax and for indices in 0..n."""
     try:
-        return parse_word(args.word)
+        word = parse_word(args.word)
+        word_alpha(lam.n, word)
     except ValueError as err:
         _usage_error(f"--word: {err}")
+    return word
 
 
 def _failed(err: Exception) -> int:
@@ -103,12 +106,11 @@ def _failed(err: Exception) -> int:
 def cmd_path(args) -> int:
     lam = _lam(args)
     kind = KIND_BY_FLAG[args.kind]
+    word = _word(args, lam)
     try:
-        p = from_word(lam, kind, _word(args))
+        p = from_word(lam, kind, word)
     except DeadWordError as err:
         return _failed(err)
-    except WordIndexError as err:
-        _usage_error(f"--word: {err}")
     data = path_to_json(p)
     data["rendered"] = [render(p.factor(k)) for k in range(p.tail_start + 1)]
     _dump(data, args.out)
@@ -117,16 +119,15 @@ def cmd_path(args) -> int:
 
 def cmd_quiver(args) -> int:
     lam = _lam(args)
+    word, seed = _word(args, lam), _seed(args)
     p = None if args.field == "qq" else PRIME
     try:
-        report = run_pipeline(lam, _word(args), seed=_seed(args), p=p)
+        report = run_pipeline(lam, word, seed=seed, p=p)
     except (DeadWordError, GenericityError) as err:
         return _failed(err)
-    except WordIndexError as err:
-        _usage_error(f"--word: {err}")
     data = report_to_json(report)
     data["sampled_xbar_blocks"] = [[list(r) for r in blk] for blk in report.xbar.blocks]
-    data["seed"] = _seed(args)
+    data["seed"] = seed
     data["field"] = args.field
     _dump(data, args.out)
     return 0 if report.ok else 1

@@ -28,7 +28,6 @@ from .paths import (Path, factor_from_content, from_word, lowering_steps, make_p
 from .perfect import AdjElem, B1Elem, BnElem, merge_pair
 from .quiver import (
     KernelTable,
-    MatrixUnit,
     WallMap,
     commutant_basis,
     generic_kernel_table,
@@ -100,8 +99,8 @@ class IsoReport:
     geometric: dict = field(default_factory=dict)  # kind -> Path
     walls_p1: WallTuple | None = None
     walls_pn: WallTuple | None = None
-    units_x: list[MatrixUnit] = field(default_factory=list)
-    units_xbar: list[MatrixUnit] = field(default_factory=list)
+    x_p1: WallMap | None = None  # the wall map of walls_p1, degree +1
+    x_pn: WallMap | None = None  # the wall map of walls_pn, degree -1
     commutant_dim: int = 0
     xbar: GradedMap | None = None  # the seed's first commutant sample
     table: KernelTable | None = None
@@ -137,8 +136,8 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> Iso
 
     report.walls_p1 = path_to_walls(report.direct["B1"], steps["B1"], alpha)
     report.walls_pn = path_to_walls(report.direct["Bn"], steps["Bn"], alpha)
-    x, report.units_x = wall_graded_map(report.walls_p1)
-    _, report.units_xbar = wall_graded_map(report.walls_pn)
+    x = report.x_p1 = wall_graded_map(report.walls_p1)
+    report.x_pn = wall_graded_map(report.walls_pn)
 
     basis = commutant_basis(x)
     report.commutant_dim = len(basis)
@@ -181,8 +180,8 @@ def report_to_json(report: IsoReport) -> dict:
             "pn": walls_to_json(report.walls_pn),
         },
         "matrix_units": {
-            "x": [u.to_json() for u in report.units_x],
-            "xbar": [u.to_json() for u in report.units_xbar],
+            "x": [u.to_json() for u in report.x_p1.units()],
+            "xbar": [u.to_json() for u in report.x_pn.units()],
         },
         "commutant_dim": report.commutant_dim,
         "kernel_table": report.table.to_json(),

@@ -314,7 +314,7 @@ class PerfectReport:
     failures: list[str]
 
 
-def verify_perfect(elements, lvl: int, index_set=None) -> PerfectReport:
+def verify_perfect(elements, lvl: int) -> PerfectReport:
     """Check the combinatorial perfectness conditions on a finite crystal.
 
     Verified: B (x) B is connected; <c, eps(b)> >= lvl for every b; for each
@@ -325,7 +325,6 @@ def verify_perfect(elements, lvl: int, index_set=None) -> PerfectReport:
     elements = list(elements)
     failures: list[str] = []
     n = elements[0].wt().n
-    idx = tuple(index_set) if index_set is not None else tuple(range(n + 1))
 
     # connectivity of B (x) B under f_i (e_i edges are the reverses)
     pairs = [TensorProd((a, b)) for a in elements for b in elements]
@@ -339,7 +338,7 @@ def verify_perfect(elements, lvl: int, index_set=None) -> PerfectReport:
         return x
 
     for p, t in ids.items():
-        for i in idx:
+        for i in range(n + 1):
             q = p.f(i)
             if q is not None:
                 ra, rb = find(t), find(ids[q])

@@ -4,7 +4,8 @@ A wall tuple determines a nilpotent graded partial permutation x: one matrix
 unit per horizontal adjacency of blocks, indices given by the per-color
 enumeration of blocks in lex order wall > row > column.  Each wall row is one
 Jordan string of x, and x is carried as those strings (``WallMap``), all read
-in one pass over the rows.  Every stage below reads the strings; a dense x
+in one pass over the rows; the matrix units are the strings' links
+(``WallMap.units``).  Every stage below reads the strings; a dense x
 exists only as ``WallMap.dense()``, which the verify suite uses once, and in
 the test oracles.  A component is represented by the canonical pair: x fixed,
 the opposite-degree partner xbar sampled generically inside its commutant,
@@ -72,6 +73,13 @@ class WallMap:
     def m(self) -> int:
         return len(self.dims)
 
+    def units(self) -> list[MatrixUnit]:
+        """x as matrix units, one per link, each row read from column 0.  s is the
+        colour of the unit's target (x, degree +1) or source (xbar, degree -1)."""
+        up = self.shift == 1
+        return [MatrixUnit("x" if up else "xbar", (b if up else a)[0], a[1], b[1])
+                for string in self.strings for a, b in reversed(list(zip(string, string[1:])))]
+
     def dense(self) -> GradedMap:
         """x as a 0/1 graded map, one 1 per link of a string."""
         blocks = zero_blocks(self.dims, self.shift)
@@ -81,19 +89,18 @@ class WallMap:
         return gm_from_blocks(self.dims, self.shift, blocks)
 
 
-def wall_graded_map(walls: WallTuple) -> tuple[WallMap, list[MatrixUnit]]:
-    """The wall map (degree +1 for P1, -1 for Pn) and its units, one per link.
+def wall_graded_map(walls: WallTuple) -> WallMap:
+    """The wall map, of degree +1 for P1 and -1 for Pn, as its Jordan strings.
 
     Each wall row is walked from column 0 leftwards, walls and rows in
     order, and each block is numbered within its colour as it is reached.
     The map sends a block at column c > 0 to its right-hand neighbour, whose
-    colour is one up (P1, an x unit) or one down (Pn, an xbar unit), so each
-    row read from its left end is one string.  s is the colour of the unit's
-    target (x) or source (xbar).
+    colour is one up (P1) or one down (Pn), so each row read from its left
+    end is one string.
     """
-    up, n = walls.kind == "P1", walls.n
+    n = walls.n
     seen = [0] * (n + 1)
-    strings, units = [], []
+    strings = []
     for charge, heights in zip(walls.charges, walls.heights):
         for row in range(1, (heights[0] if heights else 0) + 1):
             string = []
@@ -101,13 +108,10 @@ def wall_graded_map(walls: WallTuple) -> tuple[WallMap, list[MatrixUnit]]:
                 if height < row:
                     break
                 color = block_color(n, walls.kind, charge, row, col)
-                if col:
-                    units.append(MatrixUnit("x" if up else "xbar", string[-1][0] if up else color,
-                                            seen[color], string[-1][1]))
                 string.append((color, seen[color]))
                 seen[color] += 1
             strings.append(tuple(reversed(string)))
-    return WallMap(1 if up else -1, tuple(seen), tuple(strings)), units
+    return WallMap(1 if walls.kind == "P1" else -1, tuple(seen), tuple(strings))
 
 
 # ------------------------------------------------------------- commutant

@@ -25,7 +25,7 @@ from .iso import (
     run_pipeline,
 )
 from .linalg import PRIME
-from .paths import from_word, ground_path, lowering_steps
+from .paths import ground_path
 from .perfect import (
     all_adj,
     all_b1,
@@ -46,7 +46,7 @@ from .quiver import (
     power_kernels,
     wall_graded_map,
 )
-from .walls import column_content, path_to_walls, validate, walls_to_path
+from .walls import column_content, validate
 
 
 @dataclass
@@ -106,10 +106,9 @@ def suite_example(seed: int = 0) -> list[Check]:
     out: list[Check] = []
     lam, word = golden.LAM, golden.WORD
     t0 = time.monotonic()
-    p1, steps1 = lowering_steps(lam, "B1", word)
-    pn, stepsn = lowering_steps(lam, "Bn", word)
-    pad = from_word(lam, "Ad", word)
+    rep = run_pipeline(lam, word, seed=seed)
     elapsed = time.monotonic() - t0
+    p1, pn, pad = rep.direct["B1"], rep.direct["Bn"], rep.direct["Ad"]
 
     out.append(Check("A1 worked example paths, all three models", (
         [p1.factor(k).nu for k in range(5)] == [tuple(v) for v in golden.P1_FACTORS]
@@ -123,17 +122,12 @@ def suite_example(seed: int = 0) -> list[Check]:
         and elapsed < 5.0
     ), f"elapsed {elapsed:.2f}s"))
 
-    t0 = time.monotonic()
-    wp1 = path_to_walls(p1, steps1, golden.ALPHA)
-    wpn = path_to_walls(pn, stepsn, golden.ALPHA)
-    x, ux = wall_graded_map(wp1)
-    xb_wall, uxb = wall_graded_map(wpn)
-    elapsed = time.monotonic() - t0
+    x, ux, uxb = rep.x_p1, rep.x_p1.units(), rep.x_pn.units()
     out.append(Check("A2 wall tuples and matrix units reconstructed", (
-        wp1.charges == golden.WALLS_P1["charges"]
-        and wp1.heights == golden.WALLS_P1["heights"]
-        and wpn.charges == golden.WALLS_PN["charges"]
-        and wpn.heights == golden.WALLS_PN["heights"]
+        rep.walls_p1.charges == golden.WALLS_P1["charges"]
+        and rep.walls_p1.heights == golden.WALLS_P1["heights"]
+        and rep.walls_pn.charges == golden.WALLS_PN["charges"]
+        and rep.walls_pn.heights == golden.WALLS_PN["heights"]
         and {(u.s, u.src, u.dst) for u in ux} == golden.X_UNITS
         and all(u.direction == "x" for u in ux)
         and {(u.s, u.src, u.dst) for u in uxb} == golden.XBAR_UNITS
@@ -141,10 +135,10 @@ def suite_example(seed: int = 0) -> list[Check]:
         and elapsed < 5.0
     ), f"elapsed {elapsed:.2f}s"))
 
-    basis = commutant_basis(x)
     out.append(Check("A3 commutant fiber dimension is 29",
-                     len(basis) == golden.COMMUTANT_DIM, f"dim={len(basis)}"))
+                     rep.commutant_dim == golden.COMMUTANT_DIM, f"dim={rep.commutant_dim}"))
 
+    basis = commutant_basis(x)
     ref = reference_table()
     _check(out, "A4 generic kernel tables match the frozen tables (3 seeds)",
            (f"table at seed {s} differs" for s in (seed, seed + 1, seed + 2)
@@ -161,10 +155,8 @@ def suite_example(seed: int = 0) -> list[Check]:
     )))
 
     out.append(Check("extra: fixed wall pair does not commute",
-                     not check_moment(x, xb_wall.dense(), PRIME)))
+                     not check_moment(x, rep.x_pn.dense(), PRIME)))
     out.append(Check("extra: wall map is nilpotent", is_nilpotent(x)))
-
-    rep = run_pipeline(lam, word, seed=seed)
     out.append(Check("extra: full pipeline report passes", rep.ok, rep.first_mismatch()))
 
     rest, fac = peel_adj(lam, word)
@@ -289,15 +281,14 @@ def _peel_faults(reports):
         if walls.block_count() == 0:
             continue
         rest, elem = peel_column0(walls)
-        if elem != walls_to_path(walls).factor(0):
+        if elem != rep.direct["B1"].factor(0):
             yield f"peeled factor is not position 0 for {lam}"
         okv, msg = validate(rest)
         if not okv:
             yield f"stripped tuple invalid: {msg}"
-        x, _ = wall_graded_map(walls)
-        ker = power_kernels(x)
+        ker = power_kernels(rep.x_p1)
         if rest.block_count():
-            ker2 = power_kernels(wall_graded_map(rest)[0])
+            ker2 = power_kernels(wall_graded_map(rest))
             shifted = [ker[min(k + 1, len(ker) - 1)] - ker[1] for k in range(len(ker2))]
             if ker2 != tuple(shifted):
                 yield f"kernel shift law fails for {lam}"

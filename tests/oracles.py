@@ -7,7 +7,8 @@ from affine_crystals.cartan import RootVec, zero_root
 from affine_crystals.linalg import (PRIME, _echelon, gm_from_blocks, mat_mul, rank, sparse_rows,
                                    zero_blocks)
 from affine_crystals.paths import path_apply
-from affine_crystals.quiver import SEQS, GenericityError, KernelTable, WallMap
+from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUnit, WallMap
+from affine_crystals.walls import block_color
 
 
 def nullspace(a, ncols: int, p: int | None = PRIME):
@@ -77,6 +78,32 @@ def _open_strings(a):
 def zero_wall_map(dims, shift):
     """The zero map as a WallMap: each basis vector is a string of its own."""
     return WallMap(shift, tuple(dims), tuple(((i, k),) for i, n in enumerate(dims) for k in range(n)))
+
+
+def row_walk_units(walls):
+    """The wall map's matrix units from a walk over the blocks, one per link.
+
+    Each wall row is walked from column 0 leftwards, walls and rows in order,
+    and each block is numbered within its colour as it is reached.  A block at
+    column c > 0 gives a unit from itself to its neighbour at column c - 1: an
+    x unit for P1, whose s is the neighbour's colour, or an xbar unit for Pn,
+    whose s is the block's own colour.
+    """
+    up, n = walls.kind == "P1", walls.n
+    seen = [0] * (n + 1)
+    units = []
+    for charge, heights in zip(walls.charges, walls.heights):
+        for row in range(1, (heights[0] if heights else 0) + 1):
+            for col, height in enumerate(heights):
+                if height < row:
+                    break
+                color = block_color(n, walls.kind, charge, row, col)
+                if col:
+                    units.append(MatrixUnit("x" if up else "xbar", prev[0] if up else color,
+                                            seen[color], prev[1]))
+                prev = (color, seen[color])
+                seen[color] += 1
+    return units
 
 
 def stacked_rank_is_stable(x, xbar, framing, p=PRIME):

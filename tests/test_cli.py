@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -285,7 +286,7 @@ def test_quiver_sampling_failure_is_one_error_line(monkeypatch, capsys):
 def test_quiver_stalled_filtration_is_one_error_line(monkeypatch, capsys):
     # x = 0 commutes with the cyclic xbar, which is invertible: ker xbar^k stays 0
     def zero_map(walls):
-        return zero_wall_map(total_content(walls).k, 1), []
+        return zero_wall_map(total_content(walls).k, 1)
 
     def cyclic_sample(x, basis, rng, p):
         return gm_from_blocks(x.dims, -x.shift, [[[1]]] * x.m)
@@ -341,3 +342,27 @@ def test_cli_ends_in_a_result_or_one_usage_error(args):
             assert len(lines) == 1 and lines[0].startswith("error: "), (args, lines)
             return
     assert rc in (0, 1), args
+
+
+def _random_quiver_args(count=60, seed=0):
+    """quiver arguments for random words: n <= 4, level <= 4, <= 30 letters, every fifth over Q."""
+    from affine_crystals.suites import random_dominant, random_word
+
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(1, 4)
+        lam = random_dominant(n, rng.randint(1, 4), rng)
+        word = random_word(lam, rng.randint(0, 30), rng)
+        yield ["quiver", "--n", str(n), "--lambda", ",".join(map(str, lam.a)),
+               "--word", " ".join(str(i) for i, _ in word), "--seed", str(rng.randrange(1000)),
+               "--field", "qq" if t % 5 == 4 else "fp"]
+
+
+def test_quiver_bytes_pinned_over_random_words(monkeypatch, capsys):
+    # the whole stdout, sampled_xbar_blocks, seed and field included, and each exit code
+    monkeypatch.delenv("CRYSTAL_SEED", raising=False)
+    h = hashlib.sha256()
+    for args in _random_quiver_args():
+        rc = main(args)
+        h.update(f"{rc}\n{capsys.readouterr().out}".encode())
+    assert h.hexdigest() == "071a2fd891c681f46becaf9b1df3db965c92859c78a53e5d3815fb01e333c611"

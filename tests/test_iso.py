@@ -177,7 +177,7 @@ def test_kernel_identities_on_long_words():
         assert rep.ok, rep.first_mismatch()
         kt = rep.table
         if case % 3 == 0:
-            x, _ = wall_graded_map(rep.walls_p1)
+            x = rep.x_p1
             assert generic_kernel_table(x, commutant_basis(x), seed=seed, p=None) == kt
         # A10: ker xbar^t is the content of the first t columns of the Pn tuple
         acc = zero_root(n)
@@ -188,8 +188,8 @@ def test_kernel_identities_on_long_words():
         for kind, walls in (("P1", rep.walls_p1), ("Pn", rep.walls_pn)):
             rest, elem = peel_column0(walls)
             assert elem == rep.direct[PATH_KIND[kind]].factor(0)
-            ker = power_kernels(wall_graded_map(walls)[0])
-            ker_rest = power_kernels(wall_graded_map(rest)[0])
+            ker = power_kernels(wall_graded_map(walls))
+            ker_rest = power_kernels(wall_graded_map(rest))
             assert ker_rest == tuple(ker[k + 1] - ker[1] for k in range(len(ker_rest)))
         # peel_adj twice emits positions 0 and 1 of the direct Ad path, and the
         # rest word's kernel table reads position 1 as its own position 0
@@ -220,7 +220,7 @@ def test_geometric_eps_matches_the_direct_paths(p, cases):
         lam = random_dominant(n, rng.randint(1, 6), rng)
         word = random_word(lam, rng.randint(0, 60), rng)
         alpha = root(word_alpha(n, word))
-        x, _ = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word), alpha))
+        x = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word), alpha))
         basis, draws = commutant_basis(x), random.Random(rng.randrange(10**6))
         samples = [_geometric_eps(x, sample_in_commutant(x, basis, draws, p), p)
                    for _ in range(3)]
@@ -248,7 +248,7 @@ def test_geometric_e_matches_the_direct_paths(p, cases):
         lam = random_dominant(n, rng.randint(1, 3), rng)
         word = random_word(lam, rng.randint(1, 14), rng)
         x = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word),
-                                          root(word_alpha(n, word))))[0]
+                                          root(word_alpha(n, word))))
         basis, draws, dense = commutant_basis(x), random.Random(rng.randrange(10**6)), x.dense()
         direct = {kind: from_word(lam, kind, word) for kind in ("B1", "Bn", "Ad")}
         for i in (i for i in range(n + 1) if direct["B1"].eps(i)):

@@ -249,10 +249,11 @@ def test_verify_perfect_passes():
 
 
 def test_verify_perfect_fault_case():
-    theta_slice = [a for a in all_adj(2, 1) if a.k == 1]
-    rep = verify_perfect(theta_slice, 1, index_set=(1, 2))
+    # closed under every e_i and f_i, but two crystals of different levels:
+    # B (x) B splits into one component per ordered pair of them
+    rep = verify_perfect(all_b1(2, 1) + all_b1(2, 2), 1)
     assert not rep.ok
-    assert any("components" in msg for msg in rep.failures)
+    assert "B(x)B has 4 components" in rep.failures
 
 
 def test_renders():

@@ -30,7 +30,7 @@ from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import column_content, make_walls, path_to_walls, total_content
 
 from oracles import (_kernel_dims, _open_strings, _oracle_table, _table_rows_eq, gm_compose,
-                     gm_zero, nullspace, stacked_rank_is_stable, zero_wall_map)
+                     gm_zero, nullspace, row_walk_units, stacked_rank_is_stable, zero_wall_map)
 
 N, LAM = golden.N, golden.LAM
 FIELDS = pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
@@ -39,27 +39,27 @@ WPN = make_walls("Pn", N, **golden.WALLS_PN)
 
 
 def test_matrix_units_match_reference():
-    ux = wall_graded_map(WP1)[1]
+    ux = wall_graded_map(WP1).units()
     assert {(u.s, u.src, u.dst) for u in ux} == golden.X_UNITS
-    assert all(u.direction == "x" for u in ux)
-    uxb = wall_graded_map(WPN)[1]
+    assert all(u.direction == "x" for u in ux) and ux == row_walk_units(WP1)
+    uxb = wall_graded_map(WPN).units()
     assert {(u.s, u.src, u.dst) for u in uxb} == golden.XBAR_UNITS
-    assert all(u.direction == "xbar" for u in uxb)
+    assert all(u.direction == "xbar" for u in uxb) and uxb == row_walk_units(WPN)
 
 
 def test_single_wall_units():
     one = make_walls("P1", 2, (0,), ((1, 1),))
-    assert {(u.s, u.src, u.dst) for u in wall_graded_map(one)[1]} == {(0, 0, 0)}
+    assert {(u.s, u.src, u.dst) for u in wall_graded_map(one).units()} == {(0, 0, 0)}
     # charge-0 block at (row 1, col 1) has color 0+1-1+1 = 1, so the unit
     # is the same adjacency that produces the reference tuple's first unit
     onebar = make_walls("Pn", 2, (0,), ((1, 1),))
-    units = wall_graded_map(onebar)[1]
+    units = wall_graded_map(onebar).units()
     assert [(u.direction, u.s, u.src, u.dst) for u in units] == [("xbar", 1, 0, 0)]
 
 
 def test_empty_walls_zero_map():
-    x, units = wall_graded_map(make_walls("P1", N, (0, 0, 1), ((), (), ())))
-    assert units == [] and x == zero_wall_map(x.dims, 1) and x.dense() == gm_zero(x.dims, 1)
+    x = wall_graded_map(make_walls("P1", N, (0, 0, 1), ((), (), ())))
+    assert x.units() == [] and x == zero_wall_map(x.dims, 1) and x.dense() == gm_zero(x.dims, 1)
 
 
 def _big_commutator_dim(x, dims):
@@ -183,7 +183,7 @@ def _random_wall_maps(count):
         alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
         for kind, path_kind in kinds.items():
             walls = path_to_walls(*lowering_steps(lam, path_kind, word), alpha)
-            out.append(wall_graded_map(walls)[0])
+            out.append(wall_graded_map(walls))
     return out[:count]
 
 
@@ -195,7 +195,7 @@ def _assert_matches_solver(x):
 
 
 def test_commutant_dimension_reference():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     assert len(_assert_matches_solver(x)) == golden.COMMUTANT_DIM
     assert _big_commutator_dim(x.dense(), x.dims) == golden.COMMUTANT_DIM
 
@@ -220,7 +220,7 @@ def test_commutant_matches_solver_on_random_wall_maps():
 @pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
 def test_sample_equals_dense_sum_of_oracle_maps(p):
     # placing one coefficient per support is the dense combination, mod p
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     for a in [x] + _random_wall_maps(16):
         basis, maps = commutant_basis(a), _solver_commutant_maps(a.dense(), p)
         for s in (0, 1, 7):
@@ -280,7 +280,8 @@ def _long_wall_tuples(count, seed):
 
 def test_wall_map_strings_and_units_match_dense_oracle():
     for n, walls in _long_wall_tuples(40, seed=14):
-        x, units = wall_graded_map(walls)
+        x = wall_graded_map(walls)
+        units = x.units()
         assert is_nilpotent(x) and x.dims == total_content(walls).k
         assert x.shift == (1 if walls.kind == "P1" else -1)
         assert set(x.strings) == set(map(tuple, _open_strings(x.dense())))
@@ -292,6 +293,8 @@ def test_wall_map_strings_and_units_match_dense_oracle():
         pairs = [((t, u.src), (u.s, u.dst)) if x.shift == 1 else ((u.s, u.src), (t, u.dst))
                  for u, t in zip(units, below)]
         assert len(pairs) == len(links) and set(pairs) == set(links)
+        # and in the order of the walk over each row from column 0
+        assert units == row_walk_units(walls)
 
 
 @FIELDS
@@ -301,7 +304,7 @@ def test_string_commutator_matches_dense_commutator(p):
     rng = random.Random(9)
     seen = Counter()
     for n, walls in _long_wall_tuples(16, seed=15):
-        x, _ = wall_graded_map(walls)
+        x = wall_graded_map(walls)
         dense, shift = x.dense(), -x.shift
         xbar = sample_in_commutant(x, commutant_basis(x), rng, p)
         cells = [(t, r, c) for t, blk in enumerate(xbar.blocks)
@@ -321,16 +324,16 @@ def test_string_commutator_matches_dense_commutator(p):
 
 
 def test_commutant_elements_commute():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     basis = commutant_basis(x)
     rng = random.Random(0)
     xbar = sample_in_commutant(x, basis, rng, PRIME)
     assert check_moment(x, xbar, PRIME)
-    assert not check_moment(x, wall_graded_map(WPN)[0].dense(), PRIME)
+    assert not check_moment(x, wall_graded_map(WPN).dense(), PRIME)
 
 
 def test_sampling_is_deterministic():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     basis = commutant_basis(x)
     a = sample_in_commutant(x, basis, random.Random(42), PRIME)
     b = sample_in_commutant(x, basis, random.Random(42), PRIME)
@@ -340,7 +343,7 @@ def test_sampling_is_deterministic():
 
 
 def test_nilpotency():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     assert is_nilpotent(x)
     dense = x.dense()
     cube = gm_compose(dense, gm_compose(dense, dense, PRIME), PRIME)
@@ -351,7 +354,7 @@ def test_nilpotency():
 
 
 def test_kernel_table_reference_multi_seed():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     basis = commutant_basis(x)
     ref = reference_table()
     for seed in (0, 1, 2, 77):
@@ -366,14 +369,14 @@ def test_genericity_error_carries_its_witness(monkeypatch):
     # two samples never reach MIN_SAMPLES = 3; the error names the samples
     # drawn, the agreeing count and the minimum table's rows
     monkeypatch.setattr(quiver, "MAX_SAMPLES", 2)
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     with pytest.raises(GenericityError, match=r"2 samples drawn \(min_samples 3\), "
                        r"2 agreeing with the minimum table \{'alpha': .*'ker_x': "):
         generic_kernel_table(x, commutant_basis(x))
 
 
 def test_kernel_table_exact_field_flag():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     basis = commutant_basis(x)
     kt = generic_kernel_table(x, basis, seed=0, p=None)
     ref = reference_table()
@@ -381,14 +384,14 @@ def test_kernel_table_exact_field_flag():
 
 
 def test_kernel_table_requires_commuting_point():
-    x, _ = wall_graded_map(WP1)
-    xb, _ = wall_graded_map(WPN)
+    x = wall_graded_map(WP1)
+    xb = wall_graded_map(WPN)
     with pytest.raises(ValueError):
         kernel_table_at(x, xb.dense(), PRIME)
 
 
 def test_kernel_table_zero_xbar():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     kt = kernel_table_at(x, gm_zero(x.dims, -1), PRIME)
     assert kt.xbar_pow == (zero_root(N), golden.ALPHA)
     assert kt.xy_pow == (zero_root(N), golden.ALPHA)
@@ -405,7 +408,7 @@ def test_kernel_spans_equal_column_contents():
         p, steps = lowering_steps(lam, "B1", word)
         alpha = root([sum(m for i, m in word if i % (n + 1) == c) for c in range(n + 1)])
         walls = path_to_walls(p, steps, alpha)
-        x, _ = wall_graded_map(walls)
+        x = wall_graded_map(walls)
         acc = zero_root(n)
         ker = power_kernels(x)
         assert len(ker) == walls.n_cols() + 1
@@ -416,7 +419,7 @@ def test_kernel_spans_equal_column_contents():
 
 
 def test_xy_and_yx_kernels_agree_at_commuting_points():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     basis = commutant_basis(x)
     for seed in (0, 1):
         xbar = sample_in_commutant(x, basis, random.Random(seed), PRIME)
@@ -442,7 +445,7 @@ def test_kernel_table_matches_dense_oracle_on_random_wall_maps(p):
 def test_kernel_table_matches_dense_oracle_at_special_points(p):
     # zero xbar, one basis support, and half of the supports switched off
     hi = p if p is not None else 10**6
-    for x in [wall_graded_map(WP1)[0]] + _random_wall_maps(24):
+    for x in [wall_graded_map(WP1)] + _random_wall_maps(24):
         basis = commutant_basis(x)
         rng = random.Random(len(basis))
         picks = [[], basis[:1], basis[-1:], [b for b in basis if rng.random() < 0.5]]
@@ -460,7 +463,7 @@ def test_kernel_table_matches_dense_oracle_mid_size_exact():
     lam = weight([1, 1, 0])
     word = random_word(lam, 60, random.Random(3))
     alpha = root([sum(m for i, m in word if i == c) for c in range(3)])
-    x, _ = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word), alpha))
+    x = wall_graded_map(path_to_walls(*lowering_steps(lam, "B1", word), alpha))
     xbar = sample_in_commutant(x, commutant_basis(x), random.Random(0), None)
     assert sum(x.dims) >= 40
     assert kernel_table_at(x, xbar, None) == _oracle_table(x.dense(), xbar, None)
@@ -476,7 +479,7 @@ def commuting_points(draw):
     kind = draw(st.sampled_from(["P1", "Pn"]))
     alpha = root([sum(m for i, m in word if i == c) for c in range(n + 1)])
     path, steps = lowering_steps(lam, "B1" if kind == "P1" else "Bn", word)
-    x, _ = wall_graded_map(path_to_walls(path, steps, alpha))
+    x = wall_graded_map(path_to_walls(path, steps, alpha))
     p = draw(st.sampled_from([PRIME, None]))
     basis = commutant_basis(x)
     return x, sample_in_commutant(x, basis, rng, p), p
@@ -528,7 +531,7 @@ def test_stalled_filtration_names_its_sequence(p):
 
 
 def test_stability():
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     basis = commutant_basis(x)
     for seed in (0, 1, 2):
         rng = random.Random(seed)
@@ -555,7 +558,7 @@ def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, 
     calls = []
     real = linalg._echelon
     monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(args) or real(*args))
-    x, _ = wall_graded_map(WP1)
+    x = wall_graded_map(WP1)
     xbar = sample_in_commutant(x, commutant_basis(x), random.Random(0), p)
     kt = kernel_table_at(x, xbar, p)
     assert 0 < len(calls) <= x.m * len(kt.xbar_pow)
