@@ -24,12 +24,13 @@ def signature(i: int, factors) -> tuple[list[int], list[int]]:
     minus: list[int] = []
     plus: list[int] = []
     for idx, b in enumerate(factors):
-        for _ in range(b.eps(i)):
-            if plus:
-                plus.pop()
-            else:
-                minus.append(idx)
-        plus.extend([idx] * b.phi(i))
+        e = b.eps(i)
+        if e > len(plus):  # cancel every open "+", the rest of the "-" survive
+            minus += [idx] * (e - len(plus))
+            plus.clear()
+        elif e:
+            del plus[-e:]
+        plus += [idx] * b.phi(i)
     return minus, plus
 
 

@@ -101,10 +101,12 @@ class IsoReport:
     walls_pn: WallTuple | None = None
     x_p1: WallMap | None = None  # the wall map of walls_p1, degree +1
     x_pn: WallMap | None = None  # the wall map of walls_pn, degree -1
-    commutant_dim: int = 0
+    basis: list = field(default_factory=list)  # the commutant basis of x_p1 samples come from
     xbar: GradedMap | None = None  # the seed's first commutant sample
     table: KernelTable | None = None
     stable: bool = False
+
+    commutant_dim = property(lambda self: len(self.basis))
 
     def first_mismatch(self) -> str:
         return self.mismatches[0] if self.mismatches else ""
@@ -139,8 +141,7 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> Iso
     x = report.x_p1 = wall_graded_map(report.walls_p1)
     report.x_pn = wall_graded_map(report.walls_pn)
 
-    basis = commutant_basis(x)
-    report.commutant_dim = len(basis)
+    basis = report.basis = commutant_basis(x)
     report.xbar = sample_in_commutant(x, basis, random.Random(seed), p)
     report.table = generic_kernel_table(x, basis, seed=seed, p=p)
 

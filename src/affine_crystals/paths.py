@@ -10,10 +10,13 @@ symbols of the leftmost window factor survive from the tail: an e_i landing
 there annihilates the path, and no f_i lands there.  A property test, not the
 run time, compares each operator with its value on larger windows.  The ground
 factors are one period per (lam, kind) in a bounded cache; a Path caches the rest,
-with one signature record per i that eps_i, phi_i, e_i and f_i all read.  An
-operator's result reuses the window it read: its deviations are a slice, its
-window the same with one factor replaced.  A lowering walk reads the position
-each f_i changes off the same record, and the wall tuples replay those steps.
+with one signature record per i that eps_i, phi_i, e_i and f_i all read.  The
+weight is one integer sum: the cached lam - wt(ground factors 0 .. len(devs) - 1)
+plus each deviation's.  An operator's result reuses the window it read (its
+deviations a slice, its window one factor replaced) but never the weight or a
+record, so check_axioms compares values computed on each side of an edge.  A
+lowering walk reads the position each f_i changes off the same record, and the
+wall tuples replay those steps.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
 ``factor_from_content``: the weight section of wt(ground factor k) - cl(content).
@@ -70,6 +73,12 @@ def ground_elem(lam: Weight, kind: str, k: int):
     return period[k % len(period)]
 
 
+@lru_cache(maxsize=256)
+def _ground_offset(lam: Weight, kind: str, length: int) -> tuple[int, ...]:
+    """lam minus the weights of the ground factors at positions 0 .. length - 1."""
+    return sum((-ground_elem(lam, kind, k).wt() for k in range(length)), lam).a
+
+
 def factor_from_content(lam: Weight, kind: str, k: int, content: RootVec):
     """The B1/Bn factor at position k: the section of wt(ground_k) - cl(content).
 
@@ -85,7 +94,8 @@ class Path:
     """Normalized path: devs[k] is the factor at position k for k < tail_start.
 
     _window, wt, the hash and each i's signature record are cached on first use,
-    exact as the path is immutable; one i at a time, as from_word reads one i."""
+    exact as the path is immutable; one i at a time, as from_word reads one i.
+    An operator's result starts with its window filled, wt and records empty."""
 
     lam: Weight
     kind: str
@@ -111,9 +121,9 @@ class Path:
         return [self.factor(k) for k in range(self.tail_start + self.n + 1, -1, -1)]
 
     @cached_property
-    def _wt(self) -> Weight:
-        return sum((dev.wt() - ground_elem(self.lam, self.kind, k).wt()
-                    for k, dev in enumerate(self.devs)), self.lam)
+    def _wt(self) -> Weight:  # strict: a deviation of another rank raises ValueError
+        return Weight(tuple(map(sum, zip(_ground_offset(self.lam, self.kind, len(self.devs)),
+                                         *(dev.wt().a for dev in self.devs), strict=True))))
 
     _records = cached_property(lambda self: [None] * (self.n + 1))
 
@@ -158,10 +168,11 @@ class Path:
 
 def make_path(lam: Weight, kind: str, devs) -> Path:
     """Build a path, trimming deviations that already equal the ground tail."""
-    devs = list(devs)
-    while devs and devs[-1] == ground_elem(lam, kind, len(devs) - 1):
-        devs.pop()
-    return Path(lam, kind, tuple(devs))
+    devs, period = tuple(devs), _ground(lam, kind)
+    top = len(devs)
+    while top and devs[top - 1] == period[(top - 1) % len(period)]:
+        top -= 1
+    return Path(lam, kind, devs[:top])
 
 
 def ground_path(lam: Weight, kind: str) -> Path:
@@ -183,14 +194,14 @@ def _apply_window(op: str, i: int, p: Path):
     elem = facs[idx].e(i) if op == "e" else facs[idx].f(i)
     if elem is None:
         raise ValueError(f"{op}_{i} does not act on {facs[idx]}, which owns a surviving symbol")
-    size = len(facs)
+    size, m = len(facs), len(p._records)
     pos = size - 1 - idx
     window = facs.copy()
     window[idx] = elem
-    top = max(p.tail_start, pos + 1)
+    top = max(len(p.devs), pos + 1)
     out = make_path(p.lam, p.kind, window[:size - 1 - top:-1])  # positions 0 .. top - 1
-    grow = out.tail_start + p.n + 2 - size
-    vars(out)["_records"] = [None] * len(p._records)  # fills the cached properties
+    grow = len(out.devs) + m + 1 - size
+    vars(out)["_records"] = [None] * m  # fills the cached properties; wt and records start empty
     vars(out)["_window"] = window[-grow:] if grow < 0 else (
         [ground_elem(p.lam, p.kind, k) for k in range(size + grow - 1, size - 1, -1)] + window)
     return out, pos

@@ -65,7 +65,7 @@ class B1Elem:
         return self.nu[(i - 1) % len(self.nu)]
 
     def wt(self) -> Weight:
-        return Weight(tuple(self.nu[j - 1] - self.nu[j] for j in range(len(self.nu))))
+        return Weight(tuple([self.nu[j - 1] - self.nu[j] for j in range(len(self.nu))]))
 
     def f(self, i: int):
         nu = _move(self.nu, i - 1, i)
@@ -100,7 +100,7 @@ class BnElem:
         return self.nubar[i % len(self.nubar)]
 
     def wt(self) -> Weight:
-        return Weight(tuple(self.nubar[j] - self.nubar[j - 1] for j in range(len(self.nubar))))
+        return Weight(tuple([self.nubar[j] - self.nubar[j - 1] for j in range(len(self.nubar))]))
 
     def f(self, i: int):
         nb = _move(self.nubar, i, i - 1)
@@ -145,7 +145,9 @@ class AdjElem:
         return BnElem(self.mbar)
 
     def wt(self) -> Weight:
-        return self.box_part().wt() + self.bar_part().wt()
+        m, mb = self.m, self.mbar  # wt(box part) + wt(barred part), strict as Weight's sum
+        return Weight(tuple([mp - mj + bj - bp for mp, mj, bj, bp in
+                             zip(m[-1:] + m[:-1], m, mb, mb[-1:] + mb[:-1], strict=True)]))
 
     def eps(self, i: int) -> int:
         j = i % len(self.m)

@@ -1,12 +1,16 @@
 """Generic solvers kept only as test oracles for the direct constructions."""
 
+import cProfile
+import os
+import pstats
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from affine_crystals.cartan import RootVec, zero_root
 from affine_crystals.linalg import (PRIME, _echelon, gm_from_blocks, mat_mul, rank, sparse_rows,
                                    zero_blocks)
-from affine_crystals.paths import path_apply
+from affine_crystals.paths import ground_elem, path_apply
 from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUnit, WallMap
 from affine_crystals.walls import block_color
 
@@ -110,6 +114,38 @@ def stacked_rank_is_stable(x, xbar, framing, p=PRIME):
     """ker x ∩ ker xbar ∩ ker t = 0 from the rank of [x; xbar; t] on each component."""
     return all(rank([*x.block_out(i), *xbar.block_out(i), *framing[i]], p) == x.dims[i]
                for i in range(x.m) if x.dims[i])
+
+
+def path_wt_reference(p):
+    """wt of a path one factor at a time: lam plus wt(dev_k) - wt(ground_k) per deviation."""
+    return sum((dev.wt() - ground_elem(p.lam, p.kind, k).wt() for k, dev in enumerate(p.devs)),
+               p.lam)
+
+
+def signature_reference(i, factors):
+    """The signature rule one symbol at a time: each "-" cancels the last open "+"."""
+    minus, plus = [], []
+    for idx, b in enumerate(factors):
+        for _ in range(b.eps(i)):
+            if plus:
+                plus.pop()
+            else:
+                minus.append(idx)
+        plus.extend([idx] * b.phi(i))
+    return minus, plus
+
+
+def profiled_calls(fn, *args):
+    """fn(*args) and the package's call counts per (module, function) under
+    cProfile, as the benchmark counts them."""
+    prof = cProfile.Profile()
+    out = prof.runcall(fn, *args)
+    calls = Counter()
+    for (filename, _, func), (_, ncalls, *_) in pstats.Stats(prof).stats.items():
+        head, base = os.path.split(filename)
+        if os.path.basename(head) == "affine_crystals":
+            calls[base[:-3], func] += ncalls
+    return out, calls
 
 
 def changed_positions(p, q):

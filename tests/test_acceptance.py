@@ -5,11 +5,7 @@ and asserts the underlying checks at exact tolerance.  The same checks back
 the CLI's `verify` subcommand.
 """
 
-import cProfile
 import hashlib
-import os
-import pstats
-from collections import Counter
 
 from affine_crystals import iso, suites
 from affine_crystals.suites import (
@@ -19,6 +15,7 @@ from affine_crystals.suites import (
     suite_perfect,
     suite_xi,
 )
+from oracles import profiled_calls
 
 SEED = 0
 _cache = {}
@@ -152,13 +149,8 @@ def test_extra_example_checks():
 def test_worked_example_is_built_once():
     # the example reads its paths, walls and wall maps off one pipeline run,
     # and the peeling check runs the pipeline once more on the rest word
-    prof = cProfile.Profile()
-    prof.runcall(suite_example, SEED)
-    calls = Counter()
-    for (filename, _, func), (_, ncalls, *_) in pstats.Stats(prof).stats.items():
-        head, base = os.path.split(filename)
-        if os.path.basename(head) == "affine_crystals":
-            calls[base, func] += ncalls
-    assert calls["iso.py", "run_pipeline"] == 2
-    assert calls["walls.py", "path_to_walls"] == 4
-    assert calls["quiver.py", "wall_graded_map"] == 4
+    _, calls = profiled_calls(suite_example, SEED)
+    assert calls["iso", "run_pipeline"] == 2
+    assert calls["walls", "path_to_walls"] == 4
+    assert calls["quiver", "wall_graded_map"] == 4
+    assert calls["quiver", "commutant_basis"] == 2  # A4 samples from the report's basis

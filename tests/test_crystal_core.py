@@ -15,7 +15,8 @@ from affine_crystals.crystal_core import (
 )
 from affine_crystals.cartan import weight
 from affine_crystals.paths import Path, ground_path, path_to_json
-from affine_crystals.perfect import B1Elem, BnElem
+from affine_crystals.perfect import B1Elem, BnElem, all_adj, all_b1, all_bn
+from oracles import signature_reference
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,21 @@ def brute_signature(counts, rng):
         t = rng.choice(spots)
         del word[t : t + 2]
     return word
+
+
+@given(st.integers(0, 4), st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=12))
+def test_signature_matches_the_per_symbol_reference(i, counts):
+    facs = [Fake(e, p) for e, p in counts]
+    assert signature(i, facs) == signature_reference(i, facs)
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.randoms(use_true_random=False))
+def test_signature_matches_the_reference_on_perfect_crystal_factors(n, lvl, rng):
+    for elements in (all_b1, all_bn, all_adj):
+        pool = elements(n, lvl)
+        facs = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+        for i in range(n + 1):
+            assert signature(i, facs) == signature_reference(i, facs)
 
 
 def test_signature_against_random_order_reduction():

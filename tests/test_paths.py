@@ -2,7 +2,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affine_crystals import paths
 from affine_crystals.cartan import cl_root, root, weight
@@ -12,6 +12,7 @@ from affine_crystals.paths import (
     Path,
     WordIndexError,
     _ground,
+    _ground_offset,
     factor_from_content,
     from_word,
     ground_path,
@@ -26,7 +27,8 @@ from affine_crystals.perfect import (AdjElem, B1Elem, all_adj, all_b1, all_bn, g
                                      ground_b1, ground_bn)
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import path_to_walls, walls_to_path
-from oracles import changed_positions, raising_steps as oracle_raising_steps
+from oracles import (changed_positions, path_wt_reference, profiled_calls,
+                     raising_steps as oracle_raising_steps)
 
 LAM = weight((2, 1, 0))
 WORD = parse_word("1^4 2^5 1^2 0^4 2 1")
@@ -276,6 +278,7 @@ def test_cached_values_equal_a_fresh_recomputation(p):
     copy = pickle.loads(pickle.dumps(p))
     assert copy == p and "_hash" not in vars(copy) and hash(copy) == hash(p)
     assert _ground.cache_info().maxsize is not None
+    assert _ground_offset.cache_info().maxsize is not None
 
 
 def _counted_signatures(monkeypatch):
@@ -357,6 +360,50 @@ def test_forged_records_raise_typed_errors():
         path_apply("f", 0, p)
     with pytest.raises(RuntimeError, match="f_1 acted on the leftmost window factor of ground"):
         path_apply("f", 1, p)
+
+
+@st.composite
+def long_word_paths(draw):
+    """(lowered, cold): a B1/Bn/Ad path of a word of up to 60 letters over a
+    dominant weight with n <= 4 and level <= 4, and a path of random factors of
+    that crystal built as Path(lam, kind, devs), untrimmed and with nothing cached."""
+    n, lvl, kind = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.sampled_from(KINDS))
+    rng = draw(st.randoms(use_true_random=False))
+    lam = random_dominant(n, lvl, rng)
+    lowered = from_word(lam, kind, random_word(lam, rng.randint(0, 60), rng, kind=kind))
+    pool = {"B1": all_b1, "Bn": all_bn, "Ad": all_adj}[kind](n, lvl)
+    cold = Path(lam, kind, tuple(rng.choice(pool) for _ in range(rng.randint(0, 12))))
+    return lowered, cold
+
+
+@settings(max_examples=60)
+@given(long_word_paths())
+@example((from_word(LAM, "Ad", WORD), Path(LAM, "Ad", (ground_adj(LAM),) * 3)))
+def test_wt_matches_the_per_factor_reference(paths):
+    lowered, cold = paths
+    assert "_wt" not in vars(cold)
+    for p in (lowered, cold, Path(lowered.lam, lowered.kind, lowered.devs)):
+        assert p.wt() == path_wt_reference(p)
+
+
+def test_operator_results_inherit_no_wt_or_record():
+    # check_axioms compares wt, eps and phi across each edge; a result that
+    # carried them over from its source would make those checks tautologies
+    def ball():
+        g = generate_graph(ground_path(LAM, "Ad"), max_nodes=200)
+        return g, check_axioms(g)
+
+    (g, bad), calls = profiled_calls(ball)
+    assert not bad and len(g.nodes) == 200
+    assert calls["crystal_core", "signature"] == len(g.nodes) * (LAM.n + 1)
+    for src, op, i, _ in g.edges:
+        b = g.nodes[src]
+        assert "_wt" in vars(b) and None not in b._records  # filled by check_axioms
+        out = path_apply(op, i, b)
+        assert "_wt" not in vars(out) and out._records == [None] * (LAM.n + 1)
+    for kind in KINDS:
+        (_, steps), calls = profiled_calls(lowering_steps, LAM, kind, WORD)
+        assert calls["crystal_core", "signature"] == len(steps) == sum(m for _, m in WORD)
 
 
 def test_path_axioms_small_balls():

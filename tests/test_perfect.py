@@ -137,9 +137,11 @@ def _affine_count(elem, op):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_adjoint_eps_phi_closed_forms_match_oracles(n):
     # eps_0/phi_0 against repeated e_0/f_0, eps_i/phi_i (i >= 1) against the
-    # signature rule on box_part (x) bar_part, on every element for l <= 4
+    # signature rule on box_part (x) bar_part, and wt against the sum of the
+    # parts' weights, on every element for l <= 4
     for lvl in range(1, 5):
         for a in all_adj(n, lvl):
+            assert a.wt() == a.box_part().wt() + a.bar_part().wt()
             assert (a.eps(0), a.phi(0)) == (_affine_count(a, "e"), _affine_count(a, "f"))
             for i in range(1, n + 1):
                 assert (a.eps(i), a.phi(i)) == eps_phi_tensor(i, (a.box_part(), a.bar_part()))
@@ -184,13 +186,16 @@ def test_merge_pair_examples():
 
 
 def test_guards_hold_under_optimize():
-    # invalid adjoint pairs, a level mismatch in merge_pair and a factor whose
-    # f_i refuses a surviving "+" raise ValueError even under python -O
+    # invalid adjoint pairs, a level mismatch in merge_pair, a factor whose
+    # f_i refuses a surviving "+" and a path deviation of another rank raise
+    # ValueError even under python -O
     import subprocess
     import sys
 
     code = (
+        "from affine_crystals.cartan import weight\n"
         "from affine_crystals.crystal_core import tensor_apply\n"
+        "from affine_crystals.paths import Path\n"
         "from affine_crystals.perfect import AdjElem, B1Elem, BnElem, merge_pair\n"
         "class Stuck:\n"
         "    def eps(self, i): return 0\n"
@@ -201,6 +206,8 @@ def test_guards_hold_under_optimize():
         "    lambda: AdjElem((1, 0, 0), (1, 0, 0), 2),\n"
         "    lambda: AdjElem((1, 0, 0), (0, 1, 1), 2),\n"
         "    lambda: tensor_apply('f', 0, [Stuck()]),\n"
+        "    lambda: Path(weight((2, 0, 0)), 'B1', (B1Elem((1, 1)),)).wt(),  # deviation of rank 1\n"
+        "    lambda: Path(weight((2, 0, 0)), 'Ad', (AdjElem((0, 1), (0, 1), 2),)).wt(),\n"
         "]\n"
         "for case in cases:\n"
         "    try:\n"
@@ -211,7 +218,7 @@ def test_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 4
+    assert proc.stdout.split() == ["ValueError"] * 6
 
 
 def test_merge_split_roundtrip():
