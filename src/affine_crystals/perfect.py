@@ -11,9 +11,9 @@ Three families:
 * AdjElem -- the adjoint crystal B(0) + B(theta) + ... + B(l*theta), encoded
   as the pair (mbar, m): mbar counts barred columns, m counts boxes, both of
   size k <= l, with mbar_1 * m_1 = 0 (semistandardness of the two-row
-  tableau).  Classical operators are the pair tensor rule (box part left,
-  barred part right, matching the column reading of the tableau) in closed
-  form; the affine operators follow the explicit four-case rules.
+  tableau).  Its operators are the pair tensor rule (box part left, barred
+  part right, matching the column reading of the tableau) in closed form,
+  one rule for every i, 0 included.
 
 ``merge_pair``/``split_adj`` realize the crystal isomorphism
 B1 (x) Bn  ~~>  Adj by cancelling c = min(nu_1, nubar_1) leading pairs.
@@ -115,20 +115,22 @@ class BnElem:
 class AdjElem:
     """Adjoint-crystal element as a (barred columns, boxes) multiplicity pair.
 
-    eps_i/phi_i come from split_adj's pair B1(nu) (x) Bn(nubar), an isomorphism for
-    every i, where the tensor rule gives eps_i = nu_i + max(0, nubar_{i-1} - nu_{i-1}).
-    nu, nubar are m, mbar with c = cap - k added at index 0, which cancels in the
-    difference, so (indices mod n + 1) eps_i = m_i + [i = 0] c + max(0, mbar_{i-1} -
-    m_{i-1}) and phi_i = mbar_i + [i = 0] c + max(0, m_{i-1} - mbar_{i-1})."""
+    eps_i, phi_i, e_i and f_i are the tensor rule on split_adj's pair B1(nu) (x)
+    Bn(nubar), an isomorphism for every i: eps_i = nu_i + max(0, nubar_{i-1} - nu_{i-1}),
+    and e_i/f_i act on B1(nu) when nu_{i-1} >= / > nubar_{i-1}.  nu, nubar are m, mbar
+    with c = cap - k added at index 0, which cancels in the difference, so (indices
+    mod n + 1) eps_i = m_i + [i = 0] c + max(0, mbar_{i-1} - m_{i-1}) and phi_i =
+    mbar_i + [i = 0] c + max(0, m_{i-1} - mbar_{i-1})."""
 
     mbar: tuple[int, ...]
     m: tuple[int, ...]
     cap: int
 
     def __post_init__(self):
-        if not sum(self.mbar) == sum(self.m) <= self.cap or self.mbar[0] * self.m[0]:
-            raise ValueError(f"no adjoint element {self.mbar}, {self.m}, cap {self.cap}: "
-                             "needs equal sums <= cap and mbar_1 * m_1 = 0")
+        if (not sum(self.mbar) == sum(self.m) <= self.cap or self.mbar[0] * self.m[0]
+                or min(self.mbar + self.m) < 0):
+            raise ValueError(f"no adjoint element {self.mbar}, {self.m}, cap {self.cap}: needs "
+                             "entries >= 0, equal sums <= cap and mbar_1 * m_1 = 0")
 
     @property
     def n(self) -> int:
@@ -137,12 +139,6 @@ class AdjElem:
     @property
     def k(self) -> int:
         return sum(self.m)
-
-    def box_part(self) -> B1Elem:
-        return B1Elem(self.m)
-
-    def bar_part(self) -> BnElem:
-        return BnElem(self.mbar)
 
     def wt(self) -> Weight:
         m, mb = self.m, self.mbar  # wt(box part) + wt(barred part), strict as Weight's sum
@@ -159,65 +155,30 @@ class AdjElem:
         c = self.cap - self.k if j == 0 else 0
         return self.mbar[j] + c + max(0, self.m[j - 1] - self.mbar[j - 1])
 
-    def _f0(self):
-        phi1 = self.m[-1]
-        eps2, phi2 = self.mbar[-1], self.mbar[0]
-        mbar, m = list(self.mbar), list(self.m)
-        if phi1 > eps2 and phi2 > 0:
-            mbar[0] -= 1
-            m[-1] -= 1
-        elif phi1 > eps2 and phi2 == 0:
-            m[-1] -= 1
-            m[0] += 1
-        elif phi1 <= eps2 and phi2 > 0:
-            mbar[0] -= 1
-            mbar[-1] += 1
-        elif phi1 <= eps2 and phi2 == 0 and self.k < self.cap:
-            mbar[-1] += 1
-            m[0] += 1
-        else:
-            return None
-        return AdjElem(tuple(mbar), tuple(m), self.cap)
-
-    def _e0(self):
-        phi1, eps1 = self.m[-1], self.m[0]
-        eps2 = self.mbar[-1]
-        mbar, m = list(self.mbar), list(self.m)
-        if phi1 >= eps2 and eps1 > 0:
-            m[0] -= 1
-            m[-1] += 1
-        elif phi1 >= eps2 and eps1 == 0 and self.k < self.cap:
-            mbar[0] += 1
-            m[-1] += 1
-        elif phi1 < eps2 and eps1 > 0:
-            mbar[-1] -= 1
-            m[0] -= 1
-        elif phi1 < eps2 and eps1 == 0:
-            mbar[0] += 1
-            mbar[-1] -= 1
-        else:
-            return None
-        return AdjElem(tuple(mbar), tuple(m), self.cap)
-
-    def _classical(self, op: str, j: int):
-        """e_j/f_j for 0 < j <= n, the tensor rule on box part (x) barred part in
-        closed form: f_j moves a box from m_{j-1} to m_j when m_{j-1} > mbar_{j-1},
-        else a barred column from mbar_j to mbar_{j-1}; e_j makes the reverse move,
-        on the boxes when m_{j-1} >= mbar_{j-1}."""
+    def _apply(self, op: str, i: int):
+        """e_i/f_i (j = i mod n + 1) on the boxes when m_{j-1} > mbar_{j-1} (f) or >=
+        (e), else on the barred columns; a move out of an empty index 0 takes one of
+        the cap - k cancelled pairs, and index 0 is cancelled again after the move."""
+        j = i % len(self.m)
+        m, mbar = list(self.m), list(self.mbar)
         s, d = (j - 1, j) if op == "f" else (j, j - 1)
-        if self.m[j - 1] > self.mbar[j - 1] or op == "e" and self.m[j - 1] == self.mbar[j - 1]:
-            m = _move(self.m, s, d)
-            return None if m is None else AdjElem(self.mbar, m, self.cap)
-        mbar = _move(self.mbar, d, s)
-        return None if mbar is None else AdjElem(mbar, self.m, self.cap)
+        box = m[j - 1] > mbar[j - 1] or op == "e" and m[j - 1] == mbar[j - 1]
+        vec, s, d = (m, s, d) if box else (mbar, d, s)
+        if not vec[s]:
+            if s or self.k == self.cap:  # s in -1..n, so only s = 0 is index 0
+                return None
+            m[0] += 1
+            mbar[0] += 1
+        vec[s] -= 1
+        vec[d] += 1
+        c = min(m[0], mbar[0])
+        return AdjElem((mbar[0] - c, *mbar[1:]), (m[0] - c, *m[1:]), self.cap)
 
     def f(self, i: int):
-        j = i % len(self.m)
-        return self._classical("f", j) if j else self._f0()
+        return self._apply("f", i)
 
     def e(self, i: int):
-        j = i % len(self.m)
-        return self._classical("e", j) if j else self._e0()
+        return self._apply("e", i)
 
 
 # ---------------------------------------------------------------- sections

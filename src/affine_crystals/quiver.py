@@ -42,7 +42,7 @@ from itertools import count
 from .cartan import RootVec, Weight, zero_root
 from .linalg import (PRIME, GradedMap, gm_from_blocks, independent_rows, mat_mul, rank,
                      sparse_rows, zero_blocks)
-from .walls import WallTuple, block_color
+from .walls import SIGN, WallTuple, block_color
 
 
 class GenericityError(RuntimeError):
@@ -111,7 +111,7 @@ def wall_graded_map(walls: WallTuple) -> WallMap:
                 string.append((color, seen[color]))
                 seen[color] += 1
             strings.append(tuple(reversed(string)))
-    return WallMap(1 if walls.kind == "P1" else -1, tuple(seen), tuple(strings))
+    return WallMap(SIGN[walls.kind], tuple(seen), tuple(strings))
 
 
 # ------------------------------------------------------------- commutant

@@ -5,10 +5,11 @@ weight: rows grow leftward from column 0 and may not leave free space to
 their right, so a wall is just a weakly decreasing column-height sequence.
 Block colors walk by one residue per step:
 
-    P1 pattern of charge c: color(row i, col j) = (c - j + i - 1) mod (n+1)
-    Pn pattern of charge c: color(row i, col j) = (c + j - i + 1) mod (n+1)
+    color(row i, col j) = (c + SIGN * (i - 1 - j)) mod (n+1)
 
-with rows counted from 1 at the bottom and columns from 0 at the right.
+for charge c, rows counted from 1 at the bottom and columns from 0 at the
+right.  Pn is the P1 pattern with the opposite SIGN (+1 for P1, -1 for Pn),
+as are its interlacing order, column-0 charge shift and wall-map degree.
 
 An l-tuple lives over one dominant weight lam = Lambda_{c_1} + ... +
 Lambda_{c_l} of A_n^(1), charges c_1 <= ... <= c_l in 0..n (Kang, Proc. LMS
@@ -39,6 +40,7 @@ from .paths import InversionError, Path, factor_from_content, make_path
 WALL_KINDS = ("P1", "Pn")
 PATH_KIND = {"P1": "B1", "Pn": "Bn"}  # the path model each wall kind realizes
 WALL_KIND = {"B1": "P1", "Bn": "Pn"}  # and the wall kind each path model has
+SIGN = {"P1": 1, "Pn": -1}  # the direction colors walk in, down a column
 
 
 @dataclass(frozen=True)
@@ -86,9 +88,7 @@ def make_walls(kind: str, n: int, charges, heights) -> WallTuple:
 
 
 def block_color(n: int, kind: str, charge: int, row: int, col: int) -> int:
-    if kind == "P1":
-        return (charge - col + row - 1) % (n + 1)
-    return (charge + col - row + 1) % (n + 1)
+    return (charge + SIGN[kind] * (row - 1 - col)) % (n + 1)
 
 
 def column_content(walls: WallTuple, j: int) -> RootVec:
@@ -108,20 +108,18 @@ def total_content(walls: WallTuple) -> RootVec:
 
 
 def _column_fault(n: int, kind: str, charges, heights, j: int) -> str:
-    """Stacking and (cyclic) interlacing at column j: the first witness, or ''."""
+    """Stacking and interlacing (each wall against the next, the last against the
+    first one period up, at charge c_0 + n + 1) at column j: the first witness, or ''."""
     col = [h[j] if j < len(h) else 0 for h in heights]
     for w, (h, c) in enumerate(zip(heights, col)):
         if c < 0:
             return f"wall {w}: negative height"
         if c and j and h[j - 1] < c:  # c > 0: column j - 1 is inside h
             return f"wall {w}: free space right of column {j}"
-    for w in range(len(charges) - 1):
-        d = charges[w + 1] - charges[w]
-        if kind == "P1" and col[w] > col[w + 1] + d or kind == "Pn" and col[w] < col[w + 1] - d:
-            return f"interlacing fails between walls {w},{w + 1} at column {j}"
-    d = charges[-1] - charges[0] - n - 1
-    if kind == "P1" and col[-1] > col[0] - d or kind == "Pn" and col[-1] < col[0] + d:
-        return f"cyclic interlacing fails at column {j}"
+    for w in range(len(charges)):
+        v = (w + 1) % len(charges)
+        if SIGN[kind] * (col[w] - col[v]) > charges[v] - charges[w] + (0 if v else n + 1):
+            return f"interlacing fails between walls {w},{v} at column {j}"
     return ""
 
 
@@ -217,7 +215,7 @@ def strip_column0(walls: WallTuple) -> tuple[WallTuple, RootVec]:
     Walls whose charge wraps move cyclically to the other end so charges stay
     ascending; the result lives over the rotated dominant weight.
     """
-    shift = -1 if walls.kind == "P1" else 1
+    shift = -SIGN[walls.kind]
     items = sorted((((c + shift) % (walls.n + 1), h[1:])
                     for c, h in zip(walls.charges, walls.heights)), key=lambda it: it[0])
     out = make_walls(walls.kind, walls.n, [c for c, _ in items], [h for _, h in items])

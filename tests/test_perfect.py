@@ -102,12 +102,20 @@ def test_ground_chain_identities():
 
 
 def test_affine_adjoint_cases():
-    # lowering, capacity 3
-    assert AdjElem((2, 1, 0), (0, 2, 1), 3).f(0) == AdjElem((1, 1, 0), (0, 2, 0), 3)
-    assert AdjElem((0, 1, 0), (0, 1, 0), 3).e(0) == AdjElem((1, 1, 0), (0, 1, 1), 3)
-    assert AdjElem((0, 1, 0), (0, 1, 0), 3).f(0) == AdjElem((0, 1, 1), (1, 1, 0), 3)
-    # at full capacity the box-adding branches shut off
+    # every branch of the four-case tables for f_0 and e_0, capacity 3; with
+    # phi1 = m_{n+1}, eps2 = mbar_{n+1}, phi2 = mbar_1 and eps1 = m_1, f_0's cases
+    # split on phi1 > eps2 and phi2 > 0, e_0's on phi1 >= eps2 and eps1 > 0
+    assert AdjElem((2, 1, 0), (0, 2, 1), 3).f(0) == AdjElem((1, 1, 0), (0, 2, 0), 3)  # f 1
+    assert AdjElem((0, 1, 1), (0, 0, 2), 3).f(0) == AdjElem((0, 1, 1), (1, 0, 1), 3)  # f 2
+    assert AdjElem((1, 0, 1), (0, 1, 1), 3).f(0) == AdjElem((0, 0, 2), (0, 1, 1), 3)  # f 3
+    assert AdjElem((0, 1, 0), (0, 1, 0), 3).f(0) == AdjElem((0, 1, 1), (1, 1, 0), 3)  # f 4
+    assert AdjElem((0, 1, 1), (1, 0, 1), 3).e(0) == AdjElem((0, 1, 1), (0, 0, 2), 3)  # e 1
+    assert AdjElem((0, 1, 0), (0, 1, 0), 3).e(0) == AdjElem((1, 1, 0), (0, 1, 1), 3)  # e 2
+    assert AdjElem((0, 0, 2), (1, 1, 0), 3).e(0) == AdjElem((0, 0, 1), (0, 1, 0), 3)  # e 3
+    assert AdjElem((0, 0, 2), (0, 1, 1), 3).e(0) == AdjElem((1, 0, 1), (0, 1, 1), 3)  # e 4
+    # at full capacity the box-adding branches (f 4, e 2) shut off
     assert AdjElem((0, 1, 0), (0, 1, 0), 1).f(0) is None
+    assert AdjElem((0, 1, 0), (0, 1, 0), 1).e(0) is None
 
 
 def test_classical_adjoint_operators():
@@ -127,53 +135,61 @@ def test_affine_counts_terminate_and_match_ground():
 def _affine_count(elem, op):
     """eps_0/phi_0 by repeated e_0/f_0 (oracle for the closed forms)."""
     count = 0
-    cur = elem._e0() if op == "e" else elem._f0()
+    cur = elem.e(0) if op == "e" else elem.f(0)
     while cur is not None:
         count += 1
-        cur = cur._e0() if op == "e" else cur._f0()
+        cur = cur.e(0) if op == "e" else cur.f(0)
     return count
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_adjoint_eps_phi_closed_forms_match_oracles(n):
-    # eps_0/phi_0 against repeated e_0/f_0, eps_i/phi_i (i >= 1) against the
-    # signature rule on box_part (x) bar_part, and wt against the sum of the
-    # parts' weights, on every element for l <= 4
+    # eps_0/phi_0 against repeated e_0/f_0, every eps_i/phi_i against the
+    # signature rule on split_adj's pair, and wt against the sum of the pair's
+    # weights, on every element for l <= 4
     for lvl in range(1, 5):
         for a in all_adj(n, lvl):
-            assert a.wt() == a.box_part().wt() + a.bar_part().wt()
+            pair = split_adj(a)
+            assert a.wt() == pair[0].wt() + pair[1].wt()
             assert (a.eps(0), a.phi(0)) == (_affine_count(a, "e"), _affine_count(a, "f"))
-            for i in range(1, n + 1):
-                assert (a.eps(i), a.phi(i)) == eps_phi_tensor(i, (a.box_part(), a.bar_part()))
+            for i in range(n + 1):
+                assert (a.eps(i), a.phi(i)) == eps_phi_tensor(i, pair)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_adjoint_classical_operators_match_the_tensor_rule(n):
-    # e_i/f_i (i >= 1) in closed form against tensor_apply on box_part (x)
-    # bar_part, on every element for l <= 4
+    # e_i/f_i in closed form, for every i including 0, against merge_pair of
+    # tensor_apply on split_adj's pair, on every element for l <= 4
     for lvl in range(1, 5):
         for a in all_adj(n, lvl):
-            for i in range(1, n + 1):
+            pair = split_adj(a)
+            for i in range(n + 1):
                 for op in ("e", "f"):
-                    res = tensor_apply(op, i, (a.box_part(), a.bar_part()))
-                    want = None if res is None else (
-                        AdjElem(a.mbar, res[1].nu, a.cap) if res[0] == 0
-                        else AdjElem(res[1].nubar, a.m, a.cap))
+                    res = tensor_apply(op, i, pair)
+                    want = None
+                    if res is not None:
+                        moved = list(pair)
+                        moved[res[0]] = res[1]
+                        want = merge_pair(*moved)
                     assert (a.e(i) if op == "e" else a.f(i)) == want, (a, op, i)
 
 
 def test_affine_adjoint_mutual_inverse_everywhere():
-    # e0/f0 invert each other and preserve the pair invariants on all of
-    # the (n, l) = (2, 2) adjoint crystal
-    for a in all_adj(2, 2):
-        down = a.f(0)
-        if down is not None:
-            assert sum(down.mbar) == sum(down.m) and down.mbar[0] * down.m[0] == 0
-            assert down.e(0) == a
-        up = a.e(0)
-        if up is not None:
-            assert sum(up.mbar) == sum(up.m) and up.mbar[0] * up.m[0] == 0
-            assert up.f(0) == a
+    # e_i/f_i invert each other, and eps_i/phi_i step by one along each edge,
+    # for every i on every adjoint crystal with n, l <= 3 (AdjElem checks the
+    # pair invariants on each result)
+    for n, lvl in itertools.product(range(1, 4), repeat=2):
+        for a in all_adj(n, lvl):
+            for i in range(n + 1):
+                down = a.f(i)
+                if down is not None:
+                    assert down.e(i) == a
+                    assert (down.eps(i), down.phi(i)) == (a.eps(i) + 1, a.phi(i) - 1)
+                up = a.e(i)
+                if up is not None:
+                    assert up.f(i) == a
+                    assert (up.eps(i), up.phi(i)) == (a.eps(i) - 1, a.phi(i) + 1)
+                assert (down is None) == (a.phi(i) == 0) and (up is None) == (a.eps(i) == 0)
 
 
 def test_merge_pair_examples():
@@ -186,9 +202,9 @@ def test_merge_pair_examples():
 
 
 def test_guards_hold_under_optimize():
-    # invalid adjoint pairs, a level mismatch in merge_pair, a factor whose
-    # f_i refuses a surviving "+" and a path deviation of another rank raise
-    # ValueError even under python -O
+    # invalid adjoint pairs (one with a negative entry), a level mismatch in
+    # merge_pair, a factor whose f_i refuses a surviving "+" and a path
+    # deviation of another rank raise ValueError even under python -O
     import subprocess
     import sys
 
@@ -205,6 +221,7 @@ def test_guards_hold_under_optimize():
         "    lambda: merge_pair(B1Elem((1, 0, 0)), BnElem((2, 0, 0))),\n"
         "    lambda: AdjElem((1, 0, 0), (1, 0, 0), 2),\n"
         "    lambda: AdjElem((1, 0, 0), (0, 1, 1), 2),\n"
+        "    lambda: AdjElem((0, -1, 1), (0, 1, -1), 1),\n"
         "    lambda: tensor_apply('f', 0, [Stuck()]),\n"
         "    lambda: Path(weight((2, 0, 0)), 'B1', (B1Elem((1, 1)),)).wt(),  # deviation of rank 1\n"
         "    lambda: Path(weight((2, 0, 0)), 'Ad', (AdjElem((0, 1), (0, 1), 2),)).wt(),\n"
@@ -218,7 +235,7 @@ def test_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 6
+    assert proc.stdout.split() == ["ValueError"] * 7
 
 
 def test_merge_split_roundtrip():
