@@ -1,14 +1,14 @@
 """Exact linear algebra over Q and over a large prime field.
 
 No floating point anywhere.  Matrices are plain lists of integer rows.  One
-fraction-free forward elimination serves both fields: over F_p (p = 2^31 - 1)
-a row update is ``(piv * x - f * y) mod p``, over Q (``p=None``) it is
-Bareiss's exact division by the previous pivot, so entries stay integers.
-Pivots are the first nonzero entry in column order.  ``rank`` counts the
-pivots; ``independent_rows`` keeps the original pivot rows and the pivots.
-No solver is left: the commutant is built directly (``quiver.commutant_basis``),
-and the tests keep a nullspace on this elimination as its oracle.  No graded
-product is left either; the tests keep the dense one as a reference.
+fraction-free forward elimination, ``_echelon``, serves both fields: over
+F_p (p = 2^31 - 1) a row update is ``(piv * x - f * y) mod p``, over Q
+(``p=None``) it is Bareiss's exact division by the previous pivot, so
+entries stay integers.  Pivots are the first nonzero entry in column order.
+``independent_rows`` keeps the original pivot rows and the pivots, ``rank``
+counts them, and ``independent_products`` does the same for the rows of a
+product, formed in the same call: one step of the kernel-table chain.  No
+solver or dense product is left; the tests keep both as oracles.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from dataclasses import dataclass
 PRIME = 2**31 - 1
 
 
-def _echelon(a, ncols: int, p: int | None) -> tuple[list[list[int]], list[int], list[int]]:
-    """Fraction-free forward elimination.
+def _echelon(rows, ncols: int, p: int | None) -> tuple[list[list[int]], list[int], list[int]]:
+    """Fraction-free forward elimination in place of fresh rows, reduced mod p over F_p.
 
     Returns (pivot rows, pivot columns, original indices of the pivot rows);
-    those original rows of ``a`` are a maximal independent subset.
+    those original rows are a maximal independent subset.
     """
-    rows = [[v % p for v in row] if p is not None else list(row) for row in a]
     nrows = len(rows)
     order = list(range(nrows))
     pivots: list[int] = []
@@ -33,8 +32,10 @@ def _echelon(a, ncols: int, p: int | None) -> tuple[list[list[int]], list[int], 
         r = len(pivots)
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         order[r], order[piv] = order[piv], order[r]
@@ -54,13 +55,31 @@ def _echelon(a, ncols: int, p: int | None) -> tuple[list[list[int]], list[int], 
 
 
 def rank(a, p: int | None = PRIME) -> int:
-    return len(_echelon(a, len(a[0]) if a else 0, p)[1])
+    return len(independent_rows(a, p)[1])
 
 
 def independent_rows(a, p: int | None = PRIME) -> tuple[list, list[int]]:
     """A maximal independent subset of the rows of a, as given, and the pivot columns."""
-    _, pivots, picked = _echelon(a, len(a[0]) if a else 0, p)
+    rows = [[v % p for v in row] for row in a] if p is not None else [list(row) for row in a]
+    _, pivots, picked = _echelon(rows, len(a[0]) if a else 0, p)
     return [a[i] for i in picked], pivots
+
+
+def independent_products(rows, right, ncols: int, p: int | None = PRIME) -> tuple[list, list[int]]:
+    """``independent_rows`` of the nonzero rows of rows times a matrix given as its
+    rows' (column, value) pairs, each product row reduced mod p as it is formed."""
+    out = []
+    for row in rows:
+        acc = [0] * ncols
+        for v, cells in zip(row, right):
+            if v:
+                for c, w in cells:
+                    acc[c] += v * w
+        acc = [u % p for u in acc] if p is not None else acc
+        if any(acc):
+            out.append(acc)
+    _, pivots, picked = _echelon([row[:] for row in out], ncols, p)
+    return [out[i] for i in picked], pivots
 
 
 # --------------------------------------------------------------- graded maps
@@ -95,21 +114,3 @@ def zero_blocks(dims, shift: int) -> list[list[list[int]]]:
 
 def gm_from_blocks(dims, shift: int, blocks) -> GradedMap:
     return GradedMap(shift, tuple(dims), tuple(tuple(map(tuple, b)) for b in blocks))
-
-
-def sparse_rows(mat) -> list[list[tuple[int, int]]]:
-    """Each row of mat as its (column, value) pairs with nonzero value."""
-    return [[(c, v) for c, v in enumerate(row) if v] for row in mat]
-
-
-def mat_mul(rows, right, ncols: int, p: int | None = None) -> list[list[int]]:
-    """rows times the matrix whose ``sparse_rows`` are right, reduced mod p."""
-    out = []
-    for row in rows:
-        acc = [0] * ncols
-        for v, cells in zip(row, right):
-            if v:
-                for c, w in cells:
-                    acc[c] += v * w
-        out.append([u % p for u in acc] if p is not None else acc)
-    return out

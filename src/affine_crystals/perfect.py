@@ -50,6 +50,10 @@ class B1Elem:
 
     nu: tuple[int, ...]
 
+    def __post_init__(self):
+        if min(self.nu) < 0:
+            raise ValueError(f"no B1 element {self.nu}: needs entries >= 0")
+
     @property
     def n(self) -> int:
         return len(self.nu) - 1
@@ -84,6 +88,10 @@ class BnElem:
     wt is negated."""
 
     nubar: tuple[int, ...]
+
+    def __post_init__(self):
+        if min(self.nubar) < 0:
+            raise ValueError(f"no Bn element {self.nubar}: needs entries >= 0")
 
     @property
     def n(self) -> int:

@@ -3,13 +3,13 @@
 A wall tuple determines a nilpotent graded partial permutation x: one matrix
 unit per horizontal adjacency of blocks, indices given by the per-color
 enumeration of blocks in lex order wall > row > column.  Each wall row is one
-Jordan string of x, and x is carried as those strings (``WallMap``), all read
-in one pass over the rows; the matrix units are the strings' links
-(``WallMap.units``).  Every stage below reads the strings; a dense x
-exists only as ``WallMap.dense()``, which the verify suite uses once, and in
-the test oracles.  A component is represented by the canonical pair: x fixed,
-the opposite-degree partner xbar sampled generically inside its commutant,
-which is exactly the conormal fiber since the moment map vanishes iff the
+Jordan string of x, and x is carried as those strings (``WallMap``), read in
+one pass over the rows; the matrix units are the strings' links.  Every stage
+reads the strings through ``WallMap.index``, built once per map; a dense x
+exists only as ``WallMap.dense()``, for one verify check and the test
+oracles.  A component is represented by the canonical pair: x fixed, the
+opposite-degree partner xbar sampled generically inside its commutant, which
+is exactly the conormal fiber since the moment map vanishes iff the
 commutator does; ``check_moment`` tests [x, xbar] = 0 on the strings, with
 no matrix product.  Group quotients are never formed.
 
@@ -19,13 +19,11 @@ disjoint supports, so the basis is kept as a list of supports (cells) and a
 sample writes one coefficient into each support's cells; see
 ``commutant_basis`` for the construction and the order of its basis.
 
-Kernel tables take no dense powers.  ker x^k is counted on the Jordan
-strings and one chain xbar, xbar^2, ... gives the rest: x^k hits exactly the
-vectors at string depth >= k, so with each basis sorted by depth both adjoint
-ranks are pivot counts in column prefixes of xbar^k.  One loop over k fills
-the three sequences and stops when all of them reach alpha; see
-``kernel_table_at``.
-Stability needs only the string-end columns; see ``is_stable``.
+Kernel tables take no dense powers.  ker x^k is counted on the strings, and
+one row chain xbar, xbar^2, ..., a fused product and elimination per power,
+gives the other sequences as pivot counts in column prefixes; see
+``kernel_table_at``.  Stability needs only the string-end columns; see
+``is_stable``.
 
 Generic values are taken as the componentwise minimum over >= 3 independent
 prime-field samples, at least two of which must equal it; disagreement
@@ -35,13 +33,15 @@ triggers resampling and, past a bound, a GenericityError.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count
 
-from .cartan import RootVec, Weight, zero_root
-from .linalg import (PRIME, GradedMap, gm_from_blocks, independent_rows, mat_mul, rank,
-                     sparse_rows, zero_blocks)
+from .cartan import RootVec, Weight
+from .linalg import (PRIME, GradedMap, gm_from_blocks, independent_products, independent_rows,
+                     rank, zero_blocks)
 from .walls import SIGN, WallTuple, block_color
 
 
@@ -60,6 +60,9 @@ class MatrixUnit:
         return {"dir": self.direction, "s": self.s, "from": self.src, "to": self.dst}
 
 
+StringIndex = namedtuple("StringIndex", "order deep prev nxt ends power_kernels")
+
+
 @dataclass(frozen=True)
 class WallMap:
     """The wall map x as its Jordan strings: strings[t] lists (component, index)
@@ -72,6 +75,28 @@ class WallMap:
     @property
     def m(self) -> int:
         return len(self.dims)
+
+    @cached_property
+    def index(self) -> StringIndex:
+        """The string data every stage reads, built once per map.  Per component
+        j, with depth counted from a string's start: order[j], V_j's basis deepest
+        first; deep[t][j], its vectors at depth >= t (last row 0); prev[j], nxt[j],
+        each vector's neighbours on its string (None past an end); ends[j], the
+        string ends; power_kernels[k], ker x^k: x^k kills the last k vectors of
+        each string and sends the others to distinct basis vectors."""
+        depth, left, prev, nxt = ([[None] * n for n in self.dims] for _ in range(4))
+        for string in self.strings:
+            for d, (j, c) in enumerate(string):
+                depth[j][c], left[j][c] = d, len(string) - 1 - d
+            for (i, a), (j, b) in zip(string, string[1:]):
+                nxt[i][a], prev[j][b] = b, a
+        top = range(max(map(len, self.strings), default=0) + 1)
+        return StringIndex(
+            tuple(tuple(sorted(range(len(ds)), key=lambda c: -ds[c])) for ds in depth),
+            tuple(tuple(sum(d >= t for d in ds) for ds in depth) for t in top),
+            tuple(map(tuple, prev)), tuple(map(tuple, nxt)),
+            tuple(tuple(c for c, b in enumerate(bs) if b is None) for bs in nxt),
+            tuple(RootVec(tuple(sum(e < k for e in es) for es in left)) for k in top))
 
     def units(self) -> list[MatrixUnit]:
         """x as matrix units, one per link, each row read from column 0.  s is the
@@ -182,19 +207,16 @@ def check_moment(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> bool:
 
     x moves each vector one step along its string, so with no product
     (x xbar)[u][v] = xbar[prev u][v] and (xbar x)[u][v] = xbar[u][next v],
-    an entry before a string's start or past its end being 0.  Entries are
-    compared mod p.
+    an entry before a string's start or past its end being 0.  Rows equal
+    as integers pass at once; others are compared mod p.
     """
-    links = [(a, b) for string in x.strings for a, b in zip(string, string[1:])]
-    prev, nxt = {b: a[1] for a, b in links}, {a: b[1] for a, b in links}
-    for i, n in enumerate(x.dims):
-        j = (i - x.shift - xbar.shift) % x.m
-        cols = [nxt.get((j, c)) for c in range(x.dims[j])]
+    for i, prev in enumerate(x.index.prev):
+        cols = x.index.nxt[(i - x.shift - xbar.shift) % x.m]
         before, here = xbar.blocks[(i - x.shift) % x.m], xbar.blocks[i]
-        for r in range(n):
-            lhs = before[prev[i, r]] if (i, r) in prev else [0] * len(cols)
+        for r, a in enumerate(prev):
+            lhs = list(before[a]) if a is not None else [0] * len(cols)
             rhs = [0 if c is None else here[r][c] for c in cols]
-            if any((u - w) % p if p is not None else u != w for u, w in zip(lhs, rhs)):
+            if lhs != rhs and (p is None or any((u - w) % p for u, w in zip(lhs, rhs))):
                 return False
     return True
 
@@ -225,29 +247,16 @@ class KernelTable:
         }
 
 
-def power_kernels(x: WallMap) -> tuple[RootVec, ...]:
-    """ker a^k for k = 0, 1, ... until alpha, with no elimination.
-
-    x^k kills the last k vectors of each Jordan string and sends the others
-    to distinct basis vectors, so ker x^k adds the k-th vector from the end.
-    """
-    rows = [zero_root(x.m - 1)]
-    for k in range(1, max(map(len, x.strings), default=0) + 1):
-        ends = [string[-k][0] for string in x.strings if len(string) >= k]
-        rows.append(rows[-1] + RootVec(tuple(map(ends.count, range(x.m)))))
-    return tuple(rows)
-
-
 def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> KernelTable:
     """Kernel table at a commuting point (x, xbar) with x a wall map.
 
-    ker x^k comes from the Jordan strings of x, the rest from the row chain
-    1, xbar, xbar^2, ...: (x xbar)^k = xbar^k x^k and xbar (x xbar)^(k-1) =
-    xbar^k x^(k-1), and x^t maps V_i onto the vectors of V_(i + t deg x) at
-    string depth >= t.  Sorted deepest first, those are a column prefix, so
-    rank xbar^k x^t is a pivot count of xbar^k's echelon form in a prefix.
-    The chain keeps actual rows of xbar^k, not eliminated ones, which over Q
-    would compound the Bareiss entry growth.
+    ker x^k is ``x.index.power_kernels``, the rest comes from the row chain
+    xbar, xbar^2, ...: (x xbar)^k = xbar^k x^k, xbar (x xbar)^(k-1) = xbar^k
+    x^(k-1), and x^t maps V_i onto the vectors of V_(i + t deg x) at depth
+    >= t, a column prefix in ``index.order``; so rank xbar^k x^t is a pivot
+    count in a prefix.  The chain starts from the sampled blocks; each later
+    power is one ``independent_products`` per component, which keeps actual
+    rows of xbar^k (eliminated ones would compound Bareiss growth over Q).
 
     One loop over k appends ker xbar^k, then (k >= 1) ker xbar (x xbar)^(k-1),
     then ker (x xbar)^k, skipping a sequence once it has reached alpha; the
@@ -257,35 +266,29 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
     """
     if not check_moment(x, xbar, p):
         raise ValueError("kernel table requested at a non-commuting point")
-    m, dims, sb = x.m, x.dims, xbar.shift
+    m, dims, sb, ix = x.m, x.dims, xbar.shift, x.index
     alpha = RootVec(dims)
-    depth = {v: d for string in x.strings for d, v in enumerate(string)}
-    perm = [sorted(range(n), key=lambda c: -depth[j, c]) for j, n in enumerate(dims)]
-    neg = [[-depth[j, c] for c in cs] for j, cs in enumerate(perm)]  # sorted, for bisect
-    right = [sparse_rows([[blk[r][c] for c in perm[i]] for r in perm[(i + sb) % m]])
-             for i, blk in enumerate(map(xbar.block_out, range(m)))]
-
-    def ker(pivots, t):  # ker xbar^k x^t from the pivots of xbar^k
-        return RootVec(tuple(n - bisect_left(pivots[j], bisect_right(neg[j], -t))
-                             for i, n in enumerate(dims) for j in [(i - t * sb) % m]))
-
-    rows = [[[int(r == c) for c in range(n)] for r in range(n)] for n in dims]
-    pivots = [range(n) for n in dims]
+    blocks = [[[blk[r][c] for c in ix.order[i]] for r in ix.order[(i + sb) % m]]
+              for i, blk in enumerate(map(xbar.block_out, range(m)))]
+    right = [[[(c, v) for c, v in enumerate(row) if v] for row in blk] for blk in blocks]
+    pivots = [range(n) for n in dims]  # xbar^0 = 1: every column is a pivot
     seqs = {"ker xbar^k": [], "ker xbar (x xbar)^k": [], "ker (x xbar)^k": []}
     for k in count():
         for (name, seq), t in zip(seqs.items(), (0, k - 1, k)):
             if t < 0 or seq[-1:] == [alpha]:
                 continue
-            kernel = ker(pivots, t)
+            deep = ix.deep[min(t, len(ix.deep) - 1)]  # ker xbar^k x^t from xbar^k's pivots
+            kernel = RootVec(tuple(n - bisect_left(pivots[j], deep[j])
+                                   for i, n in enumerate(dims) for j in [(i - t * sb) % m]))
             if seq[-1:] == [kernel]:
                 raise GenericityError(f"kernel filtration {name} stabilized at {kernel} "
                                       f"below alpha = {alpha}")
             seq.append(kernel)
         if all(seq[-1:] == [alpha] for seq in seqs.values()):
             xbar_pow, yxy_pow, xy_pow = map(tuple, seqs.values())
-            return KernelTable(alpha, power_kernels(x), xbar_pow, xy_pow, yxy_pow)
-        rows, pivots = zip(*(independent_rows(mat_mul(rows[(i + sb) % m], right[i], n, p), p)
-                             for i, n in enumerate(dims)))
+            return KernelTable(alpha, ix.power_kernels, xbar_pow, xy_pow, yxy_pow)
+        rows, pivots = zip(*(independent_products(rows[(i + sb) % m], right[i], n, p) if k
+                             else independent_rows(blocks[i], p) for i, n in enumerate(dims)))
 
 
 SEQS = ("x_pow", "xbar_pow", "xy_pow", "yxy_pow")
@@ -348,7 +351,5 @@ def is_stable(x: WallMap, xbar: GradedMap, framing, p: int | None = PRIME) -> bo
     vector that is not a string end, so [x; xbar; t] has rank dim V_i exactly
     when [xbar; t] on the string-end columns of V_i has full column rank.
     """
-    tails = [string[-1] for string in x.strings]
-    ends = [[c for j, c in tails if j == i] for i in range(x.m)]
-    return all(rank([[row[c] for c in ends[i]] for row in (*xbar.block_out(i), *framing[i])], p)
-               == len(ends[i]) for i in range(x.m) if ends[i])
+    return all(rank([[row[c] for c in ends] for row in (*xbar.block_out(i), *framing[i])], p)
+               == len(ends) for i, ends in enumerate(x.index.ends) if ends)

@@ -42,7 +42,6 @@ from .quiver import (
     check_moment,
     generic_kernel_table,
     is_nilpotent,
-    power_kernels,
     wall_graded_map,
 )
 from .walls import column_content, validate
@@ -284,9 +283,9 @@ def _peel_faults(reports):
         okv, msg = validate(rest)
         if not okv:
             yield f"stripped tuple invalid: {msg}"
-        ker = power_kernels(rep.x_p1)
+        ker = rep.x_p1.index.power_kernels
         if rest.block_count():
-            ker2 = power_kernels(wall_graded_map(rest))
+            ker2 = wall_graded_map(rest).index.power_kernels
             shifted = [ker[min(k + 1, len(ker) - 1)] - ker[1] for k in range(len(ker2))]
             if ker2 != tuple(shifted):
                 yield f"kernel shift law fails for {lam}"

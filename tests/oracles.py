@@ -3,13 +3,13 @@
 import cProfile
 import os
 import pstats
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import lcm
 
 from affine_crystals.cartan import RootVec, zero_root
-from affine_crystals.linalg import (PRIME, _echelon, gm_from_blocks, mat_mul, rank, sparse_rows,
-                                   zero_blocks)
+from affine_crystals.linalg import PRIME, _echelon, gm_from_blocks, rank, zero_blocks
 from affine_crystals.paths import ground_elem, path_apply
 from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUnit, WallMap
 from affine_crystals.walls import block_color
@@ -20,7 +20,8 @@ def nullspace(a, ncols: int, p: int | None = PRIME):
 
     Back-substitutes each free column on ``linalg._echelon``'s form: 1 at its
     own free column, 0 at the others; over Q cleared to integer vectors."""
-    rows, pivots, _ = _echelon(a, ncols, p)
+    reduced = [[v % p if p is not None else v for v in row] for row in a]
+    rows, pivots, _ = _echelon(reduced, ncols, p)
     inv = [pow(row[c], -1, p) if p is not None else Fraction(1, row[c])
            for row, c in zip(rows, pivots)]
     basis = []
@@ -36,6 +37,24 @@ def nullspace(a, ncols: int, p: int | None = PRIME):
             v = [int(x * den) for x in v]
         basis.append(v)
     return basis
+
+
+def sparse_rows(mat) -> list[list[tuple[int, int]]]:
+    """Each row of mat as its (column, value) pairs with nonzero value."""
+    return [[(c, v) for c, v in enumerate(row) if v] for row in mat]
+
+
+def mat_mul(rows, right, ncols: int, p: int | None = None) -> list[list[int]]:
+    """rows times the matrix whose ``sparse_rows`` are right, reduced mod p."""
+    out = []
+    for row in rows:
+        acc = [0] * ncols
+        for v, cells in zip(row, right):
+            if v:
+                for c, w in cells:
+                    acc[c] += v * w
+        out.append([u % p for u in acc] if p is not None else acc)
+    return out
 
 
 def gm_zero(dims, shift):
@@ -77,6 +96,32 @@ def _open_strings(a):
         while string[-1] in nxt:
             string.append(nxt[string[-1]])
     return strings
+
+
+def string_index_reference(x):
+    """Each field of ``WallMap.index`` recomputed from x.strings, as the stages
+    once built it per call: a depth dict, bisect on sorted negated depths,
+    neighbour dicts of the links, the strings' last vectors and a loop adding
+    the k-th vector from each string's end."""
+    m, depth = x.m, {v: d for string in x.strings for d, v in enumerate(string)}
+    order = [sorted(range(n), key=lambda c: -depth[j, c]) for j, n in enumerate(x.dims)]
+    neg = [[-depth[j, c] for c in cs] for j, cs in enumerate(order)]
+    top = max(map(len, x.strings), default=0)
+    links = [(a, b) for string in x.strings for a, b in zip(string, string[1:])]
+    prev, nxt = {b: a[1] for a, b in links}, {a: b[1] for a, b in links}
+    tails = [string[-1] for string in x.strings]
+    kernels = [zero_root(m - 1)]
+    for k in range(1, top + 1):
+        ends = [string[-k][0] for string in x.strings if len(string) >= k]
+        kernels.append(kernels[-1] + RootVec(tuple(map(ends.count, range(m)))))
+    return {
+        "order": tuple(map(tuple, order)),
+        "deep": tuple(tuple(bisect_right(neg[j], -t) for j in range(m)) for t in range(top + 1)),
+        "prev": tuple(tuple(prev.get((j, c)) for c in range(n)) for j, n in enumerate(x.dims)),
+        "nxt": tuple(tuple(nxt.get((j, c)) for c in range(n)) for j, n in enumerate(x.dims)),
+        "ends": tuple(tuple(sorted(c for t, c in tails if t == j)) for j in range(m)),
+        "power_kernels": tuple(kernels),
+    }
 
 
 def zero_wall_map(dims, shift):

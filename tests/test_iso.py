@@ -18,7 +18,7 @@ from affine_crystals.linalg import PRIME, rank
 from affine_crystals.paths import from_word, ground_path, lowering_steps, parse_word, word_alpha
 from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn, render
 from affine_crystals.quiver import (KernelTable, commutant_basis, generic_kernel_table,
-                                    power_kernels, sample_in_commutant, wall_graded_map)
+                                    sample_in_commutant, wall_graded_map)
 from affine_crystals.suites import random_dominant, random_word, reference_table, suite_example
 from affine_crystals.walls import (PATH_KIND, column_content, make_walls, path_to_walls,
                                    strip_column0, walls_to_path)
@@ -188,8 +188,8 @@ def test_kernel_identities_on_long_words():
         for kind, walls in (("P1", rep.walls_p1), ("Pn", rep.walls_pn)):
             rest, elem = peel_column0(walls)
             assert elem == rep.direct[PATH_KIND[kind]].factor(0)
-            ker = power_kernels(wall_graded_map(walls))
-            ker_rest = power_kernels(wall_graded_map(rest))
+            ker = wall_graded_map(walls).index.power_kernels
+            ker_rest = wall_graded_map(rest).index.power_kernels
             assert ker_rest == tuple(ker[k + 1] - ker[1] for k in range(len(ker_rest)))
         # peel_adj twice emits positions 0 and 1 of the direct Ad path, and the
         # rest word's kernel table reads position 1 as its own position 0

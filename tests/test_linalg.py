@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affine_crystals.cartan import RootVec
-from affine_crystals.linalg import PRIME, gm_from_blocks, independent_rows, mat_mul, rank, sparse_rows
+from affine_crystals.linalg import PRIME, gm_from_blocks, independent_products, independent_rows, rank
 
-from oracles import gm_compose, gm_zero, nullspace
+from oracles import gm_compose, gm_zero, mat_mul, nullspace, sparse_rows
 
 FIELDS = (PRIME, None)
 
@@ -150,3 +152,42 @@ def test_independent_rows_are_original_rows_spanning_the_row_space():
             keep, pivots = independent_rows(a, p)
             assert len(keep) == len(pivots) == rank(a, p) == rank(keep, p)
             assert all(any(row is orig for orig in a) for row in keep)
+
+
+# entries small enough to make dependent rows common, and unreduced ones
+ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from([PRIME, -PRIME, PRIME + 2, 2 * PRIME - 1,
+                                                         -PRIME - 1, 5 * PRIME]))
+
+
+@st.composite
+def products(draw):
+    """rows (rows x mid), right (mid x ncols, sparse) and a field; rows may be empty or zero."""
+    nrows, mid, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=mid, max_size=mid), min_size=nrows,
+                         max_size=nrows))
+    right = draw(st.lists(st.lists(st.one_of(st.just(0), ENTRIES), min_size=ncols,
+                                   max_size=ncols), min_size=mid, max_size=mid))
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [0] * mid
+    return rows, right, ncols, draw(st.sampled_from(FIELDS))
+
+
+@settings(max_examples=200)
+@given(products())
+@example(([], [[1, 2]], 2, PRIME))
+@example(([[0, 0]], [[1], [2]], 1, None))
+@example(([[PRIME, -1], [-PRIME, 1]], [[1, PRIME + 1], [0, -2]], 2, PRIME))
+@example(([[PRIME, -1], [-PRIME, 1]], [[1, PRIME + 1], [0, -2]], 2, None))
+@example(([[1, 2]], [], 0, PRIME))
+def test_independent_products_is_product_then_independent_rows(case):
+    # the fused step picks the same rows with the same pivots as the product
+    # followed by independent_rows, so the same row space; its rows are rows
+    # of the product, reduced mod p
+    rows, right, ncols, p = case
+    fused, pivots = independent_products(rows, sparse_rows(right), ncols, p)
+    product = mat_mul(rows, sparse_rows(right), ncols, p)
+    assert (fused, pivots) == independent_rows(product, p)
+    assert len(pivots) == rank(fused, p) == rank(product, p) == rank(fused + product, p)
+    assert all(row in product for row in fused)
+    if p is not None:
+        assert all(0 <= v < p for row in fused for v in row)

@@ -202,9 +202,10 @@ def test_merge_pair_examples():
 
 
 def test_guards_hold_under_optimize():
-    # invalid adjoint pairs (one with a negative entry), a level mismatch in
-    # merge_pair, a factor whose f_i refuses a surviving "+" and a path
-    # deviation of another rank raise ValueError even under python -O
+    # invalid adjoint pairs (one with a negative entry), B1 and Bn elements
+    # with a negative entry, a level mismatch in merge_pair, a factor whose
+    # f_i refuses a surviving "+" and a path deviation of another rank raise
+    # ValueError even under python -O
     import subprocess
     import sys
 
@@ -222,6 +223,8 @@ def test_guards_hold_under_optimize():
         "    lambda: AdjElem((1, 0, 0), (1, 0, 0), 2),\n"
         "    lambda: AdjElem((1, 0, 0), (0, 1, 1), 2),\n"
         "    lambda: AdjElem((0, -1, 1), (0, 1, -1), 1),\n"
+        "    lambda: B1Elem((-1, 2, 1)),\n"
+        "    lambda: BnElem((0, -1, 3)),\n"
         "    lambda: tensor_apply('f', 0, [Stuck()]),\n"
         "    lambda: Path(weight((2, 0, 0)), 'B1', (B1Elem((1, 1)),)).wt(),  # deviation of rank 1\n"
         "    lambda: Path(weight((2, 0, 0)), 'Ad', (AdjElem((0, 1), (0, 1), 2),)).wt(),\n"
@@ -235,7 +238,7 @@ def test_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 7
+    assert proc.stdout.split() == ["ValueError"] * 9
 
 
 def test_merge_split_roundtrip():

@@ -4,11 +4,12 @@ import sys
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_crystals import golden, linalg, quiver
 from affine_crystals.cartan import RootVec, root, weight, zero_root
+from affine_crystals.iso import run_pipeline
 from affine_crystals.linalg import PRIME, gm_from_blocks, rank, zero_blocks
 from affine_crystals.paths import lowering_steps, word_alpha
 from affine_crystals.quiver import (
@@ -21,7 +22,6 @@ from affine_crystals.quiver import (
     is_nilpotent,
     is_stable,
     kernel_table_at,
-    power_kernels,
     sample_framing,
     sample_in_commutant,
     wall_graded_map,
@@ -30,7 +30,8 @@ from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import column_content, make_walls, path_to_walls, total_content
 
 from oracles import (_kernel_dims, _open_strings, _oracle_table, _table_rows_eq, gm_compose,
-                     gm_zero, nullspace, row_walk_units, stacked_rank_is_stable, zero_wall_map)
+                     gm_zero, nullspace, profiled_calls, row_walk_units, stacked_rank_is_stable,
+                     string_index_reference, zero_wall_map)
 
 N, LAM = golden.N, golden.LAM
 FIELDS = pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
@@ -297,6 +298,41 @@ def test_wall_map_strings_and_units_match_dense_oracle():
         assert units == row_walk_units(walls)
 
 
+@st.composite
+def wall_maps(draw):
+    """The wall map of a P1 or Pn tuple of a random word: n <= 4, level <= 4, <= 24 letters."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    lam = random_dominant(n, draw(st.integers(1, 4)), rng)
+    word = random_word(lam, draw(st.integers(0, 24)), rng)
+    path, steps = lowering_steps(lam, draw(st.sampled_from(["B1", "Bn"])), word)
+    return wall_graded_map(path_to_walls(path, steps, root(word_alpha(n, word))))
+
+
+@settings(max_examples=200)
+@given(wall_maps())
+@example(wall_graded_map(WP1))
+@example(wall_graded_map(WPN))
+@example(zero_wall_map((0, 0, 0), 1))
+@example(zero_wall_map((2, 0, 1), -1))
+def test_string_index_matches_a_recomputation_from_the_strings(x):
+    # depth order, prefix counts, neighbours, string ends and ker x^k, each
+    # against the per-call construction the stages used before the index
+    assert x.index._asdict() == string_index_reference(x)
+    assert x.index is x.index
+
+
+def test_one_pipeline_builds_the_wall_map_index_once():
+    # three or more kernel tables with their moment checks, and three stability
+    # checks, all read one index of x; nothing reads the Pn map's index
+    for p in (PRIME, None):
+        rep, calls = profiled_calls(run_pipeline, LAM, golden.WORD, 0, p)
+        assert rep.ok
+        assert calls["quiver", "kernel_table_at"] >= 3 and calls["quiver", "is_stable"] == 3
+        assert calls["quiver", "index"] == 1
+        assert "index" in vars(rep.x_p1) and "index" not in vars(rep.x_pn)
+
+
 @FIELDS
 def test_string_commutator_matches_dense_commutator(p):
     # commuting samples, samples with one entry perturbed, and samples with
@@ -321,6 +357,33 @@ def test_string_commutator_matches_dense_commutator(p):
             seen[commutes] += 1
         assert check_moment(x, xbar, p)
     assert seen[True] and seen[False], seen
+
+
+@FIELDS
+def test_moment_check_rejects_one_changed_entry_in_each_block(p):
+    # a single matrix unit E_(u,v) commutes with x exactly when u is a string
+    # end and v a string start, so a commuting sample changed at any other
+    # cell alone must be rejected; one such cell per block is tried
+    rng = random.Random(31)
+    changed_blocks = 0
+    for x in [wall_graded_map(WP1), wall_graded_map(WPN)] + _random_wall_maps(24):
+        xbar = sample_in_commutant(x, commutant_basis(x), rng, p)
+        assert check_moment(x, xbar, p)
+        for t, blk in enumerate(xbar.blocks):  # block t leaves V_(t + deg x)
+            prev = x.index.prev[(t + x.shift) % x.m]
+            cells = [(r, c) for r in range(len(blk)) for c in range(len(blk[r]))
+                     if x.index.nxt[t][r] is not None or prev[c] is not None]
+            if not cells:
+                continue
+            r, c = rng.choice(cells)
+            for delta in (1, rng.randrange(2, 10), -1):
+                blocks = [[list(row) for row in b] for b in xbar.blocks]
+                blocks[t][r][c] += delta
+                changed = gm_from_blocks(x.dims, xbar.shift, blocks)
+                assert not check_moment(x, changed, p)
+                assert gm_compose(x.dense(), changed, p) != gm_compose(changed, x.dense(), p)
+            changed_blocks += 1
+    assert changed_blocks >= 2 * 3 + 24
 
 
 def test_commutant_elements_commute():
@@ -410,7 +473,7 @@ def test_kernel_spans_equal_column_contents():
         walls = path_to_walls(p, steps, alpha)
         x = wall_graded_map(walls)
         acc = zero_root(n)
-        ker = power_kernels(x)
+        ker = x.index.power_kernels
         assert len(ker) == walls.n_cols() + 1
         for t in range(1, walls.n_cols() + 2):
             acc = acc + column_content(walls, t - 1)
@@ -561,7 +624,8 @@ def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, 
     x = wall_graded_map(WP1)
     xbar = sample_in_commutant(x, commutant_basis(x), random.Random(0), p)
     kt = kernel_table_at(x, xbar, p)
-    assert 0 < len(calls) <= x.m * len(kt.xbar_pow)
+    # the chain starts from the sampled blocks: no elimination for xbar^0
+    assert 0 < len(calls) <= x.m * (len(kt.xbar_pow) - 1)
     assert kt == _oracle_table(x.dense(), xbar, p)
 
 
