@@ -6,8 +6,9 @@ Three families:
   sum(nu) = l.  f_i turns a letter i into i+1 (indices cyclic, so f_0 turns
   n+1 into 1).
 * BnElem -- the column crystal: multiplicity vector nubar over the barred
-  letters 1~..n+1~ (i~ is the height-n column missing i).  f_i turns i+1~
-  into i~, f_0 turns 1~ into n+1~.
+  letters 1~..n+1~ (i~ is the height-n column missing i).  It is the row rule
+  ``_Row`` read dually: eps/phi and e/f swap and wt is negated, so f_i turns
+  i+1~ into i~.  Its weight section and ground state are B1's, taken dually.
 * AdjElem -- the adjoint crystal B(0) + B(theta) + ... + B(l*theta), encoded
   as the pair (mbar, m): mbar counts barred columns, m counts boxes, both of
   size k <= l, with mbar_1 * m_1 = 0 (semistandardness of the two-row
@@ -22,6 +23,7 @@ B1 (x) Bn  ~~>  Adj by cancelling c = min(nu_1, nubar_1) leading pairs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .cartan import Weight
@@ -45,14 +47,14 @@ def _move(vec: tuple[int, ...], s: int, d: int):
 
 
 @dataclass(frozen=True)
-class B1Elem:
-    """Row-crystal element; nu[t] counts the letter t+1."""
+class _Row:
+    """The row rule on a multiplicity vector nu over the letters 1..n+1 (n >= 1)."""
 
     nu: tuple[int, ...]
 
     def __post_init__(self):
-        if min(self.nu) < 0:
-            raise ValueError(f"no B1 element {self.nu}: needs entries >= 0")
+        if len(self.nu) < 2 or min(self.nu) < 0:
+            raise ValueError(f"no {type(self).__name__} {self.nu}: needs >= 2 entries, all >= 0")
 
     @property
     def n(self) -> int:
@@ -73,50 +75,29 @@ class B1Elem:
 
     def f(self, i: int):
         nu = _move(self.nu, i - 1, i)
-        return None if nu is None else B1Elem(nu)
+        return None if nu is None else type(self)(nu)
 
     def e(self, i: int):
         nu = _move(self.nu, i, i - 1)
-        return None if nu is None else B1Elem(nu)
+        return None if nu is None else type(self)(nu)
 
 
-@dataclass(frozen=True)
-class BnElem:
-    """Column-crystal element; nubar[t] counts the barred letter (t+1)~.
+class B1Elem(_Row):
+    """Row-crystal element; nu[t] counts the letter t+1."""
 
-    BnElem(v) is the dual of B1Elem(v): eps and phi swap, e and f swap, and
-    wt is negated."""
 
-    nubar: tuple[int, ...]
+class BnElem(_Row):
+    """Column-crystal element; nubar[t] counts the barred letter (t+1)~.  The row
+    rule on nubar read dually; not a B1Elem, so B1Elem(v) != BnElem(v)."""
 
-    def __post_init__(self):
-        if min(self.nubar) < 0:
-            raise ValueError(f"no Bn element {self.nubar}: needs entries >= 0")
+    eps, phi, e, f = _Row.phi, _Row.eps, _Row.f, _Row.e
 
     @property
-    def n(self) -> int:
-        return len(self.nubar) - 1
-
-    @property
-    def level(self) -> int:
-        return sum(self.nubar)
-
-    def eps(self, i: int) -> int:
-        return self.nubar[(i - 1) % len(self.nubar)]
-
-    def phi(self, i: int) -> int:
-        return self.nubar[i % len(self.nubar)]
+    def nubar(self) -> tuple[int, ...]:
+        return self.nu
 
     def wt(self) -> Weight:
-        return Weight(tuple([self.nubar[j] - self.nubar[j - 1] for j in range(len(self.nubar))]))
-
-    def f(self, i: int):
-        nb = _move(self.nubar, i, i - 1)
-        return None if nb is None else BnElem(nb)
-
-    def e(self, i: int):
-        nb = _move(self.nubar, i - 1, i)
-        return None if nb is None else BnElem(nb)
+        return Weight(tuple([self.nu[j] - self.nu[j - 1] for j in range(len(self.nu))]))
 
 
 @dataclass(frozen=True)
@@ -135,10 +116,11 @@ class AdjElem:
     cap: int
 
     def __post_init__(self):
-        if (not sum(self.mbar) == sum(self.m) <= self.cap or self.mbar[0] * self.m[0]
-                or min(self.mbar + self.m) < 0):
+        if (not 2 <= len(self.m) == len(self.mbar) or not sum(self.mbar) == sum(self.m) <= self.cap
+                or self.mbar[0] * self.m[0] or min(self.mbar + self.m) < 0):
             raise ValueError(f"no adjoint element {self.mbar}, {self.m}, cap {self.cap}: needs "
-                             "entries >= 0, equal sums <= cap and mbar_1 * m_1 = 0")
+                             "equal lengths >= 2, entries >= 0, equal sums <= cap and "
+                             "mbar_1 * m_1 = 0")
 
     @property
     def n(self) -> int:
@@ -237,9 +219,9 @@ def ground_b1(lam: Weight, k: int) -> B1Elem:
 
 
 def ground_bn(lam: Weight, k: int) -> BnElem:
-    """Position-k factor of the ground-state path in the column crystal."""
-    m = lam.n + 1
-    return BnElem(tuple(lam.a[(j - k - 1) % m] for j in range(1, m + 1)))
+    """Position-k factor of the ground-state path in the column crystal: the dual
+    of the row crystal's factor at position -k - 1."""
+    return BnElem(ground_b1(lam, -k - 1).nu)
 
 
 def ground_adj(lam: Weight) -> AdjElem:
@@ -279,14 +261,8 @@ def all_adj(n: int, lvl: int) -> list[AdjElem]:
 
 # ------------------------------------------------------------ perfectness
 
-@dataclass
-class PerfectReport:
-    ok: bool
-    failures: list[str]
-
-
-def verify_perfect(elements, lvl: int) -> PerfectReport:
-    """Check the combinatorial perfectness conditions on a finite crystal.
+def verify_perfect(elements, lvl: int) -> list[str]:
+    """The failed perfectness conditions of a finite crystal, [] if it passes.
 
     Verified: B (x) B is connected; <c, eps(b)> >= lvl for every b; for each
     classical dominant weight of level lvl there are unique elements b^L and
@@ -294,6 +270,8 @@ def verify_perfect(elements, lvl: int) -> PerfectReport:
     are out of scope here.
     """
     elements = list(elements)
+    if not elements:
+        return ["no elements: an empty crystal is not perfect"]
     failures: list[str] = []
     n = elements[0].wt().n
 
@@ -324,17 +302,14 @@ def verify_perfect(elements, lvl: int) -> PerfectReport:
             failures.append(f"<c, eps(b)> < level at {b}")
             break
 
-    eps_map: dict[tuple[int, ...], int] = {}
-    phi_map: dict[tuple[int, ...], int] = {}
-    for b in elements:
-        eps_map[eps_weight(b).a] = eps_map.get(eps_weight(b).a, 0) + 1
-        phi_map[phi_weight(b).a] = phi_map.get(phi_weight(b).a, 0) + 1
+    eps_count = Counter(eps_weight(b).a for b in elements)
+    phi_count = Counter(phi_weight(b).a for b in elements)
     for lam_a in _compositions(lvl, n + 1):
-        if eps_map.get(lam_a, 0) != 1:
-            failures.append(f"eps(b) = {lam_a} hit {eps_map.get(lam_a, 0)} times")
-        if phi_map.get(lam_a, 0) != 1:
-            failures.append(f"phi(b) = {lam_a} hit {phi_map.get(lam_a, 0)} times")
-    return PerfectReport(ok=not failures, failures=failures)
+        if eps_count[lam_a] != 1:
+            failures.append(f"eps(b) = {lam_a} hit {eps_count[lam_a]} times")
+        if phi_count[lam_a] != 1:
+            failures.append(f"phi(b) = {lam_a} hit {phi_count[lam_a]} times")
+    return failures
 
 
 # -------------------------------------------------------------- rendering

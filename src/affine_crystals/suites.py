@@ -211,9 +211,9 @@ def _perfect_faults():
             ("column", all_bn(n, lvl)),
             ("adjoint", all_adj(n, lvl)),
         ):
-            rep = verify_perfect(elems, lvl)
-            if not rep.ok:
-                yield f"{name} crystal at ({n},{lvl}): {rep.failures[0]}"
+            failures = verify_perfect(elems, lvl)
+            if failures:
+                yield f"{name} crystal at ({n},{lvl}): {failures[0]}"
 
 
 def suite_perfect() -> list[Check]:

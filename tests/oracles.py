@@ -11,6 +11,7 @@ from math import lcm
 from affine_crystals.cartan import RootVec, zero_root
 from affine_crystals.linalg import PRIME, _echelon, gm_from_blocks, rank, zero_blocks
 from affine_crystals.paths import ground_elem, path_apply
+from affine_crystals.perfect import BnElem
 from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUnit, WallMap
 from affine_crystals.walls import block_color
 
@@ -165,6 +166,12 @@ def path_wt_reference(p):
     """wt of a path one factor at a time: lam plus wt(dev_k) - wt(ground_k) per deviation."""
     return sum((dev.wt() - ground_elem(p.lam, p.kind, k).wt() for k, dev in enumerate(p.devs)),
                p.lam)
+
+
+def ground_bn_reference(lam, k):
+    """Position-k Bn ground factor by its own formula: nubar_j = lam_{j - k - 1}."""
+    m = lam.n + 1
+    return BnElem(tuple(lam.a[(j - k - 1) % m] for j in range(1, m + 1)))
 
 
 def signature_reference(i, factors):

@@ -160,6 +160,27 @@ def test_quiver_output_bytes_pinned(field, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("args, digest", [
+    ("--crystal b1 --n 3 --level 3",
+     "a87c793bb97780bc66746a10e627483a2fa38177a8649b4eab7de9631b5beed4"),
+    ("--crystal bn --n 3 --level 3",
+     "94f1f75b3be7cf0e085e825495b304574dda0d773cdf5a24673b063136f405d0"),
+    ("--crystal ad --n 2 --level 2",
+     "349294c53af3338c6b9eabc5bc8175595fe7e55f8b1c2fb80a9959c35beb4e23"),
+    ("--crystal path --n 2 --lambda 2,1,0 --kind b1 --max-nodes 300",
+     "a7e665834dbc59036c5e301d6f433639b7f2a428003d60333668218f6d7decef"),
+    ("--crystal path --n 2 --lambda 2,1,0 --kind bn --max-nodes 300",
+     "c86c2e147437fb7f02331a43e22f45b563561f93dd80f05b5a2712c3b1c0f4e4"),
+    ("--crystal path --n 2 --lambda 2,1,0 --kind ad --max-nodes 300",
+     "0e6c666baf96ec51d7bf06f52edd9ac497b17c9e8bfbc9f9648451c6c7943902"),
+], ids=["b1", "bn", "ad", "path-b1", "path-bn", "path-ad"])
+def test_graph_output_bytes_pinned(args, digest, capsys):
+    # labels go through render's type dispatch, edges through each e_i/f_i,
+    # and the path balls stop at --max-nodes, so the truncation line is pinned too
+    assert main(["graph"] + args.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("args", [
     ["quiver", "--n", "2", "--lambda", "0,0,0"],
     ["quiver", "--n", "2", "--lambda", "a,b,c"],

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_crystals.cartan import weight, rotate
 from affine_crystals.crystal_core import (TensorProd, eps_phi_tensor, eps_weight, phi_weight,
@@ -23,6 +25,9 @@ from affine_crystals.perfect import (
     split_adj,
     verify_perfect,
 )
+from affine_crystals.suites import random_dominant
+
+from oracles import ground_bn_reference
 
 LAM = weight((2, 1, 0))
 
@@ -55,15 +60,20 @@ def test_sections_reject_bad_weights():
 
 
 def test_column_crystal_is_dual_of_row_crystal():
-    # BnElem(v) against B1Elem(v): eps/phi swap, f/e swap, wt is negated
+    # BnElem(v) against B1Elem(v): eps/phi swap, f/e swap, wt is negated; the
+    # two share the row rule but neither is the other, so their operators stay
+    # in their own class and equal vectors give unequal elements
+    assert not issubclass(BnElem, B1Elem) and not issubclass(B1Elem, BnElem)
     for n, lvl in itertools.product(range(1, 5), repeat=2):
         for b in all_b1(n, lvl):
             bb = BnElem(b.nu)
+            assert bb != b and bb.nubar == b.nu
             assert bb.wt() == -b.wt()
             for i in range(n + 1):
                 assert (bb.eps(i), bb.phi(i)) == (b.phi(i), b.eps(i))
                 for ours, theirs in ((bb.f(i), b.e(i)), (bb.e(i), b.f(i))):
                     assert (ours is None and theirs is None) or ours.nubar == theirs.nu
+                    assert ours is None or type(ours) is BnElem and type(theirs) is B1Elem
         for bad in (weight((1,) + (0,) * n), BnElem((lvl + 1,) + (0,) * n).wt()):
             with pytest.raises(WeightSectionError, match="not a Bn weight"):
                 bn_from_weight(bad, lvl)
@@ -87,6 +97,15 @@ def test_ground_elements():
     assert ground_adj(LAM) == AdjElem((0, 1, 0), (0, 1, 0), 3)
     assert ground_adj(weight((3, 0, 0))).k == 0
     assert ground_adj(weight((1, 1))) == AdjElem((0, 1), (0, 1), 2)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(-8, 14), st.randoms(use_true_random=False))
+def test_ground_bn_is_the_dual_of_ground_b1(n, lvl, k, rng):
+    # the position-k Bn factor read off the B1 factor at -k - 1, against its
+    # own formula, for k negative, inside one period and at k >= n + 1
+    lam = random_dominant(n, lvl, rng)
+    assert ground_bn(lam, k) == ground_bn_reference(lam, k)
 
 
 def test_ground_chain_identities():
@@ -202,8 +221,9 @@ def test_merge_pair_examples():
 
 
 def test_guards_hold_under_optimize():
-    # invalid adjoint pairs (one with a negative entry), B1 and Bn elements
-    # with a negative entry, a level mismatch in merge_pair, a factor whose
+    # invalid adjoint pairs (one with a negative entry, one with mbar and m
+    # of different lengths), B1 and Bn elements with a negative entry or fewer
+    # than two entries, a level mismatch in merge_pair, a factor whose
     # f_i refuses a surviving "+" and a path deviation of another rank raise
     # ValueError even under python -O
     import subprocess
@@ -225,6 +245,9 @@ def test_guards_hold_under_optimize():
         "    lambda: AdjElem((0, -1, 1), (0, 1, -1), 1),\n"
         "    lambda: B1Elem((-1, 2, 1)),\n"
         "    lambda: BnElem((0, -1, 3)),\n"
+        "    lambda: AdjElem((1, 0), (0, 1, 0), 1),\n"
+        "    lambda: B1Elem((3,)),  # rank 0\n"
+        "    lambda: BnElem(()),\n"
         "    lambda: tensor_apply('f', 0, [Stuck()]),\n"
         "    lambda: Path(weight((2, 0, 0)), 'B1', (B1Elem((1, 1)),)).wt(),  # deviation of rank 1\n"
         "    lambda: Path(weight((2, 0, 0)), 'Ad', (AdjElem((0, 1), (0, 1), 2),)).wt(),\n"
@@ -238,7 +261,7 @@ def test_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 9
+    assert proc.stdout.split() == ["ValueError"] * 12
 
 
 def test_merge_split_roundtrip():
@@ -271,16 +294,19 @@ def test_merge_intertwines_small():
 
 
 def test_verify_perfect_passes():
-    assert verify_perfect(all_b1(2, 3), 3).ok
-    assert verify_perfect(all_adj(2, 2), 2).ok
+    assert verify_perfect(all_b1(2, 3), 3) == []
+    assert verify_perfect(all_bn(2, 3), 3) == []
+    assert verify_perfect(all_adj(2, 2), 2) == []
 
 
 def test_verify_perfect_fault_case():
     # closed under every e_i and f_i, but two crystals of different levels:
     # B (x) B splits into one component per ordered pair of them
-    rep = verify_perfect(all_b1(2, 1) + all_b1(2, 2), 1)
-    assert not rep.ok
-    assert "B(x)B has 4 components" in rep.failures
+    assert "B(x)B has 4 components" in verify_perfect(all_b1(2, 1) + all_b1(2, 2), 1)
+
+
+def test_verify_perfect_rejects_an_empty_crystal():
+    assert verify_perfect([], 1) == ["no elements: an empty crystal is not perfect"]
 
 
 def test_renders():
