@@ -3,8 +3,10 @@
 No floating point anywhere.  Matrices are plain lists of integer rows.  One
 fraction-free forward elimination, ``_echelon``, serves both fields: over
 F_p (p = 2^31 - 1) a row update is ``(piv * x - f * y) mod p``, over Q
-(``p=None``) it is Bareiss's exact division by the previous pivot, so
-entries stay integers.  Pivots are the first nonzero entry in column order.
+(``p=None``) it is Bareiss's exact division, so entries stay integers.  Both
+leave a row alone while its pivot-column entry is 0; over Q each row keeps
+the divisor it owes, so the Bareiss rescaling of a skipped row waits for its
+next real update.  Pivots are the first nonzero entry in column order.
 ``independent_rows`` keeps the original pivot rows and the pivots, ``rank``
 counts them, and ``independent_products`` does the same for the rows of a
 product, formed in the same call: one step of the kernel-table chain.  No
@@ -23,9 +25,21 @@ def _echelon(rows, ncols: int, p: int | None) -> tuple[list[list[int]], list[int
 
     Returns (pivot rows, pivot columns, original indices of the pivot rows);
     those original rows are a maximal independent subset.
+
+    A row whose pivot-column entry is 0 is left alone.  Over Q that is lazy
+    Bareiss (Bareiss, Math. Comp. 22, 1968): the step with pivot d_t and
+    previous pivot d_(t-1) would only multiply such a row by d_t / d_(t-1),
+    so on reaching step t a row last changed at step s holds the Bareiss row
+    times d_s / d_(t-1).  ``div[i]`` is that d_s (1 before any step), so
+    a real update ``(pv * x - f * y) // div[i]`` yields the Bareiss row
+    itself, an exact division, and a pivot row is brought up to date in a
+    local copy, ``x * prev // div[r]``.  The returned pivot rows over Q are
+    therefore nonzero multiples of Bareiss's rows, with the same zeros, the
+    same pivots and the same row order; over F_p they are Bareiss's rows.
     """
     nrows = len(rows)
     order = list(range(nrows))
+    div = [1] * nrows
     pivots: list[int] = []
     prev = 1
     for c in range(ncols):
@@ -39,16 +53,22 @@ def _echelon(rows, ncols: int, p: int | None) -> tuple[list[list[int]], list[int
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         order[r], order[piv] = order[piv], order[r]
+        div[r], div[piv] = div[piv], div[r]
         top = rows[r][c:]
+        if p is None and div[r] != prev:
+            top = [x * prev // div[r] for x in top]
         pv = top[0]
         for i in range(r + 1, nrows):
             row = rows[i]
             f = row[c]
+            if not f:
+                continue
             if p is not None:
-                if f:
-                    row[c:] = [(pv * x - f * y) % p for x, y in zip(row[c:], top)]
+                row[c:] = [(pv * x - f * y) % p for x, y in zip(row[c:], top)]
             else:
-                row[c:] = [(pv * x - f * y) // prev for x, y in zip(row[c:], top)]
+                d = div[i]
+                row[c:] = [(pv * x - f * y) // d for x, y in zip(row[c:], top)]
+                div[i] = pv
         prev = pv
         pivots.append(c)
     return rows[:len(pivots)], pivots, order[:len(pivots)]

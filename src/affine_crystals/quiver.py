@@ -221,6 +221,13 @@ def check_moment(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> bool:
     return True
 
 
+def _check_partner(x: WallMap, xbar: GradedMap) -> None:
+    """Raise ValueError unless xbar has x's dims and the opposite degree."""
+    if xbar.shift != -x.shift or xbar.dims != x.dims:
+        raise ValueError(f"partner of degree {xbar.shift} on dims {xbar.dims} does not pair "
+                         f"with a wall map of degree {x.shift} on dims {x.dims}")
+
+
 # ------------------------------------------------------------ kernel tables
 
 @dataclass(frozen=True)
@@ -255,8 +262,9 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
     x^(k-1), and x^t maps V_i onto the vectors of V_(i + t deg x) at depth
     >= t, a column prefix in ``index.order``; so rank xbar^k x^t is a pivot
     count in a prefix.  The chain starts from the sampled blocks; each later
-    power is one ``independent_products`` per component, which keeps actual
-    rows of xbar^k (eliminated ones would compound Bareiss growth over Q).
+    power is one ``independent_products`` per component whose previous rows
+    are not all gone, which keeps actual rows of xbar^k: eliminated ones
+    would carry their Bareiss growth over Q from one power into the next.
 
     One loop over k appends ker xbar^k, then (k >= 1) ker xbar (x xbar)^(k-1),
     then ker (x xbar)^k, skipping a sequence once it has reached alpha; the
@@ -264,6 +272,7 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
     At a commuting point each sequence is nested, so a repeat below alpha is
     a stall and raises GenericityError naming the sequence.
     """
+    _check_partner(x, xbar)
     if not check_moment(x, xbar, p):
         raise ValueError("kernel table requested at a non-commuting point")
     m, dims, sb, ix = x.m, x.dims, xbar.shift, x.index
@@ -287,8 +296,10 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
         if all(seq[-1:] == [alpha] for seq in seqs.values()):
             xbar_pow, yxy_pow, xy_pow = map(tuple, seqs.values())
             return KernelTable(alpha, ix.power_kernels, xbar_pow, xy_pow, yxy_pow)
-        rows, pivots = zip(*(independent_products(rows[(i + sb) % m], right[i], n, p) if k
-                             else independent_rows(blocks[i], p) for i, n in enumerate(dims)))
+        rows, pivots = zip(*(
+            independent_rows(blocks[i], p) if not k
+            else independent_products(rows[(i + sb) % m], right[i], n, p) if rows[(i + sb) % m]
+            else ([], []) for i, n in enumerate(dims)))
 
 
 SEQS = ("x_pow", "xbar_pow", "xy_pow", "yxy_pow")
@@ -351,5 +362,6 @@ def is_stable(x: WallMap, xbar: GradedMap, framing, p: int | None = PRIME) -> bo
     vector that is not a string end, so [x; xbar; t] has rank dim V_i exactly
     when [xbar; t] on the string-end columns of V_i has full column rank.
     """
+    _check_partner(x, xbar)
     return all(rank([[row[c] for c in ends] for row in (*xbar.block_out(i), *framing[i])], p)
                == len(ends) for i, ends in enumerate(x.index.ends) if ends)

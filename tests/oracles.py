@@ -16,6 +16,40 @@ from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUni
 from affine_crystals.walls import block_color
 
 
+def echelon_reference(rows, ncols: int, p: int | None):
+    """Eager Bareiss: ``linalg._echelon`` as it was before it left rows alone
+    over Q.  Every row below the pivot is updated at every step, over Q by
+    exact division by the previous pivot, so the pivot rows are Bareiss's."""
+    nrows = len(rows)
+    order = list(range(nrows))
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        for piv in range(r, nrows):
+            if rows[piv][c]:
+                break
+        else:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        order[r], order[piv] = order[piv], order[r]
+        top = rows[r][c:]
+        pv = top[0]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            f = row[c]
+            if p is not None:
+                if f:
+                    row[c:] = [(pv * x - f * y) % p for x, y in zip(row[c:], top)]
+            else:
+                row[c:] = [(pv * x - f * y) // prev for x, y in zip(row[c:], top)]
+        prev = pv
+        pivots.append(c)
+    return rows[:len(pivots)], pivots, order[:len(pivots)]
+
+
 def nullspace(a, ncols: int, p: int | None = PRIME):
     """Reduced-echelon basis of the right nullspace (vectors of length ncols).
 

@@ -323,3 +323,31 @@ def _reports_digest(runs, p):
 def test_bridge_reports_are_pinned(p, count, digest):
     # every field of the pipeline report, bridge cases over F_p and the first ones over Q
     assert _reports_digest(_bridge_runs()[:count], p) == digest
+
+
+LADDER_WORDS = {
+    # perfbench's random_word(lam, L, Random(5)) for these two cells, as literals
+    ((1, 1, 0), 100): "0 2 1 0 0 1 0 1 1 2 2 0 1 1 1 2 2 1 0 0 0 2 0 1 0 2 2 1 2 0 2 1 2 0 1 0 "
+                      "0 2 1 0 2 1 2 1 1 0 2 0 1 2 1 2 0 0 2 1 0 2 1 0 2 1 1 0 1 2 0 2 2 2 1 1 "
+                      "0 0 2 1 0 0 1 1 2 2 1 0 0 2 0 1 0 2 2 1 1 0 2 0 1 0 2 1",
+    ((3, 2, 1), 150): "2 0 0 1 1 0 2 0 0 1 2 1 1 1 2 0 0 1 2 2 0 0 2 0 1 1 2 2 0 0 0 2 1 2 1 0 "
+                      "2 2 1 1 0 1 2 2 1 0 0 1 0 2 2 0 2 2 1 2 1 1 0 0 0 0 0 2 0 2 1 1 2 0 1 1 "
+                      "2 0 1 0 0 1 1 0 2 2 2 1 1 0 1 2 2 2 0 2 2 1 1 1 2 1 0 1 1 0 1 1 0 2 0 0 "
+                      "2 2 2 0 2 2 2 2 0 1 0 1 1 0 2 1 1 0 2 0 2 2 1 1 0 2 0 2 1 0 1 1 0 0 0 0 "
+                      "1 0 2 1 1 2",
+}
+
+
+@pytest.mark.parametrize("lam, length, p, digest", [
+    ((1, 1, 0), 100, None, "54a4e98dda38dfa87e2e93fc2db7bd668f280ca9af5501f8dd35ef11072ff8a0"),
+    ((3, 2, 1), 150, PRIME, "85b88acf2e8f1f2a965e93bf9c54f8a41bbae670a97a61cf0cf55c5403d22af3"),
+], ids=["qq-110-100", "fp-321-150"])
+def test_ladder_reports_are_pinned(lam, length, p, digest):
+    # whole reports at ladder scale, where the xbar chain runs long enough for
+    # a Q elimination to skip most of its row updates
+    word = parse_word(LADDER_WORDS[lam, length])
+    assert sum(m for _, m in word) == length
+    rep = run_pipeline(weight(lam), word, seed=0, p=p)
+    assert rep.ok
+    assert hashlib.sha256(json.dumps(report_to_json(rep), sort_keys=True).encode()).hexdigest() \
+        == digest

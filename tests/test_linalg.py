@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_crystals.cartan import RootVec
-from affine_crystals.linalg import PRIME, gm_from_blocks, independent_products, independent_rows, rank
+from affine_crystals.linalg import (PRIME, _echelon, gm_from_blocks, independent_products,
+                                    independent_rows, rank)
 
-from oracles import gm_compose, gm_zero, mat_mul, nullspace, sparse_rows
+from oracles import echelon_reference, gm_compose, gm_zero, mat_mul, nullspace, sparse_rows
 
 FIELDS = (PRIME, None)
 
@@ -191,3 +193,67 @@ def test_independent_products_is_product_then_independent_rows(case):
     assert all(row in product for row in fused)
     if p is not None:
         assert all(0 <= v < p for row in fused for v in row)
+
+
+@st.composite
+def echelon_inputs(draw):
+    """(rows, ncols, p): random or staircase rows (sorted by leading column,
+    mostly zero), with entries of a few bits or of 100-200 bits as in the
+    chain's powers over Q, and now and then a row that depends on two others."""
+    p = draw(st.sampled_from(FIELDS))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 9))
+    bits = draw(st.one_of(st.just(3), st.integers(100, 200)))
+
+    def entry():
+        return rng.choice((-1, 1)) * rng.randrange(1, 2**bits)
+
+    if draw(st.booleans()):  # staircase
+        leads = sorted(rng.randrange(ncols) for _ in range(nrows))
+        rows = [[0] * lead + [entry()] + [entry() if rng.random() < 0.3 else 0
+                                          for _ in range(lead + 1, ncols)] for lead in leads]
+    else:
+        rows = [[entry() if rng.random() < 0.7 else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        a, b = rng.sample(range(nrows), 2)
+        rows.insert(rng.randrange(nrows + 1), [x + 2 * y for x, y in zip(rows[a], rows[b])])
+    if p is not None:
+        rows = [[v % p for v in row] for row in rows]
+    return rows, ncols, p
+
+
+@settings(max_examples=300)
+@given(echelon_inputs())
+@example(([[3, 5, 0, 7], [0, 0, 11, 2], [0, 0, 0, 13]], 4, None))
+@example(([[0, 2, 1], [4, 0, 3], [8, 1, 7], [0, 6, 3]], 3, None))
+def test_echelon_matches_the_eager_reference(case):
+    # same pivots and the same picked rows in the same order; over Q each
+    # pivot row is a nonzero rational multiple of eager Bareiss's, over F_p
+    # it is the same row
+    rows, ncols, p = case
+    got, pivots, picked = _echelon([row[:] for row in rows], ncols, p)
+    ref, ref_pivots, ref_picked = echelon_reference([row[:] for row in rows], ncols, p)
+    assert (pivots, picked) == (ref_pivots, ref_picked)
+    if p is not None:
+        assert got == ref
+    for a, b, c in zip(got, ref, pivots):
+        assert a[c] and b[c] and [x * b[c] for x in a] == [y * a[c] for y in b]
+    # and the multiple is d_s / d_(k-1) for pivot row k last changed at step
+    # s (d_(-1) = 1): no growth beyond the Bareiss row's
+    d = [1] + [row[c] for row, c in zip(ref, pivots)]
+    for k, (a, b, c) in enumerate(zip(got, ref, pivots)):
+        assert Fraction(a[c], b[c]) in {Fraction(d[s], d[k]) for s in range(k + 1)}
+
+
+def test_echelon_leaves_rows_alone_while_their_pivot_entry_is_zero():
+    # a staircase is already in echelon form: no row takes a real update, so
+    # none is rescaled (eager Bareiss rewrites the last two to [0, 0, 33, 6]
+    # and [0, 0, 0, 429])
+    rows = [[3, 5, 0, 7], [0, 0, 11, 2], [0, 0, 0, 13]]
+    given_rows = [row[:] for row in rows]
+    out, pivots, picked = _echelon(rows, 4, None)
+    assert pivots == [0, 2, 3] and picked == [0, 1, 2]
+    assert out == rows == given_rows
+    assert echelon_reference([row[:] for row in rows], 4, None)[0][1:] == \
+        [[0, 0, 33, 6], [0, 0, 0, 429]]

@@ -453,6 +453,34 @@ def test_kernel_table_requires_commuting_point():
         kernel_table_at(x, xb.dense(), PRIME)
 
 
+def test_partner_of_wrong_degree_or_shape_is_rejected_under_optimize():
+    # a partner of x's own degree passed the commutator test and gave a table,
+    # and one on other dims was accepted or died with IndexError; both must
+    # raise a one-line ValueError, also under -O
+    code = (
+        "import random\n"
+        "from affine_crystals import golden\n"
+        "from affine_crystals.linalg import gm_from_blocks, zero_blocks\n"
+        "from affine_crystals.quiver import (is_stable, kernel_table_at, sample_framing,\n"
+        "                                    wall_graded_map)\n"
+        "from affine_crystals.walls import make_walls\n"
+        "x = wall_graded_map(make_walls('P1', golden.N, **golden.WALLS_P1))\n"
+        "dims = (x.dims[0] + 1, *x.dims[1:])\n"
+        "framing = sample_framing(golden.LAM, x.dims, random.Random(0))\n"
+        "for xbar in (x.dense(), gm_from_blocks(dims, -x.shift, zero_blocks(dims, -x.shift))):\n"
+        "    for call in (lambda: kernel_table_at(x, xbar), lambda: is_stable(x, xbar, framing)):\n"
+        "        try:\n"
+        "            call()\n"
+        "        except ValueError as err:\n"
+        "            print('ValueError', len(str(err).splitlines()))\n"
+        "        else:\n"
+        "            print('accepted')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ValueError 1"] * 4
+
+
 def test_kernel_table_zero_xbar():
     x = wall_graded_map(WP1)
     kt = kernel_table_at(x, gm_zero(x.dims, -1), PRIME)
@@ -627,6 +655,26 @@ def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, 
     # the chain starts from the sampled blocks: no elimination for xbar^0
     assert 0 < len(calls) <= x.m * (len(kt.xbar_pow) - 1)
     assert kt == _oracle_table(x.dense(), xbar, p)
+
+
+@FIELDS
+def test_kernel_table_skips_components_whose_rows_are_gone(monkeypatch, p):
+    # once xbar^k is 0 on a component, the chain forms no product there
+    calls = []
+    real = quiver.independent_products
+    monkeypatch.setattr(quiver, "independent_products",
+                        lambda rows, *args: calls.append(rows) or real(rows, *args))
+    skipped = 0
+    for seed, (_, walls) in enumerate(_long_wall_tuples(12, seed=31)):
+        x = wall_graded_map(walls)
+        xbar = sample_in_commutant(x, commutant_basis(x), random.Random(seed), p)
+        calls.clear()
+        kt = kernel_table_at(x, xbar, p)
+        assert all(calls) and kt == _oracle_table(x.dense(), xbar, p)
+        # the chain steps at k = 0 .. last - 1; k = 0 is no product
+        last = max(len(kt.xbar_pow) - 1, len(kt.xy_pow) - 1, len(kt.yxy_pow))
+        skipped += x.m * max(last - 1, 0) - len(calls)
+    assert skipped > 0
 
 
 @st.composite
