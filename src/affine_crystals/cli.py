@@ -71,8 +71,16 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
+def _fits(flag: str, value: int) -> int:
+    """value, if at most sys.maxsize: a rank or level sizes lists, which a larger int
+    cannot (it ends in OverflowError)."""
+    if value > sys.maxsize:
+        _usage_error(f"{flag} must be at most {sys.maxsize}, got {value}")
+    return value
+
+
 def _n(args) -> int:
-    return _at_least("--n", args.n, 1)
+    return _fits("--n", _at_least("--n", args.n, 1))
 
 
 def _lam(args):
@@ -85,6 +93,7 @@ def _lam(args):
         _usage_error(f"--lambda has {w.n + 1} coefficients but --n is {args.n}")
     if not w.is_dominant() or w.level < 1:
         _usage_error(f"--lambda must be dominant of level >= 1, got {args.lam}")
+    _fits("the level of --lambda", w.level)
     return w
 
 
@@ -136,7 +145,7 @@ def cmd_quiver(args) -> int:
 def _graph_seed_elem(args):
     if args.crystal == "path":
         return ground_path(_lam(args), KIND_BY_FLAG[args.kind])
-    n, lvl = _n(args), _at_least("--level", args.level, 1)
+    n, lvl = _n(args), _fits("--level", _at_least("--level", args.level, 1))
     if args.crystal == "b1":
         return B1Elem((lvl,) + (0,) * n)
     if args.crystal == "bn":

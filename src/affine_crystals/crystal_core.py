@@ -3,7 +3,10 @@
 Every crystal element type in this package exposes the same small interface:
 ``wt()``, ``eps(i)``, ``phi(i)``, ``e(i)`` and ``f(i)``, where ``e``/``f``
 return ``None`` when the operator is undefined.  Everything here is written
-against that interface only.
+against that interface only, except that a tensor factor also exposes its
+row: ``row[i]`` is (eps_i, phi_i) for i = 0..n, which ``signature`` reads.
+The perfect-crystal elements compute theirs once, when built; a TensorProd
+computes its own on demand.
 
 Tensor convention, factors listed left (first) to right (last): for b1 (x) b2,
 f_i acts on b1 iff phi_i(b1) > eps_i(b2), and e_i acts on b1 iff
@@ -15,22 +18,25 @@ and e_i the owner of the rightmost surviving "-".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cartan import Weight, cl_root, pairing, simple_root
 
 
 def signature(i: int, factors) -> tuple[list[int], list[int]]:
-    """Reduced signature word: (owners of surviving '-', owners of surviving '+')."""
+    """Reduced signature word: (owners of surviving '-', owners of surviving '+').
+
+    Reads each factor's ``row[i]``, so 0 <= i <= n."""
     minus: list[int] = []
     plus: list[int] = []
     for idx, b in enumerate(factors):
-        e = b.eps(i)
+        e, p = b.row[i]
         if e > len(plus):  # cancel every open "+", the rest of the "-" survive
             minus += [idx] * (e - len(plus))
             plus.clear()
         elif e:
             del plus[-e:]
-        plus += [idx] * b.phi(i)
+        plus += [idx] * p
     return minus, plus
 
 
@@ -75,14 +81,18 @@ class TensorProd:
             w = w + b.wt()
         return w
 
+    @cached_property
+    def row(self) -> tuple[tuple[int, int], ...]:
+        return tuple(eps_phi_tensor(i, self.factors) for i in range(len(self.factors[0].row)))
+
     def eps(self, i: int) -> int:
-        return eps_phi_tensor(i, self.factors)[0]
+        return self.row[i % len(self.row)][0]
 
     def phi(self, i: int) -> int:
-        return eps_phi_tensor(i, self.factors)[1]
+        return self.row[i % len(self.row)][1]
 
     def _apply(self, op: str, i: int):
-        res = tensor_apply(op, i, self.factors)
+        res = tensor_apply(op, i % len(self.factors[0].row), self.factors)
         if res is None:
             return None
         idx, new = res

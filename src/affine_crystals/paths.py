@@ -11,15 +11,19 @@ there annihilates the path, and no f_i lands there.  A property test, not the
 run time, compares each operator with its value on larger windows.  The ground
 factors are one period per (lam, kind) in a bounded cache; a Path caches the rest,
 with one signature record per i that eps_i, phi_i, e_i and f_i all read.  The
-weight is one integer sum: the cached lam - wt(ground factors 0 .. len(devs) - 1)
-plus each deviation's.  An operator's result reuses the window it read (its
-deviations a slice, its window one factor replaced) but never the weight or a
-record, so check_axioms compares values computed on each side of an edge.  A
-lowering walk reads the position each f_i changes off the same record, and the
-wall tuples replay those steps.
+factors are interned perfect-crystal elements, so the signature reads each one's
+row, the weight is one integer sum of cached coefficients (the cached lam -
+wt(ground factors 0 .. len(devs) - 1) plus each deviation's ``wa``), and the
+trim of ground factors and the hash read each factor's cached hash.
+An operator's result reuses the window it read (its deviations a slice, its
+window one factor replaced, the new factor from the element's own e_i/f_i memo)
+but never the weight or a record, so check_axioms compares values computed on
+each side of an edge.  A lowering walk reads the position each f_i changes off
+the same record, and the wall tuples replay those steps.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
-``factor_from_content``: the weight section of wt(ground factor k) - cl(content).
+``factor_from_content``: the weight section of wt(ground factor k) - cl(content),
+which is ground factor k moved by the content, in a bounded cache.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ from .perfect import (
     AdjElem,
     B1Elem,
     BnElem,
-    b1_from_weight,
-    bn_from_weight,
+    WeightSectionError,
     ground_adj,
     ground_b1,
     ground_bn,
@@ -82,11 +85,25 @@ def _ground_offset(lam: Weight, kind: str, length: int) -> tuple[int, ...]:
 def factor_from_content(lam: Weight, kind: str, k: int, content: RootVec):
     """The B1/Bn factor at position k: the section of wt(ground_k) - cl(content).
 
-    Raises WeightSectionError when that weight is not a factor weight."""
+    Read off directly: f_i moves one unit of a B1 vector from index i - 1 to i (of
+    a Bn vector from i to i - 1), so ground_k's vector moved by content's
+    coefficients has that weight, and it is the only vector of its level that has
+    it.  Raises WeightSectionError when that vector has a negative entry."""
     if kind not in ("B1", "Bn"):
         raise ValueError(f"no weight section for kind {kind!r}")
-    section = b1_from_weight if kind == "B1" else bn_from_weight
-    return section(ground_elem(lam, kind, k).wt() - cl_root(content), lam.level)
+    return _section(lam, kind, k % (lam.n + 1), content.k)
+
+
+@lru_cache(maxsize=256)
+def _section(lam: Weight, kind: str, k: int, c: tuple[int, ...]):
+    """factor_from_content at 0 <= k <= n, the period of the B1/Bn ground factors."""
+    g = ground_elem(lam, kind, k)
+    s = 1 if kind == "B1" else -1
+    vec = tuple([v + s * (a - b) for v, a, b in zip(g.nu, c, c[1:] + c[:1], strict=True)])
+    if min(vec) < 0:
+        raise WeightSectionError(f"{g.wt() - cl_root(RootVec(c))} is not a {kind} weight "
+                                 f"at level {lam.level}")
+    return type(g)(vec)
 
 
 @dataclass(frozen=True)
@@ -123,7 +140,7 @@ class Path:
     @cached_property
     def _wt(self) -> Weight:  # strict: a deviation of another rank raises ValueError
         return Weight(tuple(map(sum, zip(_ground_offset(self.lam, self.kind, len(self.devs)),
-                                         *(dev.wt().a for dev in self.devs), strict=True))))
+                                         *(dev.wa for dev in self.devs), strict=True))))
 
     _records = cached_property(lambda self: [None] * (self.n + 1))
 
@@ -138,10 +155,12 @@ class Path:
                                 (minus[-1] or None) if minus else None, plus[0] if plus else None)
         return rec
 
-    _hash = cached_property(lambda self: hash((self.lam, self.kind, self.devs)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __hash__(self) -> int:  # cached by hand: a first cached_property read takes a lock
+        cache = vars(self)
+        h = cache.get("_hash")
+        if h is None:
+            h = cache["_hash"] = hash((self.lam.a, self.kind, self.devs))
+        return h
 
     def __reduce__(self):  # unpickle without caches: str hashes differ between processes
         return Path, (self.lam, self.kind, self.devs)

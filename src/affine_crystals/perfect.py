@@ -16,6 +16,17 @@ Three families:
   part right, matching the column reading of the tableau) in closed form,
   one rule for every i, 0 included.
 
+Elements are interned values: every construction, operator results included,
+goes through ``_intern``, which returns the one element of that value and
+builds it, checked, only on a miss.  A build computes, by the class's own
+rule, the element's row (``row[i]`` is (eps_i, phi_i) for i = 0..n, which the
+signature rule reads), its weight coefficients ``wa`` and an ints-only hash.
+The e_i/f_i results are a memo filled lazily, each slot by the rule applied to
+this element when first asked for; no slot is filled by inverting a
+neighbour's result, so e_i(f_i b) == b stays a check.  Equality is by value,
+with identity as the fast path, so the bounded table can be dropped at any
+time (``_drop``) without changing any output.  Elements pickle as their value.
+
 ``merge_pair``/``split_adj`` realize the crystal isomorphism
 B1 (x) Bn  ~~>  Adj by cancelling c = min(nu_1, nubar_1) leading pairs.
 """
@@ -24,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 
 from .cartan import Weight
 from .crystal_core import TensorProd, eps_weight, phi_weight
@@ -46,62 +56,160 @@ def _move(vec: tuple[int, ...], s: int, d: int):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _Row:
-    """The row rule on a multiplicity vector nu over the letters 1..n+1 (n >= 1)."""
+# -------------------------------------------------------------- interning
 
-    nu: tuple[int, ...]
+INTERN_CAP = 4096  # elements the table holds; a full table is dropped whole
+_TABLE: dict = {}  # (class, *value) -> the one element of that value
+_TUPLES: dict = {}  # one copy of each int tuple the elements hold: vectors, pairs, weights
+_ASK = object()  # an e_i/f_i memo slot not asked for yet
 
-    def __post_init__(self):
-        if len(self.nu) < 2 or min(self.nu) < 0:
-            raise ValueError(f"no {type(self).__name__} {self.nu}: needs >= 2 entries, all >= 0")
+
+def _share(t: tuple) -> tuple:
+    return _TUPLES.setdefault(t, t)
+
+
+def _intern(cls, *value):
+    """The element of class cls with this value, built and checked on a miss."""
+    elem = _TABLE.get((cls, *value))
+    if elem is None:
+        row, wa = cls._rule_values(*value)  # raises ValueError for an invalid value
+        value = tuple([_share(v) if type(v) is tuple else v for v in value])
+        elem = object.__new__(cls)
+        for name, v in (*zip(cls._FIELDS, value, strict=True),
+                        ("row", tuple([_share(pair) for pair in row])), ("wa", _share(wa)),
+                        ("_hash", hash(value)), ("_ops", [_ASK] * (2 * len(row)))):
+            object.__setattr__(elem, name, v)
+        if len(_TABLE) >= INTERN_CAP:
+            _drop()
+        _TABLE[(cls, *value)] = elem
+    return elem
+
+
+def _drop():
+    """Forget every interned element and empty its memo, so that an element held
+    elsewhere keeps no other alive; equality is by value, so no output changes."""
+    for elem in _TABLE.values():
+        elem._ops[:] = [_ASK] * len(elem._ops)
+    _TABLE.clear()
+    _TUPLES.clear()
+
+
+class _Elem:
+    """An interned element: its value fields, and the row, wa, hash and e_i/f_i memo
+    that ``_intern`` fills (``_ops[i]`` is e_i, ``_ops[n + 1 + i]`` is f_i).  Each
+    class gives its rule: the classmethod ``_rule_values(*value)``, the (row, wt
+    coefficients) of a value, raising ValueError for an invalid one, and
+    ``_apply(op, i)``, e_i/f_i or None."""
+
+    __slots__ = ("row", "wa", "_hash", "_ops")
+    _FIELDS: tuple[str, ...] = ()
+
+    def _value(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._hash == other._hash and self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):  # pickles as the value: the memo and table stay behind
+        return type(self), self._value()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={v!r}" for name, v in zip(self._FIELDS, self._value()))
+        return f"{type(self).__name__}({fields})"
 
     @property
     def n(self) -> int:
-        return len(self.nu) - 1
+        return len(self.row) - 1
+
+    def eps(self, i: int) -> int:
+        return self.row[i % len(self.row)][0]
+
+    def phi(self, i: int) -> int:
+        return self.row[i % len(self.row)][1]
+
+    def wt(self) -> Weight:
+        return Weight(self.wa)
+
+    def e(self, i: int):
+        ops = self._ops
+        j = i % len(self.row)
+        out = ops[j]
+        if out is _ASK:
+            out = ops[j] = self._apply("e", i)
+        return out
+
+    def f(self, i: int):
+        ops, m = self._ops, len(self.row)
+        j = i % m + m
+        out = ops[j]
+        if out is _ASK:
+            out = ops[j] = self._apply("f", i)
+        return out
+
+
+class _Row(_Elem):
+    """The row rule on a multiplicity vector nu over the letters 1..n+1 (n >= 1):
+    eps_i = nu_i, phi_i = nu_{i-1}, and f_i moves one unit from index i - 1 to i."""
+
+    __slots__ = ("nu",)
+    _FIELDS = ("nu",)
+    _DUAL = False  # BnElem: eps/phi and e/f swapped, wt negated
+
+    def __new__(cls, nu):
+        return _intern(cls, tuple(nu))
 
     @property
     def level(self) -> int:
         return sum(self.nu)
 
-    def eps(self, i: int) -> int:
-        return self.nu[i % len(self.nu)]
+    @classmethod
+    def _rule_values(cls, nu):
+        if len(nu) < 2 or min(nu) < 0:
+            raise ValueError(f"no {cls.__name__} {nu}: needs >= 2 entries, all >= 0")
+        row = [(nu[i], nu[i - 1]) for i in range(len(nu))]
+        wa = [nu[j - 1] - nu[j] for j in range(len(nu))]
+        if cls._DUAL:
+            return tuple([(p, e) for e, p in row]), tuple([-c for c in wa])
+        return tuple(row), tuple(wa)
 
-    def phi(self, i: int) -> int:
-        return self.nu[(i - 1) % len(self.nu)]
-
-    def wt(self) -> Weight:
-        return Weight(tuple([self.nu[j - 1] - self.nu[j] for j in range(len(self.nu))]))
-
-    def f(self, i: int):
-        nu = _move(self.nu, i - 1, i)
-        return None if nu is None else type(self)(nu)
-
-    def e(self, i: int):
-        nu = _move(self.nu, i, i - 1)
+    def _apply(self, op: str, i: int):
+        s, d = (i - 1, i) if (op == "f") != self._DUAL else (i, i - 1)
+        nu = _move(self.nu, s, d)
         return None if nu is None else type(self)(nu)
 
 
 class B1Elem(_Row):
     """Row-crystal element; nu[t] counts the letter t+1."""
 
+    __slots__ = ()
+
 
 class BnElem(_Row):
     """Column-crystal element; nubar[t] counts the barred letter (t+1)~.  The row
     rule on nubar read dually; not a B1Elem, so B1Elem(v) != BnElem(v)."""
 
-    eps, phi, e, f = _Row.phi, _Row.eps, _Row.f, _Row.e
+    __slots__ = ()
+    _DUAL = True
 
     @property
     def nubar(self) -> tuple[int, ...]:
         return self.nu
 
-    def wt(self) -> Weight:
-        return Weight(tuple([self.nu[j] - self.nu[j - 1] for j in range(len(self.nu))]))
 
-
-@dataclass(frozen=True)
-class AdjElem:
+class AdjElem(_Elem):
     """Adjoint-crystal element as a (barred columns, boxes) multiplicity pair.
 
     eps_i, phi_i, e_i and f_i are the tensor rule on split_adj's pair B1(nu) (x)
@@ -111,39 +219,31 @@ class AdjElem:
     mod n + 1) eps_i = m_i + [i = 0] c + max(0, mbar_{i-1} - m_{i-1}) and phi_i =
     mbar_i + [i = 0] c + max(0, m_{i-1} - mbar_{i-1})."""
 
-    mbar: tuple[int, ...]
-    m: tuple[int, ...]
-    cap: int
+    __slots__ = ("mbar", "m", "cap")
+    _FIELDS = ("mbar", "m", "cap")
 
-    def __post_init__(self):
-        if (not 2 <= len(self.m) == len(self.mbar) or not sum(self.mbar) == sum(self.m) <= self.cap
-                or self.mbar[0] * self.m[0] or min(self.mbar + self.m) < 0):
-            raise ValueError(f"no adjoint element {self.mbar}, {self.m}, cap {self.cap}: needs "
-                             "equal lengths >= 2, entries >= 0, equal sums <= cap and "
-                             "mbar_1 * m_1 = 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.m) - 1
+    def __new__(cls, mbar, m, cap):
+        return _intern(cls, tuple(mbar), tuple(m), cap)
 
     @property
     def k(self) -> int:
         return sum(self.m)
 
-    def wt(self) -> Weight:
-        m, mb = self.m, self.mbar  # wt(box part) + wt(barred part), strict as Weight's sum
-        return Weight(tuple([mp - mj + bj - bp for mp, mj, bj, bp in
-                             zip(m[-1:] + m[:-1], m, mb, mb[-1:] + mb[:-1], strict=True)]))
-
-    def eps(self, i: int) -> int:
-        j = i % len(self.m)
-        c = self.cap - self.k if j == 0 else 0
-        return self.m[j] + c + max(0, self.mbar[j - 1] - self.m[j - 1])
-
-    def phi(self, i: int) -> int:
-        j = i % len(self.m)
-        c = self.cap - self.k if j == 0 else 0
-        return self.mbar[j] + c + max(0, self.m[j - 1] - self.mbar[j - 1])
+    @classmethod
+    def _rule_values(cls, mb, m, cap):
+        if (not 2 <= len(m) == len(mb) or not sum(mb) == sum(m) <= cap
+                or mb[0] * m[0] or min(mb + m) < 0):
+            raise ValueError(f"no adjoint element {mb}, {m}, cap {cap}: needs "
+                             "equal lengths >= 2, entries >= 0, equal sums <= cap and "
+                             "mbar_1 * m_1 = 0")
+        c = cap - sum(m)
+        row = tuple([(m[j] + max(0, mb[j - 1] - m[j - 1]), mb[j] + max(0, m[j - 1] - mb[j - 1]))
+                     for j in range(len(m))])
+        row = ((row[0][0] + c, row[0][1] + c),) + row[1:]
+        # wt(box part) + wt(barred part), strict as Weight's sum
+        wa = tuple([mp - mj + bj - bp for mp, mj, bj, bp in
+                    zip(m[-1:] + m[:-1], m, mb, mb[-1:] + mb[:-1], strict=True)])
+        return row, wa
 
     def _apply(self, op: str, i: int):
         """e_i/f_i (j = i mod n + 1) on the boxes when m_{j-1} > mbar_{j-1} (f) or >=
@@ -163,12 +263,6 @@ class AdjElem:
         vec[d] += 1
         c = min(m[0], mbar[0])
         return AdjElem((mbar[0] - c, *mbar[1:]), (m[0] - c, *m[1:]), self.cap)
-
-    def f(self, i: int):
-        return self._apply("f", i)
-
-    def e(self, i: int):
-        return self._apply("e", i)
 
 
 # ---------------------------------------------------------------- sections

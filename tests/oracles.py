@@ -11,7 +11,7 @@ from math import lcm
 from affine_crystals.cartan import RootVec, zero_root
 from affine_crystals.linalg import PRIME, _echelon, gm_from_blocks, rank, zero_blocks
 from affine_crystals.paths import ground_elem, path_apply
-from affine_crystals.perfect import BnElem
+from affine_crystals.perfect import AdjElem, BnElem
 from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUnit, WallMap
 from affine_crystals.walls import block_color
 
@@ -219,6 +219,79 @@ def signature_reference(i, factors):
                 minus.append(idx)
         plus.extend([idx] * b.phi(i))
     return minus, plus
+
+
+def _row_counts(vec, i, dual):
+    """(eps_i, phi_i) of the row rule on vec: nu_i and nu_{i-1}; swapped when dual."""
+    pair = (vec[i % len(vec)], vec[(i - 1) % len(vec)])
+    return pair[::-1] if dual else pair
+
+
+def _row_move(vec, op, i, dual):
+    """f_i moves a unit of vec from index i - 1 to i, e_i back (dual: the other way)."""
+    s, d = ((i - 1) % len(vec), i % len(vec))
+    if (op == "e") != dual:
+        s, d = d, s
+    if not vec[s]:
+        return None
+    out = list(vec)
+    out[s] -= 1
+    out[d] += 1
+    return tuple(out)
+
+
+def _owner(op, counts):
+    """The factor e_i (op "e") or f_i acts on, one symbol at a time, or None."""
+    minus, plus = [], []
+    for idx, (e, p) in enumerate(counts):
+        for _ in range(e):
+            if plus:
+                plus.pop()
+            else:
+                minus.append(idx)
+        plus += [idx] * p
+    if op == "f":
+        return plus[0] if plus else None
+    return minus[-1] if minus else None
+
+
+def element_rule(elem):
+    """A B1/Bn/Adj element's (row, wt coefficients, hash, {(op, i): value or None}) by
+    the defining rules on its value alone, with no memo: each letter's weight summed,
+    and an adjoint element as the pair B1(nu) (x) Bn(nubar) under the signature rule."""
+    if isinstance(elem, AdjElem):
+        c = elem.cap - sum(elem.m)
+        vecs = [((elem.m[0] + c, *elem.m[1:]), False), ((elem.mbar[0] + c, *elem.mbar[1:]), True)]
+        value = (elem.mbar, elem.m, elem.cap)
+    else:
+        vecs = [(elem.nu, isinstance(elem, BnElem))]
+        value = (elem.nu,)
+    m = len(vecs[0][0])
+    wa = [0] * m
+    for vec, dual in vecs:  # letter t + 1 weighs Lambda_{t+1} - Lambda_t, its column the negative
+        for t, count in enumerate(vec):
+            wa[(t + 1) % m] += -count if dual else count
+            wa[t] -= -count if dual else count
+    row, ops = [], {}
+    for i in range(m):
+        counts = [_row_counts(vec, i, dual) for vec, dual in vecs]
+        minus_plus = [0, 0]
+        for idx, (e, p) in enumerate(counts):
+            cancel = min(e, minus_plus[1])
+            minus_plus = [minus_plus[0] + e - cancel, minus_plus[1] - cancel + p]
+        row.append(tuple(minus_plus))
+        for op in ("e", "f"):
+            idx = _owner(op, counts)
+            moved = None if idx is None else _row_move(vecs[idx][0], op, i, vecs[idx][1])
+            if moved is None:
+                ops[op, i] = None
+            elif isinstance(elem, AdjElem):
+                nu, nubar = (moved, vecs[1][0]) if idx == 0 else (vecs[0][0], moved)
+                c = min(nu[0], nubar[0])
+                ops[op, i] = ((nubar[0] - c, *nubar[1:]), (nu[0] - c, *nu[1:]), elem.cap)
+            else:
+                ops[op, i] = (moved,)
+    return tuple(row), tuple(wa), hash(value), ops
 
 
 def profiled_calls(fn, *args):

@@ -202,6 +202,26 @@ def test_bad_lambda_or_n_is_a_usage_error(args):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+HUGE = "99999999999999999999"  # > 2^63: every one fails before it allocates
+
+
+@pytest.mark.parametrize("args", [
+    ["path", "--n", "1", "--lambda", f"{HUGE},0", "--word", "0"],
+    ["quiver", "--n", "1", "--lambda", f"{HUGE},0", "--word", "0"],
+    ["graph", "--crystal", "path", "--n", "1", "--lambda", f"{HUGE},0"],
+    ["graph", "--crystal", "b1", "--n", "1", "--level", HUGE],
+    ["graph", "--crystal", "b1", "--n", HUGE],
+    ["path", "--n", "1", "--lambda", f"{2**62},{2**62}"],  # each fits, the level does not
+], ids=["path-lambda", "quiver-lambda", "graph-path-lambda", "graph-level", "graph-n",
+        "level-sum"])
+def test_integers_past_an_index_are_a_usage_error(args):
+    # a rank or level past sys.maxsize cannot size a list: one usage line, no OverflowError
+    proc = run_cli(args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "at most" in lines[0], lines
+
+
 def test_bad_env_seed_is_a_usage_error():
     proc = run_cli(["quiver", "--n", "2", "--lambda", "2,1,0", "--word", "1"], env_seed="abc")
     assert proc.returncode == 2

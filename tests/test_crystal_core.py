@@ -15,7 +15,8 @@ from affine_crystals.crystal_core import (
 )
 from affine_crystals.cartan import weight
 from affine_crystals.paths import Path, ground_path, path_to_json
-from affine_crystals.perfect import B1Elem, BnElem, all_adj, all_b1, all_bn
+from affine_crystals import perfect
+from affine_crystals.perfect import B1Elem, BnElem, all_adj, all_b1, all_bn, ground_adj
 from oracles import signature_reference
 
 
@@ -31,6 +32,10 @@ class Fake:
 
     def phi(self, i):
         return self.p_count
+
+    @property
+    def row(self):  # what signature reads: (eps_i, phi_i) for the i = 0..4 asked here
+        return ((self.e_count, self.p_count),) * 5
 
 
 def brute_signature(counts, rng):
@@ -213,4 +218,35 @@ def test_a9_ball_graphs_are_pinned(monkeypatch):
     for g in graphs:
         text = json.dumps([[path_to_json(b) for b in g.nodes], g.edges], sort_keys=True)
         got.append((g.nodes[0].kind, g.nodes[0].lam.a, hashlib.sha256(text.encode()).hexdigest()))
+    assert got == A9_BALL_SHA256
+
+
+def test_intern_table_stays_at_its_cap_and_a_drop_changes_no_output(monkeypatch):
+    # the adjoint crystal at n = 4, l = 4 has 4900 elements, past the cap: its ball
+    # drops the table mid-run, always full, and still passes the axioms
+    from affine_crystals import suites
+
+    sizes = []
+    drop = perfect._drop
+    monkeypatch.setattr(perfect, "_drop", lambda: (sizes.append(len(perfect._TABLE)), drop()))
+    g = generate_graph(ground_adj(weight((4, 0, 0, 0, 0))), max_nodes=5000)
+    assert g.complete and len(g.nodes) == 4900 > perfect.INTERN_CAP
+    assert sizes and set(sizes) == {perfect.INTERN_CAP}
+    assert len(perfect._TABLE) <= perfect.INTERN_CAP
+    assert sum(type(b)(*b._value()) is not b for b in g.nodes) > 0  # built before a drop
+    assert not check_axioms(g)
+
+    # the A9 balls with the table dropped between building each ball and checking it
+    graphs = []
+
+    def dropping_check(ball):
+        drop()
+        graphs.append(ball)
+        return check_axioms(ball)
+
+    monkeypatch.setattr(suites, "check_axioms", dropping_check)
+    assert all(c.ok for c in suites.suite_axioms(0))
+    got = [(b.nodes[0].kind, b.nodes[0].lam.a, hashlib.sha256(json.dumps(
+        [[path_to_json(p) for p in b.nodes], b.edges], sort_keys=True).encode()).hexdigest())
+        for b in graphs]
     assert got == A9_BALL_SHA256

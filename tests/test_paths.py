@@ -1,5 +1,6 @@
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,6 +16,7 @@ from affine_crystals.paths import (
     _ground_offset,
     factor_from_content,
     from_word,
+    ground_elem,
     ground_path,
     lowering_steps,
     make_path,
@@ -23,7 +25,8 @@ from affine_crystals.paths import (
     path_to_json,
     word_alpha,
 )
-from affine_crystals.perfect import (AdjElem, B1Elem, all_adj, all_b1, all_bn, ground_adj,
+from affine_crystals.perfect import (AdjElem, B1Elem, WeightSectionError, all_adj, all_b1,
+                                     all_bn, b1_from_weight, bn_from_weight, ground_adj,
                                      ground_b1, ground_bn)
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import path_to_walls, walls_to_path
@@ -96,6 +99,25 @@ def test_factor_from_content():
         assert factor_from_content(LAM, kind, 3, a1) == g.f(1)
     with pytest.raises(ValueError, match="no weight section for kind 'Ad'"):
         factor_from_content(LAM, "Ad", 0, zero)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from(["B1", "Bn"]), st.integers(0, 9),
+       st.lists(st.integers(0, 4), min_size=5, max_size=5), st.randoms(use_true_random=False))
+def test_factor_from_content_is_the_weight_section(n, lvl, kind, k, coeffs, rng):
+    # the content's unit moves on ground_k against the weight section of
+    # wt(ground_k) - cl(content): the same element, or the same error
+    lam = random_dominant(n, lvl, rng)
+    content = root(coeffs[:n + 1])
+    section = b1_from_weight if kind == "B1" else bn_from_weight
+    try:
+        want = section(ground_elem(lam, kind, k).wt() - cl_root(content), lam.level)
+    except WeightSectionError as err:
+        with pytest.raises(WeightSectionError, match=f"^{re.escape(str(err))}$"):
+            factor_from_content(lam, kind, k, content)
+    else:
+        got = factor_from_content(lam, kind, k, content)
+        assert type(got) is type(want) and got == want
 
 
 def test_single_step():
@@ -279,6 +301,7 @@ def test_cached_values_equal_a_fresh_recomputation(p):
     assert copy == p and "_hash" not in vars(copy) and hash(copy) == hash(p)
     assert _ground.cache_info().maxsize is not None
     assert _ground_offset.cache_info().maxsize is not None
+    assert paths._section.cache_info().maxsize is not None
 
 
 def _counted_signatures(monkeypatch):

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +31,8 @@ from affine_crystals.perfect import (
 )
 from affine_crystals.suites import random_dominant
 
-from oracles import ground_bn_reference
+from affine_crystals import perfect
+from oracles import element_rule, ground_bn_reference
 
 LAM = weight((2, 1, 0))
 
@@ -235,8 +240,7 @@ def test_guards_hold_under_optimize():
         "from affine_crystals.paths import Path\n"
         "from affine_crystals.perfect import AdjElem, B1Elem, BnElem, merge_pair\n"
         "class Stuck:\n"
-        "    def eps(self, i): return 0\n"
-        "    def phi(self, i): return 1\n"
+        "    row = ((0, 1),)\n"
         "    def f(self, i): return None\n"
         "cases = [\n"
         "    lambda: merge_pair(B1Elem((1, 0, 0)), BnElem((2, 0, 0))),\n"
@@ -313,3 +317,133 @@ def test_renders():
     assert render(B1Elem((1, 1, 1))) == "[1,2,3]"
     assert render(BnElem((0, 1, 2))) == "[3~,3~,2~]"
     assert render(AdjElem((2, 1, 0), (0, 2, 1), 3)) == "rows: [1,2,2,2,2,3],[3,3,3]"
+
+
+# ------------------------------------------------------------ interned elements
+
+SMALL = [(family, n, lvl) for family in (all_b1, all_bn, all_adj)
+         for n in (1, 2, 3) for lvl in (1, 2, 3)]
+
+
+def _value(elem):
+    return None if elem is None else elem._value()
+
+
+@pytest.mark.parametrize("family,n,lvl", SMALL)
+def test_elements_carry_their_own_rule_values(family, n, lvl):
+    # row, wt, hash, e_i and f_i against the uncached rules on the value alone,
+    # read twice: the second read comes from the memo the first one filled
+    for b in family(n, lvl):
+        row, wa, h, ops = element_rule(b)
+        assert (b.row, b.wa, hash(b), b.wt().a) == (row, wa, h, wa)
+        assert [(b.eps(i), b.phi(i)) for i in range(n + 1)] == list(row)
+        for _ in range(2):
+            for i in range(n + 1):
+                assert (_value(b.e(i)), _value(b.f(i))) == (ops["e", i], ops["f", i]), (b, i)
+
+
+@pytest.mark.parametrize("family,n,lvl", SMALL)
+def test_a_value_is_built_once(family, n, lvl):
+    perfect._drop()  # no drop can fall between building b and building it again
+    for b in family(n, lvl):
+        assert type(b)(*b._value()) is b and pickle.loads(pickle.dumps(b)) is b
+        for i in range(n + 1):
+            for out in (b.e(i), b.f(i)):
+                assert out is None or type(out)(*out._value()) is out
+
+
+def test_memo_slots_are_filled_by_rule_only():
+    # f_i's result learns its e_i only when asked, by its own rule: e_i(f_i b) == b
+    # stays a check of the rules, not of the memo
+    for b in (B1Elem((1, 1, 1)), BnElem((1, 1, 1)), AdjElem((0, 1, 0), (0, 1, 0), 3)):
+        perfect._drop()
+        b = type(b)(*b._value())  # fresh, with every slot empty
+        m = b.n + 1
+        assert all(slot is perfect._ASK for slot in b._ops)
+        lowered = 0
+        for i in range(m):
+            y = b.f(i)
+            assert b._ops[m + i] is y
+            if y is not None:
+                lowered += 1
+                assert y._ops[i] is perfect._ASK and y._ops[m + i] is perfect._ASK
+                assert y.e(i) is b and y._ops[i] is b
+        assert lowered >= 2
+
+
+def test_a_drop_keeps_equality_by_value():
+    old = AdjElem((0, 1, 0), (0, 1, 0), 3)
+    down = old.f(0)
+    perfect._drop()
+    new = AdjElem((0, 1, 0), (0, 1, 0), 3)
+    assert new is not old and new == old and hash(new) == hash(old)
+    assert old._ops == [perfect._ASK] * 6  # dropped memos hold no neighbour alive
+    assert old.f(0) == down and old.f(0) is new.f(0)
+    assert {old: 1}[new] == 1
+
+
+def test_invalid_values_are_never_interned_under_optimize():
+    code = (
+        "from affine_crystals import perfect\n"
+        "from affine_crystals.perfect import AdjElem, B1Elem, BnElem\n"
+        "before = len(perfect._TABLE), len(perfect._TUPLES)\n"
+        "for make in [lambda: B1Elem((-1, 2)), lambda: BnElem((3,)), lambda: B1Elem(()),\n"
+        "             lambda: AdjElem((1, 0), (1, 0), 2), lambda: AdjElem((0, 1), (0, 2), 2)]:\n"
+        "    for _ in range(2):\n"
+        "        try:\n"
+        "            make()\n"
+        "            print('accepted')\n"
+        "        except ValueError:\n"
+        "            print('ValueError')\n"
+        "print(len(perfect._TABLE) - before[0], len(perfect._TUPLES) - before[1])\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ValueError"] * 10 + ["0", "0"]
+
+
+_WRITE_BALLS = """
+import pickle, sys
+from affine_crystals.cartan import weight
+from affine_crystals.crystal_core import generate_graph
+from affine_crystals.paths import ground_path
+from affine_crystals.perfect import all_adj, all_bn
+balls = [generate_graph(ground_path(weight((2, 1, 0)), kind), max_nodes=150)
+         for kind in ("B1", "Bn", "Ad")]
+elems = all_bn(2, 2) + all_adj(2, 2)
+blob = ([(g.nodes, g.edges) for g in balls], elems, [hash(b) for b in elems])
+sys.stdout.buffer.write(pickle.dumps(blob))
+"""
+
+_READ_BALLS = """
+import pickle, sys
+from affine_crystals.crystal_core import generate_graph
+from affine_crystals.paths import ground_path
+balls, elems, hashes = pickle.loads(sys.stdin.buffer.read())
+for nodes, edges in balls:
+    g = generate_graph(ground_path(nodes[0].lam, nodes[0].kind), max_nodes=len(nodes))
+    assert g.nodes == nodes and g.edges == edges
+    here = set(g.nodes)
+    assert all(p in here for p in nodes) and set(nodes) == here
+    for src, op, i, dst in edges:
+        assert getattr(nodes[src], op)(i) == nodes[dst]
+        assert getattr(nodes[dst], "e" if op == "f" else "f")(i) == nodes[src]
+assert [hash(b) for b in elems] == hashes
+for b in elems:
+    assert type(b)(*b._value()) is b
+    for i in range(3):
+        assert b.f(i) is None or b.f(i).e(i) is b
+print("ok")
+"""
+
+
+def test_pickled_ball_nodes_load_in_another_process():
+    # elements pickle as their value and re-intern on load; the ints-only element
+    # hash is the same in both processes, the paths' hashes are recomputed
+    def run(code, seed, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        return subprocess.run([sys.executable, "-c", code], input=data, capture_output=True,
+                              env=env, check=True).stdout
+
+    blob = run(_WRITE_BALLS, "1")
+    assert run(_READ_BALLS, "2", blob) == b"ok\n"
