@@ -19,8 +19,6 @@ from .perfect import (
     AdjElem,
     B1Elem,
     BnElem,
-    b1_from_weight,
-    bn_from_weight,
     ground_adj,
     ground_b1,
     ground_bn,

@@ -9,12 +9,15 @@ junction symbols cancel and a larger window changes nothing.  Only the "-"
 symbols of the leftmost window factor survive from the tail: an e_i landing
 there annihilates the path, and no f_i lands there.  A property test, not the
 run time, compares each operator with its value on larger windows.  The ground
-factors are one period per (lam, kind) in a bounded cache; a Path caches the rest,
-with one signature record per i that eps_i, phi_i, e_i and f_i all read.  The
-factors are interned perfect-crystal elements, so the signature reads each one's
-row, the weight is one integer sum of cached coefficients (the cached lam -
-wt(ground factors 0 .. len(devs) - 1) plus each deviation's ``wa``), and the
-trim of ground factors and the hash read each factor's cached hash.
+state is one record per (lam, kind) in a bounded cache: one period of ground
+factors and, for each position in it, lam minus the weights of the ground
+factors before it.  A whole period's ground weights sum to 0, so position k reads
+entry k mod period.  A Path caches the rest, with one signature record per i that
+eps_i, phi_i, e_i and f_i all read.  The factors are interned perfect-crystal
+elements, so the signature reads each one's row, the weight is one integer sum of
+cached coefficients (the record's entry at len(devs) mod period plus each
+deviation's ``wa``), and the trim of ground factors and the hash read each
+factor's cached hash.
 An operator's result reuses the window it read (its deviations a slice, its
 window one factor replaced, the new factor from the element's own e_i/f_i memo)
 but never the weight or a record, so check_axioms compares values computed on
@@ -23,7 +26,7 @@ the same record, and the wall tuples replay those steps.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
 ``factor_from_content``: the weight section of wt(ground factor k) - cl(content),
-which is ground factor k moved by the content, in a bounded cache.
+which is ground factor k of the record moved by the content, in a bounded cache.
 """
 
 from __future__ import annotations
@@ -62,24 +65,26 @@ class InversionError(RuntimeError):
 
 
 @lru_cache(maxsize=64)
-def _ground(lam: Weight, kind: str) -> tuple:
-    """One period of the ground-state factors: n + 1 for B1/Bn, one for Ad."""
+def _ground(lam: Weight, kind: str) -> tuple[tuple, tuple]:
+    """The ground-state record: one period of ground factors (n + 1 for B1/Bn, one for
+    Ad) and, for each position k in it, the coefficients of lam - wt(factors 0 .. k - 1)."""
     if kind == "Ad":
-        return (ground_adj(lam),)
-    if kind not in ("B1", "Bn"):
+        period = (ground_adj(lam),)
+    elif kind in ("B1", "Bn"):
+        ground = ground_b1 if kind == "B1" else ground_bn
+        period = tuple(ground(lam, k) for k in range(lam.n + 1))
+    else:
         raise ValueError(f"unknown kind {kind!r}")
-    return tuple((ground_b1 if kind == "B1" else ground_bn)(lam, k) for k in range(lam.n + 1))
+    offsets, rest = [], lam
+    for g in period:
+        offsets.append(rest.a)
+        rest -= g.wt()
+    return period, tuple(offsets)
 
 
 def ground_elem(lam: Weight, kind: str, k: int):
-    period = _ground(lam, kind)
+    period = _ground(lam, kind)[0]
     return period[k % len(period)]
-
-
-@lru_cache(maxsize=256)
-def _ground_offset(lam: Weight, kind: str, length: int) -> tuple[int, ...]:
-    """lam minus the weights of the ground factors at positions 0 .. length - 1."""
-    return sum((-ground_elem(lam, kind, k).wt() for k in range(length)), lam).a
 
 
 def factor_from_content(lam: Weight, kind: str, k: int, content: RootVec):
@@ -97,7 +102,7 @@ def factor_from_content(lam: Weight, kind: str, k: int, content: RootVec):
 @lru_cache(maxsize=256)
 def _section(lam: Weight, kind: str, k: int, c: tuple[int, ...]):
     """factor_from_content at 0 <= k <= n, the period of the B1/Bn ground factors."""
-    g = ground_elem(lam, kind, k)
+    g = _ground(lam, kind)[0][k]
     s = 1 if kind == "B1" else -1
     vec = tuple([v + s * (a - b) for v, a, b in zip(g.nu, c, c[1:] + c[:1], strict=True)])
     if min(vec) < 0:
@@ -111,7 +116,8 @@ class Path:
     """Normalized path: devs[k] is the factor at position k for k < tail_start.
 
     _window, wt, the hash and each i's signature record are cached on first use,
-    exact as the path is immutable; one i at a time, as from_word reads one i.
+    exact as the path is immutable; one i at a time, as from_word reads one i.  wt is
+    the ground-state record's offset at len(devs) mod period plus each deviation's wa.
     An operator's result starts with its window filled, wt and records empty."""
 
     lam: Weight
@@ -139,7 +145,8 @@ class Path:
 
     @cached_property
     def _wt(self) -> Weight:  # strict: a deviation of another rank raises ValueError
-        return Weight(tuple(map(sum, zip(_ground_offset(self.lam, self.kind, len(self.devs)),
+        period, offsets = _ground(self.lam, self.kind)
+        return Weight(tuple(map(sum, zip(offsets[len(self.devs) % len(period)],
                                          *(dev.wa for dev in self.devs), strict=True))))
 
     _records = cached_property(lambda self: [None] * (self.n + 1))
@@ -187,7 +194,7 @@ class Path:
 
 def make_path(lam: Weight, kind: str, devs) -> Path:
     """Build a path, trimming deviations that already equal the ground tail."""
-    devs, period = tuple(devs), _ground(lam, kind)
+    devs, period = tuple(devs), _ground(lam, kind)[0]
     top = len(devs)
     while top and devs[top - 1] == period[(top - 1) % len(period)]:
         top -= 1

@@ -8,7 +8,7 @@ Three families:
 * BnElem -- the column crystal: multiplicity vector nubar over the barred
   letters 1~..n+1~ (i~ is the height-n column missing i).  It is the row rule
   ``_Row`` read dually: eps/phi and e/f swap and wt is negated, so f_i turns
-  i+1~ into i~.  Its weight section and ground state are B1's, taken dually.
+  i+1~ into i~.  Its ground state and rendering are B1's, taken dually.
 * AdjElem -- the adjoint crystal B(0) + B(theta) + ... + B(l*theta), encoded
   as the pair (mbar, m): mbar counts barred columns, m counts boxes, both of
   size k <= l, with mbar_1 * m_1 = 0 (semistandardness of the two-row
@@ -20,7 +20,8 @@ Elements are interned values: every construction, operator results included,
 goes through ``_intern``, which returns the one element of that value and
 builds it, checked, only on a miss.  A build computes, by the class's own
 rule, the element's row (``row[i]`` is (eps_i, phi_i) for i = 0..n, which the
-signature rule reads), its weight coefficients ``wa`` and an ints-only hash.
+signature rule reads), its weight coefficients ``wa`` and an ints-only hash; the
+element holds the tuples its build made, with no pool shared between elements.
 The e_i/f_i results are a memo filled lazily, each slot by the rule applied to
 this element when first asked for; no slot is filled by inverting a
 neighbour's result, so e_i(f_i b) == b stays a check.  Equality is by value,
@@ -44,28 +45,11 @@ class WeightSectionError(ValueError):
     """A weight outside the image of wt was handed to a section map."""
 
 
-def _move(vec: tuple[int, ...], s: int, d: int):
-    """vec with one unit moved from index s to index d (mod len), or None if vec[s] is 0."""
-    m = len(vec)
-    s, d = s % m, d % m
-    if vec[s] == 0:
-        return None
-    out = list(vec)
-    out[s] -= 1
-    out[d] += 1
-    return tuple(out)
-
-
 # -------------------------------------------------------------- interning
 
 INTERN_CAP = 4096  # elements the table holds; a full table is dropped whole
 _TABLE: dict = {}  # (class, *value) -> the one element of that value
-_TUPLES: dict = {}  # one copy of each int tuple the elements hold: vectors, pairs, weights
 _ASK = object()  # an e_i/f_i memo slot not asked for yet
-
-
-def _share(t: tuple) -> tuple:
-    return _TUPLES.setdefault(t, t)
 
 
 def _intern(cls, *value):
@@ -73,10 +57,8 @@ def _intern(cls, *value):
     elem = _TABLE.get((cls, *value))
     if elem is None:
         row, wa = cls._rule_values(*value)  # raises ValueError for an invalid value
-        value = tuple([_share(v) if type(v) is tuple else v for v in value])
         elem = object.__new__(cls)
-        for name, v in (*zip(cls._FIELDS, value, strict=True),
-                        ("row", tuple([_share(pair) for pair in row])), ("wa", _share(wa)),
+        for name, v in (*zip(cls._FIELDS, value, strict=True), ("row", row), ("wa", wa),
                         ("_hash", hash(value)), ("_ops", [_ASK] * (2 * len(row)))):
             object.__setattr__(elem, name, v)
         if len(_TABLE) >= INTERN_CAP:
@@ -91,7 +73,6 @@ def _drop():
     for elem in _TABLE.values():
         elem._ops[:] = [_ASK] * len(elem._ops)
     _TABLE.clear()
-    _TUPLES.clear()
 
 
 class _Elem:
@@ -186,9 +167,16 @@ class _Row(_Elem):
         return tuple(row), tuple(wa)
 
     def _apply(self, op: str, i: int):
+        """e_i/f_i by the row rule, or None when the index a unit leaves is empty."""
+        m = len(self.nu)
         s, d = (i - 1, i) if (op == "f") != self._DUAL else (i, i - 1)
-        nu = _move(self.nu, s, d)
-        return None if nu is None else type(self)(nu)
+        s, d = s % m, d % m
+        if self.nu[s] == 0:
+            return None
+        nu = list(self.nu)
+        nu[s] -= 1
+        nu[d] += 1
+        return type(self)(nu)
 
 
 class B1Elem(_Row):
@@ -265,28 +253,7 @@ class AdjElem(_Elem):
         return AdjElem((mbar[0] - c, *mbar[1:]), (m[0] - c, *m[1:]), self.cap)
 
 
-# ---------------------------------------------------------------- sections
-
-def b1_from_weight(w: Weight, lvl: int) -> B1Elem:
-    """Inverse of wt on the row crystal of level lvl."""
-    m = w.n + 1
-    s = lvl - sum(k * w.a[k] for k in range(1, m))
-    if w.level != 0 or s % m:
-        raise WeightSectionError(f"{w} is not a B1 weight at level {lvl}")
-    base = s // m
-    nu = tuple(base + sum(w.a[i:m]) for i in range(1, m + 1))
-    if any(v < 0 for v in nu):
-        raise WeightSectionError(f"{w} is not a B1 weight at level {lvl}")
-    return B1Elem(nu)
-
-
-def bn_from_weight(w: Weight, lvl: int) -> BnElem:
-    """Inverse of wt on the column crystal of level lvl: the dual of b1_from_weight."""
-    try:
-        return BnElem(b1_from_weight(-w, lvl).nu)
-    except WeightSectionError:
-        raise WeightSectionError(f"{w} is not a Bn weight at level {lvl}") from None
-
+# ---------------------------------------------------------- merge and split
 
 def merge_pair(b: B1Elem, bb: BnElem) -> AdjElem:
     """Pair (b, bb) -> adjoint element, cancelling min(nu_1, nubar_1) 1/1~ pairs."""
@@ -408,20 +375,6 @@ def verify_perfect(elements, lvl: int) -> list[str]:
 
 # -------------------------------------------------------------- rendering
 
-def render_b1(b: B1Elem) -> str:
-    letters = []
-    for t, c in enumerate(b.nu):
-        letters.extend([str(t + 1)] * c)
-    return "[" + ",".join(letters) + "]"
-
-
-def render_bn(b: BnElem) -> str:
-    letters = []
-    for t in range(b.n, -1, -1):
-        letters.extend([f"{t + 1}~"] * b.nubar[t])
-    return "[" + ",".join(letters) + "]"
-
-
 def render_adj(a: AdjElem) -> str:
     """Row-major rendering of the two-part tableau, e.g. "rows: [1,2],[3]"."""
     n = a.n
@@ -444,10 +397,13 @@ def render_adj(a: AdjElem) -> str:
 
 
 def render(elem) -> str:
-    if isinstance(elem, B1Elem):
-        return render_b1(elem)
-    if isinstance(elem, BnElem):
-        return render_bn(elem)
+    """A B1 row as its letters in increasing order, e.g. "[1,3,3]"; a Bn element
+    as the row rule read dually, its barred letters in decreasing order, e.g.
+    "[2~,1~,1~]"; an adjoint element by render_adj."""
+    if isinstance(elem, _Row):
+        order = range(elem.n, -1, -1) if elem._DUAL else range(elem.n + 1)
+        mark = "~" if elem._DUAL else ""
+        return "[" + ",".join(f"{t + 1}{mark}" for t in order for _ in range(elem.nu[t])) + "]"
     if isinstance(elem, AdjElem):
         return render_adj(elem)
     return str(elem)

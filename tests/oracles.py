@@ -8,10 +8,10 @@ from collections import Counter
 from fractions import Fraction
 from math import lcm
 
-from affine_crystals.cartan import RootVec, zero_root
+from affine_crystals.cartan import RootVec, Weight, zero_root
 from affine_crystals.linalg import PRIME, _echelon, gm_from_blocks, rank, zero_blocks
 from affine_crystals.paths import ground_elem, path_apply
-from affine_crystals.perfect import AdjElem, BnElem
+from affine_crystals.perfect import AdjElem, B1Elem, BnElem, WeightSectionError
 from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUnit, WallMap
 from affine_crystals.walls import block_color
 
@@ -200,6 +200,27 @@ def path_wt_reference(p):
     """wt of a path one factor at a time: lam plus wt(dev_k) - wt(ground_k) per deviation."""
     return sum((dev.wt() - ground_elem(p.lam, p.kind, k).wt() for k, dev in enumerate(p.devs)),
                p.lam)
+
+
+def b1_from_weight(w: Weight, lvl: int) -> B1Elem:
+    """Inverse of wt on the row crystal of level lvl, solved from the weight alone."""
+    m = w.n + 1
+    s = lvl - sum(k * w.a[k] for k in range(1, m))
+    if w.level != 0 or s % m:
+        raise WeightSectionError(f"{w} is not a B1 weight at level {lvl}")
+    base = s // m
+    nu = tuple(base + sum(w.a[i:m]) for i in range(1, m + 1))
+    if any(v < 0 for v in nu):
+        raise WeightSectionError(f"{w} is not a B1 weight at level {lvl}")
+    return B1Elem(nu)
+
+
+def bn_from_weight(w: Weight, lvl: int) -> BnElem:
+    """Inverse of wt on the column crystal of level lvl: the dual of b1_from_weight."""
+    try:
+        return BnElem(b1_from_weight(-w, lvl).nu)
+    except WeightSectionError:
+        raise WeightSectionError(f"{w} is not a Bn weight at level {lvl}") from None
 
 
 def ground_bn_reference(lam, k):

@@ -5,15 +5,16 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from affine_crystals import paths
+from affine_crystals import golden, paths
 from affine_crystals.cartan import cl_root, root, weight
 from affine_crystals.crystal_core import check_axioms, generate_graph, signature, tensor_apply
+from affine_crystals.iso import run_pipeline
+from affine_crystals.linalg import PRIME
 from affine_crystals.paths import (
     DeadWordError,
     Path,
     WordIndexError,
     _ground,
-    _ground_offset,
     factor_from_content,
     from_word,
     ground_elem,
@@ -26,12 +27,11 @@ from affine_crystals.paths import (
     word_alpha,
 )
 from affine_crystals.perfect import (AdjElem, B1Elem, WeightSectionError, all_adj, all_b1,
-                                     all_bn, b1_from_weight, bn_from_weight, ground_adj,
-                                     ground_b1, ground_bn)
+                                     all_bn, ground_adj, ground_b1, ground_bn)
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import path_to_walls, walls_to_path
-from oracles import (changed_positions, path_wt_reference, profiled_calls,
-                     raising_steps as oracle_raising_steps)
+from oracles import (b1_from_weight, bn_from_weight, changed_positions, path_wt_reference,
+                     profiled_calls, raising_steps as oracle_raising_steps)
 
 LAM = weight((2, 1, 0))
 WORD = parse_word("1^4 2^5 1^2 0^4 2 1")
@@ -300,7 +300,6 @@ def test_cached_values_equal_a_fresh_recomputation(p):
     copy = pickle.loads(pickle.dumps(p))
     assert copy == p and "_hash" not in vars(copy) and hash(copy) == hash(p)
     assert _ground.cache_info().maxsize is not None
-    assert _ground_offset.cache_info().maxsize is not None
     assert paths._section.cache_info().maxsize is not None
 
 
@@ -427,6 +426,27 @@ def test_operator_results_inherit_no_wt_or_record():
     for kind in KINDS:
         (_, steps), calls = profiled_calls(lowering_steps, LAM, kind, WORD)
         assert calls["crystal_core", "signature"] == len(steps) == sum(m for _, m in WORD)
+
+
+# the calls the benchmark's counted run reports for the path layer
+COUNTED = [("paths", "ground_elem"), ("crystal_core", "signature"), ("paths", "path_apply"),
+           ("paths", "_apply_window")]
+
+
+@pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
+def test_pipeline_call_counts_do_not_depend_on_the_path_caches(p):
+    # a cache miss that calls a counted function makes the count depend on what
+    # earlier runs left cached, so two runs of one case would disagree
+    counts = []
+    for fn in vars(paths).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    for _ in ("cold", "warm"):
+        rep, calls = profiled_calls(run_pipeline, golden.LAM, golden.WORD, 0, p)
+        assert rep.ok
+        counts.append({name: calls[name] for name in COUNTED})
+    assert counts[0] == counts[1]
+    assert all(counts[0].values())
 
 
 def test_path_axioms_small_balls():
