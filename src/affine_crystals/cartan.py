@@ -7,6 +7,7 @@ classical projection, so no delta coefficient is kept.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -73,12 +74,20 @@ class RootVec:
         return "+".join(f"{c}a{i}" for i, c in enumerate(self.k) if c) or "0"
 
 
+def _integers(coeffs) -> tuple[int, ...]:
+    """The coefficients through operator.index: a non-integer raises ValueError, never rounds."""
+    try:
+        return tuple(map(operator.index, coeffs))
+    except TypeError as err:
+        raise ValueError(f"coefficients must be integers: {err}") from None
+
+
 def weight(coeffs) -> Weight:
-    return Weight(tuple(int(c) for c in coeffs))
+    return Weight(_integers(coeffs))
 
 
 def root(coeffs) -> RootVec:
-    rv = RootVec(tuple(int(c) for c in coeffs))
+    rv = RootVec(_integers(coeffs))
     if any(c < 0 for c in rv.k):
         raise ValueError(f"negative root coefficients: {rv.k}")
     return rv

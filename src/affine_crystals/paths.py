@@ -2,27 +2,27 @@
 
 A path is the ground-state sequence of a dominant weight with finitely many
 deviations at the low positions; position 0 is the rightmost tensor factor.
-Operators use the signature rule on one window, the deviations and n + 2
-ground factors.  The window lemma proves this exact: adjacent ground factors
-satisfy phi_i(factor_{k+1}) = eps_i(factor_k) (KKMMNN, Duke 1992), so their
-junction symbols cancel and a larger window changes nothing.  Only the "-"
-symbols of the leftmost window factor survive from the tail: an e_i landing
-there annihilates the path, and no f_i lands there.  A property test, not the
-run time, compares each operator with its value on larger windows.  The ground
-state is one record per (lam, kind) in a bounded cache: one period of ground
-factors and, for each position in it, lam minus the weights of the ground
-factors before it.  A whole period's ground weights sum to 0, so position k reads
-entry k mod period.  A Path caches the rest, with one signature record per i that
-eps_i, phi_i, e_i and f_i all read.  The factors are interned perfect-crystal
-elements, so the signature reads each one's row, the weight is one integer sum of
-cached coefficients (the record's entry at len(devs) mod period plus each
-deviation's ``wa``), and the trim of ground factors and the hash read each
-factor's cached hash.
-An operator's result reuses the window it read (its deviations a slice, its
-window one factor replaced, the new factor from the element's own e_i/f_i memo)
-but never the weight or a record, so check_axioms compares values computed on
-each side of an edge.  A lowering walk reads the position each f_i changes off
-the same record, and the wall tuples replay those steps.
+Operators use the signature rule on one window of T + 1 factors, the first
+ground factor g_T (T = len(devs)) and the deviations.  That is exact: adjacent
+ground factors satisfy phi_i(g_{k+1}) = eps_i(g_k) (KKMMNN, Duke 1992), so every
+junction above the deviations cancels, and of the whole tail only the "+" symbols
+of g_T survive.  Its "-" symbols are cancelled by g_{T+1}, so the record leaves
+them out: no e_i lands on g_T, and an f_i that lands there appends a deviation.
+A property test, not the run time, compares each operator with its value on
+larger windows.  The ground state is one record per (lam, kind) in a bounded
+cache: one period of ground factors and, for each position in it, lam minus the
+weights of the ground factors before it.  A whole period's ground weights sum to
+0, so position k reads entry k mod period.  A Path caches the rest, with one
+signature record per i that eps_i, phi_i, e_i and f_i all read.  The factors are
+interned perfect-crystal elements, so the signature reads each one's row, the
+weight is one integer sum of cached coefficients (the record's entry at len(devs)
+mod period plus each deviation's ``wa``), and the trim of ground factors and the
+hash read each factor's cached hash.
+An operator's result is make_path of the deviations with one factor replaced or
+appended (the new factor from the element's own e_i/f_i memo) and inherits no
+cache, so check_axioms compares values computed on each side of an edge.  A
+lowering walk reads the position each f_i changes off the same record, and the
+wall tuples replay those steps.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
 ``factor_from_content``: the weight section of wt(ground factor k) - cl(content),
@@ -118,7 +118,7 @@ class Path:
     _window, wt, the hash and each i's signature record are cached on first use,
     exact as the path is immutable; one i at a time, as from_word reads one i.  wt is
     the ground-state record's offset at len(devs) mod period plus each deviation's wa.
-    An operator's result starts with its window filled, wt and records empty."""
+    An operator's result holds only lam, kind and devs until something reads it."""
 
     lam: Weight
     kind: str
@@ -139,9 +139,9 @@ class Path:
 
     @cached_property
     def _window(self) -> list:
-        """The deviations and n + 2 ground factors, highest position first; read only.
+        """[g_T, *reversed(devs)] for T = len(devs): highest position first; read only.
         A list, as freed short tuples pile up in CPython's free lists (+1.5 MB RSS)."""
-        return [self.factor(k) for k in range(self.tail_start + self.n + 1, -1, -1)]
+        return [ground_elem(self.lam, self.kind, len(self.devs)), *reversed(self.devs)]
 
     @cached_property
     def _wt(self) -> Weight:  # strict: a deviation of another rank raises ValueError
@@ -208,33 +208,22 @@ def ground_path(lam: Weight, kind: str) -> Path:
 def _apply_window(op: str, i: int, p: Path):
     """(path, changed position) of e_i/f_i on p's window, or None.
 
-    The result reuses p's window with one factor replaced, cut or extended by ground factors."""
+    The result is p's deviations with one factor replaced, or with f_i(g_T) appended."""
     if op not in ("e", "f"):
         raise ValueError(f"op must be 'e' or 'f', got {op!r}")
     idx = p._record(i)[2 if op == "e" else 3]
     if idx is None:
         return None
-    if idx == 0:  # never an e-owner; an f_i there is ruled out by the window lemma
-        raise RuntimeError(f"{op}_{i} acted on the leftmost window factor of {p}")
     facs = p._window
     elem = facs[idx].e(i) if op == "e" else facs[idx].f(i)
     if elem is None:
         raise ValueError(f"{op}_{i} does not act on {facs[idx]}, which owns a surviving symbol")
-    size, m = len(facs), len(p._records)
-    pos = size - 1 - idx
-    window = facs.copy()
-    window[idx] = elem
-    top = max(len(p.devs), pos + 1)
-    out = make_path(p.lam, p.kind, window[:size - 1 - top:-1])  # positions 0 .. top - 1
-    grow = len(out.devs) + m + 1 - size
-    vars(out)["_records"] = [None] * m  # fills the cached properties; wt and records start empty
-    vars(out)["_window"] = window[-grow:] if grow < 0 else (
-        [ground_elem(p.lam, p.kind, k) for k in range(size + grow - 1, size - 1, -1)] + window)
-    return out, pos
+    pos = len(facs) - 1 - idx
+    return make_path(p.lam, p.kind, p.devs[:pos] + (elem,) + p.devs[pos + 1:]), pos
 
 
 def path_apply(op: str, i: int, p: Path):
-    """Apply e_i/f_i on the window (exact by the window lemma); None when the
+    """Apply e_i/f_i on the window (exact by the junction identity); None when the
     operator annihilates the path."""
     res = _apply_window(op, i, p)
     return None if res is None else res[0]

@@ -83,3 +83,12 @@ def test_height_additivity(rv, data):
 def test_root_subtraction_guard():
     with pytest.raises(ValueError):
         root((1, 0)) - root((0, 1))
+
+
+@pytest.mark.parametrize("make, coeffs", [(weight, [1.5, 0.9]), (weight, "21"), (root, [0.5, 1]),
+                                          (root, [1, 2.0])])
+def test_non_integer_coefficients_are_rejected(make, coeffs):
+    # a coefficient goes through operator.index: no float or digit string is rounded
+    with pytest.raises(ValueError, match="^coefficients must be integers: "):
+        make(coeffs)
+    assert weight([True, 2]).a == (1, 2) and root(range(3)).k == (0, 1, 2)

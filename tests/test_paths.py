@@ -184,24 +184,31 @@ def lowered_paths(draw):
     return p
 
 
-@given(lowered_paths())
-def test_truncation_independence(p):
-    # the window lemma: e_i, f_i, eps_i and phi_i on the production window
-    # equal their values on the windows w + 3 and 2w
-    w = p.tail_start + p.n + 2
+def _check_truncation(p):
+    """The junction identity: e_i, f_i, eps_i and phi_i on the production window
+    of w = tail_start + 1 factors equal their values on the windows w + 1, w + 3
+    and 2w, on the window of n + 1 more ground factors and on twice that."""
+    w = p.tail_start + 1
+    old = w + p.n + 1
+    wides = {w + 1, w + 3, 2 * w, old, 2 * old}
     for i in range(p.n + 1):
         for op in ("e", "f"):
             got = path_apply(op, i, p)
-            for wide in (w + 3, 2 * w):
+            for wide in wides:
                 assert got == _apply_on_window(op, i, p, wide)
-        for wide in (w + 3, 2 * w):
+        for wide in wides:
             minus, plus = signature(i, [p.factor(k) for k in range(wide - 1, -1, -1)])
             assert (p.eps(i), p.phi(i)) == (sum(1 for idx in minus if idx != 0), len(plus))
 
 
-def _check_filled_windows(p):
-    """Every e_i/f_i of p: the window path_apply fills in equals a fresh
-    path's, the result is the signature rule on a wider window, and p's own
+@given(lowered_paths())
+def test_truncation_independence(p):
+    _check_truncation(p)
+
+
+def _check_operator_results(p):
+    """Every e_i/f_i of p: the result holds only its fields, is the signature
+    rule on a wider window and, once read, has a fresh path's window; p's own
     window is left as it was."""
     before = list(p._window)
     for i in range(p.n + 1):
@@ -209,7 +216,7 @@ def _check_filled_windows(p):
             q = path_apply(op, i, p)
             assert q == _apply_on_window(op, i, p, p.tail_start + p.n + 5)
             if q is not None:
-                assert "_window" in vars(q)
+                assert set(vars(q)) == {"lam", "kind", "devs"}
                 assert q._window == Path(q.lam, q.kind, q.devs)._window
             assert p._window == before
 
@@ -218,23 +225,23 @@ def _check_filled_windows(p):
 @example(ground_path(LAM, "Ad"))
 @example(from_word(LAM, "B1", [(1, 1)]))
 @example(from_word(LAM, "Bn", WORD))
-def test_path_apply_fills_the_window_of_a_fresh_path(p):
-    _check_filled_windows(p)
+def test_path_apply_results_hold_only_their_fields(p):
+    _check_operator_results(p)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_filled_windows_on_trims_and_extensions(kind):
-    # f_1 on the ground path extends the tail by one factor (window grows);
-    # e_1 back trims it to ground (window shrinks); then every path on the
-    # greedy raising walk of a long word, whose tail shrinks to nothing
+    # f_1 on the ground path acts on the window's ground factor and appends a
+    # deviation; e_1 back trims it to ground; then every path on the greedy
+    # raising walk of a long word, whose tail shrinks to nothing
     g = ground_path(LAM, kind)
     one = path_apply("f", 1, g)
     assert one.tail_start == 1 and path_apply("e", 1, one) == g
     for p in (g, one):
-        _check_filled_windows(p)
+        _check_operator_results(p)
     p = from_word(LAM, kind, WORD)
     while p.tail_start:
-        _check_filled_windows(p)
+        _check_operator_results(p)
         p = next(q for q in (path_apply("e", i, p) for i in range(3)) if q is not None)
 
 
@@ -264,8 +271,7 @@ def _fresh_values(p):
     the ground factors of perfect.py, with no cache of the path layer."""
     ground = {"B1": lambda k: ground_b1(p.lam, k), "Bn": lambda k: ground_bn(p.lam, k),
               "Ad": lambda k: ground_adj(p.lam)}[p.kind]
-    top = p.tail_start + p.n + 1
-    window = [p.devs[k] if k < p.tail_start else ground(k) for k in range(top, -1, -1)]
+    window = [ground(p.tail_start), *p.devs[::-1]]
     wt = p.lam
     for k, dev in enumerate(p.devs):
         wt = wt + dev.wt() - ground(k).wt()
@@ -288,7 +294,7 @@ def test_cached_values_equal_a_fresh_recomputation(p):
     assert _cached_values(p) == before  # fills the caches
     assert _cached_values(p) == before  # reads them
     assert _fresh_values(p) == before
-    assert p._window == [p.factor(k) for k in range(p.tail_start + p.n + 1, -1, -1)]
+    assert p._window == [p.factor(k) for k in range(p.tail_start, -1, -1)]
     # an equal path built separately, once with trailing ground factors and
     # once already trimmed, is the same dict key
     padded = make_path(p.lam, p.kind, list(p.devs) + [p.factor(p.tail_start + j) for j in range(3)])
@@ -373,15 +379,12 @@ def test_records_do_not_depend_on_the_order_of_reads(p):
 
 
 def test_forged_records_raise_typed_errors():
-    # a record whose f-owner is the leftmost window factor, or whose owner
-    # refuses the operator, is a broken invariant and says which one
+    # a record whose owner refuses the operator is a broken invariant and says which one
     p = Path(LAM, "B1", ())
-    vars(p)["_records"] = [(0, 1, None, 1), (0, 1, None, 0), None]
-    assert p._window[1].f(0) is None
-    with pytest.raises(ValueError, match="f_0 does not act on"):
-        path_apply("f", 0, p)
-    with pytest.raises(RuntimeError, match="f_1 acted on the leftmost window factor of ground"):
-        path_apply("f", 1, p)
+    vars(p)["_records"] = [None, None, (0, 1, None, 0)]
+    assert p._window == [B1Elem((1, 0, 2))] and p._window[0].f(2) is None
+    with pytest.raises(ValueError, match="f_2 does not act on"):
+        path_apply("f", 2, p)
 
 
 @st.composite
@@ -396,6 +399,16 @@ def long_word_paths(draw):
     pool = {"B1": all_b1, "Bn": all_bn, "Ad": all_adj}[kind](n, lvl)
     cold = Path(lam, kind, tuple(rng.choice(pool) for _ in range(rng.randint(0, 12))))
     return lowered, cold
+
+
+@settings(max_examples=60)
+@given(long_word_paths())
+@example((from_word(LAM, "B1", WORD), Path(LAM, "B1", (B1Elem((2, 1, 0)), B1Elem((0, 2, 1))))))
+def test_truncation_independence_on_long_words(paths):
+    lowered, cold = paths
+    assert set(vars(cold)) == {"lam", "kind", "devs"}
+    for p in (cold, lowered):
+        _check_truncation(p)
 
 
 @settings(max_examples=60)

@@ -227,13 +227,14 @@ def test_guards_hold_under_optimize():
     # invalid adjoint pairs (one with a negative entry, one with mbar and m
     # of different lengths), B1 and Bn elements with a negative entry or fewer
     # than two entries, a level mismatch in merge_pair, a factor whose
-    # f_i refuses a surviving "+" and a path deviation of another rank raise
-    # ValueError even under python -O
+    # f_i refuses a surviving "+", a path deviation of another rank and a
+    # weight or root with a non-integer coefficient raise ValueError even under
+    # python -O
     import subprocess
     import sys
 
     code = (
-        "from affine_crystals.cartan import weight\n"
+        "from affine_crystals.cartan import root, weight\n"
         "from affine_crystals.crystal_core import tensor_apply\n"
         "from affine_crystals.paths import Path\n"
         "from affine_crystals.perfect import AdjElem, B1Elem, BnElem, merge_pair\n"
@@ -253,6 +254,8 @@ def test_guards_hold_under_optimize():
         "    lambda: tensor_apply('f', 0, [Stuck()]),\n"
         "    lambda: Path(weight((2, 0, 0)), 'B1', (B1Elem((1, 1)),)).wt(),  # deviation of rank 1\n"
         "    lambda: Path(weight((2, 0, 0)), 'Ad', (AdjElem((0, 1), (0, 1), 2),)).wt(),\n"
+        "    lambda: weight([1.5, 0]),\n"
+        "    lambda: root([0.5, 1]),\n"
         "]\n"
         "for case in cases:\n"
         "    try:\n"
@@ -263,7 +266,7 @@ def test_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 12
+    assert proc.stdout.split() == ["ValueError"] * 14
 
 
 def test_merge_split_roundtrip():
