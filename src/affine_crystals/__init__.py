@@ -3,7 +3,7 @@ perfect-crystal paths, Young-wall tuples, and quiver-variety kernel data --
 with the explicit isomorphisms between them."""
 
 from .cartan import RootVec, Weight, cl_root, decompose, pairing, root, rotate, weight
-from .crystal_core import TensorProd, check_axioms, eps_phi_tensor, generate_graph, tensor_apply
+from .crystal_core import TensorProd, check_axioms, generate_graph
 from .iso import (
     IsoReport,
     adj_path_from_kernels,

@@ -5,8 +5,11 @@ Every crystal element type in this package exposes the same small interface:
 return ``None`` when the operator is undefined.  Everything here is written
 against that interface only, except that a tensor factor also exposes its
 row: ``row[i]`` is (eps_i, phi_i) for i = 0..n, which ``signature`` reads.
-The perfect-crystal elements compute theirs once, when built; a TensorProd
-computes its own on demand.
+The perfect-crystal elements compute theirs once, when built.  ``Tensor`` is
+the tensor rule, written once: its two kinds, TensorProd and the path of
+``paths.py``, read eps_i, phi_i and the owners of e_i and f_i off one cached
+signature record per i, and read their row off the same records, so each can be
+a tensor factor in turn.
 
 Tensor convention, factors listed left (first) to right (last): for b1 (x) b2,
 f_i acts on b1 iff phi_i(b1) > eps_i(b2), and e_i acts on b1 iff
@@ -18,7 +21,6 @@ and e_i the owner of the rightmost surviving "-".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .cartan import Weight, cl_root, pairing, simple_root
 
@@ -40,71 +42,91 @@ def signature(i: int, factors) -> tuple[list[int], list[int]]:
     return minus, plus
 
 
-def eps_phi_tensor(i: int, factors) -> tuple[int, int]:
-    """(eps_i, phi_i) of an ordered tensor of factors."""
-    minus, plus = signature(i, factors)
-    return len(minus), len(plus)
+class Tensor:
+    """An element of an ordered tensor under the signature rule.  A subclass, a frozen
+    dataclass, gives ``n``, ``_window()`` (the factors the rule reads, left to right) and
+    ``_with(idx, elem)`` (itself with window factor idx replaced by elem).  The record
+    of i, (eps_i, phi_i, e-owner, f-owner), is one ``signature`` call on first use; it
+    and the window are cached by hand in the instance dict, as a first cached_property
+    read takes a lock.  With ``_DROP_LEFT_MINUS`` the leftmost factor's "-" symbols
+    count in neither eps_i nor the e-owner: the tail beyond the window cancels them."""
 
+    _DROP_LEFT_MINUS = False
+    _records = None  # until filled: then one record or None per i
 
-def tensor_apply(op: str, i: int, factors):
-    """Apply e_i or f_i to an ordered tensor.
+    def _record(self, i: int) -> tuple:
+        records = self._records
+        if records is None:
+            cache = vars(self)
+            cache["_factors"] = self._window()
+            records = cache["_records"] = [None] * (self.n + 1)
+        i %= len(records)
+        rec = records[i]
+        if rec is None:
+            minus, plus = signature(i, self._factors)
+            eps = len(minus) - minus.count(0) if self._DROP_LEFT_MINUS else len(minus)
+            rec = records[i] = (eps, len(plus), minus[-1] if eps else None, plus[0] if plus else None)
+        return rec
 
-    Returns (factor_index, new_element) or None when no symbol survives.
-    """
-    minus, plus = signature(i, factors)
-    if op == "f":
-        if not plus:
+    def _step(self, op: str, i: int):
+        """(window index, the owner's e_i/f_i) or, when no symbol survives, None."""
+        if op not in ("e", "f"):
+            raise ValueError(f"op must be 'e' or 'f', got {op!r}")
+        idx = self._record(i)[2 if op == "e" else 3]
+        if idx is None:
             return None
-        idx = plus[0]
-        out = factors[idx].f(i)
-    elif op == "e":
-        if not minus:
-            return None
-        idx = minus[-1]
-        out = factors[idx].e(i)
-    else:
-        raise ValueError(f"op must be 'e' or 'f', got {op!r}")
-    if out is None:
-        raise ValueError(f"{op}_{i} does not act on {factors[idx]}, which owns a surviving symbol")
-    return idx, out
+        owner = self._factors[idx]
+        out = owner.e(i) if op == "e" else owner.f(i)
+        if out is None:
+            raise ValueError(f"{op}_{i} does not act on {owner}, which owns a surviving symbol")
+        return idx, out
+
+    @property
+    def row(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self._record(i)[:2] for i in range(self.n + 1))
+
+    def eps(self, i: int) -> int:
+        return self._record(i)[0]
+
+    def phi(self, i: int) -> int:
+        return self._record(i)[1]
+
+    def e(self, i: int):
+        res = self._step("e", i)
+        return None if res is None else self._with(*res)
+
+    def f(self, i: int):
+        res = self._step("f", i)
+        return None if res is None else self._with(*res)
 
 
 @dataclass(frozen=True)
-class TensorProd:
-    """Finite ordered tensor of crystal elements, itself a crystal element."""
+class TensorProd(Tensor):
+    """Finite ordered tensor of crystal elements of one rank, itself a crystal element."""
 
     factors: tuple
+
+    def __post_init__(self):
+        if not self.factors:
+            raise ValueError("a tensor product needs at least one factor")
+        if len({len(b.row) for b in self.factors}) > 1:
+            raise ValueError(f"tensor factors of different ranks: {self.factors}")
+
+    @property
+    def n(self) -> int:
+        return len(self.factors[0].row) - 1
+
+    def _window(self) -> tuple:
+        return self.factors
+
+    def _with(self, idx: int, elem) -> TensorProd:
+        return TensorProd(self.factors[:idx] + (elem,) + self.factors[idx + 1:])
 
     def wt(self) -> Weight:
         w = self.factors[0].wt()
         for b in self.factors[1:]:
             w = w + b.wt()
         return w
-
-    @cached_property
-    def row(self) -> tuple[tuple[int, int], ...]:
-        return tuple(eps_phi_tensor(i, self.factors) for i in range(len(self.factors[0].row)))
-
-    def eps(self, i: int) -> int:
-        return self.row[i % len(self.row)][0]
-
-    def phi(self, i: int) -> int:
-        return self.row[i % len(self.row)][1]
-
-    def _apply(self, op: str, i: int):
-        res = tensor_apply(op, i % len(self.factors[0].row), self.factors)
-        if res is None:
-            return None
-        idx, new = res
-        facs = list(self.factors)
-        facs[idx] = new
-        return TensorProd(tuple(facs))
-
-    def e(self, i: int):
-        return self._apply("e", i)
-
-    def f(self, i: int):
-        return self._apply("f", i)
 
 
 def eps_weight(b) -> Weight:

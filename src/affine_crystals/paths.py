@@ -2,7 +2,8 @@
 
 A path is the ground-state sequence of a dominant weight with finitely many
 deviations at the low positions; position 0 is the rightmost tensor factor.
-Operators use the signature rule on one window of T + 1 factors, the first
+A Path is a ``crystal_core.Tensor``: e_i, f_i, eps_i, phi_i and its row are the
+tensor rule, shared with TensorProd, on one window of T + 1 factors, the first
 ground factor g_T (T = len(devs)) and the deviations.  That is exact: adjacent
 ground factors satisfy phi_i(g_{k+1}) = eps_i(g_k) (KKMMNN, Duke 1992), so every
 junction above the deviations cancels, and of the whole tail only the "+" symbols
@@ -12,8 +13,8 @@ A property test, not the run time, compares each operator with its value on
 larger windows.  The ground state is one record per (lam, kind) in a bounded
 cache: one period of ground factors and, for each position in it, lam minus the
 weights of the ground factors before it.  A whole period's ground weights sum to
-0, so position k reads entry k mod period.  A Path caches the rest, with one
-signature record per i that eps_i, phi_i, e_i and f_i all read.  The factors are
+0, so position k reads entry k mod period.  A Path caches the rest: its weight,
+its hash, and Tensor's window and signature record per i.  The factors are
 interned perfect-crystal elements, so the signature reads each one's row, the
 weight is one integer sum of cached coefficients (the record's entry at len(devs)
 mod period plus each deviation's ``wa``), and the trim of ground factors and the
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .cartan import RootVec, Weight, cl_root
-from .crystal_core import signature
+from .crystal_core import Tensor
 from .perfect import (
     AdjElem,
     B1Elem,
@@ -112,17 +113,20 @@ def _section(lam: Weight, kind: str, k: int, c: tuple[int, ...]):
 
 
 @dataclass(frozen=True)
-class Path:
+class Path(Tensor):
     """Normalized path: devs[k] is the factor at position k for k < tail_start.
 
-    _window, wt, the hash and each i's signature record are cached on first use,
-    exact as the path is immutable; one i at a time, as from_word reads one i.  wt is
-    the ground-state record's offset at len(devs) mod period plus each deviation's wa.
-    An operator's result holds only lam, kind and devs until something reads it."""
+    A Tensor on its window [g_T, *reversed(devs)], T = len(devs), that leaves out
+    g_T's "-" symbols; a changed factor rebuilds it by make_path.  wt and the hash
+    are cached on first use; wt is the ground-state record's offset at len(devs) mod
+    period plus each deviation's wa.  An operator's result holds only lam, kind and
+    devs until something reads it."""
 
     lam: Weight
     kind: str
     devs: tuple = ()
+
+    _DROP_LEFT_MINUS = True  # g_{T+1}, beyond the window, cancels them
 
     @property
     def n(self) -> int:
@@ -137,30 +141,21 @@ class Path:
             return self.devs[k]
         return ground_elem(self.lam, self.kind, k)
 
-    @cached_property
     def _window(self) -> list:
-        """[g_T, *reversed(devs)] for T = len(devs): highest position first; read only.
-        A list, as freed short tuples pile up in CPython's free lists (+1.5 MB RSS)."""
+        """Highest position first.  A list, as freed short tuples pile up in CPython's
+        free lists (+1.5 MB RSS)."""
         return [ground_elem(self.lam, self.kind, len(self.devs)), *reversed(self.devs)]
+
+    def _with(self, idx: int, elem) -> Path:
+        """The path with window factor idx replaced, or with f_i(g_T) appended."""
+        pos = len(self.devs) - idx
+        return make_path(self.lam, self.kind, self.devs[:pos] + (elem,) + self.devs[pos + 1:])
 
     @cached_property
     def _wt(self) -> Weight:  # strict: a deviation of another rank raises ValueError
         period, offsets = _ground(self.lam, self.kind)
         return Weight(tuple(map(sum, zip(offsets[len(self.devs) % len(period)],
                                          *(dev.wa for dev in self.devs), strict=True))))
-
-    _records = cached_property(lambda self: [None] * (self.n + 1))
-
-    def _record(self, i: int) -> tuple:
-        """(eps_i, phi_i, e-owner, f-owner); the leftmost factor's "-" count in neither."""
-        records = self._records
-        i %= len(records)
-        rec = records[i]
-        if rec is None:
-            minus, plus = signature(i, self._window)
-            rec = records[i] = (len(minus) - minus.count(0), len(plus),
-                                (minus[-1] or None) if minus else None, plus[0] if plus else None)
-        return rec
 
     def __hash__(self) -> int:  # cached by hand: a first cached_property read takes a lock
         cache = vars(self)
@@ -174,18 +169,6 @@ class Path:
 
     def wt(self) -> Weight:
         return self._wt
-
-    def eps(self, i: int) -> int:
-        return self._record(i)[0]
-
-    def phi(self, i: int) -> int:
-        return self._record(i)[1]
-
-    def e(self, i: int):
-        return path_apply("e", i, self)
-
-    def f(self, i: int):
-        return path_apply("f", i, self)
 
     def __str__(self) -> str:
         facs = " (x) ".join(render(self.factor(k)) for k in range(self.tail_start - 1, -1, -1))
@@ -206,20 +189,11 @@ def ground_path(lam: Weight, kind: str) -> Path:
 
 
 def _apply_window(op: str, i: int, p: Path):
-    """(path, changed position) of e_i/f_i on p's window, or None.
-
-    The result is p's deviations with one factor replaced, or with f_i(g_T) appended."""
-    if op not in ("e", "f"):
-        raise ValueError(f"op must be 'e' or 'f', got {op!r}")
-    idx = p._record(i)[2 if op == "e" else 3]
-    if idx is None:
+    """(path, changed position) of e_i/f_i on p's window, or None."""
+    res = p._step(op, i)
+    if res is None:
         return None
-    facs = p._window
-    elem = facs[idx].e(i) if op == "e" else facs[idx].f(i)
-    if elem is None:
-        raise ValueError(f"{op}_{i} does not act on {facs[idx]}, which owns a surviving symbol")
-    pos = len(facs) - 1 - idx
-    return make_path(p.lam, p.kind, p.devs[:pos] + (elem,) + p.devs[pos + 1:]), pos
+    return p._with(*res), len(p.devs) - res[0]
 
 
 def path_apply(op: str, i: int, p: Path):
@@ -246,7 +220,7 @@ def lowering_steps(lam: Weight, kind: str, word) -> tuple[Path, list[tuple[int, 
             nxt = path_apply("f", i, p)
             if nxt is None:
                 raise DeadWordError(f"f_{i} annihilates the path at {p}")
-            steps.append((i, len(p._window) - 1 - p._record(i)[3]))
+            steps.append((i, len(p.devs) - p._record(i)[3]))
             p = nxt
     return p, steps
 

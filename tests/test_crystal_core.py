@@ -8,10 +8,8 @@ from hypothesis import given, strategies as st
 from affine_crystals.crystal_core import (
     TensorProd,
     check_axioms,
-    eps_phi_tensor,
     generate_graph,
     signature,
-    tensor_apply,
 )
 from affine_crystals.cartan import weight
 from affine_crystals.paths import Path, ground_path, path_to_json
@@ -83,7 +81,7 @@ def test_signature_against_random_order_reduction():
                  st.integers(0, 8), st.integers(0, 8)))
 def test_two_factor_closed_form(data):
     e1, p1, e2, p2 = data
-    eps, phi = eps_phi_tensor(0, [Fake(e1, p1), Fake(e2, p2)])
+    eps, phi = TensorProd((Fake(e1, p1), Fake(e2, p2))).row[0]
     assert eps == e1 + max(0, e2 - p1)
     assert phi == p2 + max(0, p1 - e2)
 
@@ -92,29 +90,30 @@ def test_two_factor_closed_form_bulk():
     rng = random.Random(77)
     for _ in range(10_000):
         e1, p1, e2, p2 = (rng.randint(0, 9) for _ in range(4))
-        assert eps_phi_tensor(0, [Fake(e1, p1), Fake(e2, p2)]) == (
+        assert TensorProd((Fake(e1, p1), Fake(e2, p2))).row[0] == (
             e1 + max(0, e2 - p1),
             p2 + max(0, p1 - e2),
         )
 
 
 def test_eps_phi_examples():
-    assert eps_phi_tensor(0, [Fake(0, 2), Fake(2, 0)]) == (0, 0)
-    assert eps_phi_tensor(0, [Fake(1, 1), Fake(2, 0)]) == (2, 0)
+    t = TensorProd((Fake(0, 2), Fake(2, 0)))
+    assert (t.eps(0), t.phi(0)) == (0, 0)
+    t = TensorProd((Fake(1, 1), Fake(2, 0)))
+    assert (t.eps(0), t.phi(0)) == (2, 0)
     b = B1Elem((1, 1, 1))
-    assert eps_phi_tensor(1, [b]) == (b.eps(1), b.phi(1))
+    assert TensorProd((b,)).row == b.row
 
 
-def test_tensor_apply_two_row_factors():
+def test_tensor_operator_two_row_factors():
     left, right = B1Elem((0, 2, 1)), B1Elem((1, 1, 1))
-    res = tensor_apply("f", 2, [left, right])
-    assert res == (0, B1Elem((0, 1, 2)))
+    assert TensorProd((left, right)).f(2) == TensorProd((B1Elem((0, 1, 2)), right))
 
 
-def test_tensor_apply_null_cases():
-    assert tensor_apply("e", 1, [B1Elem((1, 0, 2))]) is None  # eps_1 = 0
-    pair = [B1Elem((0, 0, 1)), BnElem((0, 0, 1))]
-    assert tensor_apply("f", 0, pair) is None  # phi cancels against eps
+def test_tensor_operator_null_cases():
+    assert TensorProd((B1Elem((1, 0, 2)),)).e(1) is None  # eps_1 = 0
+    pair = TensorProd((B1Elem((0, 0, 1)), BnElem((0, 0, 1))))
+    assert pair.f(0) is None  # phi cancels against eps
 
 
 def test_mutual_inverse_on_random_pairs():
@@ -125,18 +124,12 @@ def test_mutual_inverse_on_random_pairs():
     for _ in range(200):
         facs = (rng.choice(elems), rng.choice(elems))
         i = rng.randrange(3)
-        down = tensor_apply("f", i, facs)
+        down = TensorProd(facs).f(i)
         if down is None:
             continue
-        idx, new = down
-        lowered = list(facs)
-        lowered[idx] = new
-        up = tensor_apply("e", i, lowered)
-        assert up is not None
-        idx2, back = up
-        restored = list(lowered)
-        restored[idx2] = back
-        assert tuple(restored) == facs
+        assert sum(a != b for a, b in zip(down.factors, facs)) == 1
+        up = TensorProd(down.factors).e(i)  # a fresh instance: nothing cached
+        assert up is not None and up.factors == facs
 
 
 def test_generate_graph_small_cycle():

@@ -5,9 +5,9 @@ import re
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from affine_crystals import golden, paths
+from affine_crystals import crystal_core, golden, paths
 from affine_crystals.cartan import cl_root, root, weight
-from affine_crystals.crystal_core import check_axioms, generate_graph, signature, tensor_apply
+from affine_crystals.crystal_core import TensorProd, check_axioms, generate_graph, signature
 from affine_crystals.iso import run_pipeline
 from affine_crystals.linalg import PRIME
 from affine_crystals.paths import (
@@ -31,7 +31,7 @@ from affine_crystals.perfect import (AdjElem, B1Elem, WeightSectionError, all_ad
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import path_to_walls, walls_to_path
 from oracles import (b1_from_weight, bn_from_weight, changed_positions, path_wt_reference,
-                     profiled_calls, raising_steps as oracle_raising_steps)
+                     profiled_calls, raising_steps as oracle_raising_steps, signature_reference)
 
 LAM = weight((2, 1, 0))
 WORD = parse_word("1^4 2^5 1^2 0^4 2 1")
@@ -157,14 +157,19 @@ def test_normalization_trims_ground_factors():
 
 
 def _apply_on_window(op, i, p, w):
-    """e_i/f_i of p computed by the signature rule on its w rightmost factors."""
-    res = tensor_apply(op, i, [p.factor(k) for k in range(w - 1, -1, -1)])
-    if res is None:
+    """e_i/f_i of p computed by the per-symbol signature reference on its w
+    rightmost factors, independent of the tensor rule of crystal_core."""
+    facs = [p.factor(k) for k in range(w - 1, -1, -1)]
+    minus, plus = signature_reference(i, facs)
+    owners = plus[:1] if op == "f" else minus[-1:]
+    if not owners:
         return None
-    idx, elem = res
+    idx = owners[0]
     if idx == 0:
         assert op == "e", "f reached the window boundary"
         return None
+    elem = facs[idx].f(i) if op == "f" else facs[idx].e(i)
+    assert elem is not None, "the owner of a surviving symbol refuses the operator"
     pos = w - 1 - idx
     devs = [p.factor(k) for k in range(max(p.tail_start, pos + 1))]
     devs[pos] = elem
@@ -209,16 +214,17 @@ def test_truncation_independence(p):
 def _check_operator_results(p):
     """Every e_i/f_i of p: the result holds only its fields, is the signature
     rule on a wider window and, once read, has a fresh path's window; p's own
-    window is left as it was."""
-    before = list(p._window)
+    cached window is left as it was."""
+    before = p._window()
     for i in range(p.n + 1):
         for op in ("e", "f"):
             q = path_apply(op, i, p)
             assert q == _apply_on_window(op, i, p, p.tail_start + p.n + 5)
             if q is not None:
                 assert set(vars(q)) == {"lam", "kind", "devs"}
-                assert q._window == Path(q.lam, q.kind, q.devs)._window
-            assert p._window == before
+                q.eps(i)
+                assert q._factors == Path(q.lam, q.kind, q.devs)._window()
+            assert p._factors == before
 
 
 @given(lowered_paths())
@@ -283,7 +289,8 @@ def _fresh_values(p):
 
 
 def _cached_values(p):
-    return p._window, p.wt(), [(p.eps(i), p.phi(i)) for i in range(p.n + 1)]
+    counts = [(p.eps(i), p.phi(i)) for i in range(p.n + 1)]
+    return p._factors, p.wt(), counts
 
 
 @given(lowered_paths())
@@ -294,7 +301,7 @@ def test_cached_values_equal_a_fresh_recomputation(p):
     assert _cached_values(p) == before  # fills the caches
     assert _cached_values(p) == before  # reads them
     assert _fresh_values(p) == before
-    assert p._window == [p.factor(k) for k in range(p.tail_start, -1, -1)]
+    assert p._factors == [p.factor(k) for k in range(p.tail_start, -1, -1)]
     # an equal path built separately, once with trailing ground factors and
     # once already trimmed, is the same dict key
     padded = make_path(p.lam, p.kind, list(p.devs) + [p.factor(p.tail_start + j) for j in range(3)])
@@ -310,15 +317,15 @@ def test_cached_values_equal_a_fresh_recomputation(p):
 
 
 def _counted_signatures(monkeypatch):
-    """Route the path layer's signature calls through a counter; returns its call list."""
+    """Route the tensor rule's signature calls through a counter; returns its call list."""
     calls = []
-    real = paths.signature
+    real = crystal_core.signature
 
     def counted(i, factors):
         calls.append(i)
         return real(i, factors)
 
-    monkeypatch.setattr(paths, "signature", counted)
+    monkeypatch.setattr(crystal_core, "signature", counted)
     return calls
 
 
@@ -381,8 +388,9 @@ def test_records_do_not_depend_on_the_order_of_reads(p):
 def test_forged_records_raise_typed_errors():
     # a record whose owner refuses the operator is a broken invariant and says which one
     p = Path(LAM, "B1", ())
-    vars(p)["_records"] = [None, None, (0, 1, None, 0)]
-    assert p._window == [B1Elem((1, 0, 2))] and p._window[0].f(2) is None
+    p.eps(0)  # fills the window and the list of records
+    p._records[2] = (0, 1, None, 0)
+    assert p._factors == [B1Elem((1, 0, 2))] and p._factors[0].f(2) is None
     with pytest.raises(ValueError, match="f_2 does not act on"):
         path_apply("f", 2, p)
 
@@ -435,7 +443,7 @@ def test_operator_results_inherit_no_wt_or_record():
         b = g.nodes[src]
         assert "_wt" in vars(b) and None not in b._records  # filled by check_axioms
         out = path_apply(op, i, b)
-        assert "_wt" not in vars(out) and out._records == [None] * (LAM.n + 1)
+        assert "_wt" not in vars(out) and "_records" not in vars(out) and out._records is None
     for kind in KINDS:
         (_, steps), calls = profiled_calls(lowering_steps, LAM, kind, WORD)
         assert calls["crystal_core", "signature"] == len(steps) == sum(m for _, m in WORD)
@@ -460,6 +468,40 @@ def test_pipeline_call_counts_do_not_depend_on_the_path_caches(p):
         counts.append({name: calls[name] for name in COUNTED})
     assert counts[0] == counts[1]
     assert all(counts[0].values())
+
+
+def _embedding_pair(rng):
+    """(path over lam + mu, u_lam (x) u_mu as a TensorProd of two ground paths) for
+    random lam, mu with n <= 3 and level 1-2 each, every path of a random kind."""
+    n = rng.randint(1, 3)
+    lam, mu = (random_dominant(n, rng.randint(1, 2), rng) for _ in range(2))
+    kinds = [rng.choice(KINDS) for _ in range(3)]
+    return ground_path(lam + mu, kinds[0]), TensorProd((ground_path(lam, kinds[1]),
+                                                        ground_path(mu, kinds[2])))
+
+
+def test_tensor_embedding_keeps_rows_and_weights():
+    # B(lam + mu) embeds in B(lam) (x) B(mu) with u_{lam+mu} -> u_lam (x) u_mu: along
+    # an f-walk both sides keep equal (eps_i, phi_i) for every i and equal weights
+    rng = random.Random(26)
+    steps = 0
+    for _ in range(300):
+        p, t = _embedding_pair(rng)
+        for _ in range(rng.randint(0, 20)):
+            assert p.row == t.row and p.wt() == t.wt()
+            i = rng.choice([i for i, (_, phi) in enumerate(p.row) if phi])
+            p, t = p.f(i), t.f(i)
+            steps += 1
+        assert p.row == t.row and p.wt() == t.wt()
+    assert steps > 2500
+
+
+def test_ball_of_two_path_tensor_passes_the_axioms():
+    rng = random.Random(27)
+    for _ in range(3):
+        _, t = _embedding_pair(rng)
+        g = generate_graph(t, max_nodes=200)
+        assert len(g.nodes) == 200 and not check_axioms(g)
 
 
 def test_path_axioms_small_balls():

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affine_crystals.cartan import weight, rotate
-from affine_crystals.crystal_core import (TensorProd, eps_phi_tensor, eps_weight, phi_weight,
-                                          tensor_apply)
+from affine_crystals.crystal_core import TensorProd, eps_weight, phi_weight
 from affine_crystals.perfect import (
     AdjElem,
     B1Elem,
@@ -175,24 +174,20 @@ def test_adjoint_eps_phi_closed_forms_match_oracles(n):
             assert a.wt() == pair[0].wt() + pair[1].wt()
             assert (a.eps(0), a.phi(0)) == (_affine_count(a, "e"), _affine_count(a, "f"))
             for i in range(n + 1):
-                assert (a.eps(i), a.phi(i)) == eps_phi_tensor(i, pair)
+                assert (a.eps(i), a.phi(i)) == TensorProd(pair).row[i]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_adjoint_classical_operators_match_the_tensor_rule(n):
     # e_i/f_i in closed form, for every i including 0, against merge_pair of
-    # tensor_apply on split_adj's pair, on every element for l <= 4
+    # the TensorProd of split_adj's pair, on every element for l <= 4
     for lvl in range(1, 5):
         for a in all_adj(n, lvl):
-            pair = split_adj(a)
+            pair = TensorProd(split_adj(a))
             for i in range(n + 1):
                 for op in ("e", "f"):
-                    res = tensor_apply(op, i, pair)
-                    want = None
-                    if res is not None:
-                        moved = list(pair)
-                        moved[res[0]] = res[1]
-                        want = merge_pair(*moved)
+                    res = pair.e(i) if op == "e" else pair.f(i)
+                    want = None if res is None else merge_pair(*res.factors)
                     assert (a.e(i) if op == "e" else a.f(i)) == want, (a, op, i)
 
 
@@ -227,15 +222,15 @@ def test_guards_hold_under_optimize():
     # invalid adjoint pairs (one with a negative entry, one with mbar and m
     # of different lengths), B1 and Bn elements with a negative entry or fewer
     # than two entries, a level mismatch in merge_pair, a factor whose
-    # f_i refuses a surviving "+", a path deviation of another rank and a
-    # weight or root with a non-integer coefficient raise ValueError even under
-    # python -O
+    # f_i refuses a surviving "+", a tensor product of no factors or of factors
+    # of different ranks, a path deviation of another rank and a weight or root
+    # with a non-integer coefficient raise ValueError even under python -O
     import subprocess
     import sys
 
     code = (
         "from affine_crystals.cartan import root, weight\n"
-        "from affine_crystals.crystal_core import tensor_apply\n"
+        "from affine_crystals.crystal_core import TensorProd\n"
         "from affine_crystals.paths import Path\n"
         "from affine_crystals.perfect import AdjElem, B1Elem, BnElem, merge_pair\n"
         "class Stuck:\n"
@@ -251,7 +246,9 @@ def test_guards_hold_under_optimize():
         "    lambda: AdjElem((1, 0), (0, 1, 0), 1),\n"
         "    lambda: B1Elem((3,)),  # rank 0\n"
         "    lambda: BnElem(()),\n"
-        "    lambda: tensor_apply('f', 0, [Stuck()]),\n"
+        "    lambda: TensorProd((Stuck(),)).f(0),\n"
+        "    lambda: TensorProd(()),\n"
+        "    lambda: TensorProd((B1Elem((1, 0)), B1Elem((1, 0, 0)))).eps(0),\n"
         "    lambda: Path(weight((2, 0, 0)), 'B1', (B1Elem((1, 1)),)).wt(),  # deviation of rank 1\n"
         "    lambda: Path(weight((2, 0, 0)), 'Ad', (AdjElem((0, 1), (0, 1), 2),)).wt(),\n"
         "    lambda: weight([1.5, 0]),\n"
@@ -266,7 +263,7 @@ def test_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 14
+    assert proc.stdout.split() == ["ValueError"] * 16
 
 
 def test_merge_split_roundtrip():
