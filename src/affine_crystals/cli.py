@@ -159,8 +159,7 @@ def cmd_graph(args) -> int:
     g = generate_graph(_graph_seed_elem(args), max_nodes=max_nodes, max_depth=depth)
     lines = ["digraph crystal {"]
     for t, node in enumerate(g.nodes):
-        label = str(node) if args.crystal == "path" else render(node)
-        lines.append(f'  n{t} [label="{label}"];')
+        lines.append(f'  n{t} [label="{render(node)}"];')
     lines.extend(f'  n{src} -> n{dst} [label="{i}"];' for src, op, i, dst in g.edges if op == "f")
     if not g.complete:
         lines.append('  meta [label="truncated", shape=box];')

@@ -1,11 +1,12 @@
 """Signature-rule tensor combinatorics and crystal-graph utilities.
 
 Every crystal element type in this package exposes the same small interface:
+its rank ``n``, its ``row`` (``row[i]`` is (eps_i, phi_i) for i = 0..n),
 ``wt()``, ``eps(i)``, ``phi(i)``, ``e(i)`` and ``f(i)``, where ``e``/``f``
 return ``None`` when the operator is undefined.  Everything here is written
-against that interface only, except that a tensor factor also exposes its
-row: ``row[i]`` is (eps_i, phi_i) for i = 0..n, which ``signature`` reads.
-The perfect-crystal elements compute theirs once, when built.  ``Tensor`` is
+against that interface only: ``signature`` reads each factor's row, and
+``eps_weight``/``phi_weight`` read its columns.  The perfect-crystal elements
+compute their row once, when built.  ``Tensor`` is
 the tensor rule, written once: its two kinds, TensorProd and the path of
 ``paths.py``, read eps_i, phi_i and the owners of e_i and f_i off one cached
 signature record per i, and read their row off the same records, so each can be
@@ -130,13 +131,11 @@ class TensorProd(Tensor):
 
 
 def eps_weight(b) -> Weight:
-    n = b.wt().n
-    return Weight(tuple(b.eps(i) for i in range(n + 1)))
+    return Weight(tuple([e for e, _ in b.row]))
 
 
 def phi_weight(b) -> Weight:
-    n = b.wt().n
-    return Weight(tuple(b.phi(i) for i in range(n + 1)))
+    return Weight(tuple([p for _, p in b.row]))
 
 
 @dataclass
@@ -153,7 +152,7 @@ def generate_graph(seed, max_nodes: int = 2000, max_depth: int | None = None) ->
     Stops expanding once max_nodes is reached (or past max_depth) and flags
     the graph incomplete.
     """
-    n = seed.wt().n
+    n = seed.n
     g = CrystalGraph(nodes=[seed], ids={seed: 0})
     queue: list[tuple[int, int]] = [(0, 0)]
     head = 0
@@ -181,7 +180,7 @@ def generate_graph(seed, max_nodes: int = 2000, max_depth: int | None = None) ->
 def check_axioms(graph: CrystalGraph) -> list[str]:
     """Verify the crystal axioms on every node and edge; returns violations."""
     bad: list[str] = []
-    n = graph.nodes[0].wt().n if graph.nodes else -1  # an empty graph needs no roots
+    n = graph.nodes[0].n if graph.nodes else -1  # an empty graph needs no roots
     roots = [cl_root(simple_root(n, i)) for i in range(n + 1)]
     for b in graph.nodes:
         w = b.wt()

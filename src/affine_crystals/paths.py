@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .cartan import RootVec, Weight, cl_root
 from .crystal_core import Tensor
@@ -42,7 +42,6 @@ from .perfect import (
     AdjElem,
     B1Elem,
     BnElem,
-    WeightSectionError,
     ground_adj,
     ground_b1,
     ground_bn,
@@ -57,12 +56,8 @@ class WordIndexError(ValueError):
     """A lowering word names an index outside 0..n."""
 
 
-class InversionError(RuntimeError):
-    """A path could not be carried back to its wall tuple.
-
-    Raised when a replayed lowering step fits no wall or more than one, or
-    when the replayed tuple misses the given content or the given path.
-    """
+class WeightSectionError(ValueError):
+    """A weight outside the image of wt was handed to a section map."""
 
 
 @lru_cache(maxsize=64)
@@ -151,24 +146,25 @@ class Path(Tensor):
         pos = len(self.devs) - idx
         return make_path(self.lam, self.kind, self.devs[:pos] + (elem,) + self.devs[pos + 1:])
 
-    @cached_property
-    def _wt(self) -> Weight:  # strict: a deviation of another rank raises ValueError
-        period, offsets = _ground(self.lam, self.kind)
-        return Weight(tuple(map(sum, zip(offsets[len(self.devs) % len(period)],
-                                         *(dev.wa for dev in self.devs), strict=True))))
+    _wt = _hash = None  # until cached by hand in the instance dict, which takes no lock
 
-    def __hash__(self) -> int:  # cached by hand: a first cached_property read takes a lock
-        cache = vars(self)
-        h = cache.get("_hash")
+    def wt(self) -> Weight:  # strict: a deviation of another rank raises ValueError
+        w = self._wt
+        if w is None:
+            period, offsets = _ground(self.lam, self.kind)
+            w = vars(self)["_wt"] = Weight(tuple(map(sum, zip(
+                offsets[len(self.devs) % len(period)], *(dev.wa for dev in self.devs),
+                strict=True))))
+        return w
+
+    def __hash__(self) -> int:
+        h = self._hash
         if h is None:
-            h = cache["_hash"] = hash((self.lam.a, self.kind, self.devs))
+            h = vars(self)["_hash"] = hash((self.lam.a, self.kind, self.devs))
         return h
 
     def __reduce__(self):  # unpickle without caches: str hashes differ between processes
         return Path, (self.lam, self.kind, self.devs)
-
-    def wt(self) -> Weight:
-        return self._wt
 
     def __str__(self) -> str:
         facs = " (x) ".join(render(self.factor(k)) for k in range(self.tail_start - 1, -1, -1))

@@ -38,11 +38,7 @@ import itertools
 from collections import Counter
 
 from .cartan import Weight
-from .crystal_core import TensorProd, eps_weight, phi_weight
-
-
-class WeightSectionError(ValueError):
-    """A weight outside the image of wt was handed to a section map."""
+from .crystal_core import TensorProd, eps_weight, generate_graph, phi_weight
 
 
 # -------------------------------------------------------------- interning
@@ -325,38 +321,34 @@ def all_adj(n: int, lvl: int) -> list[AdjElem]:
 def verify_perfect(elements, lvl: int) -> list[str]:
     """The failed perfectness conditions of a finite crystal, [] if it passes.
 
-    Verified: B (x) B is connected; <c, eps(b)> >= lvl for every b; for each
-    classical dominant weight of level lvl there are unique elements b^L and
-    b_L with eps(b^L) = L and phi(b_L) = L.  The module-theoretic conditions
-    are out of scope here.
+    The elements must be closed under every e_i and f_i; if one is not, the
+    only failure returned names a missing element.  Verified: B (x) B is
+    connected, counted as the ``generate_graph`` closures that cover its pairs
+    (closed, as B is); <c, eps(b)> >= lvl for every b; for each classical
+    dominant weight of level lvl there are unique elements b^L and b_L with
+    eps(b^L) = L and phi(b_L) = L.  The module-theoretic conditions are out
+    of scope here.
     """
     elements = list(elements)
     if not elements:
         return ["no elements: an empty crystal is not perfect"]
-    failures: list[str] = []
-    n = elements[0].wt().n
-
-    # connectivity of B (x) B under f_i (e_i edges are the reverses)
-    pairs = [TensorProd((a, b)) for a in elements for b in elements]
-    ids = {p: t for t, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p, t in ids.items():
+    n = elements[0].n
+    members = set(elements)
+    for b in elements:
         for i in range(n + 1):
-            q = p.f(i)
-            if q is not None:
-                ra, rb = find(t), find(ids[q])
-                if ra != rb:
-                    parent[ra] = rb
-    roots = {find(t) for t in range(len(pairs))}
-    if len(roots) != 1:
-        failures.append(f"B(x)B has {len(roots)} components")
+            for out in (b.e(i), b.f(i)):
+                if out is not None and out not in members:
+                    return [f"not closed under e_i/f_i: {out} is missing"]
+    failures: list[str] = []
+
+    seen: set = set()
+    components = 0
+    for pair in (TensorProd((a, b)) for a in elements for b in elements):
+        if pair not in seen:
+            seen.update(generate_graph(pair, max_nodes=len(elements) ** 2).nodes)
+            components += 1
+    if components != 1:
+        failures.append(f"B(x)B has {components} components")
 
     for b in elements:
         if sum(b.eps(i) for i in range(n + 1)) < lvl:
@@ -399,7 +391,8 @@ def render_adj(a: AdjElem) -> str:
 def render(elem) -> str:
     """A B1 row as its letters in increasing order, e.g. "[1,3,3]"; a Bn element
     as the row rule read dually, its barred letters in decreasing order, e.g.
-    "[2~,1~,1~]"; an adjoint element by render_adj."""
+    "[2~,1~,1~]"; an adjoint element by render_adj; any other element, a path
+    say, as ``str``."""
     if isinstance(elem, _Row):
         order = range(elem.n, -1, -1) if elem._DUAL else range(elem.n + 1)
         mark = "~" if elem._DUAL else ""

@@ -35,7 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import RootVec, Weight, decompose, weight, zero_root
-from .paths import InversionError, Path, factor_from_content, make_path
+from .paths import Path, factor_from_content, make_path
+
+
+class InversionError(RuntimeError):
+    """A path could not be carried back to its wall tuple.
+
+    Raised when a replayed lowering step fits no wall or more than one, or
+    when the replayed tuple misses the given content or the given path.
+    """
+
 
 WALL_KINDS = ("P1", "Pn")
 PATH_KIND = {"P1": "B1", "Pn": "Bn"}  # the path model each wall kind realizes

@@ -10,8 +10,8 @@ from math import lcm
 
 from affine_crystals.cartan import RootVec, Weight, zero_root
 from affine_crystals.linalg import PRIME, _echelon, gm_from_blocks, rank, zero_blocks
-from affine_crystals.paths import ground_elem, path_apply
-from affine_crystals.perfect import AdjElem, B1Elem, BnElem, WeightSectionError
+from affine_crystals.paths import WeightSectionError, ground_elem, path_apply
+from affine_crystals.perfect import AdjElem, B1Elem, BnElem
 from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUnit, WallMap
 from affine_crystals.walls import block_color
 

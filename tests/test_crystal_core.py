@@ -8,13 +8,16 @@ from hypothesis import given, strategies as st
 from affine_crystals.crystal_core import (
     TensorProd,
     check_axioms,
+    eps_weight,
     generate_graph,
+    phi_weight,
     signature,
 )
 from affine_crystals.cartan import weight
 from affine_crystals.paths import Path, ground_path, path_to_json
 from affine_crystals import perfect
-from affine_crystals.perfect import B1Elem, BnElem, all_adj, all_b1, all_bn, ground_adj
+from affine_crystals.perfect import AdjElem, B1Elem, BnElem, all_adj, all_b1, all_bn, ground_adj
+from affine_crystals.suites import random_dominant
 from oracles import signature_reference
 
 
@@ -130,6 +133,26 @@ def test_mutual_inverse_on_random_pairs():
         assert sum(a != b for a, b in zip(down.factors, facs)) == 1
         up = TensorProd(down.factors).e(i)  # a fresh instance: nothing cached
         assert up is not None and up.factors == facs
+
+
+def test_every_element_kind_keeps_one_protocol():
+    """n, row, wt, eps, phi, eps_weight and phi_weight agree on every element kind:
+    the perfect-crystal elements, a tensor product and paths along f-walks."""
+    rng = random.Random(27)
+    elems = [b for n in (1, 2) for lvl in (1, 2)
+             for b in all_b1(n, lvl) + all_bn(n, lvl) + all_adj(n, lvl)]
+    elems.append(TensorProd((B1Elem((0, 2, 1)), AdjElem((0, 1, 0), (0, 0, 1), 2))))
+    for _ in range(30):
+        p = ground_path(random_dominant(rng.randint(1, 2), rng.randint(1, 2), rng),
+                        rng.choice(("B1", "Bn", "Ad")))
+        for _ in range(rng.randint(0, 6)):
+            p = p.f(rng.choice([i for i in range(p.n + 1) if p.phi(i) > 0]))
+            elems.append(Path(p.lam, p.kind, p.devs))  # a fresh copy: nothing cached
+    for b in elems:
+        assert b.n == len(b.row) - 1 == b.wt().n
+        assert all(b.row[i] == (b.eps(i), b.phi(i)) for i in range(b.n + 1))
+        assert eps_weight(b).a == tuple(e for e, _ in b.row)
+        assert phi_weight(b).a == tuple(p for _, p in b.row)
 
 
 def test_generate_graph_small_cycle():

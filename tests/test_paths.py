@@ -13,6 +13,7 @@ from affine_crystals.linalg import PRIME
 from affine_crystals.paths import (
     DeadWordError,
     Path,
+    WeightSectionError,
     WordIndexError,
     _ground,
     factor_from_content,
@@ -26,8 +27,8 @@ from affine_crystals.paths import (
     path_to_json,
     word_alpha,
 )
-from affine_crystals.perfect import (AdjElem, B1Elem, WeightSectionError, all_adj, all_b1,
-                                     all_bn, ground_adj, ground_b1, ground_bn)
+from affine_crystals.perfect import (AdjElem, B1Elem, all_adj, all_b1, all_bn, ground_adj,
+                                     ground_b1, ground_bn)
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import path_to_walls, walls_to_path
 from oracles import (b1_from_weight, bn_from_weight, changed_positions, path_wt_reference,

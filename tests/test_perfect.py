@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from affine_crystals.cartan import weight, rotate
 from affine_crystals.crystal_core import TensorProd, eps_weight, phi_weight
+from affine_crystals.paths import WeightSectionError
 from affine_crystals.perfect import (
     AdjElem,
     B1Elem,
     BnElem,
-    WeightSectionError,
     all_adj,
     all_b1,
     all_bn,
@@ -305,6 +305,14 @@ def test_verify_perfect_fault_case():
     # closed under every e_i and f_i, but two crystals of different levels:
     # B (x) B splits into one component per ordered pair of them
     assert "B(x)B has 4 components" in verify_perfect(all_b1(2, 1) + all_b1(2, 2), 1)
+
+
+def test_verify_perfect_names_an_element_missing_from_a_set_not_closed():
+    # one failure naming an element e_i or f_i reaches outside the set, no traceback
+    assert verify_perfect([B1Elem((1, 0, 0))], 1) == [
+        "not closed under e_i/f_i: B1Elem(nu=(0, 0, 1)) is missing"]
+    assert verify_perfect(all_b1(2, 2)[:4], 2) == [
+        "not closed under e_i/f_i: B1Elem(nu=(1, 1, 0)) is missing"]
 
 
 def test_verify_perfect_rejects_an_empty_crystal():
