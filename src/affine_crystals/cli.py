@@ -22,7 +22,7 @@ from .linalg import PRIME
 from .paths import DeadWordError, from_word, ground_path, parse_word, path_to_json, word_alpha
 from .perfect import B1Elem, BnElem, ground_adj, render
 from .quiver import GenericityError
-from .suites import run_suite
+from .suites import SUITES, run_suite
 
 KIND_BY_FLAG = {"b1": "B1", "bn": "Bn", "ad": "Ad"}
 
@@ -121,7 +121,7 @@ def cmd_path(args) -> int:
     except DeadWordError as err:
         return _failed(err)
     data = path_to_json(p)
-    data["rendered"] = [render(p.factor(k)) for k in range(p.tail_start + 1)]
+    data["rendered"] = [render(p.factor(k)) for k in range(len(p.devs) + 1)]
     _dump(data, args.out)
     return 0
 
@@ -144,6 +144,8 @@ def cmd_quiver(args) -> int:
 
 def _graph_seed_elem(args):
     if args.crystal == "path":
+        if args.lam is None:
+            _usage_error("--crystal path needs --lambda")
         return ground_path(_lam(args), KIND_BY_FLAG[args.kind])
     n, lvl = _n(args), _fits("--level", _at_least("--level", args.level, 1))
     if args.crystal == "b1":
@@ -209,8 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--crystal", choices=("b1", "bn", "ad", "path"), default="b1")
     g.add_argument("--n", type=integer, required=True)
     g.add_argument("--level", type=integer, default=1)
-    g.add_argument("--lambda", dest="lam", default="1",
-                   help="only for --crystal path")
+    g.add_argument("--lambda", dest="lam", help="only for --crystal path")
     g.add_argument("--kind", choices=sorted(KIND_BY_FLAG), default="b1")
     g.add_argument("--depth", type=integer, default=None)
     g.add_argument("--max-nodes", type=integer, default=2000)
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_graph)
 
     v = sub.add_parser("verify", help="run a named check suite")
-    v.add_argument("suite", choices=("example", "xi", "perfect", "bridge", "axioms", "all"))
+    v.add_argument("suite", choices=(*SUITES, "all"))
     v.add_argument("--seed", type=integer, default=0)
     v.set_defaults(func=cmd_verify)
     return ap

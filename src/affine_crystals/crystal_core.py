@@ -45,12 +45,14 @@ def signature(i: int, factors) -> tuple[list[int], list[int]]:
 
 class Tensor:
     """An element of an ordered tensor under the signature rule.  A subclass, a frozen
-    dataclass, gives ``n``, ``_window()`` (the factors the rule reads, left to right) and
-    ``_with(idx, elem)`` (itself with window factor idx replaced by elem).  The record
-    of i, (eps_i, phi_i, e-owner, f-owner), is one ``signature`` call on first use; it
-    and the window are cached by hand in the instance dict, as a first cached_property
-    read takes a lock.  With ``_DROP_LEFT_MINUS`` the leftmost factor's "-" symbols
-    count in neither eps_i nor the e-owner: the tail beyond the window cancels them."""
+    dataclass whose constructor stores its factors as a tuple in one normal form, gives
+    ``n``, ``_window()`` (the factors the rule reads, left to right) and ``_with(idx,
+    elem)`` (its constructor's value with window factor idx replaced by elem).  The
+    record of i, (eps_i, phi_i, e-owner, f-owner), is one ``signature`` call on first
+    use; it and the window are cached by hand in the instance dict, as a first
+    cached_property read takes a lock.  With ``_DROP_LEFT_MINUS`` the leftmost factor's
+    "-" symbols count in neither eps_i nor the e-owner: the tail beyond the window
+    cancels them."""
 
     _DROP_LEFT_MINUS = False
     _records = None  # until filled: then one record or None per i
@@ -103,11 +105,13 @@ class Tensor:
 
 @dataclass(frozen=True)
 class TensorProd(Tensor):
-    """Finite ordered tensor of crystal elements of one rank, itself a crystal element."""
+    """Finite ordered tensor of crystal elements of one rank, itself a crystal element.
+    The constructor takes any iterable of factors and stores it as a tuple."""
 
     factors: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ValueError("a tensor product needs at least one factor")
         if len({len(b.row) for b in self.factors}) > 1:

@@ -47,6 +47,3 @@ KER_X = [(0, 0, 0), (3, 3, 2), (4, 4, 5), (4, 6, 6), (4, 7, 6)]
 KER_XBAR = [(0, 0, 0), (3, 3, 3), (3, 6, 4), (4, 6, 5), (4, 7, 5), (4, 7, 6)]
 KER_XXBAR = [(0, 0, 0), (4, 6, 5), (4, 7, 6)]
 KER_XBAR_XXBAR = [(3, 3, 3), (4, 7, 5), (4, 7, 6)]
-
-# ground-state factors of the (-1)-rotated weight 2L1 + L2 in the row model
-ROTATED_GROUND_RENDER = "[1,1,2]"

@@ -23,8 +23,7 @@ from dataclasses import dataclass, field
 
 from .cartan import RootVec, Weight, cl_root, root, rotate
 from .linalg import PRIME, GradedMap
-from .paths import (Path, factor_from_content, from_word, lowering_steps, make_path,
-                    path_to_json, word_alpha)
+from .paths import Path, factor_from_content, from_word, lowering_steps, path_to_json, word_alpha
 from .perfect import AdjElem, B1Elem, BnElem, merge_pair
 from .quiver import (
     KernelTable,
@@ -42,7 +41,7 @@ from .walls import PATH_KIND, WallTuple, path_to_walls, strip_column0, walls_to_
 def _row_path(kt: KernelTable, lam: Weight, kind: str, seq: str) -> Path:
     """Factor i of the row (B1) or column (Bn) model from the step seq[i + 1] - seq[i]."""
     steps = [kt.at(seq, i + 1) - kt.at(seq, i) for i in range(len(getattr(kt, seq)) - 1)]
-    return make_path(lam, kind, [factor_from_content(lam, kind, i, d) for i, d in enumerate(steps)])
+    return Path(lam, kind, [factor_from_content(lam, kind, i, d) for i, d in enumerate(steps)])
 
 
 def b1_path_from_kernels(kt: KernelTable, lam: Weight) -> Path:
@@ -59,7 +58,7 @@ def adj_path_from_kernels(kt: KernelTable, lam: Weight) -> Path:
         factor_from_content(box_lam, "B1", 0, kt.at("xy_pow", i + 1) - kt.at("yxy_pow", i)),
         factor_from_content(lam, "Bn", 0, kt.at("yxy_pow", i) - kt.at("xy_pow", i)),
     ) for i in range(max(len(kt.xy_pow), len(kt.yxy_pow)))]
-    return make_path(lam, "Ad", factors)
+    return Path(lam, "Ad", factors)
 
 
 # ------------------------------------------------------------ peeling steps
@@ -113,7 +112,7 @@ class IsoReport:
 
 
 def _compare(direct: Path, geom: Path, kind: str, mismatches: list[str]):
-    top = max(direct.tail_start, geom.tail_start) + 1
+    top = max(len(direct.devs), len(geom.devs)) + 1
     for k in range(top):
         if direct.factor(k) != geom.factor(k):
             mismatches.append(

@@ -19,11 +19,13 @@ interned perfect-crystal elements, so the signature reads each one's row, the
 weight is one integer sum of cached coefficients (the record's entry at len(devs)
 mod period plus each deviation's ``wa``), and the trim of ground factors and the
 hash read each factor's cached hash.
-An operator's result is make_path of the deviations with one factor replaced or
-appended (the new factor from the element's own e_i/f_i memo) and inherits no
-cache, so check_axioms compares values computed on each side of an edge.  A
-lowering walk reads the position each f_i changes off the same record, and the
-wall tuples replay those steps.
+A Path has one normal form: its constructor stores the deviations as a tuple and
+trims the trailing ones that equal the ground factor at their position, so equal
+paths are equal values with equal hashes however they were built.  An operator's
+result is the Path of the deviations with one factor replaced or appended (the new
+factor from the element's own e_i/f_i memo) and inherits no cache, so check_axioms
+compares values computed on each side of an edge.  A lowering walk reads the
+position each f_i changes off the same record, and the wall tuples replay those steps.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
 ``factor_from_content``: the weight section of wt(ground factor k) - cl(content),
@@ -107,29 +109,34 @@ def _section(lam: Weight, kind: str, k: int, c: tuple[int, ...]):
     return type(g)(vec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Path(Tensor):
-    """Normalized path: devs[k] is the factor at position k for k < tail_start.
+    """Path in normal form: devs[k] is the factor at position k for k < len(devs), and
+    the ground factor from there on.
 
-    A Tensor on its window [g_T, *reversed(devs)], T = len(devs), that leaves out
-    g_T's "-" symbols; a changed factor rebuilds it by make_path.  wt and the hash
-    are cached on first use; wt is the ground-state record's offset at len(devs) mod
-    period plus each deviation's wa.  An operator's result holds only lam, kind and
-    devs until something reads it."""
+    The constructor takes any iterable of deviations, stores it as a tuple and trims
+    trailing ground factors; an unknown kind raises ValueError.  A Tensor on its
+    window [g_T, *reversed(devs)], T = len(devs), that leaves out g_T's "-" symbols.
+    wt and the hash are cached on first use; wt is the ground-state record's offset at
+    len(devs) mod period plus each deviation's wa.  An operator's result holds only
+    lam, kind and devs until something reads it."""
 
     lam: Weight
     kind: str
     devs: tuple = ()
+
+    def __init__(self, lam: Weight, kind: str, devs=()):  # one dict update: no frozen setattr
+        devs, period = tuple(devs), _ground(lam, kind)[0]
+        top = len(devs)
+        while top and devs[top - 1] == period[(top - 1) % len(period)]:
+            top -= 1
+        vars(self).update(lam=lam, kind=kind, devs=devs[:top])
 
     _DROP_LEFT_MINUS = True  # g_{T+1}, beyond the window, cancels them
 
     @property
     def n(self) -> int:
         return self.lam.n
-
-    @property
-    def tail_start(self) -> int:
-        return len(self.devs)
 
     def factor(self, k: int):
         if k < len(self.devs):
@@ -144,7 +151,7 @@ class Path(Tensor):
     def _with(self, idx: int, elem) -> Path:
         """The path with window factor idx replaced, or with f_i(g_T) appended."""
         pos = len(self.devs) - idx
-        return make_path(self.lam, self.kind, self.devs[:pos] + (elem,) + self.devs[pos + 1:])
+        return Path(self.lam, self.kind, self.devs[:pos] + (elem,) + self.devs[pos + 1:])
 
     _wt = _hash = None  # until cached by hand in the instance dict, which takes no lock
 
@@ -167,36 +174,19 @@ class Path(Tensor):
         return Path, (self.lam, self.kind, self.devs)
 
     def __str__(self) -> str:
-        facs = " (x) ".join(render(self.factor(k)) for k in range(self.tail_start - 1, -1, -1))
+        facs = " (x) ".join(render(self.factor(k)) for k in range(len(self.devs) - 1, -1, -1))
         return f"...(x) {facs}" if facs else "ground"
 
 
-def make_path(lam: Weight, kind: str, devs) -> Path:
-    """Build a path, trimming deviations that already equal the ground tail."""
-    devs, period = tuple(devs), _ground(lam, kind)[0]
-    top = len(devs)
-    while top and devs[top - 1] == period[(top - 1) % len(period)]:
-        top -= 1
-    return Path(lam, kind, devs[:top])
-
-
 def ground_path(lam: Weight, kind: str) -> Path:
-    return Path(lam, kind, ())
-
-
-def _apply_window(op: str, i: int, p: Path):
-    """(path, changed position) of e_i/f_i on p's window, or None."""
-    res = p._step(op, i)
-    if res is None:
-        return None
-    return p._with(*res), len(p.devs) - res[0]
+    return Path(lam, kind)
 
 
 def path_apply(op: str, i: int, p: Path):
     """Apply e_i/f_i on the window (exact by the junction identity); None when the
     operator annihilates the path."""
-    res = _apply_window(op, i, p)
-    return None if res is None else res[0]
+    res = p._step(op, i)
+    return None if res is None else p._with(*res)
 
 
 def lowering_steps(lam: Weight, kind: str, word) -> tuple[Path, list[tuple[int, int]]]:

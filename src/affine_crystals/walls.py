@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cartan import RootVec, Weight, decompose, weight, zero_root
-from .paths import Path, factor_from_content, make_path
+from .paths import Path, factor_from_content
 
 
 class InversionError(RuntimeError):
@@ -177,8 +177,8 @@ def _fits(n: int, kind: str, charges, heights: list[list[int]], w: int, pos: int
 def walls_to_path(walls: WallTuple) -> Path:
     """Factor j is factor_from_content of column j's content."""
     lam, kind = walls.lam, PATH_KIND[walls.kind]
-    return make_path(lam, kind, [factor_from_content(lam, kind, j, column_content(walls, j))
-                                 for j in range(walls.n_cols())])
+    return Path(lam, kind, [factor_from_content(lam, kind, j, column_content(walls, j))
+                            for j in range(walls.n_cols())])
 
 
 def path_to_walls(path: Path, steps, alpha: RootVec) -> WallTuple:

@@ -330,7 +330,7 @@ def profiled_calls(fn, *args):
 
 def changed_positions(p, q):
     """The factor positions where paths p and q differ."""
-    top = max(p.tail_start, q.tail_start) + 1
+    top = max(len(p.devs), len(q.devs)) + 1
     return [k for k in range(top) if p.factor(k) != q.factor(k)]
 
 

@@ -191,9 +191,10 @@ def test_graph_output_bytes_pinned(args, digest, capsys):
     ["graph", "--crystal", "ad", "--n", "2", "--level", "-2"],
     ["graph", "--crystal", "bn", "--n", "2", "--max-nodes", "0"],
     ["graph", "--crystal", "b1", "--n", "2", "--depth", "-1"],
+    ["graph", "--crystal", "path", "--n", "2"],
 ], ids=["level-zero", "not-integers", "not-dominant", "n-zero", "graph-n-zero",
         "graph-b1-level-negative", "graph-ad-level-negative", "graph-max-nodes-zero",
-        "graph-depth-negative"])
+        "graph-depth-negative", "graph-path-no-lambda"])
 def test_bad_lambda_or_n_is_a_usage_error(args):
     proc = run_cli(args)
     assert proc.returncode == 2

@@ -42,7 +42,7 @@ def _search_path_to_walls(path, alpha):
     m = n + 1
     charges = decompose(lam)
     ell = len(charges)
-    top = path.tail_start + n + 1
+    top = len(path.devs) + n + 1
     targets = [
         ground_elem(lam, pkind, j).wt() - path.factor(j).wt() for j in range(top + 1)
     ]
