@@ -115,8 +115,9 @@ class Path(Tensor):
     the ground factor from there on.
 
     The constructor takes any iterable of deviations, stores it as a tuple and trims
-    trailing ground factors; an unknown kind raises ValueError.  A Tensor on its
-    window [g_T, *reversed(devs)], T = len(devs), that leaves out g_T's "-" symbols.
+    trailing ground factors.  ValueError: an unknown kind, or a deviation whose interned
+    ``family`` (class, rank, level) is not the ground factors'.  A Tensor on its window
+    [g_T, *reversed(devs)], T = len(devs), that leaves out g_T's "-" symbols.
     wt and the hash are cached on first use; wt is the ground-state record's offset at
     len(devs) mod period plus each deviation's wa.  An operator's result holds only
     lam, kind and devs until something reads it."""
@@ -127,6 +128,11 @@ class Path(Tensor):
 
     def __init__(self, lam: Weight, kind: str, devs=()):  # one dict update: no frozen setattr
         devs, period = tuple(devs), _ground(lam, kind)[0]
+        family = period[0].family
+        for dev in devs:
+            if getattr(dev, "family", None) is not family:
+                raise ValueError(f"deviation {dev!r} is not a {kind} factor of rank {lam.n} "
+                                 f"and level {lam.level}")
         top = len(devs)
         while top and devs[top - 1] == period[(top - 1) % len(period)]:
             top -= 1

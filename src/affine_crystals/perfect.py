@@ -46,6 +46,7 @@ from .crystal_core import TensorProd, eps_weight, generate_graph, phi_weight
 INTERN_CAP = 4096  # elements the table holds; a full table is dropped whole
 _TABLE: dict = {}  # (class, *value) -> the one element of that value
 _ASK = object()  # an e_i/f_i memo slot not asked for yet
+_FAMILIES: dict = {}  # (class, rank + 1, level) -> that tuple, one object per family
 
 
 def _intern(cls, *value):
@@ -57,6 +58,8 @@ def _intern(cls, *value):
         for name, v in (*zip(cls._FIELDS, value, strict=True), ("row", row), ("wa", wa),
                         ("_hash", hash(value)), ("_ops", [_ASK] * (2 * len(row)))):
             object.__setattr__(elem, name, v)
+        family = (cls, len(row), elem.level)
+        object.__setattr__(elem, "family", _FAMILIES.setdefault(family, family))
         if len(_TABLE) >= INTERN_CAP:
             _drop()
         _TABLE[(cls, *value)] = elem
@@ -72,13 +75,14 @@ def _drop():
 
 
 class _Elem:
-    """An interned element: its value fields, and the row, wa, hash and e_i/f_i memo
-    that ``_intern`` fills (``_ops[i]`` is e_i, ``_ops[n + 1 + i]`` is f_i).  Each
+    """An interned element: its value fields, and the row, wa, hash, e_i/f_i memo and
+    family that ``_intern`` fills (``_ops[i]`` is e_i, ``_ops[n + 1 + i]`` is f_i; the
+    family, one shared (class, n + 1, level) tuple, is what a Path checks).  Each
     class gives its rule: the classmethod ``_rule_values(*value)``, the (row, wt
     coefficients) of a value, raising ValueError for an invalid one, and
     ``_apply(op, i)``, e_i/f_i or None."""
 
-    __slots__ = ("row", "wa", "_hash", "_ops")
+    __slots__ = ("row", "wa", "_hash", "_ops", "family")
     _FIELDS: tuple[str, ...] = ()
 
     def _value(self) -> tuple:
@@ -212,6 +216,10 @@ class AdjElem(_Elem):
     @property
     def k(self) -> int:
         return sum(self.m)
+
+    @property
+    def level(self) -> int:
+        return self.cap
 
     @classmethod
     def _rule_values(cls, mb, m, cap):

@@ -20,14 +20,15 @@ sample writes one coefficient into each support's cells; see
 ``commutant_basis`` for the construction and the order of its basis.
 
 Kernel tables take no dense powers.  ker x^k is counted on the strings, and
-one row chain xbar, xbar^2, ..., a fused product and elimination per power,
+one row chain xbar, xbar^2, ..., one product-and-elimination call per power,
 gives the other sequences as pivot counts in column prefixes; see
 ``kernel_table_at``.  Stability needs only the string-end columns; see
 ``is_stable``.
 
-Generic values are taken as the componentwise minimum over >= 3 independent
-prime-field samples, at least two of which must equal it; disagreement
-triggers resampling and, past a bound, a GenericityError.
+Generic values are the componentwise minimum over >= 3 independent samples, at
+least two of which must equal it.  Agreement is checked first, so the minimum is
+taken only when a sample differs; too few agreeing samples trigger resampling
+and, past a bound, a GenericityError.  Coefficients are drawn by ``draws``.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count
+from itertools import count, islice, repeat
 
 from .cartan import RootVec, Weight
-from .linalg import (PRIME, GradedMap, gm_from_blocks, independent_products, independent_rows,
-                     rank, zero_blocks)
+from .linalg import PRIME, GradedMap, eliminate_products, gm_from_blocks, rank, zero_blocks
 from .walls import SIGN, WallTuple, block_color
 
 
@@ -192,12 +192,17 @@ def sample_in_commutant(x: WallMap, basis, rng: random.Random,
     below p, so this is the sum of coefficient times basis map, reduced mod p.
     """
     blocks = zero_blocks(x.dims, -x.shift)
-    hi = p if p is not None else 10**6
-    for cells in basis:
-        co = rng.randrange(hi)
+    for cells, co in zip(basis, draws(rng, len(basis), p)):
         for t, r, c in cells:
             blocks[t][r][c] = co
     return gm_from_blocks(x.dims, -x.shift, blocks)
+
+
+def draws(rng: random.Random, n: int, p: int | None = PRIME) -> list[int]:
+    """n coefficients below p (10^6 over Q) by CPython's rule for randrange, written out
+    so that no Python version changes them: hi.bit_length() bits until below hi."""
+    hi = p if p is not None else 10**6
+    return list(islice(filter(hi.__gt__, map(rng.getrandbits, repeat(hi.bit_length()))), n))
 
 
 # ------------------------------------------------------- point diagnostics
@@ -261,9 +266,10 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
     xbar, xbar^2, ...: (x xbar)^k = xbar^k x^k, xbar (x xbar)^(k-1) = xbar^k
     x^(k-1), and x^t maps V_i onto the vectors of V_(i + t deg x) at depth
     >= t, a column prefix in ``index.order``; so rank xbar^k x^t is a pivot
-    count in a prefix.  The chain starts from the sampled blocks; each later
-    power is one ``independent_products`` per component whose previous rows
-    are not all gone, which keeps actual rows of xbar^k: eliminated ones
+    count in a prefix.  Each power is one ``eliminate_products`` over all
+    components: xbar^1 is the sampled blocks times 1, each later power the kept
+    rows of the one before times xbar, and a component whose rows are all gone
+    forms no product.  The kept rows are actual rows of xbar^k: eliminated ones
     would carry their Bareiss growth over Q from one power into the next.
 
     One loop over k appends ker xbar^k, then (k >= 1) ker xbar (x xbar)^(k-1),
@@ -276,7 +282,6 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
     if not check_moment(x, xbar, p):
         raise ValueError("kernel table requested at a non-commuting point")
     m, dims, sb, ix = x.m, x.dims, xbar.shift, x.index
-    alpha = RootVec(dims)
     blocks = [[[blk[r][c] for c in ix.order[i]] for r in ix.order[(i + sb) % m]]
               for i, blk in enumerate(map(xbar.block_out, range(m)))]
     right = [[[(c, v) for c, v in enumerate(row) if v] for row in blk] for blk in blocks]
@@ -284,22 +289,20 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
     seqs = {"ker xbar^k": [], "ker xbar (x xbar)^k": [], "ker (x xbar)^k": []}
     for k in count():
         for (name, seq), t in zip(seqs.items(), (0, k - 1, k)):
-            if t < 0 or seq[-1:] == [alpha]:
+            if t < 0 or seq and seq[-1] == dims:
                 continue
             deep = ix.deep[min(t, len(ix.deep) - 1)]  # ker xbar^k x^t from xbar^k's pivots
-            kernel = RootVec(tuple(n - bisect_left(pivots[j], deep[j])
-                                   for i, n in enumerate(dims) for j in [(i - t * sb) % m]))
-            if seq[-1:] == [kernel]:
-                raise GenericityError(f"kernel filtration {name} stabilized at {kernel} "
-                                      f"below alpha = {alpha}")
+            kernel = tuple([n - bisect_left(pivots[j], deep[j])
+                            for i, n in enumerate(dims) for j in [(i - t * sb) % m]])
+            if seq and seq[-1] == kernel:
+                raise GenericityError(f"kernel filtration {name} stabilized at {RootVec(kernel)} "
+                                      f"below alpha = {RootVec(dims)}")
             seq.append(kernel)
-        if all(seq[-1:] == [alpha] for seq in seqs.values()):
-            xbar_pow, yxy_pow, xy_pow = map(tuple, seqs.values())
-            return KernelTable(alpha, ix.power_kernels, xbar_pow, xy_pow, yxy_pow)
-        rows, pivots = zip(*(
-            independent_rows(blocks[i], p) if not k
-            else independent_products(rows[(i + sb) % m], right[i], n, p) if rows[(i + sb) % m]
-            else ([], []) for i, n in enumerate(dims)))
+        if k and all(seq[-1] == dims for seq in seqs.values()):
+            xbar_pow, yxy_pow, xy_pow = (tuple(map(RootVec, seq)) for seq in seqs.values())
+            return KernelTable(RootVec(dims), ix.power_kernels, xbar_pow, xy_pow, yxy_pow)
+        rows, pivots = eliminate_products(  # xbar^(k+1): xbar times 1, then xbar^k times xbar
+            [rows[(i + sb) % m] for i in range(m)] if k else blocks, right if k else None, dims, p)
 
 
 SEQS = ("x_pow", "xbar_pow", "xy_pow", "yxy_pow")
@@ -327,20 +330,20 @@ def generic_kernel_table(x: WallMap, basis, seed: int = 0,
 
     A sample agrees when its table equals the minimum table.  Each sampled
     table strictly increases to alpha in every sequence and the minimum drops
-    its trailing repeats, so equality is row-by-row agreement.
+    its trailing repeats, so equality is row-by-row agreement, and equal
+    tables are their own minimum: ``_table_min`` runs only when one differs.
     """
     rng = random.Random(seed)
     tables: list[KernelTable] = []
-    lower, agree = None, 0
     for _ in range(MAX_SAMPLES):
-        xbar = sample_in_commutant(x, basis, rng, p)
-        tables.append(kernel_table_at(x, xbar, p))
-        lower = _table_min(tables)
-        agree = tables.count(lower)
-        if len(tables) >= MIN_SAMPLES and agree >= 2:
-            return lower
+        tables.append(kernel_table_at(x, sample_in_commutant(x, basis, rng, p), p))
+        if len(tables) >= MIN_SAMPLES:
+            lower = tables[0] if tables.count(tables[0]) == len(tables) else _table_min(tables)
+            if tables.count(lower) >= 2:
+                return lower
+    lower = _table_min(tables) if tables else None
     raise GenericityError(f"no agreeing generic kernel table: {len(tables)} samples drawn "
-                          f"(min_samples {MIN_SAMPLES}), {agree} agreeing with the "
+                          f"(min_samples {MIN_SAMPLES}), {tables.count(lower)} agreeing with the "
                           f"minimum table {lower.to_json() if lower else {}}")
 
 
@@ -348,11 +351,8 @@ def generic_kernel_table(x: WallMap, basis, seed: int = 0,
 
 def sample_framing(lam: Weight, dims, rng: random.Random, p: int | None = PRIME):
     """Random framing maps t_i: V_i -> W_i with dim W_i = <h_i, lam>."""
-    hi = p if p is not None else 10**6
-    return [
-        [[rng.randrange(hi) for _ in range(dims[i])] for _ in range(lam.a[i])]
-        for i in range(len(dims))
-    ]
+    co = iter(draws(rng, sum(n * t for n, t in zip(dims, lam.a)), p))
+    return [[[next(co) for _ in range(n)] for _ in range(t)] for n, t in zip(dims, lam.a)]
 
 
 def is_stable(x: WallMap, xbar: GradedMap, framing, p: int | None = PRIME) -> bool:

@@ -3,11 +3,13 @@
 import cProfile
 import os
 import pstats
+import random
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import lcm
 
+from affine_crystals import quiver
 from affine_crystals.cartan import RootVec, Weight, zero_root
 from affine_crystals.linalg import PRIME, _echelon, gm_from_blocks, rank, zero_blocks
 from affine_crystals.paths import WeightSectionError, ground_elem, path_apply
@@ -48,6 +50,13 @@ def echelon_reference(rows, ncols: int, p: int | None):
         prev = pv
         pivots.append(c)
     return rows[:len(pivots)], pivots, order[:len(pivots)]
+
+
+def independent_rows(a, p: int | None = PRIME) -> tuple[list, list[int]]:
+    """A maximal independent subset of the rows of a, as given, and the pivot columns."""
+    rows = [[v % p for v in row] for row in a] if p is not None else [list(row) for row in a]
+    _, pivots, picked = _echelon(rows, len(a[0]) if a else 0, p)
+    return [a[i] for i in picked], pivots
 
 
 def nullspace(a, ncols: int, p: int | None = PRIME):
@@ -348,6 +357,25 @@ def raising_steps(p):
                 break
         else:
             return steps
+
+
+def generic_kernel_table_reference(x, basis, seed=0, p=PRIME):
+    """The genericity protocol with the minimum table and its agreement count
+    recomputed after every sample, through the module's own names, so that a
+    patched sampler acts on both."""
+    rng = random.Random(seed)
+    tables = []
+    lower, agree = None, 0
+    for _ in range(quiver.MAX_SAMPLES):
+        xbar = quiver.sample_in_commutant(x, basis, rng, p)
+        tables.append(quiver.kernel_table_at(x, xbar, p))
+        lower = quiver._table_min(tables)
+        agree = tables.count(lower)
+        if len(tables) >= quiver.MIN_SAMPLES and agree >= 2:
+            return lower
+    raise GenericityError(f"no agreeing generic kernel table: {len(tables)} samples drawn "
+                          f"(min_samples {quiver.MIN_SAMPLES}), {agree} agreeing with the "
+                          f"minimum table {lower.to_json() if lower else {}}")
 
 
 def _table_rows_eq(a, b):

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import affine_crystals
 from affine_crystals import iso, quiver
 from affine_crystals.cli import main
 from affine_crystals.linalg import gm_from_blocks
@@ -158,6 +160,25 @@ def test_quiver_output_bytes_pinned(field, digest):
     proc = run_cli(["quiver"] + WORKED + ["--field", field])
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_quiver_bytes_agree_across_interpreters(version):
+    # the coefficient draws are the program's own rule, not randrange's, so every
+    # interpreter that starts writes the same bytes; a missing one is skipped
+    exe = shutil.which(f"python{version}")
+    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True).returncode:
+        pytest.skip(f"no python{version} starts here")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(affine_crystals.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("CRYSTAL_SEED", None)
+    args = ["-m", "affine_crystals.cli", "quiver", *WORKED[:-1], "7"]
+    for field in ("fp", "qq"):
+        here, there = (subprocess.run([python, *args, "--field", field], capture_output=True,
+                                      text=True, env=env) for python in (sys.executable, exe))
+        assert here.returncode == there.returncode == 0, there.stderr
+        assert (hashlib.sha256(there.stdout.encode()).hexdigest()
+                == hashlib.sha256(here.stdout.encode()).hexdigest())
 
 
 @pytest.mark.parametrize("args, digest", [

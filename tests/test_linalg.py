@@ -6,10 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_crystals.cartan import RootVec
-from affine_crystals.linalg import (PRIME, _echelon, gm_from_blocks, independent_products,
-                                    independent_rows, rank)
+from affine_crystals.linalg import PRIME, _echelon, eliminate_products, gm_from_blocks, rank
 
-from oracles import echelon_reference, gm_compose, gm_zero, mat_mul, nullspace, sparse_rows
+from oracles import (echelon_reference, gm_compose, gm_zero, independent_rows, mat_mul, nullspace,
+                     sparse_rows)
 
 FIELDS = (PRIME, None)
 
@@ -162,8 +162,8 @@ ENTRIES = st.one_of(st.integers(-3, 3), st.sampled_from([PRIME, -PRIME, PRIME + 
 
 
 @st.composite
-def products(draw):
-    """rows (rows x mid), right (mid x ncols, sparse) and a field; rows may be empty or zero."""
+def product(draw):
+    """rows (rows x mid) and right (mid x ncols, sparse); rows may be empty or zero."""
     nrows, mid, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
     rows = draw(st.lists(st.lists(ENTRIES, min_size=mid, max_size=mid), min_size=nrows,
                          max_size=nrows))
@@ -171,28 +171,38 @@ def products(draw):
                                    max_size=ncols), min_size=mid, max_size=mid))
     if rows and draw(st.booleans()):
         rows[draw(st.integers(0, nrows - 1))] = [0] * mid
-    return rows, right, ncols, draw(st.sampled_from(FIELDS))
+    return rows, right, ncols
 
 
 @settings(max_examples=200)
-@given(products())
-@example(([], [[1, 2]], 2, PRIME))
-@example(([[0, 0]], [[1], [2]], 1, None))
-@example(([[PRIME, -1], [-PRIME, 1]], [[1, PRIME + 1], [0, -2]], 2, PRIME))
-@example(([[PRIME, -1], [-PRIME, 1]], [[1, PRIME + 1], [0, -2]], 2, None))
-@example(([[1, 2]], [], 0, PRIME))
-def test_independent_products_is_product_then_independent_rows(case):
-    # the fused step picks the same rows with the same pivots as the product
-    # followed by independent_rows, so the same row space; its rows are rows
-    # of the product, reduced mod p
-    rows, right, ncols, p = case
-    fused, pivots = independent_products(rows, sparse_rows(right), ncols, p)
-    product = mat_mul(rows, sparse_rows(right), ncols, p)
-    assert (fused, pivots) == independent_rows(product, p)
-    assert len(pivots) == rank(fused, p) == rank(product, p) == rank(fused + product, p)
-    assert all(row in product for row in fused)
-    if p is not None:
-        assert all(0 <= v < p for row in fused for v in row)
+@given(st.lists(product(), max_size=3), st.sampled_from(FIELDS))
+@example([([], [[1, 2]], 2)], PRIME)
+@example([([[0, 0]], [[1], [2]], 1)], None)
+@example([([[PRIME, -1], [-PRIME, 1]], [[1, PRIME + 1], [0, -2]], 2)] * 2, PRIME)
+@example([([[PRIME, -1], [-PRIME, 1]], [[1, PRIME + 1], [0, -2]], 2)], None)
+@example([([[1, 2]], [[], []], 0), ([[1]], [[0, 3]], 2)], PRIME)
+@example([], None)
+def test_eliminate_products_is_product_then_independent_rows(cases, p):
+    # on each block the fused step picks the same rows with the same pivots as
+    # the product followed by independent_rows, so the same row space; its rows
+    # are rows of the product, reduced mod p
+    got = eliminate_products([rows for rows, _, _ in cases],
+                             [sparse_rows(right) for _, right, _ in cases],
+                             [ncols for _, _, ncols in cases], p)
+    assert len(got[0]) == len(got[1]) == len(cases)
+    for (rows, right, ncols), fused, pivots in zip(cases, *got):
+        product = mat_mul(rows, sparse_rows(right), ncols, p)
+        assert (fused, pivots) == independent_rows(product, p)
+        assert len(pivots) == rank(fused, p) == rank(product, p) == rank(fused + product, p)
+        assert all(row in product for row in fused)
+        if p is not None:
+            assert all(0 <= v < p for row in fused for v in row)
+    # no right factors: the rows themselves, reduced mod p, zero rows dropped
+    alone = eliminate_products([rows for rows, _, _ in cases], None,
+                               [len(right) for _, right, _ in cases], p)
+    for (rows, _, _), kept, pivots in zip(cases, *alone):
+        reduced = [[v % p for v in row] if p is not None else row for row in rows]
+        assert (kept, pivots) == independent_rows([row for row in reduced if any(row)], p)
 
 
 @st.composite

@@ -26,8 +26,8 @@ from affine_crystals.paths import (
     path_to_json,
     word_alpha,
 )
-from affine_crystals.perfect import (AdjElem, B1Elem, all_adj, all_b1, all_bn, ground_adj,
-                                     ground_b1, ground_bn)
+from affine_crystals.perfect import (AdjElem, B1Elem, BnElem, all_adj, all_b1, all_bn,
+                                     ground_adj, ground_b1, ground_bn)
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import path_to_walls, walls_to_path
 from oracles import (b1_from_weight, bn_from_weight, changed_positions, path_wt_reference,
@@ -170,6 +170,22 @@ def test_the_constructor_gives_the_normal_form():
         assert generate_graph(seed, max_nodes=20).nodes[0] == seed
     with pytest.raises(ValueError, match="unknown kind 'Q'"):
         Path(LAM, "Q")
+
+
+@pytest.mark.parametrize("lam, kind, devs", [
+    ((1, 1, 0), "Bn", [B1Elem((0, 1, 1))]),  # a B1 factor on a Bn path
+    ((1, 1, 0), "B1", [BnElem((0, 1, 1))]),  # and the converse
+    ((1, 1, 0), "B1", [B1Elem((0, 0, 3))]),  # level 3 on a level-2 weight
+    ((2, 0, 0), "B1", [B1Elem((1, 1))]),  # rank 1 on a rank-2 weight
+    ((1, 1, 0), "Ad", [ground_adj(weight((1, 1, 0))), AdjElem((0, 1, 0), (0, 0, 1), 3)]),
+    ((1, 1, 0), "Ad", [ground_adj(weight((1, 1, 0))), "not a factor"]),
+], ids=["b1-on-bn", "bn-on-b1", "level", "rank", "adj-level", "not-an-element"])
+def test_a_deviation_of_another_family_is_rejected(lam, kind, devs):
+    # these gave a path, a weight, a row with a level-3 factor in it or an
+    # IndexError; each raises one line naming the deviation when it is built
+    with pytest.raises(ValueError, match=rf"^deviation .* is not a {kind} factor of rank "
+                       rf"{len(lam) - 1} and level {sum(lam)}$"):
+        Path(weight(lam), kind, devs)
 
 
 def _apply_on_window(op, i, p, w):

@@ -223,8 +223,9 @@ def test_guards_hold_under_optimize():
     # of different lengths), B1 and Bn elements with a negative entry or fewer
     # than two entries, a level mismatch in merge_pair, a factor whose
     # f_i refuses a surviving "+", a tensor product of no factors or of factors
-    # of different ranks, a path deviation of another rank and a weight or root
-    # with a non-integer coefficient raise ValueError even under python -O
+    # of different ranks, a path deviation of another rank, class or level, and
+    # a weight or root with a non-integer coefficient raise ValueError even
+    # under python -O
     import subprocess
     import sys
 
@@ -251,6 +252,11 @@ def test_guards_hold_under_optimize():
         "    lambda: TensorProd((B1Elem((1, 0)), B1Elem((1, 0, 0)))).eps(0),\n"
         "    lambda: Path(weight((2, 0, 0)), 'B1', (B1Elem((1, 1)),)).wt(),  # deviation of rank 1\n"
         "    lambda: Path(weight((2, 0, 0)), 'Ad', (AdjElem((0, 1), (0, 1), 2),)).wt(),\n"
+        "    lambda: Path(weight((1, 1, 0)), 'Bn', [B1Elem((0, 1, 1))]).f(0),  # class\n"
+        "    lambda: Path(weight((1, 1, 0)), 'B1', [BnElem((0, 1, 1))]).wt(),\n"
+        "    lambda: Path(weight((1, 1, 0)), 'B1', [B1Elem((0, 0, 3))]).row,  # level 3\n"
+        "    lambda: Path(weight((2, 0, 0)), 'B1', [B1Elem((1, 1))]).row,\n"
+        "    lambda: Path(weight((1, 1, 0)), 'Ad', [AdjElem((0, 1, 0), (0, 0, 1), 3)]).row,\n"
         "    lambda: weight([1.5, 0]),\n"
         "    lambda: root([0.5, 1]),\n"
         "]\n"
@@ -263,7 +269,7 @@ def test_guards_hold_under_optimize():
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["ValueError"] * 16
+    assert proc.stdout.split() == ["ValueError"] * 21
 
 
 def test_merge_split_roundtrip():

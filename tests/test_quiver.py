@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,8 +30,9 @@ from affine_crystals.quiver import (
 from affine_crystals.suites import random_dominant, random_word, reference_table
 from affine_crystals.walls import column_content, make_walls, path_to_walls, total_content
 
-from oracles import (_kernel_dims, _open_strings, _oracle_table, _table_rows_eq, gm_compose,
-                     gm_zero, nullspace, profiled_calls, row_walk_units, stacked_rank_is_stable,
+from oracles import (_kernel_dims, _open_strings, _oracle_table, _table_rows_eq,
+                     generic_kernel_table_reference, gm_compose, gm_zero, nullspace,
+                     profiled_calls, row_walk_units, stacked_rank_is_stable,
                      string_index_reference, zero_wall_map)
 
 N, LAM = golden.N, golden.LAM
@@ -438,6 +440,90 @@ def test_genericity_error_carries_its_witness(monkeypatch):
         generic_kernel_table(x, commutant_basis(x))
 
 
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except GenericityError as err:
+        return f"GenericityError: {err}"
+
+
+@st.composite
+def generic_cells(draw):
+    """The wall map of a random word (n <= 3, level <= 3, <= 24 letters), a seed and a field."""
+    n = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    lam = random_dominant(n, draw(st.integers(1, 3)), rng)
+    word = random_word(lam, draw(st.integers(0, 24)), rng)
+    path, steps = lowering_steps(lam, draw(st.sampled_from(["B1", "Bn"])), word)
+    x = wall_graded_map(path_to_walls(path, steps, root(word_alpha(n, word))))
+    return x, draw(st.integers(0, 10**6)), draw(st.sampled_from([PRIME, None]))
+
+
+@settings(max_examples=150)
+@given(generic_cells())
+@example((wall_graded_map(WP1), 0, PRIME))
+@example((wall_graded_map(WPN), 7, None))
+def test_generic_kernel_table_matches_the_min_after_every_sample_protocol(cell):
+    # checking agreement first returns what taking the minimum after every
+    # sample returned, and raises the same error where that one raised
+    x, seed, p = cell
+    basis = commutant_basis(x)
+    assert (_outcome(generic_kernel_table, x, basis, seed=seed, p=p)
+            == _outcome(generic_kernel_table_reference, x, basis, seed=seed, p=p))
+
+
+@FIELDS
+@pytest.mark.parametrize("zero_at", [0, 1, 2])
+def test_a_disagreeing_sample_takes_the_minimum_branch(monkeypatch, p, zero_at):
+    # one draw returns xbar = 0, whose kernels are all of V: that table differs,
+    # the minimum is taken and the other two agree with it
+    x = wall_graded_map(WP1)
+    basis, real, real_min = commutant_basis(x), quiver.sample_in_commutant, quiver._table_min
+    generic = generic_kernel_table(x, basis, seed=0, p=p)
+    assert generic == _oracle_table(x.dense(), real(x, basis, random.Random(0), p), p)
+    mins = []
+    monkeypatch.setattr(quiver, "_table_min", lambda tables: mins.append(1) or real_min(tables))
+    for protocol in (generic_kernel_table, generic_kernel_table_reference):
+        sample = iter(range(quiver.MAX_SAMPLES))
+
+        def one_zero(x, basis, rng, p):
+            xbar = real(x, basis, rng, p)
+            return gm_zero(x.dims, -x.shift) if next(sample) == zero_at else xbar
+
+        monkeypatch.setattr(quiver, "sample_in_commutant", one_zero)
+        mins.clear()
+        assert protocol(x, basis, seed=0, p=p) == generic
+        # the reference takes the minimum after each of the three samples
+        assert len(mins) == (1 if protocol is generic_kernel_table else 3)
+
+
+@FIELDS
+def test_kernel_table_stage_work_is_pinned(monkeypatch, p):
+    # test data for the worked example at seed 0: three samples that agree, so
+    # no minimum is taken; one eliminate_products per power of the chain, five
+    # per table, running nine eliminations, since a component whose rows are
+    # gone runs none; 29 coefficients per sample, one getrandbits each, bar the
+    # redraws over Q, where 2^20 bits overshoot the bound 10^6
+    class CountingRandom(random.Random):
+        bits = 0
+
+        def getrandbits(self, k):
+            CountingRandom.bits += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(quiver, "random", SimpleNamespace(Random=CountingRandom))
+    x = wall_graded_map(WP1)
+    basis = commutant_basis(x)
+    kt, calls = profiled_calls(generic_kernel_table, x, basis, 0, p)
+    assert kt == reference_table()
+    assert calls["quiver", "kernel_table_at"] == calls["quiver", "sample_in_commutant"] == 3
+    assert calls["quiver", "_table_min"] == 0
+    assert calls["linalg", "eliminate_products"] == 3 * 5
+    assert calls["linalg", "_echelon"] == 3 * 9
+    assert calls["quiver", "draws"] == 3 and len(basis) == 29
+    assert CountingRandom.bits == (3 * 29 if p is not None else 92)
+
+
 def test_kernel_table_exact_field_flag():
     x = wall_graded_map(WP1)
     basis = commutant_basis(x)
@@ -659,21 +745,29 @@ def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, 
 
 @FIELDS
 def test_kernel_table_skips_components_whose_rows_are_gone(monkeypatch, p):
-    # once xbar^k is 0 on a component, the chain forms no product there
-    calls = []
-    real = quiver.independent_products
-    monkeypatch.setattr(quiver, "independent_products",
-                        lambda rows, *args: calls.append(rows) or real(rows, *args))
+    # once xbar^k is 0 on a component, the chain forms no product there: the
+    # one call per power gets no rows for it and runs no elimination on it
+    calls, echelons = [], []
+    real, real_echelon = quiver.eliminate_products, linalg._echelon
+    monkeypatch.setattr(quiver, "eliminate_products",
+                        lambda lefts, *args: calls.append(lefts) or real(lefts, *args))
+    monkeypatch.setattr(linalg, "_echelon",
+                        lambda *args: echelons.append(args) or real_echelon(*args))
     skipped = 0
     for seed, (_, walls) in enumerate(_long_wall_tuples(12, seed=31)):
         x = wall_graded_map(walls)
         xbar = sample_in_commutant(x, commutant_basis(x), random.Random(seed), p)
         calls.clear()
+        echelons.clear()
         kt = kernel_table_at(x, xbar, p)
-        assert all(calls) and kt == _oracle_table(x.dense(), xbar, p)
-        # the chain steps at k = 0 .. last - 1; k = 0 is no product
+        eliminations = len(echelons)
+        assert kt == _oracle_table(x.dense(), xbar, p)
+        # one call per chain step, k = 0 .. last - 1; k = 0 takes the sampled blocks
         last = max(len(kt.xbar_pow) - 1, len(kt.xy_pow) - 1, len(kt.yxy_pow))
-        skipped += x.m * max(last - 1, 0) - len(calls)
+        assert len(calls) == max(last, 1) and all(len(lefts) == x.m for lefts in calls)
+        gone = sum(not left for lefts in calls for left in lefts)
+        assert eliminations <= x.m * len(calls) - gone
+        skipped += gone
     assert skipped > 0
 
 
