@@ -3,7 +3,8 @@
 Subcommands: ``path`` (run a lowering word in one path model), ``quiver``
 (full geometric dump for a word), ``graph`` (DOT export of a crystal ball)
 and ``verify`` (named check suites).  All output is deterministic given the
-inputs and the seed; CRYSTAL_SEED overrides --seed.
+inputs and the seed; CRYSTAL_SEED overrides --seed.  JSON output is the bytes of
+``json.dumps(data, sort_keys=True, indent=2)``, written by one writer (``_json``).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .cartan import weight
 from .crystal_core import generate_graph
@@ -39,8 +41,30 @@ def _write(text: str, path: str | None):
         _usage_error(f"--out: cannot write {path!r}: {err.strerror or err}")
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """json.dumps(obj, sort_keys=True, indent=2) at indent pad, without json's cyclic closures.
+    A subtree other than str-keyed dicts, lists, tuples, str, int, bool and None is json's
+    own text re-indented (exact: JSON text has no raw newline)."""
+    t, inner = type(obj), pad + "  "
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if t is bool or obj is None:
+        return "null" if obj is None else "true" if obj else "false"
+    if t is dict and all(type(k) is str for k in obj):
+        items = [f"{encode_basestring_ascii(k)}: {_json(obj[k], inner)}" for k in sorted(obj)]
+    elif t is list or t is tuple:
+        items = (map(int.__repr__, obj) if all(type(v) is int for v in obj)
+                 else [_json(v, inner) for v in obj])
+    else:
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", pad)
+    ends = "{}" if t is dict else "[]"
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if obj else ends
+
+
 def _dump(data, path: str | None):
-    _write(json.dumps(data, sort_keys=True, indent=2), path)
+    _write(_json(data), path)
 
 
 def integer(text: str) -> int:

@@ -116,9 +116,15 @@ def total_content(walls: WallTuple) -> RootVec:
     return out
 
 
+def _interlaced(n: int, kind: str, charges, w: int, a: int, b: int) -> bool:
+    """Whether wall w at height a and the next wall at height b in one column interlace
+    (cyclically: the last wall against the first one period up, at charge c_0 + n + 1)."""
+    v = (w + 1) % len(charges)
+    return SIGN[kind] * (a - b) <= charges[v] - charges[w] + (0 if v else n + 1)
+
+
 def _column_fault(n: int, kind: str, charges, heights, j: int) -> str:
-    """Stacking and interlacing (each wall against the next, the last against the
-    first one period up, at charge c_0 + n + 1) at column j: the first witness, or ''."""
+    """Stacking and interlacing at column j: the first witness, or ''."""
     col = [h[j] if j < len(h) else 0 for h in heights]
     for w, (h, c) in enumerate(zip(heights, col)):
         if c < 0:
@@ -127,7 +133,7 @@ def _column_fault(n: int, kind: str, charges, heights, j: int) -> str:
             return f"wall {w}: free space right of column {j}"
     for w in range(len(charges)):
         v = (w + 1) % len(charges)
-        if SIGN[kind] * (col[w] - col[v]) > charges[v] - charges[w] + (0 if v else n + 1):
+        if not _interlaced(n, kind, charges, w, col[w], col[v]):
             return f"interlacing fails between walls {w},{v} at column {j}"
     return ""
 
@@ -155,17 +161,21 @@ def _add_block(h: list[int], pos: int) -> None:
 
 
 def _fits(n: int, kind: str, charges, heights: list[list[int]], w: int, pos: int) -> bool:
-    """Whether the valid heights (trimmed lists) stay valid with one more block
-    on wall w at column pos.
-
-    Only stacking at pos, interlacing at column pos and the reducedness of rows
-    of length pos + 1 (the one row that grows) can change.  heights is bumped in
-    place for the test and restored."""
+    """Whether the valid heights (trimmed lists) stay valid with one more block on wall w
+    at column pos: only w's stacking and its interlacing with its two cyclic neighbours
+    at pos, and the reducedness of rows of length pos + 1 (the one row that grows), can
+    change.  heights is bumped in place for the last test and restored."""
     h = heights[w]
+    top = (h[pos] if pos < len(h) else 0) + 1
+    # a lone wall is its own neighbour, read one block low: a gap of 1 <= n + 1 passes
+    left, right = heights[w - 1], heights[(w + 1) % len(heights)]
+    if (pos and (pos > len(h) or h[pos - 1] < top)
+            or not _interlaced(n, kind, charges, w - 1, left[pos] if pos < len(left) else 0, top)
+            or not _interlaced(n, kind, charges, w, top, right[pos] if pos < len(right) else 0)):
+        return False
     _add_block(h, pos)
     try:
-        return not (_column_fault(n, kind, charges, heights, pos)
-                    or _length_fault(n, kind, charges, heights, pos + 1))
+        return not _length_fault(n, kind, charges, heights, pos + 1)
     finally:
         h[pos] -= 1
         while h and not h[-1]:

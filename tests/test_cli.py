@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -9,12 +10,12 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import affine_crystals
 from affine_crystals import iso, quiver
-from affine_crystals.cli import main
+from affine_crystals.cli import _json, main
 from affine_crystals.linalg import gm_from_blocks
 from affine_crystals.walls import total_content
 
@@ -56,6 +57,18 @@ def test_path_command_worked_example(tmp_path):
     assert data["kind"] == "Ad"
     assert data["rendered"][0] == "rows: [1,2,2,2,2,3],[3,3,3]"
     assert data["deviations"][0] == {"mbar": [2, 1, 0], "m": [0, 2, 1], "cap": 3}
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("b1", "8d6335bfa891985a17e8d6382a17a57e9dd17754dca1c6d80d3bbb702883ca4c"),
+    ("bn", "1c289db52311058a4e9296acdf6404e27a9d3375b41791e21b77a3f16bc47e18"),
+    ("ad", "1feae0689ab43a8001c53830a6b3058d1b6b1adc3fc92f364970ea63dfe49d1f"),
+])
+def test_path_output_bytes_pinned(kind, digest, capsys):
+    # the whole stdout of the worked example: every deviation and rendered factor
+    assert main(["path", "--n", "2", "--lambda", "2,1,0", "--kind", kind,
+                 "--word", "1^4 2^5 1^2 0^4 2 1"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_path_command_empty_word(capsys):
@@ -160,6 +173,55 @@ def test_quiver_output_bytes_pinned(field, digest):
     proc = run_cli(["quiver"] + WORKED + ["--field", field])
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("field", ["fp", "qq"])
+def test_quiver_case_leaves_no_cyclic_garbage(field):
+    # json's indent=2 encoder builds closures that reference each other on every
+    # call; the CLI's own writer, and the rest of a case, leave nothing for the
+    # cyclic collector, so a long in-process run's memory tracks its live heap
+    args = ["quiver"] + WORKED + ["--field", field]
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(args)  # first-call caches are not garbage
+    gc.collect()
+    before = len(gc.garbage)
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(args) == 0
+        gc.collect()
+        assert gc.garbage[before:] == []
+    finally:
+        gc.set_debug(0)
+        del gc.garbage[before:]
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-10**80, 10**80)
+           | st.floats() | st.text()
+           | st.sampled_from(["", "\u00e9", "\n\t\"\\/", "\u2028", "\U0001f600", "\x00"]))
+_KEYS = st.text(), st.integers(), st.booleans(), st.floats()
+_TREES = st.recursive(_LEAVES, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+    | st.one_of([st.dictionaries(keys, kids, max_size=4) for keys in _KEYS])), max_leaves=25)
+
+
+@given(_TREES)
+@example({})
+@example([[], {}, ()])
+@example({"a": [True, 1, 0, False, None], "b": [-(10**40), 7, 0], "c": {"": 1.5}})
+@example({1: "x", 0: {"k": float("nan")}, 2: [float("inf"), -float("inf")]})
+@settings(max_examples=300)
+def test_json_writer_is_json_dumps(value):
+    assert _json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, {"a": [1, object()]}, [{"k": {3}}],
+                                   {"a": 1, 2: "mixed keys"}])
+def test_json_writer_raises_like_json(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _json(value)
 
 
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
