@@ -7,10 +7,9 @@ F_p (p = 2^31 - 1) a row update is ``(piv * x - f * y) mod p``, over Q
 leave a row alone while its pivot-column entry is 0; over Q each row keeps
 the divisor it owes, so the Bareiss rescaling of a skipped row waits for its
 next real update.  Pivots are the first nonzero entry in column order.
-``eliminate_products`` keeps a maximal independent subset of the rows of a
-product on each component, formed in the same call (one step of the
-kernel-table chain), and the pivots; ``rank`` counts the pivots of one
-matrix.  No solver or dense product is left; the tests keep both as oracles.
+``rank`` reduces a matrix mod p and counts its pivots, for the stability check;
+kernel tables eliminate on the wall map's strings instead.  No solver or dense
+product is left; the tests keep both as oracles.
 """
 
 from __future__ import annotations
@@ -75,31 +74,8 @@ def _echelon(rows, ncols: int, p: int | None) -> tuple[list[list[int]], list[int
 
 
 def rank(a, p: int | None = PRIME) -> int:
-    return len(eliminate_products([a], None, [len(a[0]) if a else 0], p)[1][0])
-
-
-def eliminate_products(lefts, rights, widths, p: int | None = PRIME) -> tuple[list, list]:
-    """Per i, a maximal independent subset of the nonzero rows of lefts[i] times rights[i]
-    (of lefts[i] if rights is None), reduced mod p as formed, and its pivot columns;
-    rights[i] is a widths[i]-column matrix given as its rows' (column, value) pairs."""
-    picked_rows, pivot_lists = [], []
-    for left, right, ncols in zip(lefts, rights or [None] * len(lefts), widths):
-        out = []
-        for row in left:
-            acc = row
-            if right is not None:
-                acc = [0] * ncols
-                for v, cells in zip(row, right):
-                    if v:
-                        for c, w in cells:
-                            acc[c] += v * w
-            acc = [u % p for u in acc] if p is not None else acc
-            if any(acc):
-                out.append(acc)
-        _, pivots, picked = _echelon([list(row) for row in out], ncols, p) if out else ((), [], ())
-        picked_rows.append([out[i] for i in picked])
-        pivot_lists.append(pivots)
-    return picked_rows, pivot_lists
+    rows = [[v % p for v in row] for row in a] if p is not None else [list(row) for row in a]
+    return len(_echelon(rows, len(a[0]) if a else 0, p)[1])
 
 
 # --------------------------------------------------------------- graded maps

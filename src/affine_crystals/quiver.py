@@ -20,10 +20,10 @@ sample writes one coefficient into each support's cells; see
 ``commutant_basis`` for the construction and the order of its basis.
 
 Kernel tables take no dense powers.  ker x^k is counted on the strings, and
-one row chain xbar, xbar^2, ..., one product-and-elimination call per power,
-gives the other sequences as pivot counts in column prefixes; see
-``kernel_table_at``.  Stability needs only the string-end columns; see
-``is_stable``.
+xbar^k commutes with x, so its image is the k[x]-module generated by its
+columns at the string starts: one module echelon of those per power gives the
+other sequences as counts of string shifts; see ``kernel_table_at``.
+Stability needs only the string-end columns; see ``is_stable``.
 
 Generic values are the componentwise minimum over >= 3 independent samples, at
 least two of which must equal it.  Agreement is checked first, so the minimum is
@@ -34,14 +34,14 @@ and, past a bound, a GenericityError.  Coefficients are drawn by ``draws``.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice, repeat
+from math import gcd
 
 from .cartan import RootVec, Weight
-from .linalg import PRIME, GradedMap, eliminate_products, gm_from_blocks, rank, zero_blocks
+from .linalg import PRIME, GradedMap, gm_from_blocks, rank, zero_blocks
 from .walls import SIGN, WallTuple, block_color
 
 
@@ -60,7 +60,7 @@ class MatrixUnit:
         return {"dir": self.direction, "s": self.s, "from": self.src, "to": self.dst}
 
 
-StringIndex = namedtuple("StringIndex", "order deep prev nxt ends power_kernels")
+StringIndex = namedtuple("StringIndex", "order place prev nxt ends power_kernels")
 
 
 @dataclass(frozen=True)
@@ -79,24 +79,24 @@ class WallMap:
     @cached_property
     def index(self) -> StringIndex:
         """The string data every stage reads, built once per map.  Per component
-        j, with depth counted from a string's start: order[j], V_j's basis deepest
-        first; deep[t][j], its vectors at depth >= t (last row 0); prev[j], nxt[j],
-        each vector's neighbours on its string (None past an end); ends[j], the
-        string ends; power_kernels[k], ker x^k: x^k kills the last k vectors of
-        each string and sends the others to distinct basis vectors."""
-        depth, left, prev, nxt = ([[None] * n for n in self.dims] for _ in range(4))
-        for string in self.strings:
+        j: place[j][c], the string, depth and height (vectors to the string's end,
+        itself included) of basis vector c; order[j], V_j's basis by (height,
+        string) descending; prev[j], nxt[j], each vector's neighbours on its string
+        (None past an end); ends[j], the string ends; power_kernels[k], ker x^k:
+        x^k kills the vectors of height <= k, the others onto distinct ones."""
+        place, prev, nxt = ([[None] * n for n in self.dims] for _ in range(3))
+        for t, string in enumerate(self.strings):
             for d, (j, c) in enumerate(string):
-                depth[j][c], left[j][c] = d, len(string) - 1 - d
+                place[j][c] = (t, d, len(string) - d)
             for (i, a), (j, b) in zip(string, string[1:]):
                 nxt[i][a], prev[j][b] = b, a
         top = range(max(map(len, self.strings), default=0) + 1)
         return StringIndex(
-            tuple(tuple(sorted(range(len(ds)), key=lambda c: -ds[c])) for ds in depth),
-            tuple(tuple(sum(d >= t for d in ds) for ds in depth) for t in top),
-            tuple(map(tuple, prev)), tuple(map(tuple, nxt)),
+            tuple(tuple(sorted(range(len(ps)), key=lambda c: (ps[c][2], ps[c][0]), reverse=True))
+                  for ps in place),
+            tuple(map(tuple, place)), tuple(map(tuple, prev)), tuple(map(tuple, nxt)),
             tuple(tuple(c for c, b in enumerate(bs) if b is None) for bs in nxt),
-            tuple(RootVec(tuple(sum(e < k for e in es) for es in left)) for k in top))
+            tuple(RootVec(tuple(sum(h <= k for _, _, h in ps) for ps in place)) for k in top))
 
     def units(self) -> list[MatrixUnit]:
         """x as matrix units, one per link, each row read from column 0.  s is the
@@ -262,38 +262,41 @@ class KernelTable:
 def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> KernelTable:
     """Kernel table at a commuting point (x, xbar) with x a wall map.
 
-    ker x^k is ``x.index.power_kernels``, the rest comes from the row chain
-    xbar, xbar^2, ...: (x xbar)^k = xbar^k x^k, xbar (x xbar)^(k-1) = xbar^k
-    x^(k-1), and x^t maps V_i onto the vectors of V_(i + t deg x) at depth
-    >= t, a column prefix in ``index.order``; so rank xbar^k x^t is a pivot
-    count in a prefix.  Each power is one ``eliminate_products`` over all
-    components: xbar^1 is the sampled blocks times 1, each later power the kept
-    rows of the one before times xbar, and a component whose rows are all gone
-    forms no product.  The kept rows are actual rows of xbar^k: eliminated ones
-    would carry their Bareiss growth over Q from one power into the next.
+    ker x^k is ``x.index.power_kernels``.  (x xbar)^k = xbar^k x^k, xbar (x
+    xbar)^(k-1) = xbar^k x^(k-1), and xbar^k commutes with x, so rank xbar^k x^t
+    on V_i is dim x^t U_(i + k deg xbar), U = im xbar^k: the k[x]-module generated
+    by the columns xbar^k e_(B_0), one per string B, each xbar times the last;
+    one in the module of those before it stays so at later powers, and is
+    dropped.  ``_module_echelon`` reduces them to generators g whose shifts
+    x^e g, e < height, have distinct leading terms; the rank counts those with
+    e >= t.  Only actual columns go on to the next power, which bounds growth over Q.
 
     One loop over k appends ker xbar^k, then (k >= 1) ker xbar (x xbar)^(k-1),
-    then ker (x xbar)^k, skipping a sequence once it has reached alpha; the
-    chain takes its next step only while some sequence is still below alpha.
-    At a commuting point each sequence is nested, so a repeat below alpha is
-    a stall and raises GenericityError naming the sequence.
+    then ker (x xbar)^k, skipping a sequence at alpha, and takes the next power
+    while one is below alpha.  Each sequence is nested at a commuting point, so
+    a repeat below alpha is a stall: GenericityError names the sequence.
     """
     _check_partner(x, xbar)
     if not check_moment(x, xbar, p):
         raise ValueError("kernel table requested at a non-commuting point")
-    m, dims, sb, ix = x.m, x.dims, xbar.shift, x.index
-    blocks = [[[blk[r][c] for c in ix.order[i]] for r in ix.order[(i + sb) % m]]
-              for i, blk in enumerate(map(xbar.block_out, range(m)))]
-    right = [[[(c, v) for c, v in enumerate(row) if v] for row in blk] for blk in blocks]
-    pivots = [range(n) for n in dims]  # xbar^0 = 1: every column is a pivot
+    m, dims, sx, sb, ix = x.m, x.dims, x.shift, xbar.shift, x.index
+    cols = [[[(r, v) for r, v in enumerate(col) if v] for col in zip(*xbar.block_out(i))]
+            for i in range(m)]
+    gens = [(i, [int(c == a) for c in range(dims[i])]) for (i, a), *_ in x.strings]
     seqs = {"ker xbar^k": [], "ker xbar (x xbar)^k": [], "ker (x xbar)^k": []}
     for k in count():
+        lead, gens = _module_echelon(ix, gens, sx, p)
         for (name, seq), t in zip(seqs.items(), (0, k - 1, k)):
             if t < 0 or seq and seq[-1] == dims:
                 continue
-            deep = ix.deep[min(t, len(ix.deep) - 1)]  # ker xbar^k x^t from xbar^k's pivots
-            kernel = tuple([n - bisect_left(pivots[j], deep[j])
-                            for i, n in enumerate(dims) for j in [(i - t * sb) % m]])
+            ranks, base = [0] * m, 0  # the shifts x^e g, t <= e < height, per component
+            for i, h in lead:
+                if h > t:
+                    q, r = divmod(h - t, m)
+                    base += q
+                    for e in range(r):
+                        ranks[(i + e * sx) % m] += 1
+            kernel = tuple([n - base - ranks[(i + k * sb) % m] for i, n in enumerate(dims)])
             if seq and seq[-1] == kernel:
                 raise GenericityError(f"kernel filtration {name} stabilized at {RootVec(kernel)} "
                                       f"below alpha = {RootVec(dims)}")
@@ -301,8 +304,59 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
         if k and all(seq[-1] == dims for seq in seqs.values()):
             xbar_pow, yxy_pow, xy_pow = (tuple(map(RootVec, seq)) for seq in seqs.values())
             return KernelTable(RootVec(dims), ix.power_kernels, xbar_pow, xy_pow, yxy_pow)
-        rows, pivots = eliminate_products(  # xbar^(k+1): xbar times 1, then xbar^k times xbar
-            [rows[(i + sb) % m] for i in range(m)] if k else blocks, right if k else None, dims, p)
+        images = []  # xbar^(k+1) e_(B_0): xbar, by its sparse columns, times each column
+        for i, g in gens:
+            u = [0] * dims[(i + sb) % m]
+            for v, col in zip(g, cols[i]):
+                if v:
+                    for r, w in col:
+                        u[r] += v * w
+            if any(u := [v % p for v in u] if p is not None else u):
+                images.append(((i + sb) % m, u))
+        gens = images
+
+
+def _module_echelon(ix: StringIndex, gens, sx: int, p: int | None):
+    """(component, height) of the leading term (first nonzero entry in
+    ``ix.order``) of each reduced k[x]-module generator g of gens, (component,
+    vector) pairs, and the gens not in the module of those before them.  One g is
+    kept per string of a leading term.  A vector led at depth d on the string of
+    a g led at d_g <= d loses its leading term to x^(d - d_g) g, fraction-free
+    (mod p, or over Q with the gcd divided out of a kept vector); one led at
+    d < d_g takes g's place, and g is reduced in turn.  Leading terms strictly
+    drop, so this ends, with distinct leading terms on the x^e g, e < height."""
+    m, order, place, prev = len(ix.order), ix.order, ix.place, ix.prev
+    kept: dict[int, tuple] = {}  # string -> (component, lead, lead depth, shifts)
+    needed = []
+    for gen in gens:
+        (i, u), new = gen, False
+        while (a := next(filter(u.__getitem__, order[i]), None)) is not None:
+            string, d, _ = place[i][a]
+            held = kept.get(string)
+            if held is None or d < held[2]:
+                if p is None and u is not gen[1] and (div := gcd(*u)) > 1:
+                    u = [v // div for v in u]
+                kept[string], new = (i, a, d, [u]), True
+                if held is None:
+                    break
+                i, u = held[0], held[3][0]
+                continue
+            gi, _, dg, shifts = held
+            while len(shifts) <= d - dg:
+                shifts.append([0 if b is None else shifts[-1][b]
+                               for b in prev[(gi + len(shifts) * sx) % m]])
+            u = _reduce(u, shifts[d - dg], a, p)
+        if new:
+            needed.append(gen)
+    return [(i, place[i][a][2]) for i, a, _, _ in kept.values()], needed
+
+
+def _reduce(u: list[int], g: list[int], a: int, p: int | None) -> list[int]:
+    """g[a] u - u[a] g, reduced mod p: u with its entry at a cleared by g, fraction-free."""
+    f, w = g[a], u[a]
+    if p is not None:
+        return [(f * v - w * y) % p for v, y in zip(u, g)]
+    return [f * v - w * y for v, y in zip(u, g)]
 
 
 SEQS = ("x_pow", "xbar_pow", "xy_pow", "yxy_pow")

@@ -4,7 +4,6 @@ import cProfile
 import os
 import pstats
 import random
-from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from math import lcm
@@ -143,13 +142,13 @@ def _open_strings(a):
 
 
 def string_index_reference(x):
-    """Each field of ``WallMap.index`` recomputed from x.strings, as the stages
-    once built it per call: a depth dict, bisect on sorted negated depths,
+    """Each field of ``WallMap.index`` recomputed from x.strings: dicts of each
+    vector's string, depth and height, a sort of (height, string) pairs,
     neighbour dicts of the links, the strings' last vectors and a loop adding
     the k-th vector from each string's end."""
-    m, depth = x.m, {v: d for string in x.strings for d, v in enumerate(string)}
-    order = [sorted(range(n), key=lambda c: -depth[j, c]) for j, n in enumerate(x.dims)]
-    neg = [[-depth[j, c] for c in cs] for j, cs in enumerate(order)]
+    m = x.m
+    where = {v: (t, d, len(string) - d) for t, string in enumerate(x.strings)
+             for d, v in enumerate(string)}
     top = max(map(len, x.strings), default=0)
     links = [(a, b) for string in x.strings for a, b in zip(string, string[1:])]
     prev, nxt = {b: a[1] for a, b in links}, {a: b[1] for a, b in links}
@@ -159,8 +158,10 @@ def string_index_reference(x):
         ends = [string[-k][0] for string in x.strings if len(string) >= k]
         kernels.append(kernels[-1] + RootVec(tuple(map(ends.count, range(m)))))
     return {
-        "order": tuple(map(tuple, order)),
-        "deep": tuple(tuple(bisect_right(neg[j], -t) for j in range(m)) for t in range(top + 1)),
+        "order": tuple(tuple(c for _, _, c in sorted(((where[j, c][2], where[j, c][0], c)
+                                                       for c in range(n)), reverse=True))
+                       for j, n in enumerate(x.dims)),
+        "place": tuple(tuple(where[j, c] for c in range(n)) for j, n in enumerate(x.dims)),
         "prev": tuple(tuple(prev.get((j, c)) for c in range(n)) for j, n in enumerate(x.dims)),
         "nxt": tuple(tuple(nxt.get((j, c)) for c in range(n)) for j, n in enumerate(x.dims)),
         "ends": tuple(tuple(sorted(c for t, c in tails if t == j)) for j in range(m)),

@@ -6,6 +6,7 @@ import pytest
 from affine_crystals import golden, paths, quiver
 from affine_crystals.cartan import cl_root, pairing, root, rotate, weight, zero_root
 from affine_crystals.iso import (
+    _compare,
     adj_path_from_kernels,
     b1_path_from_kernels,
     bn_path_from_kernels,
@@ -22,7 +23,8 @@ from affine_crystals.quiver import (KernelTable, commutant_basis, generic_kernel
 from affine_crystals.suites import random_dominant, random_word, reference_table, suite_example
 from affine_crystals.walls import (PATH_KIND, column_content, make_walls, path_to_walls,
                                    strip_column0, walls_to_path)
-from oracles import _oracle_table, raising_steps as oracle_raising_steps, restrict_to_hyperplane
+from oracles import (_oracle_table, changed_positions, raising_steps as oracle_raising_steps,
+                     restrict_to_hyperplane)
 
 N, LAM = golden.N, golden.LAM
 WP1 = make_walls("P1", N, **golden.WALLS_P1)
@@ -326,7 +328,9 @@ def test_bridge_reports_are_pinned(p, count, digest):
 
 
 LADDER_WORDS = {
-    # perfbench's random_word(lam, L, Random(5)) for these two cells, as literals
+    # perfbench's random_word(lam, L, Random(5)) for the ROADMAP scale cells, as
+    # literals; the walk is the same for the first L letters, so each longer
+    # word ends with the shorter one
     ((1, 1, 0), 100): "0 2 1 0 0 1 0 1 1 2 2 0 1 1 1 2 2 1 0 0 0 2 0 1 0 2 2 1 2 0 2 1 2 0 1 0 "
                       "0 2 1 0 2 1 2 1 1 0 2 0 1 2 1 2 0 0 2 1 0 2 1 0 2 1 1 0 1 2 0 2 2 2 1 1 "
                       "0 0 2 1 0 0 1 1 2 2 1 0 0 2 0 1 0 2 2 1 1 0 2 0 1 0 2 1",
@@ -336,6 +340,14 @@ LADDER_WORDS = {
                       "2 2 2 0 2 2 2 2 0 1 0 1 1 0 2 1 1 0 2 0 2 2 1 1 0 2 0 2 1 0 1 1 0 0 0 0 "
                       "1 0 2 1 1 2",
 }
+LADDER_WORDS[(1, 1, 0), 160] = (
+    "0 1 1 1 2 2 2 2 2 1 2 0 1 1 0 0 1 1 0 0 1 2 0 2 2 0 0 2 1 0 2 0 0 1 2 1 1 2 1 1 "
+    "2 0 0 2 0 1 1 2 0 0 0 1 1 2 1 0 2 2 2 2 ") + LADDER_WORDS[(1, 1, 0), 100]
+LADDER_WORDS[(3, 2, 1), 300] = (
+    "2 2 2 1 1 0 1 1 2 1 2 2 1 0 1 2 2 0 1 2 2 0 1 1 1 1 1 2 1 1 1 2 2 2 2 1 0 1 0 1 "
+    "0 0 0 0 0 1 0 2 2 0 2 0 0 2 0 0 0 1 2 1 1 0 1 2 2 2 0 2 1 1 0 0 0 0 1 1 2 0 0 1 "
+    "1 2 0 2 0 2 0 2 2 1 2 1 0 2 0 1 1 2 1 1 1 2 2 2 1 1 0 2 2 2 1 0 2 2 2 0 0 1 1 2 "
+    "0 2 1 0 0 1 2 1 2 1 2 2 1 2 0 2 1 0 1 1 0 0 1 1 0 0 1 2 0 2 ") + LADDER_WORDS[(3, 2, 1), 150]
 
 
 @pytest.mark.parametrize("lam, length, p, digest", [
@@ -343,11 +355,73 @@ LADDER_WORDS = {
     ((3, 2, 1), 150, PRIME, "85b88acf2e8f1f2a965e93bf9c54f8a41bbae670a97a61cf0cf55c5403d22af3"),
 ], ids=["qq-110-100", "fp-321-150"])
 def test_ladder_reports_are_pinned(lam, length, p, digest):
-    # whole reports at ladder scale, where the xbar chain runs long enough for
-    # a Q elimination to skip most of its row updates
+    # whole reports at ladder scale, where the powers of xbar run long
     word = parse_word(LADDER_WORDS[lam, length])
     assert sum(m for _, m in word) == length
     rep = run_pipeline(weight(lam), word, seed=0, p=p)
     assert rep.ok
     assert hashlib.sha256(json.dumps(report_to_json(rep), sort_keys=True).encode()).hexdigest() \
         == digest
+
+
+@pytest.mark.parametrize("lam, length, p, digest", [
+    ((3, 2, 1), 150, PRIME, "807d420c1e28f3d4b6714483070b535c5b1cbaecfbcc8650c3ee334d9ce1ba71"),
+    ((3, 2, 1), 300, PRIME, "a27418c4b15b99fed7b4d7aebf081843d8f5e9a0420774017626cb113c903649"),
+    ((1, 1, 0), 100, None, "c52b946b31bbffc5bdccba4601b349f1f9685f5cff477234bd00eb4734f6de06"),
+    ((1, 1, 0), 160, None, "40e6c80bbbfa5ba9b469fbb2eac94daf7d122ded06c2dc31e38579828c466848"),
+], ids=["fp-321-150", "fp-321-300", "qq-110-100", "qq-110-160"])
+def test_scale_tables_are_pinned(lam, length, p, digest):
+    # the generic kernel table of each ROADMAP scale cell at seed 0
+    word = parse_word(LADDER_WORDS[lam, length])
+    assert sum(m for _, m in word) == length
+    rep = run_pipeline(weight(lam), word, seed=0, p=p)
+    assert rep.ok
+    assert hashlib.sha256(json.dumps(rep.table.to_json(), sort_keys=True).encode()).hexdigest() \
+        == digest
+
+
+COMPARE_WORDS = {"B1": "0 1 2 0", "Bn": "0 2 1 0", "Ad": "0 1 2 0 1 2 0"}
+
+
+def _other(lam, kind, k, elem):
+    """An element of elem's family other than elem and than the ground factor at k."""
+    ground = paths.ground_elem(lam, kind, k)
+    return next(y for i in range(3) for y in (elem.f(i), elem.e(i))
+                if y is not None and y not in (elem, ground))
+
+
+@pytest.mark.parametrize("kind", ["B1", "Bn", "Ad"])
+def test_compare_reports_the_first_differing_position(kind):
+    # pairs that differ at position 0, in the middle, only at the top deviation,
+    # and by length (one more deviation on top), each way round; equal paths agree
+    lam = weight([1, 1, 0])
+    p = from_word(lam, kind, parse_word(COMPARE_WORDS[kind]))
+    top = len(p.devs) - 1
+    assert top >= 2
+    cases = {k: paths.Path(lam, kind, p.devs[:k] + (_other(lam, kind, k, p.devs[k]),)
+                           + p.devs[k + 1:]) for k in (0, 1, top)}
+    cases[top + 1] = paths.Path(lam, kind, p.devs + (_other(lam, kind, top + 1,
+                                                              p.factor(top + 1)),))
+    assert len(cases[top].devs) == len(p.devs) < len(cases[top + 1].devs)
+    for k, q in cases.items():
+        assert changed_positions(p, q) == [k]
+        for a, b in ((p, q), (q, p)):
+            mismatches = []
+            _compare(a, b, kind, mismatches)
+            assert mismatches == [f"{kind} paths differ first at position {k}: "
+                                  f"{a.factor(k)} vs {b.factor(k)}"]
+    mismatches = []
+    _compare(p, from_word(lam, kind, parse_word(COMPARE_WORDS[kind])), kind, mismatches)
+    assert mismatches == []
+
+
+def test_compare_sees_a_lowering_step_at_the_top_deviation():
+    # B1 0 1 2 0 at (1,1,0) and its f_2 differ only at position 4, the longer
+    # path's top deviation
+    lam = weight([1, 1, 0])
+    p = from_word(lam, "B1", parse_word("0 1 2 0"))
+    q = p.f(2)
+    assert changed_positions(p, q) == [4] and len(q.devs) == 5
+    mismatches = []
+    _compare(p, q, "B1", mismatches)
+    assert mismatches == [f"B1 paths differ first at position 4: {p.factor(4)} vs {q.factor(4)}"]

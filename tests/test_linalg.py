@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affine_crystals.cartan import RootVec
-from affine_crystals.linalg import PRIME, _echelon, eliminate_products, gm_from_blocks, rank
+from affine_crystals.linalg import PRIME, _echelon, gm_from_blocks, rank
 
 from oracles import (echelon_reference, gm_compose, gm_zero, independent_rows, mat_mul, nullspace,
                      sparse_rows)
@@ -182,34 +182,28 @@ def product(draw):
 @example([([[PRIME, -1], [-PRIME, 1]], [[1, PRIME + 1], [0, -2]], 2)], None)
 @example([([[1, 2]], [[], []], 0), ([[1]], [[0, 3]], 2)], PRIME)
 @example([], None)
-def test_eliminate_products_is_product_then_independent_rows(cases, p):
-    # on each block the fused step picks the same rows with the same pivots as
-    # the product followed by independent_rows, so the same row space; its rows
-    # are rows of the product, reduced mod p
-    got = eliminate_products([rows for rows, _, _ in cases],
-                             [sparse_rows(right) for _, right, _ in cases],
-                             [ncols for _, _, ncols in cases], p)
-    assert len(got[0]) == len(got[1]) == len(cases)
-    for (rows, right, ncols), fused, pivots in zip(cases, *got):
+def test_rank_counts_independent_rows_of_products(cases, p):
+    # on each block, rank of the product reduced mod p is its number of
+    # independent rows and the eager Bareiss pivot count; unreduced entries
+    # count as their residues, and repeated or zero rows add nothing
+    for rows, right, ncols in cases:
         product = mat_mul(rows, sparse_rows(right), ncols, p)
-        assert (fused, pivots) == independent_rows(product, p)
-        assert len(pivots) == rank(fused, p) == rank(product, p) == rank(fused + product, p)
-        assert all(row in product for row in fused)
-        if p is not None:
-            assert all(0 <= v < p for row in fused for v in row)
-    # no right factors: the rows themselves, reduced mod p, zero rows dropped
-    alone = eliminate_products([rows for rows, _, _ in cases], None,
-                               [len(right) for _, right, _ in cases], p)
-    for (rows, _, _), kept, pivots in zip(cases, *alone):
+        r = rank(product, p)
+        assert r == rank(mat_mul(rows, sparse_rows(right), ncols), p)
+        assert r == len(independent_rows(product, p)[1]) == rank(product + product, p)
+        assert r == len(echelon_reference([row[:] for row in product], ncols, p)[1])
+        assert r <= min(len(product), ncols)
+        # the rows alone, with their zero rows dropped
         reduced = [[v % p for v in row] if p is not None else row for row in rows]
-        assert (kept, pivots) == independent_rows([row for row in reduced if any(row)], p)
+        assert rank(rows, p) == rank([row for row in reduced if any(row)], p) \
+            == len(independent_rows(reduced, p)[1])
 
 
 @st.composite
 def echelon_inputs(draw):
     """(rows, ncols, p): random or staircase rows (sorted by leading column,
     mostly zero), with entries of a few bits or of 100-200 bits as in the
-    chain's powers over Q, and now and then a row that depends on two others."""
+    powers of xbar over Q, and now and then a row that depends on two others."""
     p = draw(st.sampled_from(FIELDS))
     rng = random.Random(draw(st.integers(0, 2**32)))
     nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 9))

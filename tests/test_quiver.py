@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from affine_crystals import golden, linalg, quiver
+from affine_crystals import golden, quiver
 from affine_crystals.cartan import RootVec, root, weight, zero_root
 from affine_crystals.iso import run_pipeline
 from affine_crystals.linalg import PRIME, gm_from_blocks, rank, zero_blocks
@@ -318,8 +318,8 @@ def wall_maps(draw):
 @example(zero_wall_map((0, 0, 0), 1))
 @example(zero_wall_map((2, 0, 1), -1))
 def test_string_index_matches_a_recomputation_from_the_strings(x):
-    # depth order, prefix counts, neighbours, string ends and ker x^k, each
-    # against the per-call construction the stages used before the index
+    # (height, string) order, string places, neighbours, string ends and
+    # ker x^k, each against a recomputation from the strings alone
     assert x.index._asdict() == string_index_reference(x)
     assert x.index is x.index
 
@@ -497,13 +497,28 @@ def test_a_disagreeing_sample_takes_the_minimum_branch(monkeypatch, p, zero_at):
         assert len(mins) == (1 if protocol is generic_kernel_table else 3)
 
 
+def _logging_echelon(monkeypatch):
+    """Record each _module_echelon call of kernel_table_at: its gens (component,
+    vector) and its result (leading terms, gens kept for the next power)."""
+    log, real = [], quiver._module_echelon
+
+    def logged(ix, gens, sx, p):
+        out = real(ix, gens, sx, p)
+        log.append((list(gens), *out))
+        return out
+
+    monkeypatch.setattr(quiver, "_module_echelon", logged)
+    return log
+
+
 @FIELDS
 def test_kernel_table_stage_work_is_pinned(monkeypatch, p):
     # test data for the worked example at seed 0: three samples that agree, so
-    # no minimum is taken; one eliminate_products per power of the chain, five
-    # per table, running nine eliminations, since a component whose rows are
-    # gone runs none; 29 coefficients per sample, one getrandbits each, bar the
-    # redraws over Q, where 2^20 bits overshoot the bound 10^6
+    # no minimum is taken; per table one module echelon per power k = 0..5, on
+    # 8, 8, 6, 3, 1, 0 generators (8 strings), 17 reductions, 6 generators
+    # dropped as in the module of those before them and 2 as zero images; 29
+    # coefficients per sample, one getrandbits each, bar the redraws over Q,
+    # where 2^20 bits overshoot the bound 10^6
     class CountingRandom(random.Random):
         bits = 0
 
@@ -512,14 +527,20 @@ def test_kernel_table_stage_work_is_pinned(monkeypatch, p):
             return super().getrandbits(k)
 
     monkeypatch.setattr(quiver, "random", SimpleNamespace(Random=CountingRandom))
+    log = _logging_echelon(monkeypatch)
     x = wall_graded_map(WP1)
     basis = commutant_basis(x)
     kt, calls = profiled_calls(generic_kernel_table, x, basis, 0, p)
     assert kt == reference_table()
     assert calls["quiver", "kernel_table_at"] == calls["quiver", "sample_in_commutant"] == 3
     assert calls["quiver", "_table_min"] == 0
-    assert calls["linalg", "eliminate_products"] == 3 * 5
-    assert calls["linalg", "_echelon"] == 3 * 9
+    assert calls["quiver", "_module_echelon"] == 3 * 6 == len(log)
+    assert calls["quiver", "_reduce"] == 3 * 17
+    for table in (log[:6], log[6:12], log[12:]):
+        assert [len(gens) for gens, _, _ in table] == [8, 8, 6, 3, 1, 0]
+        assert [len(gens) - len(needed) for gens, _, needed in table] == [0, 2, 3, 1, 0, 0]
+        assert [len(needed) - len(gens) for (_, _, needed), (gens, _, _)
+                in zip(table, table[1:])] == [0, 0, 0, 1, 1]
     assert calls["quiver", "draws"] == 3 and len(basis) == 29
     assert CountingRandom.bits == (3 * 29 if p is not None else 92)
 
@@ -728,47 +749,96 @@ def test_stability_fails_without_framing():
     assert is_stable(z0, gm_zero((0, 0, 0), -1), [[], [], []], PRIME)
 
 
-@FIELDS
-def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, p):
-    # the xbar chain is the only chain: a second (alternating) one would
-    # need up to twice as many eliminations
-    calls = []
-    real = linalg._echelon
-    monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(args) or real(*args))
-    x = wall_graded_map(WP1)
-    xbar = sample_in_commutant(x, commutant_basis(x), random.Random(0), p)
-    kt = kernel_table_at(x, xbar, p)
-    # the chain starts from the sampled blocks: no elimination for xbar^0
-    assert 0 < len(calls) <= x.m * (len(kt.xbar_pow) - 1)
-    assert kt == _oracle_table(x.dense(), xbar, p)
+def _power_columns(x, xbar, k, p):
+    """The columns of xbar^k at the string starts, as (component, column), from dense powers."""
+    power = gm_from_blocks(x.dims, 0, [[[int(r == c) for c in range(n)] for r in range(n)]
+                                       for n in x.dims])
+    for _ in range(k):
+        power = gm_compose(xbar, power, p)
+    return [((i + power.shift) % x.m, [row[a] for row in power.block_out(i)])
+            for (i, a), *_ in x.strings]
 
 
 @FIELDS
-def test_kernel_table_skips_components_whose_rows_are_gone(monkeypatch, p):
-    # once xbar^k is 0 on a component, the chain forms no product there: the
-    # one call per power gets no rows for it and runs no elimination on it
-    calls, echelons = [], []
-    real, real_echelon = quiver.eliminate_products, linalg._echelon
-    monkeypatch.setattr(quiver, "eliminate_products",
-                        lambda lefts, *args: calls.append(lefts) or real(lefts, *args))
-    monkeypatch.setattr(linalg, "_echelon",
-                        lambda *args: echelons.append(args) or real_echelon(*args))
-    skipped = 0
+def test_kernel_table_generators_are_columns_of_the_powers(monkeypatch, p):
+    # each power k = 0..last runs one module echelon on actual columns of
+    # xbar^k at string starts, in string order (so no reduction's growth over Q
+    # passes to the next power): xbar times the columns the echelon kept, bar
+    # zero ones; a dropped column is in the module of those before it, which
+    # the table's agreement with the dense oracle checks
+    log = _logging_echelon(monkeypatch)
+    redundant = zero = 0
     for seed, (_, walls) in enumerate(_long_wall_tuples(12, seed=31)):
         x = wall_graded_map(walls)
         xbar = sample_in_commutant(x, commutant_basis(x), random.Random(seed), p)
-        calls.clear()
-        echelons.clear()
+        log.clear()
         kt = kernel_table_at(x, xbar, p)
-        eliminations = len(echelons)
         assert kt == _oracle_table(x.dense(), xbar, p)
-        # one call per chain step, k = 0 .. last - 1; k = 0 takes the sampled blocks
         last = max(len(kt.xbar_pow) - 1, len(kt.xy_pow) - 1, len(kt.yxy_pow))
-        assert len(calls) == max(last, 1) and all(len(lefts) == x.m for lefts in calls)
-        gone = sum(not left for lefts in calls for left in lefts)
-        assert eliminations <= x.m * len(calls) - gone
-        skipped += gone
-    assert skipped > 0
+        assert len(log) == max(last, 1) + 1
+        for k, (gens, lead, needed) in enumerate(log):
+            columns = iter(_power_columns(x, xbar, k, p))
+            assert all(gen in columns for gen in gens)  # a subsequence, in string order
+            assert len(lead) <= len(gens) and all(gen in gens for gen in needed)
+            redundant += len(gens) - len(needed)
+        for (_, _, needed), (gens, _, _) in zip(log, log[1:]):
+            images = []
+            for i, u in needed:
+                image = [sum(v * w for v, w in zip(row, u)) for row in xbar.block_out(i)]
+                images.append(((i + xbar.shift) % x.m, [v % p for v in image] if p else image))
+            assert gens == [(i, u) for i, u in images if any(u)]
+            zero += len(needed) - len(gens)
+    assert redundant and zero
+
+
+@FIELDS
+def test_kernel_table_matches_dense_oracle_on_long_wall_tuples(p):
+    # P1 and Pn maps of 20-60 letter words, where strings run long and the
+    # echelon swaps and drops generators
+    for seed, (_, walls) in enumerate(_long_wall_tuples(40, seed=5)):
+        x = wall_graded_map(walls)
+        xbar = sample_in_commutant(x, commutant_basis(x), random.Random(seed), p)
+        assert kernel_table_at(x, xbar, p) == _oracle_table(x.dense(), xbar, p)
+
+
+@FIELDS
+@pytest.mark.parametrize("shift", [1, -1])
+def test_kernel_table_of_the_empty_map(p, shift):
+    x, zero = zero_wall_map((0, 0, 0), shift), zero_root(N)
+    kt = kernel_table_at(x, gm_zero(x.dims, -shift), p)
+    assert kt == _oracle_table(x.dense(), gm_zero(x.dims, -shift), p)
+    assert kt == KernelTable(zero, (zero,), (zero,), (zero,), (zero,))
+
+
+@FIELDS
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_non_nilpotent_partner_stalls_ker_xbar(p, length):
+    # three strings of one length starting at colours 0, 1, 2: the sum of the
+    # full shifts between them cycles them, so ker xbar^k stays 0, as it did
+    # for the row chain; one or two of the shifts are nilpotent and give the
+    # dense oracle's table
+    seen, strings = [0, 0, 0], []
+    for start in range(3):
+        string = []
+        for c in [(start + d) % 3 for d in range(length)]:
+            string.append((c, seen[c]))
+            seen[c] += 1
+        strings.append(tuple(string))
+    x = WallMap(1, tuple(seen), tuple(strings))
+    full = [cells for cells in commutant_basis(x) if len(cells) == length]
+    assert len(full) == 3
+    for chosen in (full, full[:1], full[:2]):
+        blocks = zero_blocks(x.dims, -1)
+        for co, cells in enumerate(chosen, 1):
+            for t, r, c in cells:
+                blocks[t][r][c] = co
+        xbar = gm_from_blocks(x.dims, -1, blocks)
+        if len(chosen) == 3:
+            with pytest.raises(GenericityError, match=rf"^kernel filtration ker xbar\^k stabilized "
+                               rf"at 0 below alpha = {length}a0\+{length}a1\+{length}a2$"):
+                kernel_table_at(x, xbar, p)
+        else:
+            assert kernel_table_at(x, xbar, p) == _oracle_table(x.dense(), xbar, p)
 
 
 @st.composite
