@@ -792,6 +792,43 @@ def test_kernel_table_generators_are_columns_of_the_powers(monkeypatch, p):
 
 
 @FIELDS
+def test_kernel_table_runs_one_elimination_per_power_and_component(monkeypatch, p):
+    # the xbar chain is the only chain: one module echelon per power covers
+    # every component at once, where a second (alternating) chain or one
+    # elimination per component would need more; it keeps at most one
+    # generator per string
+    log = _logging_echelon(monkeypatch)
+    x = wall_graded_map(WP1)
+    xbar = sample_in_commutant(x, commutant_basis(x), random.Random(0), p)
+    kt = kernel_table_at(x, xbar, p)
+    last = max(len(kt.xbar_pow) - 1, len(kt.xy_pow) - 1, len(kt.yxy_pow))
+    assert len(log) == max(last, 1) + 1 <= x.m * len(kt.xbar_pow)
+    assert all(len(lead) <= len(gens) <= len(x.strings) for gens, lead, _ in log)
+    assert kt == _oracle_table(x.dense(), xbar, p)
+
+
+@FIELDS
+def test_kernel_table_skips_components_whose_rows_are_gone(monkeypatch, p):
+    # once xbar^k is 0 on a generator's column, the next power gets no
+    # generator for it: no echelon sees a zero vector, each power gets at most
+    # the generators of the last, and the zero images are never reduced
+    log = _logging_echelon(monkeypatch)
+    skipped = 0
+    for seed, (_, walls) in enumerate(_long_wall_tuples(12, seed=31)):
+        x = wall_graded_map(walls)
+        xbar = sample_in_commutant(x, commutant_basis(x), random.Random(seed), p)
+        log.clear()
+        kt = kernel_table_at(x, xbar, p)
+        assert kt == _oracle_table(x.dense(), xbar, p)
+        assert all(any(u) for gens, _, _ in log for _, u in gens)
+        counts = [len(gens) for gens, _, _ in log]
+        assert counts == sorted(counts, reverse=True) and counts[0] == len(x.strings)
+        skipped += sum(len(needed) - len(gens)
+                       for (_, _, needed), (gens, _, _) in zip(log, log[1:]))
+    assert skipped > 0
+
+
+@FIELDS
 def test_kernel_table_matches_dense_oracle_on_long_wall_tuples(p):
     # P1 and Pn maps of 20-60 letter words, where strings run long and the
     # echelon swaps and drops generators
