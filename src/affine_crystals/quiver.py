@@ -41,7 +41,7 @@ from itertools import count, islice, repeat
 from math import gcd
 
 from .cartan import RootVec, Weight
-from .linalg import PRIME, GradedMap, gm_from_blocks, rank, zero_blocks
+from .linalg import PRIME, GradedMap, _reduce, gm_from_blocks, rank, zero_blocks
 from .walls import SIGN, WallTuple, block_color
 
 
@@ -349,14 +349,6 @@ def _module_echelon(ix: StringIndex, gens, sx: int, p: int | None):
         if new:
             needed.append(gen)
     return [(i, place[i][a][2]) for i, a, _, _ in kept.values()], needed
-
-
-def _reduce(u: list[int], g: list[int], a: int, p: int | None) -> list[int]:
-    """g[a] u - u[a] g, reduced mod p: u with its entry at a cleared by g, fraction-free."""
-    f, w = g[a], u[a]
-    if p is not None:
-        return [(f * v - w * y) % p for v, y in zip(u, g)]
-    return [f * v - w * y for v, y in zip(u, g)]
 
 
 SEQS = ("x_pow", "xbar_pow", "xy_pow", "yxy_pow")

@@ -10,7 +10,7 @@ from math import lcm
 
 from affine_crystals import quiver
 from affine_crystals.cartan import RootVec, Weight, zero_root
-from affine_crystals.linalg import PRIME, _echelon, gm_from_blocks, rank, zero_blocks
+from affine_crystals.linalg import PRIME, gm_from_blocks, zero_blocks
 from affine_crystals.paths import WeightSectionError, ground_elem, path_apply
 from affine_crystals.perfect import AdjElem, B1Elem, BnElem
 from affine_crystals.quiver import SEQS, GenericityError, KernelTable, MatrixUnit, WallMap
@@ -18,9 +18,12 @@ from affine_crystals.walls import block_color
 
 
 def echelon_reference(rows, ncols: int, p: int | None):
-    """Eager Bareiss: ``linalg._echelon`` as it was before it left rows alone
-    over Q.  Every row below the pivot is updated at every step, over Q by
-    exact division by the previous pivot, so the pivot rows are Bareiss's."""
+    """Eager fraction-free forward elimination (Bareiss, Math. Comp. 22, 1968),
+    in place of rows, reduced mod p over F_p.  Every row below the pivot is
+    updated at every step, over Q by exact division by the previous pivot, so
+    the pivot rows are Bareiss's.  Returns (pivot rows, pivot columns, original
+    indices of the pivot rows); those original rows are a maximal independent
+    subset."""
     nrows = len(rows)
     order = list(range(nrows))
     pivots: list[int] = []
@@ -51,20 +54,27 @@ def echelon_reference(rows, ncols: int, p: int | None):
     return rows[:len(pivots)], pivots, order[:len(pivots)]
 
 
+def _fresh_rows(a, p):
+    return [[v % p for v in row] for row in a] if p is not None else [list(row) for row in a]
+
+
 def independent_rows(a, p: int | None = PRIME) -> tuple[list, list[int]]:
     """A maximal independent subset of the rows of a, as given, and the pivot columns."""
-    rows = [[v % p for v in row] for row in a] if p is not None else [list(row) for row in a]
-    _, pivots, picked = _echelon(rows, len(a[0]) if a else 0, p)
+    _, pivots, picked = echelon_reference(_fresh_rows(a, p), len(a[0]) if a else 0, p)
     return [a[i] for i in picked], pivots
+
+
+def reference_rank(a, p: int | None = PRIME) -> int:
+    """Rank of the rows of a, reduced mod p: the pivot count of eager Bareiss."""
+    return len(echelon_reference(_fresh_rows(a, p), len(a[0]) if a else 0, p)[1])
 
 
 def nullspace(a, ncols: int, p: int | None = PRIME):
     """Reduced-echelon basis of the right nullspace (vectors of length ncols).
 
-    Back-substitutes each free column on ``linalg._echelon``'s form: 1 at its
-    own free column, 0 at the others; over Q cleared to integer vectors."""
-    reduced = [[v % p if p is not None else v for v in row] for row in a]
-    rows, pivots, _ = _echelon(reduced, ncols, p)
+    Back-substitutes each free column on ``echelon_reference``'s form: 1 at
+    its own free column, 0 at the others; over Q cleared to integer vectors."""
+    rows, pivots, _ = echelon_reference(_fresh_rows(a, p), ncols, p)
     inv = [pow(row[c], -1, p) if p is not None else Fraction(1, row[c])
            for row, c in zip(rows, pivots)]
     basis = []
@@ -202,7 +212,7 @@ def row_walk_units(walls):
 
 def stacked_rank_is_stable(x, xbar, framing, p=PRIME):
     """ker x ∩ ker xbar ∩ ker t = 0 from the rank of [x; xbar; t] on each component."""
-    return all(rank([*x.block_out(i), *xbar.block_out(i), *framing[i]], p) == x.dims[i]
+    return all(reference_rank([*x.block_out(i), *xbar.block_out(i), *framing[i]], p) == x.dims[i]
                for i in range(x.m) if x.dims[i])
 
 
@@ -387,7 +397,7 @@ def _table_rows_eq(a, b):
 
 def _kernel_dims(a, p):
     """Graded nullity: per component i, dim ker of the block leaving V_i."""
-    return RootVec(tuple(a.dims[i] - rank([list(r) for r in a.block_out(i)], p)
+    return RootVec(tuple(a.dims[i] - reference_rank(a.block_out(i), p)
                          for i in range(a.m)))
 
 

@@ -535,7 +535,7 @@ def test_kernel_table_stage_work_is_pinned(monkeypatch, p):
     assert calls["quiver", "kernel_table_at"] == calls["quiver", "sample_in_commutant"] == 3
     assert calls["quiver", "_table_min"] == 0
     assert calls["quiver", "_module_echelon"] == 3 * 6 == len(log)
-    assert calls["quiver", "_reduce"] == 3 * 17
+    assert calls["linalg", "_reduce"] == 3 * 17
     for table in (log[:6], log[6:12], log[12:]):
         assert [len(gens) for gens, _, _ in table] == [8, 8, 6, 3, 1, 0]
         assert [len(gens) - len(needed) for gens, _, needed in table] == [0, 2, 3, 1, 0, 0]
