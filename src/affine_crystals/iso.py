@@ -31,7 +31,6 @@ from .quiver import (
     commutant_basis,
     generic_kernel_table,
     is_stable,
-    sample_framing,
     sample_in_commutant,
     wall_graded_map,
 )
@@ -159,10 +158,7 @@ def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> Iso
 
 
 def _stable_once(lam: Weight, x: WallMap, basis, seed: int, p) -> bool:
-    rng = random.Random(seed)
-    xbar = sample_in_commutant(x, basis, rng, p)
-    framing = sample_framing(lam, x.dims, rng, p)
-    return is_stable(x, xbar, framing, p)
+    return is_stable(x, sample_in_commutant(x, basis, random.Random(seed), p), lam, p)
 
 
 def report_to_json(report: IsoReport) -> dict:

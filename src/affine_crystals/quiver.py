@@ -23,7 +23,8 @@ Kernel tables take no dense powers.  ker x^k is counted on the strings, and
 xbar^k commutes with x, so its image is the k[x]-module generated by its
 columns at the string starts: one module echelon of those per power gives the
 other sequences as counts of string shifts; see ``kernel_table_at``.
-Stability needs only the string-end columns; see ``is_stable``.
+Stability at a generic framing is a count per component: the kernel of xbar on
+the string ends against the framing's dimension; see ``is_stable``.
 
 Generic values are the componentwise minimum over >= 3 independent samples, at
 least two of which must equal it.  Agreement is checked first, so the minimum is
@@ -395,19 +396,15 @@ def generic_kernel_table(x: WallMap, basis, seed: int = 0,
 
 # ---------------------------------------------------------------- stability
 
-def sample_framing(lam: Weight, dims, rng: random.Random, p: int | None = PRIME):
-    """Random framing maps t_i: V_i -> W_i with dim W_i = <h_i, lam>."""
-    co = iter(draws(rng, sum(n * t for n, t in zip(dims, lam.a)), p))
-    return [[[next(co) for _ in range(n)] for _ in range(t)] for n, t in zip(dims, lam.a)]
+def is_stable(x: WallMap, xbar: GradedMap, lam: Weight, p: int | None = PRIME) -> bool:
+    """Whether (x, xbar) is stable under a generic framing, dim W_i = <h_i, lam>.
 
-
-def is_stable(x: WallMap, xbar: GradedMap, framing, p: int | None = PRIME) -> bool:
-    """ker x ∩ ker xbar ∩ ker t = 0 for a wall map x, one rank per component.
-
-    The nonzero rows of x leaving V_i are distinct unit vectors, one per basis
-    vector that is not a string end, so [x; xbar; t] has rank dim V_i exactly
-    when [xbar; t] on the string-end columns of V_i has full column rank.
+    ker x in V_i is spanned by the string ends, so K_i = (ker x ∩ ker xbar)_i
+    has dimension len(ends) - rank of xbar on the string-end columns, and a
+    generic t_i: V_i -> W_i is injective on K_i iff dim K_i <= <h_i, lam>.
+    The verdicts form a list, not a generator, so that zip checks the length
+    of lam also past an unstable component.
     """
     _check_partner(x, xbar)
-    return all(rank([[row[c] for c in ends] for row in (*xbar.block_out(i), *framing[i])], p)
-               == len(ends) for i, ends in enumerate(x.index.ends) if ends)
+    return all([len(ends) - rank([[row[c] for c in ends] for row in xbar.block_out(i)], p) <= a
+                for i, (ends, a) in enumerate(zip(x.index.ends, lam.a, strict=True)) if ends])

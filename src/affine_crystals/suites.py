@@ -100,6 +100,16 @@ def random_word(lam: Weight, length: int, rng: random.Random, kind: str = "B1"):
 
 # ------------------------------------------------------------------ example
 
+def _golden_faults(parts, elapsed: float):
+    """A witness for each (name, value, golden value) part that differs, then
+    one for a run over the 5 s budget."""
+    for name, got, want in parts:
+        if got != want:
+            yield f"{name} {got} != golden {want}"
+    if elapsed >= 5.0:
+        yield f"elapsed {elapsed:.2f}s"
+
+
 def suite_example(seed: int = 0) -> list[Check]:
     out: list[Check] = []
     lam, word = golden.LAM, golden.WORD
@@ -108,30 +118,26 @@ def suite_example(seed: int = 0) -> list[Check]:
     elapsed = time.monotonic() - t0
     p1, pn, pad = rep.direct["B1"], rep.direct["Bn"], rep.direct["Ad"]
 
-    out.append(Check("A1 worked example paths, all three models", (
-        [p1.factor(k).nu for k in range(5)] == [tuple(v) for v in golden.P1_FACTORS]
-        and [pn.factor(k).nubar for k in range(6)] == [tuple(v) for v in golden.PN_FACTORS]
-        and [
-            (pad.factor(k).mbar, pad.factor(k).m, pad.factor(k).k) for k in range(4)
-        ] == golden.AD_FACTORS
-        and [render(p1.factor(k)) for k in range(5)] == golden.P1_RENDERS
-        and [render(pn.factor(k)) for k in range(6)] == golden.PN_RENDERS
-        and [render(pad.factor(k)) for k in range(4)] == golden.AD_RENDERS
-        and elapsed < 5.0
-    ), f"elapsed {elapsed:.2f}s"))
+    _check(out, "A1 worked example paths, all three models", _golden_faults([
+        ("B1 factors", [p1.factor(k).nu for k in range(5)], golden.P1_FACTORS),
+        ("Bn factors", [pn.factor(k).nubar for k in range(6)], golden.PN_FACTORS),
+        ("Ad factors", [(f.mbar, f.m, f.k) for f in map(pad.factor, range(4))],
+         golden.AD_FACTORS),
+        ("B1 renders", [render(p1.factor(k)) for k in range(5)], golden.P1_RENDERS),
+        ("Bn renders", [render(pn.factor(k)) for k in range(6)], golden.PN_RENDERS),
+        ("Ad renders", [render(pad.factor(k)) for k in range(4)], golden.AD_RENDERS),
+    ], elapsed))
 
-    x, ux, uxb = rep.x_p1, rep.x_p1.units(), rep.x_pn.units()
-    out.append(Check("A2 wall tuples and matrix units reconstructed", (
-        rep.walls_p1.charges == golden.WALLS_P1["charges"]
-        and rep.walls_p1.heights == golden.WALLS_P1["heights"]
-        and rep.walls_pn.charges == golden.WALLS_PN["charges"]
-        and rep.walls_pn.heights == golden.WALLS_PN["heights"]
-        and {(u.s, u.src, u.dst) for u in ux} == golden.X_UNITS
-        and all(u.direction == "x" for u in ux)
-        and {(u.s, u.src, u.dst) for u in uxb} == golden.XBAR_UNITS
-        and all(u.direction == "xbar" for u in uxb)
-        and elapsed < 5.0
-    ), f"elapsed {elapsed:.2f}s"))
+    x = rep.x_p1
+    walls = [(f"{kind} {key}", getattr(got, key), want[key])
+             for kind, got, want in (("P1", rep.walls_p1, golden.WALLS_P1),
+                                     ("Pn", rep.walls_pn, golden.WALLS_PN))
+             for key in ("charges", "heights")]
+    units = [(f"{d} units", sorted((u.direction, u.s, u.src, u.dst) for u in got.units()),
+              sorted((d, *u) for u in want))
+             for d, got, want in (("x", x, golden.X_UNITS), ("xbar", rep.x_pn, golden.XBAR_UNITS))]
+    _check(out, "A2 wall tuples and matrix units reconstructed",
+           _golden_faults(walls + units, elapsed))
 
     out.append(Check("A3 commutant fiber dimension is 29",
                      rep.commutant_dim == golden.COMMUTANT_DIM, f"dim={rep.commutant_dim}"))

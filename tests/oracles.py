@@ -210,10 +210,11 @@ def row_walk_units(walls):
     return units
 
 
-def stacked_rank_is_stable(x, xbar, framing, p=PRIME):
-    """ker x ∩ ker xbar ∩ ker t = 0 from the rank of [x; xbar; t] on each component."""
-    return all(reference_rank([*x.block_out(i), *xbar.block_out(i), *framing[i]], p) == x.dims[i]
-               for i in range(x.m) if x.dims[i])
+def stacked_rank_is_stable(x, xbar, lam, p=PRIME):
+    """dim (ker x ∩ ker xbar)_i <= <h_i, lam> on each component, from the rank of [x; xbar]:
+    a generic framing t_i: V_i -> W_i is injective on that kernel exactly then."""
+    return all(x.dims[i] - reference_rank([*x.block_out(i), *xbar.block_out(i)], p) <= lam.a[i]
+               for i in range(x.m))
 
 
 def path_wt_reference(p):

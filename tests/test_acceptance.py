@@ -6,15 +6,12 @@ the CLI's `verify` subcommand.
 """
 
 import hashlib
+from types import SimpleNamespace
 
-from affine_crystals import iso, suites
-from affine_crystals.suites import (
-    suite_axioms,
-    suite_bridge,
-    suite_example,
-    suite_perfect,
-    suite_xi,
-)
+import pytest
+
+from affine_crystals import golden, iso, suites
+from affine_crystals.suites import suite_bridge, suite_example
 from oracles import profiled_calls
 
 SEED = 0
@@ -24,17 +21,9 @@ VERIFY_ALL_SHA256 = "a193232a436648ac12115a8f8e109b60ecc47554d54babb916177177c66
 
 
 def _suite(name):
+    # the CLI's suite table, so the tests run what `verify` runs
     if name not in _cache:
-        if name == "example":
-            _cache[name] = suite_example(SEED)
-        elif name == "xi":
-            _cache[name] = suite_xi()
-        elif name == "perfect":
-            _cache[name] = suite_perfect()
-        elif name == "axioms":
-            _cache[name] = suite_axioms(SEED)
-        elif name == "bridge":
-            _cache[name] = suite_bridge(SEED)
+        _cache[name] = suites.SUITES[name](SEED)
     return _cache[name]
 
 
@@ -95,6 +84,41 @@ def test_A12_stability():
     _criterion("bridge", "A12")
 
 
+def _corrupt(entries, k, value):
+    return [*entries[:k], value, *entries[k + 1:]]
+
+
+@pytest.mark.parametrize("check, name, value, witness", [
+    ("A1", "P1_FACTORS", _corrupt(golden.P1_FACTORS, 0, (9, 9, 9)),
+     "B1 factors [(1, 1, 1), (0, 0, 3), (0, 2, 1), (0, 1, 2), (0, 2, 1)] != golden "
+     "[(9, 9, 9), (0, 0, 3), (0, 2, 1), (0, 1, 2), (0, 2, 1)]"),
+    ("A1", "AD_RENDERS", _corrupt(golden.AD_RENDERS, 3, "rows: [3]"),
+     f"Ad renders {golden.AD_RENDERS} != golden {_corrupt(golden.AD_RENDERS, 3, 'rows: [3]')}"),
+    ("A2", "WALLS_PN", {**golden.WALLS_PN, "heights": ((3, 1, 1), (3, 1), (3, 2, 1, 1))},
+     "Pn heights ((3, 1, 1), (3, 1), (3, 2, 1, 1, 1)) != golden "
+     "((3, 1, 1), (3, 1), (3, 2, 1, 1))"),
+    ("A2", "X_UNITS", golden.X_UNITS - {(0, 0, 0)} | {(0, 0, 1)},
+     f"x units {sorted(('x', *u) for u in golden.X_UNITS)} != golden "
+     f"{sorted(('x', *u) for u in golden.X_UNITS - {(0, 0, 0)} | {(0, 0, 1)})}"),
+])
+def test_A1_A2_name_the_part_that_differs_from_golden(monkeypatch, check, name, value, witness):
+    # one corrupted golden entry: its check fails with the part it compares as
+    # the witness, and every other check of the example still passes
+    monkeypatch.setattr(golden, name, value)
+    checks = suite_example(SEED)
+    failed = [c for c in checks if not c.ok]
+    assert [c.name[:2] for c in failed] == [check]
+    assert failed[0].detail == witness
+
+
+def test_A1_A2_report_the_time_only_over_budget(monkeypatch):
+    clock = iter([0.0, 6.02])  # the pipeline run took 6.02 s, over the 5 s budget
+    monkeypatch.setattr(suites, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    checks = {c.name[:2]: c for c in suite_example(SEED)}
+    assert [checks[k].line().split(": ", 1)[1] for k in ("A1", "A2", "A3")] == [
+        "FAIL (elapsed 6.02s)", "FAIL (elapsed 6.02s)", "PASS"]
+
+
 def test_A12_fails_on_the_first_unstable_framing(monkeypatch):
     # an unstable framing also fails the pipeline, so A10 stops at the same
     # case; A12 must still report it
@@ -134,7 +158,7 @@ def test_A12_sees_unstable_framings_after_the_first_A10_witness(monkeypatch):
 
 def test_verify_all_output_is_pinned():
     # cmd_verify's stdout for `verify all`, rebuilt from the cached suites
-    checks = [c for name in ("example", "xi", "perfect", "axioms", "bridge") for c in _suite(name)]
+    checks = [c for name in suites.SUITES for c in _suite(name)]
     passed = sum(c.ok for c in checks)
     text = "".join(f"{c.line()}\n" for c in checks) + f"{passed}/{len(checks)} checks passed\n"
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_SHA256

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -23,7 +24,6 @@ from affine_crystals.quiver import (
     is_nilpotent,
     is_stable,
     kernel_table_at,
-    sample_framing,
     sample_in_commutant,
     wall_graded_map,
 )
@@ -563,29 +563,36 @@ def test_kernel_table_requires_commuting_point():
 def test_partner_of_wrong_degree_or_shape_is_rejected_under_optimize():
     # a partner of x's own degree passed the commutator test and gave a table,
     # and one on other dims was accepted or died with IndexError; both must
-    # raise a one-line ValueError, also under -O
+    # raise a one-line ValueError, also under -O.  So must a weight of another
+    # rank (2 or 4 coefficients on this A_2 map), at a stable partner and at
+    # the zero one, where component 0 is unstable before the weight runs out
     code = (
         "import random\n"
         "from affine_crystals import golden\n"
+        "from affine_crystals.cartan import weight\n"
         "from affine_crystals.linalg import gm_from_blocks, zero_blocks\n"
-        "from affine_crystals.quiver import (is_stable, kernel_table_at, sample_framing,\n"
-        "                                    wall_graded_map)\n"
+        "from affine_crystals.quiver import (commutant_basis, is_stable, kernel_table_at,\n"
+        "                                    sample_in_commutant, wall_graded_map)\n"
         "from affine_crystals.walls import make_walls\n"
         "x = wall_graded_map(make_walls('P1', golden.N, **golden.WALLS_P1))\n"
+        "zero = lambda dims: gm_from_blocks(dims, -x.shift, zero_blocks(dims, -x.shift))\n"
         "dims = (x.dims[0] + 1, *x.dims[1:])\n"
-        "framing = sample_framing(golden.LAM, x.dims, random.Random(0))\n"
-        "for xbar in (x.dense(), gm_from_blocks(dims, -x.shift, zero_blocks(dims, -x.shift))):\n"
-        "    for call in (lambda: kernel_table_at(x, xbar), lambda: is_stable(x, xbar, framing)):\n"
-        "        try:\n"
-        "            call()\n"
-        "        except ValueError as err:\n"
-        "            print('ValueError', len(str(err).splitlines()))\n"
-        "        else:\n"
-        "            print('accepted')\n"
+        "calls = [(kernel_table_at, x, xbar) for xbar in (x.dense(), zero(dims))]\n"
+        "calls += [(is_stable, x, xbar, golden.LAM) for xbar in (x.dense(), zero(dims))]\n"
+        "sampled = sample_in_commutant(x, commutant_basis(x), random.Random(0))\n"
+        "calls += [(is_stable, x, xbar, weight(lam)) for xbar in (sampled, zero(x.dims))\n"
+        "          for lam in ((2, 1), (2, 1, 0, 0))]\n"
+        "for f, *args in calls:\n"
+        "    try:\n"
+        "        f(*args)\n"
+        "    except ValueError as err:\n"
+        "        print('ValueError', len(str(err).splitlines()))\n"
+        "    else:\n"
+        "        print('accepted')\n"
     )
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["ValueError 1"] * 4
+    assert proc.stdout.splitlines() == ["ValueError 1"] * 8
 
 
 def test_kernel_table_zero_xbar():
@@ -729,24 +736,41 @@ def test_stalled_filtration_names_its_sequence(p):
 
 
 def test_stability():
+    # the worked example's generic K = ker x ∩ ker xbar has dimension (2, 1, 0),
+    # exactly LAM: stable at LAM, and not when one framing space is one smaller
     x = wall_graded_map(WP1)
     basis = commutant_basis(x)
-    for seed in (0, 1, 2):
-        rng = random.Random(seed)
-        xbar = sample_in_commutant(x, basis, rng, PRIME)
-        t = sample_framing(LAM, x.dims, rng, PRIME)
-        assert is_stable(x, xbar, t, PRIME)
+    for seed, p in itertools.product((0, 1, 2), (PRIME, None)):
+        xbar = sample_in_commutant(x, basis, random.Random(seed), p)
+        assert is_stable(x, xbar, LAM, p)
+        assert not is_stable(x, xbar, weight((1, 1, 0)), p)
+        assert not is_stable(x, xbar, weight((2, 0, 0)), p)
 
 
 def test_stability_fails_without_framing():
-    dims = (1, 0, 0)
-    z = zero_wall_map(dims, 1)
-    zbar = gm_zero(dims, -1)
-    zero_framing = [[[0] * dims[i] for _ in range(LAM.a[i])] for i in range(3)]
-    assert not is_stable(z, zbar, zero_framing, PRIME)
-    # alpha = 0 is vacuously stable
-    z0 = zero_wall_map((0, 0, 0), 1)
-    assert is_stable(z0, gm_zero((0, 0, 0), -1), [[], [], []], PRIME)
+    # dim K_0 = 1 at x = xbar = 0 on V_0 = k: stable exactly when W_0 is not 0,
+    # which pins dim K_0 <= <h_0, lam> against <
+    z, zbar = zero_wall_map((1, 0, 0), 1), gm_zero((1, 0, 0), -1)
+    for lam, stable in (((1, 0, 0), True), ((2, 1, 0), True),
+                        ((0, 1, 1), False), ((0, 0, 0), False)):
+        assert is_stable(z, zbar, weight(lam), PRIME) is stable
+        assert stacked_rank_is_stable(z.dense(), zbar, weight(lam), PRIME) is stable
+    # alpha = 0 is vacuously stable, even with no framing at all
+    assert is_stable(zero_wall_map((0, 0, 0), 1), gm_zero((0, 0, 0), -1), weight((0, 0, 0)))
+
+
+@FIELDS
+def test_stability_ranks_xbar_over_its_field(p):
+    # an xbar entry PRIME (V_0 -> V_2) is 0 over F_p: there K_0 = V_0 needs W_0,
+    # while over Q xbar is injective on V_0 and K_0 = 0
+    x = zero_wall_map((1, 0, 1), 1)
+    blocks = zero_blocks(x.dims, -1)
+    blocks[2][0][0] = PRIME
+    xbar = gm_from_blocks(x.dims, -1, blocks)
+    lam = weight((0, 0, 1))
+    assert is_stable(x, xbar, lam, p) is (p is None)
+    assert stacked_rank_is_stable(x.dense(), xbar, lam, p) is (p is None)
+    assert is_stable(x, xbar, weight((1, 0, 1)), p)
 
 
 def _power_columns(x, xbar, k, p):
@@ -880,19 +904,11 @@ def test_non_nilpotent_partner_stalls_ker_xbar(p, length):
 
 @st.composite
 def framed_points(draw):
-    """A commuting point and a framing that is random, zero, or has one t_i row repeated."""
+    """A commuting point, its xbar sampled or zero, and a framing weight with entries in 0..2."""
     x, xbar, p = draw(commuting_points())
-    rng = random.Random(draw(st.integers(0, 10**6)))
-    lam = weight(draw(st.lists(st.integers(0, 2), min_size=x.m, max_size=x.m)))
-    framing = sample_framing(lam, x.dims, rng, p)
-    shape = draw(st.sampled_from(["random", "zero", "repeat"]))
-    if shape == "zero":
-        framing = [[[0] * len(row) for row in t] for t in framing]
-    rows = [i for i, t in enumerate(framing) if t and t[0]]
-    if shape == "repeat" and rows:
-        i = draw(st.sampled_from(rows))
-        framing[i] = [framing[i][0]] * len(framing[i])
-    return x, xbar, framing, p
+    if draw(st.booleans()):
+        xbar = gm_zero(x.dims, xbar.shift)
+    return x, xbar, weight(draw(st.lists(st.integers(0, 2), min_size=x.m, max_size=x.m))), p
 
 
 def test_is_stable_matches_stacked_rank_oracle():
@@ -901,9 +917,9 @@ def test_is_stable_matches_stacked_rank_oracle():
     @settings(max_examples=300)
     @given(framed_points())
     def check(point):
-        x, xbar, framing, p = point
-        stable = is_stable(x, xbar, framing, p)
-        assert stable == stacked_rank_is_stable(x.dense(), xbar, framing, p)
+        x, xbar, lam, p = point
+        stable = is_stable(x, xbar, lam, p)
+        assert stable == stacked_rank_is_stable(x.dense(), xbar, lam, p)
         seen[stable] += 1
 
     check()
