@@ -171,6 +171,8 @@ def _graph_seed_elem(args):
         if args.lam is None:
             _usage_error("--crystal path needs --lambda")
         return ground_path(_lam(args), KIND_BY_FLAG[args.kind])
+    if args.lam is not None:
+        _usage_error(f"--lambda is only for --crystal path, not --crystal {args.crystal}")
     n, lvl = _n(args), _fits("--level", _at_least("--level", args.level, 1))
     if args.crystal == "b1":
         return B1Elem((lvl,) + (0,) * n)

@@ -23,13 +23,15 @@ Kernel tables take no dense powers.  ker x^k is counted on the strings, and
 xbar^k commutes with x, so its image is the k[x]-module generated by its
 columns at the string starts: one module echelon of those per power gives the
 other sequences as counts of string shifts; see ``kernel_table_at``.
-Stability at a generic framing is a count per component: the kernel of xbar on
-the string ends against the framing's dimension; see ``is_stable``.
+Stability at a generic framing is a count per component at each of the kernel
+table's agreeing samples: the kernel of xbar on the string ends against the
+framing's dimension; see ``is_stable``.
 
-Generic values are the componentwise minimum over >= 3 independent samples, at
-least two of which must equal it.  Agreement is checked first, so the minimum is
-taken only when a sample differs; too few agreeing samples trigger resampling
-and, past a bound, a GenericityError.  Coefficients are drawn by ``draws``.
+Generic values are the componentwise minimum over >= 3 samples of one
+``Random(seed)`` stream, at least two of which must equal it (all three, unless a
+minimum was taken).  Agreement is checked first, so the minimum is taken only
+when a sample differs; too few agreeing samples trigger resampling and, past a
+bound, a GenericityError.  Coefficients are drawn by ``draws``.
 """
 
 from __future__ import annotations
@@ -372,8 +374,9 @@ MAX_SAMPLES = 10  # samples drawn before GenericityError
 
 
 def generic_kernel_table(x: WallMap, basis, seed: int = 0,
-                         p: int | None = PRIME) -> KernelTable:
-    """Componentwise-minimum table over agreeing independent samples.
+                         p: int | None = PRIME) -> tuple[KernelTable, list[GradedMap]]:
+    """(table, agreeing): the componentwise minimum over agreeing samples, all drawn
+    from one ``Random(seed)`` stream, and the samples whose table equals it, in draw order.
 
     A sample agrees when its table equals the minimum table.  Each sampled
     table strictly increases to alpha in every sequence and the minimum drops
@@ -381,13 +384,14 @@ def generic_kernel_table(x: WallMap, basis, seed: int = 0,
     tables are their own minimum: ``_table_min`` runs only when one differs.
     """
     rng = random.Random(seed)
-    tables: list[KernelTable] = []
+    samples, tables = [], []
     for _ in range(MAX_SAMPLES):
-        tables.append(kernel_table_at(x, sample_in_commutant(x, basis, rng, p), p))
+        samples.append(sample_in_commutant(x, basis, rng, p))
+        tables.append(kernel_table_at(x, samples[-1], p))
         if len(tables) >= MIN_SAMPLES:
             lower = tables[0] if tables.count(tables[0]) == len(tables) else _table_min(tables)
             if tables.count(lower) >= 2:
-                return lower
+                return lower, [s for s, t in zip(samples, tables) if t == lower]
     lower = _table_min(tables) if tables else None
     raise GenericityError(f"no agreeing generic kernel table: {len(tables)} samples drawn "
                           f"(min_samples {MIN_SAMPLES}), {tables.count(lower)} agreeing with the "

@@ -374,17 +374,18 @@ def raising_steps(p):
 def generic_kernel_table_reference(x, basis, seed=0, p=PRIME):
     """The genericity protocol with the minimum table and its agreement count
     recomputed after every sample, through the module's own names, so that a
-    patched sampler acts on both."""
+    patched sampler acts on both.  It returns the minimum table and the samples
+    whose table equals it, in draw order."""
     rng = random.Random(seed)
-    tables = []
+    samples, tables = [], []
     lower, agree = None, 0
     for _ in range(quiver.MAX_SAMPLES):
-        xbar = quiver.sample_in_commutant(x, basis, rng, p)
-        tables.append(quiver.kernel_table_at(x, xbar, p))
+        samples.append(quiver.sample_in_commutant(x, basis, rng, p))
+        tables.append(quiver.kernel_table_at(x, samples[-1], p))
         lower = quiver._table_min(tables)
         agree = tables.count(lower)
         if len(tables) >= quiver.MIN_SAMPLES and agree >= 2:
-            return lower
+            return lower, [xbar for xbar, table in zip(samples, tables) if table == lower]
     raise GenericityError(f"no agreeing generic kernel table: {len(tables)} samples drawn "
                           f"(min_samples {quiver.MIN_SAMPLES}), {agree} agreeing with the "
                           f"minimum table {lower.to_json() if lower else {}}")

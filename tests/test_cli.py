@@ -22,6 +22,7 @@ from affine_crystals.walls import total_content
 from oracles import zero_wall_map
 
 RUN = [sys.executable, "-m", "affine_crystals.cli"]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(args, env_seed=None):
@@ -175,6 +176,21 @@ def test_quiver_output_bytes_pinned(field, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+def test_every_hooked_pipeline_span_is_reached(monkeypatch, capsys):
+    # the benchmark wraps the names the pipeline looks up at call time; a stage
+    # that is still present but no longer called would read 0 there.  Only
+    # cli.extra_commutant (quiver.commutant_basis, rebuilt by no command) is not reached.
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import layers
+
+    tracer = layers.Tracer()
+    with layers.hooked(tracer, layers.PIPELINE_HOOKS):
+        assert main(["quiver"] + WORKED) == 0
+    capsys.readouterr()
+    spans = {span for _, _, span in layers.PIPELINE_HOOKS}
+    assert set(tracer.self_s) == spans - {"cli.extra_commutant"}
+
+
 @pytest.mark.parametrize("field", ["fp", "qq"])
 def test_quiver_case_leaves_no_cyclic_garbage(field):
     # json's indent=2 encoder builds closures that reference each other on every
@@ -275,9 +291,10 @@ def test_graph_output_bytes_pinned(args, digest, capsys):
     ["graph", "--crystal", "bn", "--n", "2", "--max-nodes", "0"],
     ["graph", "--crystal", "b1", "--n", "2", "--depth", "-1"],
     ["graph", "--crystal", "path", "--n", "2"],
+    ["graph", "--crystal", "b1", "--n", "2", "--lambda", "2,1,0"],
 ], ids=["level-zero", "not-integers", "not-dominant", "n-zero", "graph-n-zero",
         "graph-b1-level-negative", "graph-ad-level-negative", "graph-max-nodes-zero",
-        "graph-depth-negative", "graph-path-no-lambda"])
+        "graph-depth-negative", "graph-path-no-lambda", "graph-b1-lambda"])
 def test_bad_lambda_or_n_is_a_usage_error(args):
     proc = run_cli(args)
     assert proc.returncode == 2
@@ -449,6 +466,8 @@ def cli_args(draw):
                 f"--field={field}"]
     crystal = draw(st.sampled_from(["b1", "bn", "ad", "path"]))
     kind = draw(st.sampled_from(["b1", "bn", "ad"]))
+    if crystal != "path" and draw(st.booleans()):  # --lambda there is a usage error
+        common.pop()
     return ["graph", *common, f"--crystal={crystal}", f"--kind={kind}",
             f"--level={draw(small)}", f"--depth={draw(small)}",
             f"--max-nodes={draw(st.integers(-1, 30))}"]

@@ -1,9 +1,10 @@
 import hashlib
 import json
 import random
+from itertools import count
 
 import pytest
-from affine_crystals import golden, paths, quiver
+from affine_crystals import golden, iso, paths, quiver
 from affine_crystals.cartan import cl_root, pairing, root, rotate, weight, zero_root
 from affine_crystals.iso import (
     _compare,
@@ -19,12 +20,12 @@ from affine_crystals.linalg import PRIME, rank
 from affine_crystals.paths import from_word, ground_path, lowering_steps, parse_word, word_alpha
 from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn, render
 from affine_crystals.quiver import (KernelTable, commutant_basis, generic_kernel_table,
-                                    sample_in_commutant, wall_graded_map)
+                                    kernel_table_at, sample_in_commutant, wall_graded_map)
 from affine_crystals.suites import random_dominant, random_word, reference_table, suite_example
 from affine_crystals.walls import (PATH_KIND, column_content, make_walls, path_to_walls,
                                    strip_column0, walls_to_path)
-from oracles import (_oracle_table, changed_positions, raising_steps as oracle_raising_steps,
-                     restrict_to_hyperplane)
+from oracles import (_oracle_table, changed_positions, gm_zero, profiled_calls,
+                     raising_steps as oracle_raising_steps, restrict_to_hyperplane)
 
 N, LAM = golden.N, golden.LAM
 WP1 = make_walls("P1", N, **golden.WALLS_P1)
@@ -151,6 +152,51 @@ def test_pipeline_trivial():
     assert rep.walls_p1.block_count() == 0
 
 
+@pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
+def test_pipeline_draws_one_sample_stream(monkeypatch, p):
+    # the kernel table's three agreeing samples are the only draws of a case:
+    # the first is the reported xbar, and stability is ranked at each of them
+    drawn, real = [], quiver.sample_in_commutant
+
+    def recorded(x, basis, rng, p):
+        drawn.append(real(x, basis, rng, p))
+        return drawn[-1]
+
+    monkeypatch.setattr(quiver, "sample_in_commutant", recorded)
+    rep, calls = profiled_calls(run_pipeline, LAM, golden.WORD, 0, p)
+    assert rep.ok and rep.stable
+    assert calls["quiver", "sample_in_commutant"] == len(drawn) == 3
+    assert calls["quiver", "kernel_table_at"] == calls["quiver", "is_stable"] == 3
+    assert rep.xbar is drawn[0]
+
+
+@pytest.mark.parametrize("p", [PRIME, None], ids=["fp", "qq"])
+def test_a_zero_first_draw_is_neither_reported_nor_ranked(monkeypatch, p):
+    # the first draw is the zero map, whose table differs from the other two:
+    # the minimum table is taken, and the reported xbar and the stability
+    # verdict come from the two samples that agree with it
+    draws, ranked = count(), []
+    real, real_stable = quiver.sample_in_commutant, iso.is_stable
+
+    def first_zero(x, basis, rng, p):
+        xbar = real(x, basis, rng, p)
+        return gm_zero(x.dims, -x.shift) if next(draws) == 0 else xbar
+
+    def recorded(x, xbar, lam, p):
+        ranked.append(xbar)
+        return real_stable(x, xbar, lam, p)
+
+    # quiver draws; iso is patched too, so that a draw of its own would be caught
+    for module in (quiver, iso):
+        monkeypatch.setattr(module, "sample_in_commutant", first_zero, raising=False)
+    monkeypatch.setattr(iso, "is_stable", recorded)
+    rep = run_pipeline(LAM, golden.WORD, seed=0, p=p)
+    assert rep.ok and rep.stable
+    assert kernel_table_at(rep.x_p1, rep.xbar, p) == rep.table
+    zero = gm_zero(rep.x_p1.dims, -rep.x_p1.shift)
+    assert len(ranked) == 2 and zero not in ranked
+
+
 def test_pipeline_matches_over_random_words():
     # 100 F_p cases with n <= 5, level <= 6 and 20-60 letters: the three
     # realizations agree, and each wall tuple, replayed from the word's own
@@ -180,7 +226,7 @@ def test_kernel_identities_on_long_words():
         kt = rep.table
         if case % 3 == 0:
             x = rep.x_p1
-            assert generic_kernel_table(x, commutant_basis(x), seed=seed, p=None) == kt
+            assert generic_kernel_table(x, commutant_basis(x), seed=seed, p=None)[0] == kt
         # A10: ker xbar^t is the content of the first t columns of the Pn tuple
         acc = zero_root(n)
         for t, ker in enumerate(kt.xbar_pow):

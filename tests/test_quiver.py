@@ -423,7 +423,7 @@ def test_kernel_table_reference_multi_seed():
     basis = commutant_basis(x)
     ref = reference_table()
     for seed in (0, 1, 2, 77):
-        kt = generic_kernel_table(x, basis, seed=seed)
+        kt, _ = generic_kernel_table(x, basis, seed=seed)
         assert kt.x_pow == ref.x_pow
         assert kt.xbar_pow == ref.xbar_pow
         assert kt.xy_pow == ref.xy_pow
@@ -465,7 +465,8 @@ def generic_cells(draw):
 @example((wall_graded_map(WPN), 7, None))
 def test_generic_kernel_table_matches_the_min_after_every_sample_protocol(cell):
     # checking agreement first returns what taking the minimum after every
-    # sample returned, and raises the same error where that one raised
+    # sample returned, the table and its agreeing samples, and raises the
+    # same error where that one raised
     x, seed, p = cell
     basis = commutant_basis(x)
     assert (_outcome(generic_kernel_table, x, basis, seed=seed, p=p)
@@ -479,8 +480,9 @@ def test_a_disagreeing_sample_takes_the_minimum_branch(monkeypatch, p, zero_at):
     # the minimum is taken and the other two agree with it
     x = wall_graded_map(WP1)
     basis, real, real_min = commutant_basis(x), quiver.sample_in_commutant, quiver._table_min
-    generic = generic_kernel_table(x, basis, seed=0, p=p)
+    generic, agreeing = generic_kernel_table(x, basis, seed=0, p=p)
     assert generic == _oracle_table(x.dense(), real(x, basis, random.Random(0), p), p)
+    assert len(agreeing) == 3
     mins = []
     monkeypatch.setattr(quiver, "_table_min", lambda tables: mins.append(1) or real_min(tables))
     for protocol in (generic_kernel_table, generic_kernel_table_reference):
@@ -492,7 +494,9 @@ def test_a_disagreeing_sample_takes_the_minimum_branch(monkeypatch, p, zero_at):
 
         monkeypatch.setattr(quiver, "sample_in_commutant", one_zero)
         mins.clear()
-        assert protocol(x, basis, seed=0, p=p) == generic
+        table, kept = protocol(x, basis, seed=0, p=p)
+        # the zero draw is left out of the agreeing samples, the other two kept in order
+        assert table == generic and kept == agreeing[:zero_at] + agreeing[zero_at + 1:]
         # the reference takes the minimum after each of the three samples
         assert len(mins) == (1 if protocol is generic_kernel_table else 3)
 
@@ -530,8 +534,8 @@ def test_kernel_table_stage_work_is_pinned(monkeypatch, p):
     log = _logging_echelon(monkeypatch)
     x = wall_graded_map(WP1)
     basis = commutant_basis(x)
-    kt, calls = profiled_calls(generic_kernel_table, x, basis, 0, p)
-    assert kt == reference_table()
+    (kt, agreeing), calls = profiled_calls(generic_kernel_table, x, basis, 0, p)
+    assert kt == reference_table() and len(agreeing) == 3
     assert calls["quiver", "kernel_table_at"] == calls["quiver", "sample_in_commutant"] == 3
     assert calls["quiver", "_table_min"] == 0
     assert calls["quiver", "_module_echelon"] == 3 * 6 == len(log)
@@ -548,7 +552,7 @@ def test_kernel_table_stage_work_is_pinned(monkeypatch, p):
 def test_kernel_table_exact_field_flag():
     x = wall_graded_map(WP1)
     basis = commutant_basis(x)
-    kt = generic_kernel_table(x, basis, seed=0, p=None)
+    kt, _ = generic_kernel_table(x, basis, seed=0, p=None)
     ref = reference_table()
     assert kt.x_pow == ref.x_pow and kt.xbar_pow == ref.xbar_pow
 
