@@ -170,9 +170,10 @@ def _graph_seed_elem(args):
     if args.crystal == "path":
         if args.lam is None:
             _usage_error("--crystal path needs --lambda")
-        return ground_path(_lam(args), KIND_BY_FLAG[args.kind])
-    if args.lam is not None:
-        _usage_error(f"--lambda is only for --crystal path, not --crystal {args.crystal}")
+        return ground_path(_lam(args), KIND_BY_FLAG[args.kind or "b1"])
+    for flag, value in (("--lambda", args.lam), ("--kind", args.kind)):
+        if value is not None:
+            _usage_error(f"{flag} is only for --crystal path, not --crystal {args.crystal}")
     n, lvl = _n(args), _fits("--level", _at_least("--level", args.level, 1))
     if args.crystal == "b1":
         return B1Elem((lvl,) + (0,) * n)
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=integer, required=True)
     g.add_argument("--level", type=integer, default=1)
     g.add_argument("--lambda", dest="lam", help="only for --crystal path")
-    g.add_argument("--kind", choices=sorted(KIND_BY_FLAG), default="b1")
+    g.add_argument("--kind", choices=sorted(KIND_BY_FLAG), help="only for --crystal path")
     g.add_argument("--depth", type=integer, default=None)
     g.add_argument("--max-nodes", type=integer, default=2000)
     g.add_argument("--out")

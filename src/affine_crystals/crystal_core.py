@@ -170,40 +170,45 @@ def generate_graph(seed, max_nodes: int = 2000, max_depth: int | None = None) ->
             for op, out in (("e", b.e(i)), ("f", b.f(i))):
                 if out is None:
                     continue
-                if out not in g.ids:
+                dst = g.ids.get(out)
+                if dst is None:
                     if len(g.nodes) >= max_nodes:
                         g.complete = False
                         continue
-                    g.ids[out] = len(g.nodes)
+                    dst = g.ids[out] = len(g.nodes)
                     g.nodes.append(out)
-                    queue.append((g.ids[out], depth + 1))
-                g.edges.append((src, op, i, g.ids[out]))
+                    queue.append((dst, depth + 1))
+                g.edges.append((src, op, i, dst))
     return g
 
 
 def check_axioms(graph: CrystalGraph) -> list[str]:
-    """Verify the crystal axioms on every node and edge; returns violations."""
+    """Verify the crystal axioms on every node and edge; returns violations.  Reads each
+    node's wt and every (eps_i, phi_i) once, through its own methods; along each edge it
+    compares those and recomputes e_i/f_i of the target by the target's own rule."""
     bad: list[str] = []
     n = graph.nodes[0].n if graph.nodes else -1  # an empty graph needs no roots
     roots = [cl_root(simple_root(n, i)) for i in range(n + 1)]
-    for b in graph.nodes:
-        w = b.wt()
-        for i in range(n + 1):
-            if b.phi(i) != b.eps(i) + pairing(i, w):
+    wts = [b.wt() for b in graph.nodes]
+    rows = [[(b.eps(i), b.phi(i)) for i in range(n + 1)] for b in graph.nodes]
+    for b, w, row in zip(graph.nodes, wts, rows):
+        for i, (eps, phi) in enumerate(row):
+            if phi != eps + pairing(i, w):
                 bad.append(f"phi/eps/wt mismatch at i={i}: {b}")
     for src, op, i, dst in graph.edges:
         b, b2 = graph.nodes[src], graph.nodes[dst]
+        (eps, phi), (eps2, phi2) = rows[src][i], rows[dst][i]
         if op == "f":
-            if b2.wt() != b.wt() - roots[i]:
+            if wts[dst] != wts[src] - roots[i]:
                 bad.append(f"wt(f_{i} b) != wt(b) - cl(alpha_{i}): {b}")
-            if b2.eps(i) != b.eps(i) + 1 or b2.phi(i) != b.phi(i) - 1:
+            if eps2 != eps + 1 or phi2 != phi - 1:
                 bad.append(f"eps/phi step wrong along f_{i}: {b}")
             if b2.e(i) != b:
                 bad.append(f"e_{i} does not invert f_{i}: {b}")
         else:
-            if b2.wt() != b.wt() + roots[i]:
+            if wts[dst] != wts[src] + roots[i]:
                 bad.append(f"wt(e_{i} b) != wt(b) + cl(alpha_{i}): {b}")
-            if b2.eps(i) != b.eps(i) - 1 or b2.phi(i) != b.phi(i) + 1:
+            if eps2 != eps - 1 or phi2 != phi + 1:
                 bad.append(f"eps/phi step wrong along e_{i}: {b}")
             if b2.f(i) != b:
                 bad.append(f"f_{i} does not invert e_{i}: {b}")

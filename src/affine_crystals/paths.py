@@ -10,15 +10,15 @@ junction above the deviations cancels, and of the whole tail only the "+" symbol
 of g_T survive.  Its "-" symbols are cancelled by g_{T+1}, so the record leaves
 them out: no e_i lands on g_T, and an f_i that lands there appends a deviation.
 A property test, not the run time, compares each operator with its value on
-larger windows.  The ground state is one record per (lam, kind) in a bounded
-cache: one period of ground factors and, for each position in it, lam minus the
-weights of the ground factors before it.  A whole period's ground weights sum to
-0, so position k reads entry k mod period.  A Path caches the rest: its weight,
-its hash, and Tensor's window and signature record per i.  The factors are
-interned perfect-crystal elements, so the signature reads each one's row, the
-weight is one integer sum of cached coefficients (the record's entry at len(devs)
-mod period plus each deviation's ``wa``), and the trim of ground factors and the
-hash read each factor's cached hash.
+larger windows.  The ground state is one record per (lam.a, kind) in a bounded
+cache, keyed on lam's coefficients, a tuple that hashes in C: one period of ground
+factors and, for each position in it, lam minus the weights of the ground factors
+before it.  A whole period's ground weights sum to 0, so position k reads entry k
+mod period.  A Path caches the rest: its weight, its hash, and Tensor's window and
+signature record per i.  The factors are interned perfect-crystal elements, so the
+signature reads each one's row, the weight is one integer sum of cached coefficients
+(the record's entry at len(devs) mod period plus each deviation's ``wa``), and the
+trim of ground factors and the hash read each factor's cached hash.
 A Path has one normal form: its constructor stores the deviations as a tuple and
 trims the trailing ones that equal the ground factor at their position, so equal
 paths are equal values with equal hashes however they were built.  An operator's
@@ -63,9 +63,10 @@ class WeightSectionError(ValueError):
 
 
 @lru_cache(maxsize=64)
-def _ground(lam: Weight, kind: str) -> tuple[tuple, tuple]:
-    """The ground-state record: one period of ground factors (n + 1 for B1/Bn, one for
-    Ad) and, for each position k in it, the coefficients of lam - wt(factors 0 .. k - 1)."""
+def _ground(a: tuple[int, ...], kind: str) -> tuple[tuple, tuple]:
+    """The ground-state record of lam = Weight(a): one period of ground factors (n + 1 for
+    B1/Bn, one for Ad) and, per position k in it, the a of lam - wt(factors 0 .. k - 1)."""
+    lam = Weight(a)
     if kind == "Ad":
         period = (ground_adj(lam),)
     elif kind in ("B1", "Bn"):
@@ -81,7 +82,7 @@ def _ground(lam: Weight, kind: str) -> tuple[tuple, tuple]:
 
 
 def ground_elem(lam: Weight, kind: str, k: int):
-    period = _ground(lam, kind)[0]
+    period = _ground(lam.a, kind)[0]
     return period[k % len(period)]
 
 
@@ -94,18 +95,18 @@ def factor_from_content(lam: Weight, kind: str, k: int, content: RootVec):
     it.  Raises WeightSectionError when that vector has a negative entry."""
     if kind not in ("B1", "Bn"):
         raise ValueError(f"no weight section for kind {kind!r}")
-    return _section(lam, kind, k % (lam.n + 1), content.k)
+    return _section(lam.a, kind, k % (lam.n + 1), content.k)
 
 
 @lru_cache(maxsize=256)
-def _section(lam: Weight, kind: str, k: int, c: tuple[int, ...]):
+def _section(a: tuple[int, ...], kind: str, k: int, c: tuple[int, ...]):
     """factor_from_content at 0 <= k <= n, the period of the B1/Bn ground factors."""
-    g = _ground(lam, kind)[0][k]
+    g = _ground(a, kind)[0][k]
     s = 1 if kind == "B1" else -1
-    vec = tuple([v + s * (a - b) for v, a, b in zip(g.nu, c, c[1:] + c[:1], strict=True)])
+    vec = tuple([v + s * (x - y) for v, x, y in zip(g.nu, c, c[1:] + c[:1], strict=True)])
     if min(vec) < 0:
         raise WeightSectionError(f"{g.wt() - cl_root(RootVec(c))} is not a {kind} weight "
-                                 f"at level {lam.level}")
+                                 f"at level {sum(a)}")
     return type(g)(vec)
 
 
@@ -127,7 +128,7 @@ class Path(Tensor):
     devs: tuple = ()
 
     def __init__(self, lam: Weight, kind: str, devs=()):  # one dict update: no frozen setattr
-        devs, period = tuple(devs), _ground(lam, kind)[0]
+        devs, period = tuple(devs), _ground(lam.a, kind)[0]
         family = period[0].family
         for dev in devs:
             if getattr(dev, "family", None) is not family:
@@ -164,7 +165,7 @@ class Path(Tensor):
     def wt(self) -> Weight:  # strict: a deviation of another rank raises ValueError
         w = self._wt
         if w is None:
-            period, offsets = _ground(self.lam, self.kind)
+            period, offsets = _ground(self.lam.a, self.kind)
             w = vars(self)["_wt"] = Weight(tuple(map(sum, zip(
                 offsets[len(self.devs) % len(period)], *(dev.wa for dev in self.devs),
                 strict=True))))

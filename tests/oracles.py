@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import lcm
 
 from affine_crystals import quiver
-from affine_crystals.cartan import RootVec, Weight, zero_root
+from affine_crystals.cartan import RootVec, Weight, cl_root, pairing, simple_root, zero_root
 from affine_crystals.linalg import PRIME, gm_from_blocks, zero_blocks
 from affine_crystals.paths import WeightSectionError, ground_elem, path_apply
 from affine_crystals.perfect import AdjElem, B1Elem, BnElem
@@ -261,6 +261,36 @@ def signature_reference(i, factors):
                 minus.append(idx)
         plus.extend([idx] * b.phi(i))
     return minus, plus
+
+
+def check_axioms_reference(graph) -> list[str]:
+    """The crystal axioms asked edge by edge: eps, phi and wt of both ends of every
+    edge, read afresh from the elements each time."""
+    bad: list[str] = []
+    n = graph.nodes[0].n if graph.nodes else -1
+    roots = [cl_root(simple_root(n, i)) for i in range(n + 1)]
+    for b in graph.nodes:
+        w = b.wt()
+        for i in range(n + 1):
+            if b.phi(i) != b.eps(i) + pairing(i, w):
+                bad.append(f"phi/eps/wt mismatch at i={i}: {b}")
+    for src, op, i, dst in graph.edges:
+        b, b2 = graph.nodes[src], graph.nodes[dst]
+        if op == "f":
+            if b2.wt() != b.wt() - roots[i]:
+                bad.append(f"wt(f_{i} b) != wt(b) - cl(alpha_{i}): {b}")
+            if b2.eps(i) != b.eps(i) + 1 or b2.phi(i) != b.phi(i) - 1:
+                bad.append(f"eps/phi step wrong along f_{i}: {b}")
+            if b2.e(i) != b:
+                bad.append(f"e_{i} does not invert f_{i}: {b}")
+        else:
+            if b2.wt() != b.wt() + roots[i]:
+                bad.append(f"wt(e_{i} b) != wt(b) + cl(alpha_{i}): {b}")
+            if b2.eps(i) != b.eps(i) - 1 or b2.phi(i) != b.phi(i) + 1:
+                bad.append(f"eps/phi step wrong along e_{i}: {b}")
+            if b2.f(i) != b:
+                bad.append(f"f_{i} does not invert e_{i}: {b}")
+    return bad
 
 
 def _row_counts(vec, i, dual):

@@ -303,6 +303,23 @@ def test_bad_lambda_or_n_is_a_usage_error(args):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("crystal", ["b1", "bn", "ad"])
+def test_graph_kind_is_only_for_path(crystal, capsys):
+    # --kind picks a path model: on a perfect crystal it is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["graph", "--crystal", crystal, "--n", "1", "--kind", "ad", "--max-nodes", "3"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err == f"error: --kind is only for --crystal path, not --crystal {crystal}\n"
+    # a path ball without --kind is the B1 model's
+    dots = []
+    for kind in ([], ["--kind", "b1"]):
+        assert main(["graph", "--crystal", "path", "--n", "2", "--lambda", "2,1,0",
+                     "--max-nodes", "40", *kind]) == 0
+        dots.append(capsys.readouterr().out)
+    assert dots[0] == dots[1]
+
+
 HUGE = "99999999999999999999"  # > 2^63: every one fails before it allocates
 
 
@@ -468,7 +485,9 @@ def cli_args(draw):
     kind = draw(st.sampled_from(["b1", "bn", "ad"]))
     if crystal != "path" and draw(st.booleans()):  # --lambda there is a usage error
         common.pop()
-    return ["graph", *common, f"--crystal={crystal}", f"--kind={kind}",
+    if draw(st.booleans()):  # --kind too, and a path ball without it is B1's
+        common.append(f"--kind={kind}")
+    return ["graph", *common, f"--crystal={crystal}",
             f"--level={draw(small)}", f"--depth={draw(small)}",
             f"--max-nodes={draw(st.integers(-1, 30))}"]
 

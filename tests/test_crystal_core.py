@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from hypothesis import given, strategies as st
 
 from affine_crystals.crystal_core import (
+    CrystalGraph,
     TensorProd,
     check_axioms,
     eps_weight,
@@ -18,7 +19,7 @@ from affine_crystals.paths import Path, ground_path, path_to_json
 from affine_crystals import perfect
 from affine_crystals.perfect import AdjElem, B1Elem, BnElem, all_adj, all_b1, all_bn, ground_adj
 from affine_crystals.suites import random_dominant
-from oracles import signature_reference
+from oracles import check_axioms_reference, signature_reference
 
 
 @dataclass(frozen=True)
@@ -206,6 +207,51 @@ def test_check_axioms_detects_corruption():
         assert other != g.nodes[src]
         g.nodes[src] = other
         assert check_axioms(g)
+
+
+def _differential_graphs():
+    """The graphs check_axioms is compared with the edge-by-edge reference on."""
+    for lam in ((2, 1, 0), (1, 1)):
+        for kind in ("B1", "Bn", "Ad"):
+            yield generate_graph(ground_path(weight(lam), kind), max_nodes=120)
+    yield generate_graph(TensorProd((B1Elem((2, 0, 0)), BnElem((1, 1, 0)))), max_nodes=120)
+    yield generate_graph(ground_adj(weight((2, 0, 0))))
+
+
+def _cold(b):
+    """b built afresh from its value: nothing cached (perfect elements are interned)."""
+    if isinstance(b, Path):
+        return Path(b.lam, b.kind, b.devs)
+    return TensorProd(b.factors) if isinstance(b, TensorProd) else b
+
+
+def _corrupted(g, how: str, k: int) -> CrystalGraph:
+    """A copy of g with edge k re-indexed, its source swapped for a cold element of
+    another node's value, or its target moved to another node."""
+    nodes, edges = list(g.nodes), list(g.edges)
+    src, op, i, dst = edges[k]
+    other = next(t for t in range(len(nodes)) if t not in (src, dst))
+    if how == "reindex":
+        edges[k] = (src, op, (i + 1) % len(nodes[0].row), dst)
+    elif how == "swap":
+        nodes[src] = _cold(nodes[other])
+    else:
+        edges[k] = (src, op, i, other)
+    return CrystalGraph(nodes=nodes, ids=g.ids, edges=edges, complete=g.complete)
+
+
+def test_check_axioms_matches_the_edge_by_edge_reference():
+    # one read per node gives the same violations, in the same order, as asking both
+    # ends of every edge afresh, on clean graphs and on corrupted ones whose swapped
+    # node is cold for whichever checker reads it first
+    for g in _differential_graphs():
+        assert len(g.nodes) == 120 or g.complete
+        assert check_axioms(g) == check_axioms_reference(g) == []
+        for how in ("reindex", "swap", "redirect"):
+            for k in (0, len(g.edges) // 2, len(g.edges) - 1):
+                got = check_axioms(_corrupted(g, how, k))
+                want = check_axioms_reference(_corrupted(g, how, k))
+                assert got == want and want, (how, k)
 
 
 # sha256 of json.dumps([[path_to_json(b) for b in g.nodes], g.edges], sort_keys=True)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from affine_crystals import crystal_core, golden, paths
-from affine_crystals.cartan import cl_root, root, weight
+from affine_crystals.cartan import Weight, cl_root, root, weight
 from affine_crystals.crystal_core import TensorProd, check_axioms, generate_graph, signature
 from affine_crystals.iso import run_pipeline
 from affine_crystals.linalg import PRIME
@@ -539,6 +539,32 @@ def test_path_axioms_small_balls():
     for kind in ("B1", "Bn", "Ad"):
         g = generate_graph(ground_path(LAM, kind), max_nodes=120)
         assert not check_axioms(g)
+
+
+def test_path_balls_hash_no_weight(monkeypatch):
+    # the ground caches are keyed on lam's coefficients, a tuple hashed in C, so
+    # building a ball and checking it never runs Weight's Python-level hash
+    _ground.cache_clear()
+    paths._section.cache_clear()
+    hashed = []
+    real = Weight.__hash__
+    monkeypatch.setattr(Weight, "__hash__", lambda w: hashed.append(w) or real(w))
+    for kind in KINDS:
+        g = generate_graph(ground_path(weight((2, 1, 0)), kind), max_nodes=200)
+        assert len(g.nodes) == 200 and not check_axioms(g)
+    assert hashed == []
+
+
+def test_equal_weights_share_one_ground_record():
+    a, b = weight((3, 1, 0)), weight((3, 1, 0))
+    assert a == b and a is not b
+    for kind in KINDS:
+        ground_path(a, kind)
+        before = _ground.cache_info()
+        p = ground_path(b, kind)
+        after = _ground.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert p.factor(0) is ground_elem(a, kind, 0) and p.wt() == a
 
 
 def test_wt_step_along_edges():
