@@ -22,7 +22,7 @@ from .crystal_core import generate_graph
 from .iso import report_to_json, run_pipeline
 from .linalg import PRIME
 from .paths import DeadWordError, from_word, ground_path, parse_word, path_to_json, word_alpha
-from .perfect import B1Elem, BnElem, ground_adj, render
+from .perfect import B1Elem, BnElem, ground_adj
 from .quiver import GenericityError
 from .suites import SUITES, run_suite
 
@@ -145,7 +145,7 @@ def cmd_path(args) -> int:
     except DeadWordError as err:
         return _failed(err)
     data = path_to_json(p)
-    data["rendered"] = [render(p.factor(k)) for k in range(len(p.devs) + 1)]
+    data["rendered"] = [p.factor(k).render() for k in range(len(p.devs) + 1)]
     _dump(data, args.out)
     return 0
 
@@ -188,7 +188,7 @@ def cmd_graph(args) -> int:
     g = generate_graph(_graph_seed_elem(args), max_nodes=max_nodes, max_depth=depth)
     lines = ["digraph crystal {"]
     for t, node in enumerate(g.nodes):
-        lines.append(f'  n{t} [label="{render(node)}"];')
+        lines.append(f'  n{t} [label="{node.render()}"];')
     lines.extend(f'  n{src} -> n{dst} [label="{i}"];' for src, op, i, dst in g.edges if op == "f")
     if not g.complete:
         lines.append('  meta [label="truncated", shape=box];')

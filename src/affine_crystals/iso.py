@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .cartan import RootVec, Weight, cl_root, root, rotate
-from .linalg import PRIME, GradedMap
+from .linalg import PRIME, GradedMap, check_field
 from .paths import Path, factor_from_content, from_word, lowering_steps, path_to_json, word_alpha
 from .perfect import AdjElem, B1Elem, BnElem, merge_pair
 from .quiver import (
@@ -121,6 +121,7 @@ def _compare(direct: Path, geom: Path, kind: str, mismatches: list[str]):
 
 def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> IsoReport:
     """Direct paths vs kernel-table reconstructions for one lowering word."""
+    check_field(p)
     word = tuple(word)
     alpha = root(word_alpha(lam.n, word))
     report = IsoReport(lam=lam, word=word, alpha=alpha)

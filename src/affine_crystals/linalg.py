@@ -6,7 +6,8 @@ elimination: ``g[a] u - u[a] g`` clears u's entry at a with a row g that is
 nonzero there, mod p over F_p (p = 2^31 - 1) and in integers over Q
 (``p=None``).  Kernel tables run it in the wall map's module echelon; ``rank``
 runs it in a pivot loop, for the stability check.  No solver or dense product
-is left; the tests keep both as oracles.
+is left; the tests keep both as oracles.  Every public routine that takes p
+first runs ``check_field``, so any other modulus is one ValueError.
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ from dataclasses import dataclass
 from math import gcd
 
 PRIME = 2**31 - 1
+
+
+def check_field(p) -> None:
+    """Raise a one-line ValueError unless p is PRIME (F_p) or None (Q).  Another
+    modulus is silently wrong (p = 4, 6), or never ends a draw (p <= 0)."""
+    if not (p is None or type(p) is int and p == PRIME):
+        raise ValueError(f"field p={p!r} is not supported: pass {PRIME} (F_p) or None (Q)")
 
 
 def _reduce(u: list[int], g: list[int], a: int, p: int | None) -> list[int]:
@@ -33,6 +41,7 @@ def rank(a, p: int | None = PRIME) -> int:
     with the gcd divided out).  Full rank ends the loop: no row is left to
     read once every column has a pivot.
     """
+    check_field(p)
     ncols = len(a[0]) if a else 0
     kept: dict[int, list[int]] = {}  # pivot column -> reduced row
     for row in a:

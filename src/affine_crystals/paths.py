@@ -26,6 +26,8 @@ result is the Path of the deviations with one factor replaced or appended (the n
 factor from the element's own e_i/f_i memo) and inherits no cache, so check_axioms
 compares values computed on each side of an edge.  A lowering walk reads the
 position each f_i changes off the same record, and the wall tuples replay those steps.
+A Path's text (``render``, also its ``str``) and ``path_to_json`` are its deviations'
+own ``render()`` and ``to_json()``, highest position first in the text.
 
 Every isomorphism reads a B1/Bn factor off a root content by one rule,
 ``factor_from_content``: the weight section of wt(ground factor k) - cl(content),
@@ -40,15 +42,7 @@ from functools import lru_cache
 
 from .cartan import RootVec, Weight, cl_root
 from .crystal_core import Tensor
-from .perfect import (
-    AdjElem,
-    B1Elem,
-    BnElem,
-    ground_adj,
-    ground_b1,
-    ground_bn,
-    render,
-)
+from .perfect import ground_adj, ground_b1, ground_bn
 
 class DeadWordError(ValueError):
     """A lowering word annihilated the highest weight element."""
@@ -181,8 +175,10 @@ class Path(Tensor):
         return Path, (self.lam, self.kind, self.devs)
 
     def __str__(self) -> str:
-        facs = " (x) ".join(render(self.factor(k)) for k in range(len(self.devs) - 1, -1, -1))
+        facs = " (x) ".join(dev.render() for dev in reversed(self.devs))
         return f"...(x) {facs}" if facs else "ground"
+
+    render = __str__  # the element protocol's text, as a graph label
 
 
 def ground_path(lam: Weight, kind: str) -> Path:
@@ -200,12 +196,13 @@ def lowering_steps(lam: Weight, kind: str, word) -> tuple[Path, list[tuple[int, 
     """Fold f-operators over the ground path; the rightmost token acts first.
 
     word is a sequence of (index, multiplicity) pairs in written order; an
-    index outside 0..n raises WordIndexError.  Returns the path and its steps
-    in the order they act: ``(i, pos)`` when f_i changed the factor at ``pos``,
-    read off the f-owner of the signature record f_i used.
+    index outside 0..n raises WordIndexError, a negative multiplicity
+    ValueError.  Returns the path and its steps in the order they act:
+    ``(i, pos)`` when f_i changed the factor at ``pos``, read off the f-owner
+    of the signature record f_i used.
     """
     word = list(word)
-    word_alpha(lam.n, word)  # raises WordIndexError for an index outside 0..n
+    word_alpha(lam.n, word)  # raises for an index outside 0..n or a negative multiplicity
     p = ground_path(lam, kind)
     steps = []
     for i, mult in reversed(word):
@@ -238,31 +235,24 @@ def parse_word(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def word_alpha(n: int, word) -> tuple[int, ...]:
-    """Letter counts per index; an index outside 0..n raises WordIndexError."""
+    """Letter counts per index; an index outside 0..n raises WordIndexError, a
+    negative multiplicity ValueError."""
     counts = [0] * (n + 1)
     for i, mult in word:
         if not 0 <= i <= n:
             raise WordIndexError(f"word index {i} is outside 0..{n}")
+        if mult < 0:
+            raise ValueError(f"word multiplicity {mult} of index {i} is negative")
         counts[i] += mult
     return tuple(counts)
 
 
 # ------------------------------------------------------------------- JSON
 
-def elem_to_json(elem):
-    if isinstance(elem, B1Elem):
-        return {"nu": list(elem.nu)}
-    if isinstance(elem, BnElem):
-        return {"nubar": list(elem.nubar)}
-    if isinstance(elem, AdjElem):
-        return {"mbar": list(elem.mbar), "m": list(elem.m), "cap": elem.cap}
-    raise TypeError(f"not a perfect-crystal element: {elem!r}")
-
-
 def path_to_json(p: Path) -> dict:
     return {
         "schema": "v1",
         "lambda": list(p.lam.a),
         "kind": p.kind,
-        "deviations": [elem_to_json(d) for d in p.devs],
+        "deviations": [d.to_json() for d in p.devs],
     }

@@ -27,6 +27,9 @@ this element when first asked for; no slot is filled by inverting a
 neighbour's result, so e_i(f_i b) == b stays a check.  Equality is by value,
 with identity as the fast path, so the bounded table can be dropped at any
 time (``_drop``) without changing any output.  Elements pickle as their value.
+Each class writes its value in its own formats: ``render()`` is the text of the
+CLI's ``path`` and ``graph`` output, ``to_json()`` the deviation record of
+``paths.path_to_json``.
 
 ``merge_pair``/``split_adj`` realize the crystal isomorphism
 B1 (x) Bn  ~~>  Adj by cancelling c = min(nu_1, nubar_1) leading pairs.
@@ -79,8 +82,8 @@ class _Elem:
     family that ``_intern`` fills (``_ops[i]`` is e_i, ``_ops[n + 1 + i]`` is f_i; the
     family, one shared (class, n + 1, level) tuple, is what a Path checks).  Each
     class gives its rule: the classmethod ``_rule_values(*value)``, the (row, wt
-    coefficients) of a value, raising ValueError for an invalid one, and
-    ``_apply(op, i)``, e_i/f_i or None."""
+    coefficients) of a value, raising ValueError for an invalid one,
+    ``_apply(op, i)``, e_i/f_i or None, and its formats ``render()`` and ``to_json()``."""
 
     __slots__ = ("row", "wa", "_hash", "_ops", "family")
     _FIELDS: tuple[str, ...] = ()
@@ -178,6 +181,16 @@ class _Row(_Elem):
         nu[d] += 1
         return type(self)(nu)
 
+    def render(self) -> str:
+        """The letters in increasing order, e.g. "[1,3,3]"; read dually (Bn), the barred
+        letters in decreasing order, e.g. "[2~,1~,1~]"."""
+        order = range(self.n, -1, -1) if self._DUAL else range(self.n + 1)
+        mark = "~" if self._DUAL else ""
+        return "[" + ",".join(f"{t + 1}{mark}" for t in order for _ in range(self.nu[t])) + "]"
+
+    def to_json(self) -> dict:
+        return {"nubar" if self._DUAL else "nu": list(self.nu)}
+
 
 class B1Elem(_Row):
     """Row-crystal element; nu[t] counts the letter t+1."""
@@ -255,6 +268,21 @@ class AdjElem(_Elem):
         vec[d] += 1
         c = min(m[0], mbar[0])
         return AdjElem((mbar[0] - c, *mbar[1:]), (m[0] - c, *m[1:]), self.cap)
+
+    def render(self) -> str:
+        """Row-major rendering of the two-part tableau, e.g. "rows: [1,2],[3]"."""
+        n = self.n
+        cols = []  # barred columns, largest letter first, then the boxes
+        for t in range(n, -1, -1):
+            cols.extend([[x for x in range(1, n + 2) if x != t + 1]] * self.mbar[t])
+        for t, c in enumerate(self.m):
+            cols.extend([[t + 1]] * c)
+        rows = [",".join(str(col[r]) for col in cols if len(col) > r) for r in range(n)]
+        body = ",".join(f"[{row}]" for row in rows if row)
+        return f"rows: {body}" if body else "rows:"
+
+    def to_json(self) -> dict:
+        return {"mbar": list(self.mbar), "m": list(self.m), "cap": self.cap}
 
 
 # ---------------------------------------------------------- merge and split
@@ -371,40 +399,3 @@ def verify_perfect(elements, lvl: int) -> list[str]:
         if phi_count[lam_a] != 1:
             failures.append(f"phi(b) = {lam_a} hit {phi_count[lam_a]} times")
     return failures
-
-
-# -------------------------------------------------------------- rendering
-
-def render_adj(a: AdjElem) -> str:
-    """Row-major rendering of the two-part tableau, e.g. "rows: [1,2],[3]"."""
-    n = a.n
-    cols = []  # barred columns, largest letter first, then the boxes
-    for t in range(n, -1, -1):
-        col = [x for x in range(1, n + 2) if x != t + 1]
-        cols.extend([col] * a.mbar[t])
-    boxes = []
-    for t, c in enumerate(a.m):
-        boxes.extend([[t + 1]] * c)
-    cols.extend(boxes)
-    if not cols:
-        return "rows:"
-    rows = []
-    for r in range(n):
-        row = [str(col[r]) for col in cols if len(col) > r]
-        if row:
-            rows.append("[" + ",".join(row) + "]")
-    return "rows: " + ",".join(rows)
-
-
-def render(elem) -> str:
-    """A B1 row as its letters in increasing order, e.g. "[1,3,3]"; a Bn element
-    as the row rule read dually, its barred letters in decreasing order, e.g.
-    "[2~,1~,1~]"; an adjoint element by render_adj; any other element, a path
-    say, as ``str``."""
-    if isinstance(elem, _Row):
-        order = range(elem.n, -1, -1) if elem._DUAL else range(elem.n + 1)
-        mark = "~" if elem._DUAL else ""
-        return "[" + ",".join(f"{t + 1}{mark}" for t in order for _ in range(elem.nu[t])) + "]"
-    if isinstance(elem, AdjElem):
-        return render_adj(elem)
-    return str(elem)

@@ -44,7 +44,7 @@ from itertools import count, islice, repeat
 from math import gcd
 
 from .cartan import RootVec, Weight
-from .linalg import PRIME, GradedMap, _reduce, gm_from_blocks, rank, zero_blocks
+from .linalg import PRIME, GradedMap, _reduce, check_field, gm_from_blocks, rank, zero_blocks
 from .walls import SIGN, WallTuple, block_color
 
 
@@ -194,6 +194,7 @@ def sample_in_commutant(x: WallMap, basis, rng: random.Random,
     the support's cells.  The supports are disjoint and every coefficient is
     below p, so this is the sum of coefficient times basis map, reduced mod p.
     """
+    check_field(p)
     blocks = zero_blocks(x.dims, -x.shift)
     for cells, co in zip(basis, draws(rng, len(basis), p)):
         for t, r, c in cells:
@@ -204,6 +205,7 @@ def sample_in_commutant(x: WallMap, basis, rng: random.Random,
 def draws(rng: random.Random, n: int, p: int | None = PRIME) -> list[int]:
     """n coefficients below p (10^6 over Q) by CPython's rule for randrange, written out
     so that no Python version changes them: hi.bit_length() bits until below hi."""
+    check_field(p)
     hi = p if p is not None else 10**6
     return list(islice(filter(hi.__gt__, map(rng.getrandbits, repeat(hi.bit_length()))), n))
 
@@ -218,6 +220,7 @@ def check_moment(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> bool:
     an entry before a string's start or past its end being 0.  Rows equal
     as integers pass at once; others are compared mod p.
     """
+    check_field(p)
     for i, prev in enumerate(x.index.prev):
         cols = x.index.nxt[(i - x.shift - xbar.shift) % x.m]
         before, here = xbar.blocks[(i - x.shift) % x.m], xbar.blocks[i]
@@ -279,6 +282,7 @@ def kernel_table_at(x: WallMap, xbar: GradedMap, p: int | None = PRIME) -> Kerne
     while one is below alpha.  Each sequence is nested at a commuting point, so
     a repeat below alpha is a stall: GenericityError names the sequence.
     """
+    check_field(p)
     _check_partner(x, xbar)
     if not check_moment(x, xbar, p):
         raise ValueError("kernel table requested at a non-commuting point")
@@ -383,6 +387,7 @@ def generic_kernel_table(x: WallMap, basis, seed: int = 0,
     its trailing repeats, so equality is row-by-row agreement, and equal
     tables are their own minimum: ``_table_min`` runs only when one differs.
     """
+    check_field(p)
     rng = random.Random(seed)
     samples, tables = [], []
     for _ in range(MAX_SAMPLES):
@@ -409,6 +414,7 @@ def is_stable(x: WallMap, xbar: GradedMap, lam: Weight, p: int | None = PRIME) -
     The verdicts form a list, not a generator, so that zip checks the length
     of lam also past an unstable component.
     """
+    check_field(p)
     _check_partner(x, xbar)
     return all([len(ends) - rank([[row[c] for c in ends] for row in xbar.block_out(i)], p) <= a
                 for i, (ends, a) in enumerate(zip(x.index.ends, lam.a, strict=True)) if ends])

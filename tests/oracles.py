@@ -366,6 +366,41 @@ def element_rule(elem):
     return tuple(row), tuple(wa), hash(value), ops
 
 
+def render_reference(elem) -> str:
+    """The text of a B1/Bn/Adj element by one type switch over the three classes."""
+    if isinstance(elem, (B1Elem, BnElem)):
+        dual = isinstance(elem, BnElem)
+        order = range(elem.n, -1, -1) if dual else range(elem.n + 1)
+        mark = "~" if dual else ""
+        return "[" + ",".join(f"{t + 1}{mark}" for t in order for _ in range(elem.nu[t])) + "]"
+    n = elem.n
+    cols = []  # barred columns, largest letter first, then the boxes
+    for t in range(n, -1, -1):
+        col = [x for x in range(1, n + 2) if x != t + 1]
+        cols.extend([col] * elem.mbar[t])
+    for t, c in enumerate(elem.m):
+        cols.extend([[t + 1]] * c)
+    if not cols:
+        return "rows:"
+    rows = []
+    for r in range(n):
+        row = [str(col[r]) for col in cols if len(col) > r]
+        if row:
+            rows.append("[" + ",".join(row) + "]")
+    return "rows: " + ",".join(rows)
+
+
+def elem_to_json_reference(elem) -> dict:
+    """The JSON record of a B1/Bn/Adj element by one type switch over the three classes."""
+    if isinstance(elem, B1Elem):
+        return {"nu": list(elem.nu)}
+    if isinstance(elem, BnElem):
+        return {"nubar": list(elem.nubar)}
+    if isinstance(elem, AdjElem):
+        return {"mbar": list(elem.mbar), "m": list(elem.m), "cap": elem.cap}
+    raise TypeError(f"not a perfect-crystal element: {elem!r}")
+
+
 def profiled_calls(fn, *args):
     """fn(*args) and the package's call counts per (module, function) under
     cProfile, as the benchmark counts them."""

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from affine_crystals import golden, iso, suites
+from affine_crystals.paths import Path
 from affine_crystals.suites import suite_bridge, suite_example
 from oracles import profiled_calls
 
@@ -111,6 +112,22 @@ def test_A1_A2_name_the_part_that_differs_from_golden(monkeypatch, check, name, 
     assert failed[0].detail == witness
 
 
+@pytest.mark.parametrize("name", ["b1_path_from_kernels", "bn_path_from_kernels",
+                                  "adj_path_from_kernels"])
+def test_A5_compares_whole_paths(monkeypatch, name):
+    # a reconstruction that differs from the direct path only at position 6, past
+    # the worked example's deviations, fails A5 and no other check
+    build = getattr(suites, name)
+
+    def off_at_6(kt, lam):
+        p = build(kt, lam)
+        far = next(filter(None, map(p.factor(6).f, range(p.n + 1))))
+        return Path(p.lam, p.kind, [*map(p.factor, range(6)), far])
+
+    monkeypatch.setattr(suites, name, off_at_6)
+    assert [c.name[:2] for c in suite_example(SEED) if not c.ok] == ["A5"]
+
+
 def test_A1_A2_report_the_time_only_over_budget(monkeypatch):
     clock = iter([0.0, 6.02])  # the pipeline run took 6.02 s, over the 5 s budget
     monkeypatch.setattr(suites, "time", SimpleNamespace(monotonic=lambda: next(clock)))
@@ -178,3 +195,5 @@ def test_worked_example_is_built_once():
     assert calls["walls", "path_to_walls"] == 4
     assert calls["quiver", "wall_graded_map"] == 4
     assert calls["quiver", "commutant_basis"] == 2  # A4 samples from the report's basis
+    # A4 reads its first seed's table off the report: 2 pipeline runs + seeds 1 and 2
+    assert calls["quiver", "generic_kernel_table"] == 4

@@ -1,5 +1,6 @@
 import contextlib
 import gc
+import glob
 import hashlib
 import io
 import json
@@ -240,12 +241,22 @@ def test_json_writer_raises_like_json(value):
         _json(value)
 
 
+def _interpreter(version: str) -> str | None:
+    """python<version> on PATH, else a pyenv build of it, whichever first starts."""
+    pattern = os.path.expanduser(f"~/.pyenv/versions/{version}.*/bin/python{version}")
+    for exe in (shutil.which(f"python{version}"), *sorted(glob.glob(pattern))):
+        if exe and not subprocess.run([exe, "-c", ""], capture_output=True).returncode:
+            return exe
+    return None
+
+
 @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
 def test_quiver_bytes_agree_across_interpreters(version):
     # the coefficient draws are the program's own rule, not randrange's, so every
-    # interpreter that starts writes the same bytes; a missing one is skipped
-    exe = shutil.which(f"python{version}")
-    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True).returncode:
+    # interpreter that starts writes the same bytes; a missing one is skipped (a
+    # pyenv shim on PATH exits non-zero when its version is not selected)
+    exe = _interpreter(version)
+    if exe is None:
         pytest.skip(f"no python{version} starts here")
     src = os.path.dirname(os.path.dirname(os.path.abspath(affine_crystals.__file__)))
     env = {**os.environ, "PYTHONPATH": src}
@@ -274,7 +285,7 @@ def test_quiver_bytes_agree_across_interpreters(version):
      "0e6c666baf96ec51d7bf06f52edd9ac497b17c9e8bfbc9f9648451c6c7943902"),
 ], ids=["b1", "bn", "ad", "path-b1", "path-bn", "path-ad"])
 def test_graph_output_bytes_pinned(args, digest, capsys):
-    # labels go through render's type dispatch, edges through each e_i/f_i,
+    # labels are each node's own render(), edges go through each e_i/f_i,
     # and the path balls stop at --max-nodes, so the truncation line is pinned too
     assert main(["graph"] + args.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -18,7 +18,7 @@ from affine_crystals.iso import (
 )
 from affine_crystals.linalg import PRIME, rank
 from affine_crystals.paths import from_word, ground_path, lowering_steps, parse_word, word_alpha
-from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn, render
+from affine_crystals.perfect import B1Elem, BnElem, ground_b1, ground_bn
 from affine_crystals.quiver import (KernelTable, commutant_basis, generic_kernel_table,
                                     kernel_table_at, sample_in_commutant, wall_graded_map)
 from affine_crystals.suites import random_dominant, random_word, reference_table, suite_example
@@ -49,7 +49,7 @@ def test_adjoint_intermediate_weights():
 
 
 def test_rotated_ground_render():
-    assert render(ground_b1(rotate(LAM, -1), 0)) == "[1,1,2]"  # 2L1 + L2 in the row model
+    assert ground_b1(rotate(LAM, -1), 0).render() == "[1,1,2]"  # 2L1 + L2 in the row model
 
 
 def test_zero_table_gives_ground_paths():

@@ -1,6 +1,8 @@
 import pickle
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -30,8 +32,9 @@ from affine_crystals.perfect import (AdjElem, B1Elem, BnElem, all_adj, all_b1, a
                                      ground_adj, ground_b1, ground_bn)
 from affine_crystals.suites import random_dominant, random_word
 from affine_crystals.walls import path_to_walls, walls_to_path
-from oracles import (b1_from_weight, bn_from_weight, changed_positions, path_wt_reference,
-                     profiled_calls, raising_steps as oracle_raising_steps, signature_reference)
+from oracles import (b1_from_weight, bn_from_weight, changed_positions, elem_to_json_reference,
+                     path_wt_reference, profiled_calls, raising_steps as oracle_raising_steps,
+                     render_reference, signature_reference)
 
 LAM = weight((2, 1, 0))
 WORD = parse_word("1^4 2^5 1^2 0^4 2 1")
@@ -51,6 +54,33 @@ def test_word_index_out_of_range(word):
     for kind in ("B1", "Bn", "Ad"):
         with pytest.raises(WordIndexError, match="outside 0..2"):
             from_word(LAM, kind, word)
+
+
+def test_negative_multiplicity_is_rejected_under_optimize():
+    # ((0, -1),) lowered to the ground path and counted -1 in word_alpha; every
+    # lowering walk goes through word_alpha, so each raises one line, also under -O
+    code = (
+        "from affine_crystals.cartan import weight\n"
+        "from affine_crystals.iso import run_pipeline\n"
+        "from affine_crystals.paths import from_word, lowering_steps, word_alpha\n"
+        "lam, word = weight((2, 1, 0)), ((1, 2), (0, -1))\n"
+        "calls = [lambda: word_alpha(2, word), lambda: run_pipeline(lam, word)]\n"
+        "calls += [lambda k=k: f(lam, k, word) for f in (from_word, lowering_steps)\n"
+        "          for k in ('B1', 'Bn', 'Ad')]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as err:\n"
+        "        print(type(err).__name__, len(str(err).splitlines()))\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ValueError 1"] * 8
+    with pytest.raises(ValueError, match="multiplicity -1 of index 0 is negative"):
+        word_alpha(2, ((1, 2), (0, -1)))
+    assert word_alpha(2, ((1, 0), (0, 1))) == (1, 0, 0)  # a zero multiplicity is a no-op
 
 
 def _check_steps(lam, kind, word):
@@ -592,6 +622,16 @@ def test_weight_multiplicities_agree_across_models():
             assert g.complete
             counters.append(Counter(p.wt().a for p in g.nodes))
         assert counters[0] == counters[1] == counters[2]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_path_writes_its_deviations_formats(kind):
+    # the text joins each deviation's render(), highest position first, and the JSON
+    # lists each to_json() in position order; both as the type switches wrote them
+    for p in generate_graph(ground_path(LAM, kind), max_nodes=60).nodes:
+        text = " (x) ".join(render_reference(d) for d in reversed(p.devs))
+        assert p.render() == str(p) == (f"...(x) {text}" if p.devs else "ground")
+        assert path_to_json(p)["deviations"] == [elem_to_json_reference(d) for d in p.devs]
 
 
 def test_json_roundtrip():

@@ -22,14 +22,20 @@ from affine_crystals.perfect import (
     ground_b1,
     ground_bn,
     merge_pair,
-    render,
     split_adj,
     verify_perfect,
 )
-from affine_crystals.suites import random_dominant
+from affine_crystals.suites import XI_GRID, random_dominant
 
 from affine_crystals import perfect
-from oracles import b1_from_weight, bn_from_weight, element_rule, ground_bn_reference
+from oracles import (
+    b1_from_weight,
+    bn_from_weight,
+    elem_to_json_reference,
+    element_rule,
+    ground_bn_reference,
+    render_reference,
+)
 
 LAM = weight((2, 1, 0))
 
@@ -94,7 +100,7 @@ def test_sections_invert_wt(n, lvl):
 def test_ground_elements():
     assert ground_b1(LAM, 0) == B1Elem((1, 0, 2))
     assert ground_bn(LAM, 0) == BnElem((2, 1, 0))
-    assert render(ground_bn(LAM, 0)) == "[2~,1~,1~]"
+    assert ground_bn(LAM, 0).render() == "[2~,1~,1~]"
     assert ground_b1(weight((3, 0, 0)), 5).nu.count(0) == 2  # single orbit weight
     assert ground_adj(LAM) == AdjElem((0, 1, 0), (0, 1, 0), 3)
     assert ground_adj(weight((3, 0, 0))).k == 0
@@ -215,7 +221,7 @@ def test_merge_pair_examples():
     assert (merged.mbar, merged.m, merged.k) == ((1, 0, 0), (0, 0, 1), 1)
     full = merge_pair(B1Elem((3, 0, 0)), BnElem((3, 0, 0)))
     assert full.k == 0
-    assert render(full) == "rows:"
+    assert full.render() == "rows:"
 
 
 def test_guards_hold_under_optimize():
@@ -283,9 +289,9 @@ def test_adj_from_weights_worked_values():
     def adj(r, s):  # box-part weight r, barred-part weight s, level 3
         return merge_pair(b1_from_weight(weight(r), 3), bn_from_weight(weight(s), 3))
 
-    assert render(adj((1, -2, 1), (2, -1, -1))) == "rows: [1,2,2,2,2,3],[3,3,3]"
-    assert render(adj((-1, 2, -1), (3, -3, 0))) == "rows: [2,3],[3]"
-    assert render(adj((-2, 1, 1), (2, -1, -1))) == "rows: [1,2],[3]"
+    assert adj((1, -2, 1), (2, -1, -1)).render() == "rows: [1,2,2,2,2,3],[3,3,3]"
+    assert adj((-1, 2, -1), (3, -3, 0)).render() == "rows: [2,3],[3]"
+    assert adj((-2, 1, 1), (2, -1, -1)).render() == "rows: [1,2],[3]"
 
 
 def test_merge_intertwines_small():
@@ -326,9 +332,17 @@ def test_verify_perfect_rejects_an_empty_crystal():
 
 
 def test_renders():
-    assert render(B1Elem((1, 1, 1))) == "[1,2,3]"
-    assert render(BnElem((0, 1, 2))) == "[3~,3~,2~]"
-    assert render(AdjElem((2, 1, 0), (0, 2, 1), 3)) == "rows: [1,2,2,2,2,3],[3,3,3]"
+    assert B1Elem((1, 1, 1)).render() == "[1,2,3]"
+    assert BnElem((0, 1, 2)).render() == "[3~,3~,2~]"
+    assert AdjElem((2, 1, 0), (0, 2, 1), 3).render() == "rows: [1,2,2,2,2,3],[3,3,3]"
+
+
+@pytest.mark.parametrize("n,lvl", XI_GRID)
+def test_each_class_writes_what_the_type_switch_wrote(n, lvl):
+    # render() and to_json() of every element against one isinstance chain over the classes
+    for elem in [*all_b1(n, lvl), *all_bn(n, lvl), *all_adj(n, lvl)]:
+        assert elem.render() == render_reference(elem)
+        assert elem.to_json() == elem_to_json_reference(elem)
 
 
 # ------------------------------------------------------------ interned elements

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import subprocess
@@ -597,6 +598,60 @@ def test_partner_of_wrong_degree_or_shape_is_rejected_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["ValueError 1"] * 8
+
+
+BAD_FIELDS = (4, 9, 6, 1, 0, -7)  # not fields, a false stability failure, a section error, hangs
+FIELD_ENTRY_POINTS = (run_pipeline, generic_kernel_table, sample_in_commutant, quiver.draws,
+                      kernel_table_at, check_moment, is_stable, rank)
+
+
+@pytest.mark.parametrize("p", [q for q in BAD_FIELDS if q > 0] + [PRIME + 0.0, True, 2**61 - 1])
+def test_the_field_is_checked_before_any_other_argument(p):
+    # each entry point raises one line for any p but PRIME and None, another prime
+    # too, before it reads anything else (None stands in for every other argument);
+    # p <= 0 hangs unchecked, so it runs only in the subprocess test below
+    for f in FIELD_ENTRY_POINTS:
+        with pytest.raises(ValueError, match="is not supported") as err:
+            f(*[None] * (len(inspect.signature(f).parameters) - 1), p)
+        assert len(str(err.value).splitlines()) == 1, f.__name__
+
+
+def test_bad_fields_are_rejected_under_optimize_without_hanging():
+    # p <= 0 made draws' rejection loop accept nothing; the check must hold under -O,
+    # here with the worked example's own arguments
+    code = (
+        "import random\n"
+        "from affine_crystals import golden\n"
+        "from affine_crystals.iso import run_pipeline\n"
+        "from affine_crystals.linalg import PRIME, rank\n"
+        "from affine_crystals.quiver import (check_moment, commutant_basis, draws,\n"
+        "    generic_kernel_table, is_stable, kernel_table_at, sample_in_commutant,\n"
+        "    wall_graded_map)\n"
+        "from affine_crystals.walls import make_walls\n"
+        "x = wall_graded_map(make_walls('P1', golden.N, **golden.WALLS_P1))\n"
+        "basis = commutant_basis(x)\n"
+        "xbar = sample_in_commutant(x, basis, random.Random(0), PRIME)\n"
+        "calls = [lambda p: run_pipeline(golden.LAM, golden.WORD, p=p),\n"
+        "         lambda p: generic_kernel_table(x, basis, 0, p),\n"
+        "         lambda p: sample_in_commutant(x, basis, random.Random(0), p),\n"
+        "         lambda p: draws(random.Random(0), 3, p),\n"
+        "         lambda p: kernel_table_at(x, xbar, p),\n"
+        "         lambda p: check_moment(x, xbar, p),\n"
+        "         lambda p: is_stable(x, xbar, golden.LAM, p),\n"
+        "         lambda p: rank([[1, 2], [3, 4]], p)]\n"
+        f"for p in {BAD_FIELDS!r}:\n"
+        "    for call in calls:\n"
+        "        try:\n"
+        "            call(p)\n"
+        "        except ValueError as err:\n"
+        "            print('ValueError', len(str(err).splitlines()))\n"
+        "        else:\n"
+        "            print('accepted', p)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ValueError 1"] * (8 * len(BAD_FIELDS))
 
 
 def test_kernel_table_zero_xbar():
