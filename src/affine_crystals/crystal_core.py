@@ -22,8 +22,9 @@ and e_i the owner of the rightmost surviving "-".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 
-from .cartan import Weight, cl_root, pairing, simple_root
+from .cartan import Weight, cl_root, simple_root
 
 
 def signature(i: int, factors) -> tuple[list[int], list[int]]:
@@ -47,7 +48,8 @@ class Tensor:
     """An element of an ordered tensor under the signature rule.  A subclass, a frozen
     dataclass whose constructor stores its factors as a tuple in one normal form, gives
     ``n``, ``_window()`` (the factors the rule reads, left to right) and ``_with(idx,
-    elem)`` (its constructor's value with window factor idx replaced by elem).  The
+    elem)`` (the value in that normal form with window factor idx of the cached window
+    replaced by elem, the owner's own e_i/f_i).  The
     record of i, (eps_i, phi_i, e-owner, f-owner), is one ``signature`` call on first
     use; it and the window are cached by hand in the instance dict, as a first
     cached_property read takes a lock.  With ``_DROP_LEFT_MINUS`` the leftmost factor's
@@ -184,29 +186,33 @@ def generate_graph(seed, max_nodes: int = 2000, max_depth: int | None = None) ->
 
 def check_axioms(graph: CrystalGraph) -> list[str]:
     """Verify the crystal axioms on every node and edge; returns violations.  Reads each
-    node's wt and every (eps_i, phi_i) once, through its own methods; along each edge it
-    compares those and recomputes e_i/f_i of the target by the target's own rule."""
+    node's wt coefficients and every (eps_i, phi_i) once, through its own methods (a
+    weight of another rank raises ValueError); along each edge it compares the weight
+    step, a tuple of coefficient differences, with cl(alpha_i)'s, the eps/phi steps,
+    and recomputes e_i/f_i of the target by the target's own rule."""
     bad: list[str] = []
     n = graph.nodes[0].n if graph.nodes else -1  # an empty graph needs no roots
-    roots = [cl_root(simple_root(n, i)) for i in range(n + 1)]
-    wts = [b.wt() for b in graph.nodes]
+    roots = [cl_root(simple_root(n, i)).a for i in range(n + 1)]
+    wts = [b.wt().a for b in graph.nodes]
     rows = [[(b.eps(i), b.phi(i)) for i in range(n + 1)] for b in graph.nodes]
     for b, w, row in zip(graph.nodes, wts, rows):
+        if len(w) != n + 1:
+            raise ValueError(f"weight of rank {len(w) - 1}, not {n}, at node {b}")
         for i, (eps, phi) in enumerate(row):
-            if phi != eps + pairing(i, w):
+            if phi != eps + w[i]:
                 bad.append(f"phi/eps/wt mismatch at i={i}: {b}")
     for src, op, i, dst in graph.edges:
         b, b2 = graph.nodes[src], graph.nodes[dst]
         (eps, phi), (eps2, phi2) = rows[src][i], rows[dst][i]
         if op == "f":
-            if wts[dst] != wts[src] - roots[i]:
+            if tuple(map(sub, wts[src], wts[dst])) != roots[i]:
                 bad.append(f"wt(f_{i} b) != wt(b) - cl(alpha_{i}): {b}")
             if eps2 != eps + 1 or phi2 != phi - 1:
                 bad.append(f"eps/phi step wrong along f_{i}: {b}")
             if b2.e(i) != b:
                 bad.append(f"e_{i} does not invert f_{i}: {b}")
         else:
-            if wts[dst] != wts[src] + roots[i]:
+            if tuple(map(sub, wts[dst], wts[src])) != roots[i]:
                 bad.append(f"wt(e_{i} b) != wt(b) + cl(alpha_{i}): {b}")
             if eps2 != eps - 1 or phi2 != phi + 1:
                 bad.append(f"eps/phi step wrong along e_{i}: {b}")

@@ -122,14 +122,12 @@ def _compare(direct: Path, geom: Path, kind: str, mismatches: list[str]):
 def run_pipeline(lam: Weight, word, seed: int = 0, p: int | None = PRIME) -> IsoReport:
     """Direct paths vs kernel-table reconstructions for one lowering word."""
     check_field(p)
-    word = tuple(word)
+    word, steps, direct = tuple(word), {}, {}
+    for kind in ("B1", "Bn"):  # each walk checks lam and the word first
+        direct[kind], steps[kind] = lowering_steps(lam, kind, word)
+    direct["Ad"] = from_word(lam, "Ad", word)
     alpha = root(word_alpha(lam.n, word))
-    report = IsoReport(lam=lam, word=word, alpha=alpha)
-
-    steps = {}
-    for kind in ("B1", "Bn"):
-        report.direct[kind], steps[kind] = lowering_steps(lam, kind, word)
-    report.direct["Ad"] = from_word(lam, "Ad", word)
+    report = IsoReport(lam=lam, word=word, alpha=alpha, direct=direct)
     if cl_root(alpha) != lam - report.direct["B1"].wt():
         raise ValueError(f"word content {alpha} does not match the weight of its B1 path")
 

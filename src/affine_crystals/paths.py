@@ -19,13 +19,15 @@ signature record per i.  The factors are interned perfect-crystal elements, so t
 signature reads each one's row, the weight is one integer sum of cached coefficients
 (the record's entry at len(devs) mod period plus each deviation's ``wa``), and the
 trim of ground factors and the hash read each factor's cached hash.
-A Path has one normal form: its constructor stores the deviations as a tuple and
-trims the trailing ones that equal the ground factor at their position, so equal
-paths are equal values with equal hashes however they were built.  An operator's
-result is the Path of the deviations with one factor replaced or appended (the new
-factor from the element's own e_i/f_i memo) and inherits no cache, so check_axioms
-compares values computed on each side of an edge.  A lowering walk reads the
-position each f_i changes off the same record, and the wall tuples replay those steps.
+A Path has one normal form: the deviations as a tuple without the trailing ones that
+equal the ground factor at their position, so equal paths are equal values with equal
+hashes however they were built.  The constructor checks lam, the kind and every
+deviation's family.  An operator's result is built by ``_with`` from its parent's
+checked deviations with one factor replaced or appended (the owner's own e_i/f_i):
+only that factor's family is checked, only a changed top deviation can trim, and the
+result holds lam, kind and devs and inherits no cache, so check_axioms compares values
+computed on each side of an edge.  A lowering walk reads the position each f_i
+changes off the same record, and the wall tuples replay those steps.
 A Path's text (``render``, also its ``str``) and ``path_to_json`` are its deviations'
 own ``render()`` and ``to_json()``, highest position first in the text.
 
@@ -36,6 +38,7 @@ which is ground factor k of the record moved by the content, in a bounded cache.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,7 +62,10 @@ class WeightSectionError(ValueError):
 @lru_cache(maxsize=64)
 def _ground(a: tuple[int, ...], kind: str) -> tuple[tuple, tuple]:
     """The ground-state record of lam = Weight(a): one period of ground factors (n + 1 for
-    B1/Bn, one for Ad) and, per position k in it, the a of lam - wt(factors 0 .. k - 1)."""
+    B1/Bn, one for Ad) and, per position k in it, the a of lam - wt(factors 0 .. k - 1).
+    ValueError: lam is not dominant of rank >= 1, or its kind is unknown."""
+    if len(a) < 2 or min(a) < 0:
+        raise ValueError(f"lambda {a} is not a dominant weight of rank >= 1")
     lam = Weight(a)
     if kind == "Ad":
         period = (ground_adj(lam),)
@@ -104,34 +110,42 @@ def _section(a: tuple[int, ...], kind: str, k: int, c: tuple[int, ...]):
     return type(g)(vec)
 
 
+def _trim(devs: tuple, period: tuple) -> tuple:
+    """devs without the trailing factors that equal the ground factor at their position."""
+    top = len(devs)
+    while top and devs[top - 1] == period[(top - 1) % len(period)]:
+        top -= 1
+    return devs[:top]
+
+
 @dataclass(frozen=True, init=False)
 class Path(Tensor):
     """Path in normal form: devs[k] is the factor at position k for k < len(devs), and
     the ground factor from there on.
 
     The constructor takes any iterable of deviations, stores it as a tuple and trims
-    trailing ground factors.  ValueError: an unknown kind, or a deviation whose interned
-    ``family`` (class, rank, level) is not the ground factors'.  A Tensor on its window
+    trailing ground factors.  ValueError: lam not a dominant Weight of int coefficients
+    and rank >= 1, an unknown kind, or a deviation whose interned ``family`` (class,
+    rank, level) is not the ground factors'.  A Tensor on its window
     [g_T, *reversed(devs)], T = len(devs), that leaves out g_T's "-" symbols.
     wt and the hash are cached on first use; wt is the ground-state record's offset at
-    len(devs) mod period plus each deviation's wa.  An operator's result holds only
-    lam, kind and devs until something reads it."""
+    len(devs) mod period plus each deviation's wa.  An operator's result, built by
+    ``_with`` without the constructor, holds only lam, kind and devs until read."""
 
     lam: Weight
     kind: str
     devs: tuple = ()
 
     def __init__(self, lam: Weight, kind: str, devs=()):  # one dict update: no frozen setattr
+        if not (isinstance(lam, Weight) and all(type(c) is int for c in lam.a)):
+            raise ValueError(f"lambda must be a Weight of int coefficients, got {lam!r}")
         devs, period = tuple(devs), _ground(lam.a, kind)[0]
         family = period[0].family
         for dev in devs:
             if getattr(dev, "family", None) is not family:
                 raise ValueError(f"deviation {dev!r} is not a {kind} factor of rank {lam.n} "
                                  f"and level {lam.level}")
-        top = len(devs)
-        while top and devs[top - 1] == period[(top - 1) % len(period)]:
-            top -= 1
-        vars(self).update(lam=lam, kind=kind, devs=devs[:top])
+        vars(self).update(lam=lam, kind=kind, devs=_trim(devs, period))
 
     _DROP_LEFT_MINUS = True  # g_{T+1}, beyond the window, cancels them
 
@@ -150,9 +164,18 @@ class Path(Tensor):
         return [ground_elem(self.lam, self.kind, len(self.devs)), *reversed(self.devs)]
 
     def _with(self, idx: int, elem) -> Path:
-        """The path with window factor idx replaced, or with f_i(g_T) appended."""
-        pos = len(self.devs) - idx
-        return Path(self.lam, self.kind, self.devs[:pos] + (elem,) + self.devs[pos + 1:])
+        """The path with factor idx of the cached window replaced by elem, or f_i(g_T)
+        appended, built from this path's checked deviations: only elem's family is
+        checked, and only a changed top deviation can trim (f_i(g_T) != g_T)."""
+        devs, pos = self.devs, len(self.devs) - idx
+        if getattr(elem, "family", None) is not self._factors[idx].family:
+            raise ValueError(f"{elem!r} is not of the family of {self._factors[idx]!r}")
+        devs = devs[:pos] + (elem,) + devs[pos + 1:]
+        if idx == 1:
+            devs = _trim(devs, _ground(self.lam.a, self.kind)[0])
+        new = object.__new__(Path)
+        vars(new).update(lam=self.lam, kind=self.kind, devs=devs)
+        return new
 
     _wt = _hash = None  # until cached by hand in the instance dict, which takes no lock
 
@@ -201,9 +224,8 @@ def lowering_steps(lam: Weight, kind: str, word) -> tuple[Path, list[tuple[int, 
     ``(i, pos)`` when f_i changed the factor at ``pos``, read off the f-owner
     of the signature record f_i used.
     """
-    word = list(word)
+    word, p = list(word), ground_path(lam, kind)
     word_alpha(lam.n, word)  # raises for an index outside 0..n or a negative multiplicity
-    p = ground_path(lam, kind)
     steps = []
     for i, mult in reversed(word):
         for _ in range(mult):
@@ -236,9 +258,13 @@ def parse_word(text: str) -> tuple[tuple[int, int], ...]:
 
 def word_alpha(n: int, word) -> tuple[int, ...]:
     """Letter counts per index; an index outside 0..n raises WordIndexError, a
-    negative multiplicity ValueError."""
+    negative multiplicity or a letter that is not a pair of integers ValueError."""
     counts = [0] * (n + 1)
-    for i, mult in word:
+    for letter in word:
+        try:
+            i, mult = map(operator.index, letter)
+        except (TypeError, ValueError):
+            raise ValueError(f"word letter {letter!r} is not a pair of integers") from None
         if not 0 <= i <= n:
             raise WordIndexError(f"word index {i} is outside 0..{n}")
         if mult < 0:

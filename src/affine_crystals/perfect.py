@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from .cartan import Weight
+from .cartan import Weight, _integers
 from .crystal_core import TensorProd, eps_weight, generate_graph, phi_weight
 
 
@@ -53,7 +53,9 @@ _FAMILIES: dict = {}  # (class, rank + 1, level) -> that tuple, one object per f
 
 
 def _intern(cls, *value):
-    """The element of class cls with this value, built and checked on a miss."""
+    """The element of class cls with this value, built and checked on a miss.  The
+    constructors pass each entry through operator.index first: a float equal to an int
+    hashes as it does, so it would find, or be stored under, that int's key."""
     elem = _TABLE.get((cls, *value))
     if elem is None:
         row, wa = cls._rule_values(*value)  # raises ValueError for an invalid value
@@ -153,7 +155,7 @@ class _Row(_Elem):
     _DUAL = False  # BnElem: eps/phi and e/f swapped, wt negated
 
     def __new__(cls, nu):
-        return _intern(cls, tuple(nu))
+        return _intern(cls, _integers(nu))
 
     @property
     def level(self) -> int:
@@ -224,7 +226,7 @@ class AdjElem(_Elem):
     _FIELDS = ("mbar", "m", "cap")
 
     def __new__(cls, mbar, m, cap):
-        return _intern(cls, tuple(mbar), tuple(m), cap)
+        return _intern(cls, _integers(mbar), _integers(m), *_integers((cap,)))
 
     @property
     def k(self) -> int:

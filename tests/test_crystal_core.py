@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import dataclass
 
+import pytest
 from hypothesis import given, strategies as st
 
 from affine_crystals.crystal_core import (
@@ -14,7 +15,7 @@ from affine_crystals.crystal_core import (
     phi_weight,
     signature,
 )
-from affine_crystals.cartan import weight
+from affine_crystals.cartan import Weight, cl_root, simple_root, weight
 from affine_crystals.paths import Path, ground_path, path_to_json
 from affine_crystals import perfect
 from affine_crystals.perfect import AdjElem, B1Elem, BnElem, all_adj, all_b1, all_bn, ground_adj
@@ -225,9 +226,29 @@ def _cold(b):
     return TensorProd(b.factors) if isinstance(b, TensorProd) else b
 
 
+class _Reweighed:
+    """Node b, except that its weight is w."""
+
+    def __init__(self, b, w):
+        self._b, self._w = b, w
+
+    def __getattr__(self, name):
+        return getattr(self._b, name)
+
+    def wt(self):
+        return self._w
+
+    def __eq__(self, other):
+        return self._b == other
+
+    def __str__(self):
+        return str(self._b)
+
+
 def _corrupted(g, how: str, k: int) -> CrystalGraph:
     """A copy of g with edge k re-indexed, its source swapped for a cold element of
-    another node's value, or its target moved to another node."""
+    another node's value, its target moved to another node, or its source answering
+    a weight one simple root off ("reweigh") or of rank n + 1 ("rerank")."""
     nodes, edges = list(g.nodes), list(g.edges)
     src, op, i, dst = edges[k]
     other = next(t for t in range(len(nodes)) if t not in (src, dst))
@@ -235,6 +256,10 @@ def _corrupted(g, how: str, k: int) -> CrystalGraph:
         edges[k] = (src, op, (i + 1) % len(nodes[0].row), dst)
     elif how == "swap":
         nodes[src] = _cold(nodes[other])
+    elif how == "reweigh":
+        nodes[src] = _Reweighed(nodes[src], nodes[src].wt() + cl_root(simple_root(nodes[0].n, i)))
+    elif how == "rerank":
+        nodes[src] = _Reweighed(nodes[src], Weight(nodes[src].wt().a + (0,)))
     else:
         edges[k] = (src, op, i, other)
     return CrystalGraph(nodes=nodes, ids=g.ids, edges=edges, complete=g.complete)
@@ -247,11 +272,21 @@ def test_check_axioms_matches_the_edge_by_edge_reference():
     for g in _differential_graphs():
         assert len(g.nodes) == 120 or g.complete
         assert check_axioms(g) == check_axioms_reference(g) == []
-        for how in ("reindex", "swap", "redirect"):
+        for how in ("reindex", "swap", "redirect", "reweigh"):
             for k in (0, len(g.edges) // 2, len(g.edges) - 1):
                 got = check_axioms(_corrupted(g, how, k))
                 want = check_axioms_reference(_corrupted(g, how, k))
                 assert got == want and want, (how, k)
+        # a weight of another rank: the reference meets it edge by edge in a strict zip,
+        # check_axioms once per node, with a one-line ValueError that names the node
+        for k in (0, len(g.edges) - 1):
+            bad = _corrupted(g, "rerank", k)
+            with pytest.raises(ValueError):
+                check_axioms_reference(bad)
+            node = bad.nodes[g.edges[k][0]]
+            with pytest.raises(ValueError) as err:
+                check_axioms(bad)
+            assert str(err.value) == f"weight of rank {node.n + 1}, not {node.n}, at node {node}"
 
 
 # sha256 of json.dumps([[path_to_json(b) for b in g.nodes], g.edges], sort_keys=True)

@@ -1,3 +1,4 @@
+import pathlib
 import pickle
 import random
 import re
@@ -80,6 +81,10 @@ def test_negative_multiplicity_is_rejected_under_optimize():
     assert proc.stdout.splitlines() == ["ValueError 1"] * 8
     with pytest.raises(ValueError, match="multiplicity -1 of index 0 is negative"):
         word_alpha(2, ((1, 2), (0, -1)))
+    for letter in ((1, 1.5), (1.0, 1), (1, 2, 3), (1,), 1, "12", None):
+        with pytest.raises(ValueError, match="is not a pair of integers"):
+            word_alpha(2, ((0, 1), letter))
+    assert word_alpha(2, [[2, True], (0, 3)]) == (3, 0, 1)
     assert word_alpha(2, ((1, 0), (0, 1))) == (1, 0, 0)  # a zero multiplicity is a no-op
 
 
@@ -583,6 +588,123 @@ def test_path_balls_hash_no_weight(monkeypatch):
         g = generate_graph(ground_path(weight((2, 1, 0)), kind), max_nodes=200)
         assert len(g.nodes) == 200 and not check_axioms(g)
     assert hashed == []
+
+
+def _spliced(p, op, i):
+    """Path(lam, kind, devs) of the window step of op_i: the owner's factor replaced,
+    or the new factor appended on g_T; None when op_i annihilates p."""
+    res = p._step(op, i)
+    if res is None:
+        return None
+    idx, elem = res
+    pos = len(p.devs) - idx
+    return Path(p.lam, p.kind, p.devs[:pos] + (elem,) + p.devs[pos + 1:])
+
+
+def test_operator_results_equal_the_constructor_on_the_spliced_deviations():
+    # e_i/f_i build their result from the parent's validated deviations: the same
+    # normal form, value and hash as the constructor's, trims included, and a result
+    # caches nothing until it is read.  A top deviation turned ground never has a
+    # ground factor below it (that factor would keep a surviving "-"), so an operator
+    # trims one factor at most; _with's trim cascades when handed such a window
+    trims = []
+    for lam in ((2, 0, 0), (1, 1, 0), (3, 2, 1)):
+        for kind in KINDS:
+            ball = generate_graph(ground_path(weight(lam), kind), max_nodes=150).nodes
+            # and each node with its deviations below the top made ground, so that a
+            # top one turned ground trims down to the ground path
+            grounded = [Path(p.lam, kind, [p.factor(k) if k == len(p.devs) - 1 else
+                                           ground_elem(p.lam, kind, k) for k in range(len(p.devs))])
+                        for p in ball]
+            for p in ball + grounded:
+                for i in range(p.n + 1):
+                    for op in ("e", "f"):
+                        want, got = _spliced(p, op, i), getattr(p, op)(i)
+                        if want is None:
+                            assert got is None
+                            continue
+                        assert set(vars(got)) == {"lam", "kind", "devs"}
+                        assert got.devs == want.devs and type(got.devs) is tuple
+                        assert got == want and hash(got) == hash(want)
+                        assert got.lam is p.lam and got.kind == p.kind
+                        trims.append(len(p.devs) - len(got.devs))
+    assert set(trims) == {-1, 0, 1}
+    lam = weight((3, 2, 1))
+    for kind in KINDS:
+        g = [ground_elem(lam, kind, k) for k in range(3)]
+        x = next(b for b in map(g[2].f, range(3)) if b is not None)
+        p, q = Path(lam, kind, [*g[:2], x]), Path(lam, kind, [x, g[1], x])
+        p._record(0), q._record(0)
+        assert p._with(1, g[2]) == ground_path(lam, kind) and p._with(1, g[2]).devs == ()
+        assert q._with(1, g[2]).devs == (x,) == Path(lam, kind, [x, g[1], g[2]]).devs
+
+
+def test_ball_operators_never_run_the_path_constructor(monkeypatch):
+    # only the three ground paths go through Path.__init__; every e_i/f_i result is
+    # built from its parent, whose deviations the constructor has already checked
+    built = []
+    real = Path.__init__
+    monkeypatch.setattr(Path, "__init__", lambda self, *a: built.append(a) or real(self, *a))
+    for kind in KINDS:
+        g = generate_graph(ground_path(weight((2, 1, 0)), kind), max_nodes=200)
+        assert len(g.nodes) == 200 and not check_axioms(g)
+    assert [(lam.a, kind) for lam, kind in built] == [((2, 1, 0), kind) for kind in KINDS]
+
+
+def test_bad_lambda_and_foreign_factor_raise_one_line_under_optimize():
+    # a tuple lam raised a bare AttributeError from the ground lookup; a factor of
+    # another family handed to _with is refused by an if/raise, not an assert
+    code = (
+        "from affine_crystals.cartan import Weight, weight\n"
+        "from affine_crystals.iso import run_pipeline\n"
+        "from affine_crystals.paths import Path, from_word, ground_path, lowering_steps\n"
+        "from affine_crystals.perfect import AdjElem, B1Elem\n"
+        "word = ((1, 1),)\n"
+        "p = ground_path(weight((1, 1, 0)), 'B1')\n"
+        "p._record(1)\n"
+        "cases = [lambda: Path((2, 1, 0), 'B1'), lambda: ground_path((2, 1, 0), 'Ad'),\n"
+        "         lambda: from_word([2, 1, 0], 'Bn', word),\n"
+        "         lambda: lowering_steps((2, 1, 0), 'B1', word),\n"
+        "         lambda: run_pipeline((2, 1, 0), word),\n"
+        "         lambda: Path(Weight((2.0, 1, 0)), 'B1'), lambda: Path(Weight((1, -1, 2)), 'B1'),\n"
+        "         lambda: Path(Weight((2,)), 'Ad'), lambda: Path(Weight(()), 'Bn'),\n"
+        "         lambda: p._with(0, AdjElem((0, 0, 0), (0, 0, 0), 2)),\n"
+        "         lambda: p._with(0, B1Elem((0, 1, 1, 0)))]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        case()\n"
+        "        print('accepted')\n"
+        "    except ValueError as err:\n"
+        "        print(type(err).__name__, len(str(err).splitlines()))\n"
+        "print(ground_path(weight((1, 1, 0)), 'B1').f(1).devs)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ValueError 1"] * 11 + ["(B1Elem(nu=(0, 1, 1)),)"]
+
+
+@pytest.mark.parametrize("a", [(), (2,), (1, -1, 2), (-1, 0)])
+def test_ground_record_refuses_a_weight_that_is_not_dominant_of_rank_one_or_more(a):
+    for kind in KINDS:
+        with pytest.raises(ValueError, match=r"^lambda \(.*\) is not a dominant weight of rank >= 1$"):
+            Path(Weight(a), kind)
+
+
+@pytest.mark.parametrize("lam", [(2, 1, 0), [2, 1], Weight((2.0, 1, 0)), Weight((True, 1))])
+def test_path_refuses_lambda_that_is_not_a_weight_of_ints(lam):
+    for make in (Path, ground_path, lambda lam, kind: from_word(lam, kind, [(1, 1)])):
+        with pytest.raises(ValueError, match="^lambda must be a Weight of int coefficients"):
+            make(lam, "B1")
+
+
+def test_path_layer_api_boundary_under_optimize():
+    # every input of the path layer's public functions returns or raises a one-line
+    # ValueError; a hypothesis pass, run under -O so that no assert guards anything
+    script = pathlib.Path(__file__).with_name("api_boundary.py")
+    proc = subprocess.run([sys.executable, "-O", str(script)], capture_output=True, text=True,
+                          timeout=50)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert len(proc.stdout.split("ok ")) == 7
 
 
 def test_equal_weights_share_one_ground_record():

@@ -428,6 +428,31 @@ def test_invalid_values_are_never_interned_under_optimize():
     assert proc.stdout.split() == ["ValueError"] * 10 + ["0"]
 
 
+def test_a_float_entry_never_poisons_the_intern_table_under_optimize():
+    # B1Elem((1.0, 1, 1)) was interned under (1, 1, 1)'s key, as the float equals and
+    # hashes as the int: the int element built next then wrote [1.0, 1, 1] and its
+    # render() raised TypeError.  Each entry goes through operator.index first
+    code = (
+        "from affine_crystals.perfect import AdjElem, B1Elem, BnElem\n"
+        "for make in [lambda: B1Elem((1.0, 1, 1)), lambda: BnElem([1, 1.0, 1]),\n"
+        "             lambda: AdjElem((0, 1.0), (0, 1), 2), lambda: AdjElem((0, 1), (0, 1), 2.0),\n"
+        "             lambda: B1Elem(3), lambda: AdjElem((0, 1), None, 2)]:\n"
+        "    for _ in range(2):\n"
+        "        try:\n"
+        "            make()\n"
+        "            print('accepted')\n"
+        "        except ValueError as err:\n"
+        "            print('ValueError', len(str(err).splitlines()))\n"
+        "for b in (B1Elem((1, 1, 1)), BnElem((1, 1, 1)), AdjElem((0, 1), (0, 1), 2), B1Elem((True, 0))):\n"
+        "    print(b.render(), b.to_json())\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ValueError 1"] * 12 + [
+        "[1,2,3] {'nu': [1, 1, 1]}", "[3~,2~,1~] {'nubar': [1, 1, 1]}",
+        "rows: [1,2] {'mbar': [0, 1], 'm': [0, 1], 'cap': 2}", "[1] {'nu': [1, 0]}"]
+
+
 _WRITE_BALLS = """
 import pickle, sys
 from affine_crystals.cartan import weight
