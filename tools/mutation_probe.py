@@ -1,22 +1,20 @@
 """Mutation probe: do the tests catch single-point faults in the lines changed since a base?
 
-    python tools/mutation_probe.py BASE [--tests tests] [--seed 0] [--timeout 60]
-                                        [--max N] [--equivalent FILE] [--list]
+    python tools/mutation_probe.py BASE [--equivalent FILE]
 
 For every ``src/`` Python line added or changed since the git revision BASE it makes
 single-point mutants: a flipped comparison (``==``/``!=``, ``<``/``>=``, ``>``/``<=``,
 ``is``/``is not``, ``in``/``not in``), an integer literal moved by +1 and by -1, an
 ``and``/``or`` swap and a dropped ``raise`` (replaced by ``pass``).  Each mutant is
 written into a copy of the working tree under a temporary directory, never into the
-tree itself, and ``python -m pytest -x -q TESTS`` runs on it.  A failing run, or one
-that takes more than ``--timeout`` seconds longer than the unmutated run, counts as
-caught; a passing run is a survivor.  The unmutated copy must pass first.  (A hang
-inside one test is also cut by the tests' own per-test limit, and then fails.)
+tree itself, and ``python -m pytest -x -q tests`` runs on it with ``PYTHONHASHSEED``
+fixed at 0.  A failing run, or one that takes more than 60 s longer than the unmutated
+run, counts as caught; a passing run is a survivor.  The unmutated copy must pass
+first.  (A hang inside one test is also cut by the tests' own per-test limit, and then
+fails.)
 
-``--max`` runs a sample of N mutants drawn with ``--seed``; the test runs get
-``PYTHONHASHSEED`` set to the seed too.  ``--equivalent FILE`` lists the ids of
-mutants known to behave as the original (one per line, ``#`` starts a comment);
-they are counted apart, not run.  ``--list`` prints the mutants without running them.
+``--equivalent FILE`` lists the ids of mutants known to behave as the original (one
+per line, ``#`` starts a comment); they are counted apart, not run.
 The last line is ``caught C survived S equivalent E``; every survivor's id is printed
 above it.  The exit status is 1 when a mutant survived.
 """
@@ -26,7 +24,6 @@ from __future__ import annotations
 import argparse
 import ast
 import os
-import random
 import re
 import shutil
 import subprocess
@@ -38,6 +35,8 @@ from pathlib import Path
 FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt,
         ast.Gt: ast.LtE, ast.LtE: ast.Gt, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
         ast.In: ast.NotIn, ast.NotIn: ast.In}
+SEED = "0"  # PYTHONHASHSEED of every test run
+TIMEOUT_S = 60.0  # a mutant run this much longer than the unmutated run is caught
 
 
 def git(*args: str, cwd: Path) -> str:
@@ -144,13 +143,13 @@ def mutate(source: str, lines: set[int], k: int) -> str:
     return (raw[:a] + text.encode() + raw[b:]).decode()
 
 
-def run_tests(copy: Path, tests: str, seed: int, timeout: float | None) -> str:
+def run_tests(copy: Path, timeout: float | None) -> str:
     """'passed', 'failed' or 'timeout' for one pytest run on the copy."""
-    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONHASHSEED=str(seed),
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONHASHSEED=SEED,
                PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                               "no:cacheprovider", tests], cwd=copy, env=env,
+                               "no:cacheprovider", "tests"], cwd=copy, env=env,
                               capture_output=True, timeout=timeout)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -160,27 +159,15 @@ def run_tests(copy: Path, tests: str, seed: int, timeout: float | None) -> str:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("base", help="git revision the changed lines are taken against")
-    ap.add_argument("--tests", default="tests")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--timeout", type=float, default=60.0,
-                    help="seconds a mutant run may take beyond the unmutated run")
-    ap.add_argument("--max", type=int, default=None, help="run a seeded sample of N mutants")
     ap.add_argument("--equivalent", type=Path, default=None)
-    ap.add_argument("--list", action="store_true")
     args = ap.parse_args(argv)
 
     root = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()).strip())
     todo = mutants(root, args.base)
-    if args.max is not None and args.max < len(todo):
-        todo = sorted(random.Random(args.seed).sample(todo, args.max))
     known = set()
     if args.equivalent:
         known = {line.split("#")[0].strip() for line in args.equivalent.read_text().splitlines()}
         known.discard("")
-    if args.list:
-        for name, _, mid, line in todo:
-            print(mid, f"(line {line})", "equivalent" if mid in known else "")
-        return 0
 
     lines = changed_lines(root, args.base)
     caught = survived = equivalent = 0
@@ -193,7 +180,7 @@ def main(argv=None) -> int:
                 (copy / name).parent.mkdir(parents=True, exist_ok=True)
                 shutil.copy2(root / name, copy / name)
         start = time.monotonic()
-        if run_tests(copy, args.tests, args.seed, None) != "passed":
+        if run_tests(copy, None) != "passed":
             print("the unmutated tests do not pass", file=sys.stderr)
             return 2
         base_s = time.monotonic() - start
@@ -204,7 +191,7 @@ def main(argv=None) -> int:
                 continue
             (copy / name).write_text(mutate((root / name).read_text(), lines[name], k))
             try:
-                verdict = run_tests(copy, args.tests, args.seed, base_s + args.timeout)
+                verdict = run_tests(copy, base_s + TIMEOUT_S)
             finally:
                 (copy / name).write_text((root / name).read_text())
             if verdict == "passed":
